@@ -64,6 +64,35 @@ def _parse_shear(text: str) -> fieldzoo.Shear:
     return fieldzoo.Shear.from_names(axis, shear_axis, amplitude, wavenumber)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _finite_positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _finite_nonzero_float(text: str) -> float:
+    """A step size; negative values step backward in time."""
+    value = _finite_float(text)
+    if value == 0.0:
+        raise argparse.ArgumentTypeError(f"must be nonzero, got {text!r}")
+    return value
+
+
 def _grid_from_args(args) -> Grid3:
     n = args.n
     return Grid3((n, n, n) if isinstance(n, int) else tuple(n), _parse_box(args.box))
@@ -271,16 +300,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="advance a bundle by ideal transport, tracking invariants")
     p.add_argument("input")
-    p.add_argument("--time", type=float, default=0.5, help="total integration time (default: 0.5)")
-    p.add_argument("--steps", type=int, help="step count (overrides --time rounding)")
-    p.add_argument("--dt", type=float, help="fixed step (overrides --cfl)")
+    p.add_argument(
+        "--time", type=_finite_positive_float, default=0.5, help="total integration time (default: 0.5)"
+    )
+    p.add_argument("--steps", type=_positive_int, help="step count (overrides --time rounding)")
+    p.add_argument("--dt", type=_finite_nonzero_float, help="fixed step (overrides --cfl)")
     p.add_argument(
         "--cfl",
-        type=float,
+        type=_finite_positive_float,
         default=_D["dynamics"]["default_cfl"],
         help=f"advective CFL target (default: {_D['dynamics']['default_cfl']})",
     )
-    p.add_argument("--record-every", type=int, default=1, help="sampling stride (default: 1)")
+    p.add_argument("--record-every", type=_positive_int, default=1, help="sampling stride (default: 1)")
     p.add_argument("--no-dealias", action="store_true")
     p.add_argument("--series", help="CSV output path")
     p.add_argument("--out", help="final bundle WRG1 path")

@@ -2,11 +2,18 @@
 
 The stepper advances the pair (W, A) jointly in a pseudo-spectral
 formulation: W by the vorticity equation dW/dt = -curl(W x U), and A by
-the corresponding 1-form transport dA_i/dt = -(U.grad)A_i - A_j grad_i U_j.
-The velocity is recomputed from W at every substage, quadratic products are
-dealiased by the 2/3 rule, and time integration is fixed-step RK4. A is
-carried as an independent co-state, so the measured curl(A) - W drift is a
-free integration-quality diagnostic.
+the corresponding 1-form transport dA/dt = -L_U A. The co-state is taken in
+vector-invariant form, dA/dt = U x curl(A) - grad(U.A), which by Cartan's
+formula L_U a = i_U da + d(i_U a) equals -(U.grad)A - (grad U)^T A; it needs
+curl(A) and two products instead of nine gradients of A and nine of U, and
+grad(U.A) is applied in spectral space. The velocity is recomputed from W
+at every substage, quadratic products are dealiased by the 2/3 rule, and
+time integration is fixed-step RK4. A is carried as an independent
+co-state, so the measured curl(A) - W drift is a free integration-quality
+diagnostic: curl(A) at the end of a step is formed from the transported A,
+never from W. (The gradient term has no curl, and curl(U x curl A) matches
+the vorticity tendency, so the drift stays at roundoff for a consistent
+pair.)
 
 On top of the stepper:
 
@@ -40,6 +47,7 @@ from .fieldcore import (
     grad,
     integrate,
     inverse_curl,
+    inverse_curl_spectral,
     magnitude2,
     solve_poisson_zero_mean,
 )
@@ -224,49 +232,39 @@ class _Stepper:
     def to_phys(self, specs) -> np.ndarray:
         return np.stack([self.g.irfft(s) for s in specs])
 
+    def curl_spec(self, specs):
+        ikx, iky, ikz = self.g.ik
+        sx, sy, sz = specs
+        return [iky * sz - ikz * sy, ikz * sx - ikx * sz, ikx * sy - iky * sx]
+
     def velocity_spec(self, w_specs):
-        g = self.g
-        ikx, iky, ikz = g.ik
-        inv = g.inv_k2
-        sx, sy, sz = w_specs
-        return [
-            (iky * sz - ikz * sy) * inv,
-            (ikz * sx - ikx * sz) * inv,
-            (ikx * sy - iky * sx) * inv,
-        ]
+        inv = self.g.inv_k2
+        return [c * inv for c in self.curl_spec(w_specs)]
 
     def rhs(self, w_specs, a_specs):
         g = self.g
-        ik = g.ik
         wd = [self._trunc(s) for s in w_specs]
         ad = [self._trunc(s) for s in a_specs]
-        ud = self.velocity_spec(wd)
         W = self.to_phys(wd)
+        U = self.to_phys(self.velocity_spec(wd))
         A = self.to_phys(ad)
-        U = self.to_phys(ud)
+        curlA = self.to_phys(self.curl_spec(ad))
         # vorticity: dW/dt = -curl(W x U)
-        p = np.stack(
-            (
-                W[1] * U[2] - W[2] * U[1],
-                W[2] * U[0] - W[0] * U[2],
-                W[0] * U[1] - W[1] * U[0],
-            )
-        )
-        ps = [self._trunc(g.rfft(c)) for c in p]
-        rhs_w = [
-            -(ik[1] * ps[2] - ik[2] * ps[1]),
-            -(ik[2] * ps[0] - ik[0] * ps[2]),
-            -(ik[0] * ps[1] - ik[1] * ps[0]),
-        ]
-        # co-state: dA_i/dt = -U_j dA_i/dx_j - A_j dU_j/dx_i
-        dA = [[g.irfft(ik[j] * ad[i]) for j in range(3)] for i in range(3)]
-        dU = [[g.irfft(ik[j] * ud[i]) for j in range(3)] for i in range(3)]
-        rhs_a = []
-        for i in range(3):
-            adv = sum(U[j] * dA[i][j] for j in range(3))
-            strain = sum(A[j] * dU[j][i] for j in range(3))
-            rhs_a.append(-self._trunc(g.rfft(adv + strain)))
+        ps = [self._trunc(g.rfft(c)) for c in _cross(W, U)]
+        rhs_w = [-c for c in self.curl_spec(ps)]
+        # co-state: dA/dt = -L_U A = U x curl(A) - grad(U.A)
+        qs = [self._trunc(g.rfft(c)) for c in _cross(U, curlA)]
+        phi = self._trunc(g.rfft(np.einsum("i...,i...->...", U, A)))
+        rhs_a = [q - ik * phi for q, ik in zip(qs, g.ik)]
         return rhs_w, rhs_a
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> tuple:
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
 
 
 def step(state: EvolutionState) -> EvolutionState:
@@ -276,14 +274,16 @@ def step(state: EvolutionState) -> EvolutionState:
     below the configured limit. After the step the curl(A) - W residual is
     measured; DriftExceeded is raised if it passes the drift limit (with
     ``reproject`` set, A is instead corrected by the solenoidal field that
-    restores consistency exactly).
+    restores consistency exactly). Both errors name the step's start time
+    and dt.
     """
     b = state.bundle.with_velocity()
     g = b.grid
     cfl = abs(state.dt) * b.U.maxnorm() / min(g.spacing)
     if cfl >= _DYN["cfl_limit"]:
         raise CflViolation(
-            f"CFL number {cfl:.3f} at dt={state.dt:g} exceeds {_DYN['cfl_limit']}"
+            f"CFL number {cfl:.3f} in the step from t={state.t:g} with dt={state.dt:g} "
+            f"exceeds {_DYN['cfl_limit']}"
         )
     kern = _Stepper(g, state.dealias)
     w0 = kern.to_spec(b.W)
@@ -307,7 +307,9 @@ def step(state: EvolutionState) -> EvolutionState:
     ]
     W1 = VectorField(g, kern.to_phys(w1))
     A1 = VectorField(g, kern.to_phys(a1))
-    drift = _rel_l2(curl(A1), W1)
+    # curl(A1) comes from the transported A, never from W, so the drift
+    # stays an independent measure of integration quality
+    drift = _rel_l2(VectorField(g, kern.to_phys(kern.curl_spec(a1))), W1)
     if drift > state.drift_limit:
         if state.reproject:
             fix = inverse_curl(VectorField(g, W1.data - curl(A1).data))
@@ -315,14 +317,15 @@ def step(state: EvolutionState) -> EvolutionState:
             drift = _rel_l2(curl(A1), W1)
         else:
             raise DriftExceeded(
-                f"curl(A) - W drift {drift:g} exceeds {state.drift_limit:g} "
+                f"curl(A) - W drift {drift:g} in the step from t={state.t:g} with "
+                f"dt={state.dt:g} exceeds {state.drift_limit:g} "
                 "(enable reproject or refine the step)"
             )
     new_bundle = FieldBundle(
         g,
         A1,
         W1,
-        U=inverse_curl(W1),
+        U=inverse_curl_spectral(W1, w1),
         meta={k: v for k, v in b.meta.items() if k != "residuals"},
     )
     return dataclasses.replace(

@@ -141,6 +141,26 @@ class TestEvolveAndDiffeo:
         run(["generate", "--family", "clebsch", "--n", "16", "--shear", "x,z,0.3,1", "--out", str(field)])
         assert run(["evolve", str(field), "--steps", "1", "--dt", "50.0"]) == 4
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["--record-every", "0"],
+            ["--dt", "0"],
+            ["--cfl", "0"],
+            ["--dt", "nan"],
+            ["--steps", "-1"],
+        ],
+    )
+    def test_bad_evolve_argument_exit_2(self, tmp_path, capsys, bad):
+        field = tmp_path / "f.wrg"
+        run(["generate", "--family", "clebsch", "--n", "16", "--shear", "x,z,0.3,1", "--out", str(field)])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(["evolve", str(field), "--steps", "1", *bad])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert bad[0] in err and "Traceback" not in err
+
     def test_diffeo_round_trip_file(self, tmp_path):
         src = tmp_path / "f.wrg"
         out = tmp_path / "g.wrg"

@@ -11,13 +11,16 @@ from wring import gv
 from wring.errors import CflViolation, DriftExceeded, MaskTooSmall
 from wring.fieldcore import (
     Grid3,
+    ScalarField,
     VectorField,
     div,
     dot,
     grad,
     integrate,
+    inverse_curl,
     laplacian,
     magnitude2,
+    random_band_limited_vector,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -175,6 +178,29 @@ class TestStep:
             dyn.step(state)
         fixed = dyn.step(dataclasses.replace(state, reproject=True))
         assert fixed.curl_drift < 1e-6
+
+
+class TestCoState:
+    def test_vector_invariant_form_matches_gradient_form(self):
+        # kmax <= n/6: every quadratic product is resolved under the 2/3 rule
+        g = cube(32)
+        W = random_band_limited_vector(g, 5, 11, div_free=True)
+        A = random_band_limited_vector(g, 5, 23)
+        U = inverse_curl(W)
+        kern = dyn._Stepper(g, dealias=True)
+        _, rhs_a = kern.rhs(kern.to_spec(W), kern.to_spec(A))
+        got = kern.to_phys(rhs_a)
+        # dA[i][j] = d_j A_i, dU[i][j] = d_j U_i
+        dA = [grad(ScalarField(g, c)).data for c in A.data]
+        dU = [grad(ScalarField(g, c)).data for c in U.data]
+        ref = np.stack(
+            [
+                -sum(U.data[j] * dA[i][j] + A.data[j] * dU[j][i] for j in range(3))
+                for i in range(3)
+            ]
+        )
+        assert np.max(np.abs(ref)) > 0.1
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestTrackInvariants:
