@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -125,7 +126,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     _check_writable(args.json, args.density_out)
-    bundle = _load_bundle(args.input)
+    bundle = _load_bundle(args.input).with_velocity()
     choice = gv.EtaChoice(args.eta, args.eps)
     report = gv.analyze(bundle, choice, richardson=args.richardson)
     doc = report.to_json_dict()
@@ -160,8 +161,8 @@ def _cmd_evolve(args) -> int:
     if args.steps is not None:
         steps = args.steps
     else:
-        steps = max(1, int(np.ceil(args.time / dt)))
-        dt = args.time / steps
+        steps = max(1, int(np.ceil(args.time / abs(dt))))
+        dt = math.copysign(args.time / steps, dt)
     state = dynamics.EvolutionState(bundle, dt=dt, dealias=not args.no_dealias)
     state, series = dynamics.track_invariants(state, steps, record_every=args.record_every)
     if args.series:

@@ -15,9 +15,13 @@ never from W. (The gradient term has no curl, and curl(U x curl A) matches
 the vorticity tendency, so the drift stays at roundoff for a consistent
 pair.)
 
+One spectral kernel forms the dealiased product W x U, with U taken from
+the truncated W. It serves the stepper's right-hand side, the vorticity
+tendency -curl(W x U) and the Bernoulli head (periodic pressure solve in
+spectral space).
+
 On top of the stepper:
 
-* the vorticity tendency and Bernoulli head (periodic pressure solve);
 * the steady-flow obstruction bound: the squared invariant is bounded by
   C * integral((dW/dt)^2) with C = integral(|W x U|^2 / (U.A)^4) over the
   velocity mask, which is a Cauchy-Schwarz pairing and therefore holds
@@ -49,44 +53,44 @@ from .fieldcore import (
     inverse_curl,
     inverse_curl_spectral,
     magnitude2,
-    solve_poisson_zero_mean,
+    rel_l2,
 )
-from .fieldzoo import FieldBundle, _rel_l2
-from .gv import EtaChoice, _eta_parts, gv_invariant, integrability_residual, helicity
+from .fieldzoo import FieldBundle
+from .gv import (
+    EtaChoice,
+    _eta_parts,
+    gv_invariant,
+    helicity,
+    integrability_residual,
+    masked_density,
+)
 
 _DYN = config.DEFAULTS["dynamics"]
 _TOL = config.TOL
 
 
-def _dealiased_cross(bundle: FieldBundle) -> VectorField:
-    """2/3-rule product W x U: inputs truncated, result truncated."""
-    g = bundle.grid
-    mask = g.dealias_mask
-    b = bundle.with_velocity()
-    wt = VectorField(g, np.stack([g.irfft(mask * g.rfft(c)) for c in b.W.data]))
-    ut = VectorField(g, np.stack([g.irfft(mask * g.rfft(c)) for c in b.U.data]))
-    p = cross(wt, ut)
-    return VectorField(g, np.stack([g.irfft(mask * g.rfft(c)) for c in p.data]))
-
-
 def vorticity_rate(bundle: FieldBundle) -> VectorField:
-    """Vorticity tendency -curl(W x U) with the dealiased product."""
-    g = bundle.grid
-    p = _dealiased_cross(bundle)
-    return VectorField(g, -curl(p).data)
+    """Vorticity tendency -curl(W x U) with the dealiased product.
+
+    U is the velocity of W; a stored U is not read.
+    """
+    kern = _Stepper(bundle.grid, dealias=True)
+    ps, _ = kern.wxu_spec(kern.to_spec(bundle.W))
+    return VectorField(bundle.grid, -kern.to_phys(kern.curl_spec(ps)))
 
 
 def bernoulli_head(bundle: FieldBundle) -> ScalarField:
     """Zero-mean Pi = P + U^2/2 from the periodic pressure Poisson problem.
 
     Taking the divergence of the momentum equation gives
-    lap(Pi) = -div(W x U).
+    lap(Pi) = -div(W x U), so Pi = (ik . p)/|k|^2 for the spectra p of the
+    dealiased product. U is the velocity of W; a stored U is not read.
     """
-    from .fieldcore import div as _div
-
-    p = _dealiased_cross(bundle)
-    rhs = ScalarField(bundle.grid, -_div(p).data)
-    return solve_poisson_zero_mean(rhs)
+    g = bundle.grid
+    kern = _Stepper(g, dealias=True)
+    ps, _ = kern.wxu_spec(kern.to_spec(bundle.W))
+    ikx, iky, ikz = g.ik
+    return ScalarField(g, g.irfft((ikx * ps[0] + iky * ps[1] + ikz * ps[2]) * g.inv_k2))
 
 
 # -- obstruction bound ---------------------------------------------------------
@@ -150,16 +154,8 @@ def obstruction_bound(
         )
     curlG = curl(G)
     cv = b.grid.cell_volume
+    gv_val = float(np.sum(masked_density(G, curlG, q, mask))) * cv
     q_safe = np.where(mask, q, 1.0)
-    gv_val = float(
-        np.sum(
-            np.where(
-                mask,
-                np.einsum("i...,i...->...", G.data, curlG.data) / q_safe**2,
-                0.0,
-            )
-        )
-    ) * cv
     C = float(np.sum(np.where(mask, np.sum(G.data**2, axis=0) / q_safe**4, 0.0))) * cv
     rate = integrate(magnitude2(curlG))
     slack = C * rate - gv_val**2
@@ -217,7 +213,11 @@ def cfl_timestep(bundle: FieldBundle, cfl: float | None = None) -> float:
 
 
 class _Stepper:
-    """Spectral-space RK4 kernel shared by step() and the trackers."""
+    """Spectral-space kernel: the one place the dealiased W x U is formed.
+
+    It serves the RK4 right-hand side, the vorticity tendency and the
+    Bernoulli head.
+    """
 
     def __init__(self, grid, dealias: bool):
         self.g = grid
@@ -241,16 +241,23 @@ class _Stepper:
         inv = self.g.inv_k2
         return [c * inv for c in self.curl_spec(w_specs)]
 
-    def rhs(self, w_specs, a_specs):
-        g = self.g
+    def wxu_spec(self, w_specs):
+        """Truncated spectra of W x U, with U the velocity of the truncated W.
+
+        Returns (spectra, U); U is in physical space, for the co-state.
+        """
         wd = [self._trunc(s) for s in w_specs]
-        ad = [self._trunc(s) for s in a_specs]
         W = self.to_phys(wd)
         U = self.to_phys(self.velocity_spec(wd))
+        return [self._trunc(self.g.rfft(c)) for c in _cross(W, U)], U
+
+    def rhs(self, w_specs, a_specs):
+        g = self.g
+        ps, U = self.wxu_spec(w_specs)
+        ad = [self._trunc(s) for s in a_specs]
         A = self.to_phys(ad)
         curlA = self.to_phys(self.curl_spec(ad))
         # vorticity: dW/dt = -curl(W x U)
-        ps = [self._trunc(g.rfft(c)) for c in _cross(W, U)]
         rhs_w = [-c for c in self.curl_spec(ps)]
         # co-state: dA/dt = -L_U A = U x curl(A) - grad(U.A)
         qs = [self._trunc(g.rfft(c)) for c in _cross(U, curlA)]
@@ -309,12 +316,12 @@ def step(state: EvolutionState) -> EvolutionState:
     A1 = VectorField(g, kern.to_phys(a1))
     # curl(A1) comes from the transported A, never from W, so the drift
     # stays an independent measure of integration quality
-    drift = _rel_l2(VectorField(g, kern.to_phys(kern.curl_spec(a1))), W1)
+    drift = rel_l2(VectorField(g, kern.to_phys(kern.curl_spec(a1))), W1)
     if drift > state.drift_limit:
         if state.reproject:
             fix = inverse_curl(VectorField(g, W1.data - curl(A1).data))
             A1 = VectorField(g, A1.data + fix.data)
-            drift = _rel_l2(curl(A1), W1)
+            drift = rel_l2(curl(A1), W1)
         else:
             raise DriftExceeded(
                 f"curl(A) - W drift {drift:g} in the step from t={state.t:g} with "

@@ -25,7 +25,6 @@ import scipy.fft as sfft
 
 from . import config
 from .errors import (
-    DegenerateField,
     InvalidGrid,
     NonFiniteData,
     NonZeroMeanVorticity,
@@ -136,32 +135,30 @@ class Grid3:
         return out
 
     @cached_property
+    def _mode_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """|mode index| along each axis in the rfft layout (last axis halved)."""
+        return tuple(
+            np.abs(sfft.fftfreq(m) * m) if axis < 2 else sfft.rfftfreq(m) * m
+            for axis, m in enumerate(self.n)
+        )
+
+    def mode_mask(self, keep) -> np.ndarray:
+        """rfft-layout mask of the modes whose index passes ``keep(idx, m)`` on every axis.
+
+        ``keep`` takes an axis's |mode index| array and its point count.
+        """
+        kx, ky, kz = (keep(idx, m) for idx, m in zip(self._mode_index, self.n))
+        return kx[:, None, None] & ky[None, :, None] & kz[None, None, :]
+
+    @cached_property
     def non_nyquist_mask(self) -> np.ndarray:
         """True on modes untouched by the first-derivative Nyquist zeroing."""
-        masks = []
-        for axis, m in enumerate(self.n):
-            if axis < 2:
-                idx = np.abs(sfft.fftfreq(m) * m)
-            else:
-                idx = sfft.rfftfreq(m) * m
-            masks.append(idx < m // 2)
-        return (
-            masks[0][:, None, None] & masks[1][None, :, None] & masks[2][None, None, :]
-        )
+        return self.mode_mask(lambda idx, m: idx < m // 2)
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Two-thirds-rule mask in the rfft layout (True = keep)."""
-        masks = []
-        for axis, m in enumerate(self.n):
-            if axis < 2:
-                idx = np.abs(sfft.fftfreq(m) * m)
-            else:
-                idx = sfft.rfftfreq(m) * m
-            masks.append(idx <= m // 3)
-        return (
-            masks[0][:, None, None] & masks[1][None, :, None] & masks[2][None, None, :]
-        )
+        return self.mode_mask(lambda idx, m: idx <= m // 3)
 
     def rfft(self, data: np.ndarray) -> np.ndarray:
         return sfft.rfftn(data, workers=config.fft_workers())
@@ -421,6 +418,27 @@ def integrate(s: ScalarField) -> float:
     return float(np.sum(s.data)) * s.grid.cell_volume
 
 
+def rel_l2(a: VectorField, b: VectorField) -> float:
+    """L2 norm of a - b relative to that of b (absolute when b vanishes)."""
+    num = integrate(magnitude2(VectorField(a.grid, a.data - b.data)))
+    den = integrate(magnitude2(b))
+    if den <= 0.0:
+        return float(np.sqrt(num))
+    return float(np.sqrt(num / den))
+
+
+def project_solenoidal(g: Grid3, specs) -> VectorField:
+    """Divergence-free part of the field with rfft spectra ``specs``.
+
+    Removes the gradient part, s <- s + ik (ik.s)/|k|^2; modes that
+    ``inv_k2`` treats as degenerate keep their values.
+    """
+    kdots = sum(ik * s for ik, s in zip(g.ik, specs))
+    return VectorField(
+        g, np.stack([g.irfft(s + ik * kdots * g.inv_k2) for ik, s in zip(g.ik, specs)])
+    )
+
+
 def dealias(obj):
     """Apply the 2/3-rule spectral truncation (used around nonlinear products)."""
     g = obj.grid
@@ -470,15 +488,7 @@ def random_band_limited_scalar(
     rng = np.random.default_rng(seed)
     data = rng.standard_normal(grid.shape)
     spec = grid.rfft(data)
-    keep = []
-    for axis, m in enumerate(grid.n):
-        if axis < 2:
-            idx = np.abs(sfft.fftfreq(m) * m)
-        else:
-            idx = sfft.rfftfreq(m) * m
-        keep.append(idx <= kmax)
-    mask = keep[0][:, None, None] & keep[1][None, :, None] & keep[2][None, None, :]
-    spec = np.where(mask, spec, 0.0)
+    spec = np.where(grid.mode_mask(lambda idx, m: idx <= kmax), spec, 0.0)
     if zero_mean:
         spec[0, 0, 0] = 0.0
     out = grid.irfft(spec)
@@ -498,21 +508,7 @@ def random_band_limited_vector(
     v = VectorField(grid, np.stack(comps))
     if not div_free:
         return v
-    g = grid
-    specs = [g.rfft(c) for c in v.data]
-    kdotv = sum(iki * s for iki, s in zip(g.ik, specs))
-    comps = []
-    for iki, s in zip(g.ik, specs):
-        # remove the gradient part: v <- v - k (k.v)/|k|^2
-        comps.append(g.irfft(s + iki * kdotv * g.inv_k2))
-    proj = VectorField(g, np.stack(comps))
+    proj = project_solenoidal(grid, [grid.rfft(c) for c in v.data])
     for i, m in enumerate(proj.component_means()):
         proj.data[i] -= m
     return proj
-
-
-def field_scale_or_raise(v: VectorField, what: str) -> float:
-    scale = v.maxabs()
-    if scale < config.TOL["underflow"]:
-        raise DegenerateField(f"{what} magnitude below underflow threshold")
-    return scale

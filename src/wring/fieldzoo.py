@@ -52,9 +52,9 @@ from .fieldcore import (
     div,
     dot,
     grad,
-    integrate,
     inverse_curl,
-    magnitude2,
+    project_solenoidal,
+    rel_l2,
     spectral_tail_fraction,
 )
 
@@ -94,7 +94,7 @@ class FieldBundle:
     def verify(self) -> dict:
         """Measure the bundle invariants; returns a dict of residuals."""
         w_scale = max(self.W.maxabs(), _TOL["underflow"])
-        cons = _rel_l2(curl(self.A), self.W)
+        cons = rel_l2(curl(self.A), self.W)
         div_res = div(self.W).maxabs() * min(self.grid.spacing) / w_scale
         mean_res = max(abs(m) for m in self.W.component_means()) / w_scale
         out = {
@@ -123,14 +123,6 @@ class FieldBundle:
         except KeyError as exc:
             raise PreconditionError(f"{path}: bundle file lacks field {exc}") from exc
         return cls(grid, A, W, fields.get("U"), meta)
-
-
-def _rel_l2(a: VectorField, b: VectorField) -> float:
-    num = integrate(magnitude2(VectorField(a.grid, a.data - b.data)))
-    den = integrate(magnitude2(b))
-    if den <= 0.0:
-        return float(np.sqrt(num))
-    return float(np.sqrt(num / den))
 
 
 def _json_safe(obj):
@@ -467,15 +459,7 @@ class Ring:
     normal: tuple[float, float, float]
 
     def frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n = np.asarray(self.normal, float)
-        n = n / np.linalg.norm(n)
-        trial = np.array([1.0, 0.0, 0.0])
-        if abs(np.dot(trial, n)) > 0.9:
-            trial = np.array([0.0, 1.0, 0.0])
-        e1 = trial - np.dot(trial, n) * n
-        e1 = e1 / np.linalg.norm(e1)
-        e2 = np.cross(n, e1)
-        return e1, e2, n
+        return linkref.circle_frame(self.normal)
 
     def points(self, samples: int = 256) -> np.ndarray:
         """Sampled closed loop, first point not repeated."""
@@ -556,12 +540,7 @@ def gen_linked_rings(
     # exact solenoidal projection: the sampled profile is only divergence
     # free to its smoothness, the projected field is so to roundoff. The
     # Nyquist planes are dropped so curl(inverse_curl(W)) = W holds exactly.
-    g = grid
-    specs = [g.non_nyquist_mask * g.rfft(c) for c in W.data]
-    kdotw = sum(ik * s for ik, s in zip(g.ik, specs))
-    W = VectorField(
-        g, np.stack([g.irfft(s + ik * kdotw * g.inv_k2) for ik, s in zip(g.ik, specs)])
-    )
+    W = project_solenoidal(grid, [grid.non_nyquist_mask * grid.rfft(c) for c in W.data])
     _snap_zero_mean(W, tol=0.05)
     A = inverse_curl(W)
     lk_raw = linkref.gauss_linking(p1, p2)

@@ -185,6 +185,14 @@ def _eta_parts(bundle: FieldBundle, choice: EtaChoice):
     return G, q, mask, uncovered
 
 
+def masked_density(G: VectorField, curlG: VectorField, q: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Invariant density G . curl(G) / q^2 on the mask, zero outside it."""
+    q_safe = np.where(mask, q, 1.0)
+    return np.where(
+        mask, np.einsum("i...,i...->...", G.data, curlG.data) / q_safe**2, 0.0
+    )
+
+
 def solve_eta(bundle: FieldBundle, choice: EtaChoice) -> EtaSolution:
     """Dual field H with A x H = W on the masked region.
 
@@ -223,12 +231,7 @@ def gv_invariant(
     if choice is None:
         choice = EtaChoice.canonical()
     G, q, mask, _ = _eta_parts(bundle, choice)
-    curlG = curl(G)
-    q_safe = np.where(mask, q, 1.0)
-    dens = np.where(
-        mask, np.einsum("i...,i...->...", G.data, curlG.data) / q_safe**2, 0.0
-    )
-    density = ScalarField(bundle.grid, dens)
+    density = ScalarField(bundle.grid, masked_density(G, curl(G), q, mask))
     value = integrate(density)
     extrap = None
     if richardson and choice.eps > 0.0:

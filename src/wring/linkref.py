@@ -194,18 +194,24 @@ def linking_helicities(cs: CurveSet) -> tuple[list[float], float]:
 # -- reference curve constructions ---------------------------------------------
 
 
-def circle_points(center, radius, normal, samples: int | None = None, orientation: int = 1) -> np.ndarray:
-    """Sampled round circle; orientation=-1 reverses the traversal."""
-    if samples is None:
-        samples = config.DEFAULTS["linking"]["default_samples"]
+def circle_frame(normal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Right-handed orthonormal frame (e1, e2, n) of a circle with the given normal."""
     n = np.asarray(normal, float)
     n = n / np.linalg.norm(n)
     trial = np.array([1.0, 0.0, 0.0])
     if abs(np.dot(trial, n)) > 0.9:
         trial = np.array([0.0, 1.0, 0.0])
     e1 = trial - np.dot(trial, n) * n
-    e1 /= np.linalg.norm(e1)
+    e1 = e1 / np.linalg.norm(e1)
     e2 = np.cross(n, e1)
+    return e1, e2, n
+
+
+def circle_points(center, radius, normal, samples: int | None = None, orientation: int = 1) -> np.ndarray:
+    """Sampled round circle; orientation=-1 reverses the traversal."""
+    if samples is None:
+        samples = config.DEFAULTS["linking"]["default_samples"]
+    e1, e2, _ = circle_frame(normal)
     t = orientation * 2.0 * np.pi * np.arange(samples) / samples
     c = np.asarray(center, float)
     return c[None, :] + radius * (

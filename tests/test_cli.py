@@ -59,6 +59,23 @@ class TestGenerateAnalyze:
         doc = json.loads(report.read_text())
         assert doc["bound"]["slack"] >= -1e-10 * doc["bound"]["C"] * doc["bound"]["enstrophy_rate"]
 
+    def test_bound_solves_for_velocity_once(self, tmp_path, monkeypatch):
+        from wring import dynamics, fieldcore, fieldzoo
+
+        field = tmp_path / "f.wrg"
+        run(["generate", "--family", "clebsch", "--n", "16", "--out", str(field)])
+        calls = []
+        original = fieldcore.inverse_curl
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (fieldcore, fieldzoo, dynamics):
+            monkeypatch.setattr(module, "inverse_curl", counted)
+        assert run(["analyze", str(field), "--bound", "--json", str(tmp_path / "r.json")]) == 0
+        assert len(calls) == 1
+
     def test_density_output(self, tmp_path):
         field = tmp_path / "f.wrg"
         dens = tmp_path / "d.wrg"
@@ -135,6 +152,18 @@ class TestEvolveAndDiffeo:
         assert lines[0].startswith("t,helicity,gv,energy")
         assert len(lines) == 4  # header + initial sample + 2 steps
         assert out.exists()
+
+    def test_negative_dt_steps_backward(self, tmp_path):
+        field = tmp_path / "f.wrg"
+        run(["generate", "--family", "clebsch", "--n", "16", "--shear", "x,z,0.3,1", "--out", str(field)])
+        series = tmp_path / "s.csv"
+        code = run(["evolve", str(field), "--dt", "-0.01", "--time", "0.05", "--series", str(series)])
+        assert code == 0
+        rows = series.read_text().splitlines()[1:]
+        t = [float(r.split(",")[0]) for r in rows]
+        assert len(t) == 6  # initial sample + 5 steps
+        assert t[0] == 0.0 and all(b < a for a, b in zip(t, t[1:]))
+        assert t[-1] == pytest.approx(-0.05, rel=1e-12)
 
     def test_cfl_violation_exit_4(self, tmp_path):
         field = tmp_path / "f.wrg"

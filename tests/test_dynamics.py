@@ -22,6 +22,7 @@ from wring.fieldcore import (
     magnitude2,
     random_band_limited_vector,
 )
+from wring.fieldcore import cross, curl, dealias
 
 TWO_PI = 2.0 * np.pi
 
@@ -39,6 +40,19 @@ def sheared_clebsch(n, amp=0.3, k=1):
 @pytest.fixture(scope="module")
 def sheared32():
     return sheared_clebsch(32)
+
+
+@pytest.fixture(scope="module")
+def rough32():
+    """Solenoidal band-limited W with modes above n/3, where the 2/3 rule acts."""
+    g = cube(32)
+    W = random_band_limited_vector(g, 12, 3, div_free=True)
+    return fz.FieldBundle(g, inverse_curl(W), W).with_velocity()
+
+
+def dealiased_product(b):
+    """Independent oracle for the stepper's product: 2/3 rule on inputs and result."""
+    return dealias(cross(dealias(b.W), dealias(b.U)))
 
 
 class TestVorticityRate:
@@ -63,6 +77,14 @@ class TestVorticityRate:
         rel = np.max(np.abs(rc.data - sub)) / rf.maxnorm()
         assert rel < 1e-6
 
+    @pytest.mark.parametrize("name", ["sheared32", "rough32"])
+    def test_rate_is_minus_curl_of_dealiased_product(self, request, name):
+        b = request.getfixturevalue(name)
+        rate = dyn.vorticity_rate(b)
+        oracle = curl(dealiased_product(b))
+        rel = np.max(np.abs(rate.data + oracle.data)) / oracle.maxabs()
+        assert rel <= 1e-12
+
     def test_zero_vorticity_gives_zero_rate(self):
         b = fz.gen_clebsch(cube(16), f="1 + 0*x").with_velocity()
         assert dyn.vorticity_rate(b).maxnorm() == 0.0
@@ -73,11 +95,12 @@ class TestBernoulliHead:
         b = fz.gen_beltrami_abc(cube(32))
         assert dyn.bernoulli_head(b).maxabs() < 1e-12
 
-    def test_poisson_self_consistency(self, sheared32):
-        pi = dyn.bernoulli_head(sheared32)
-        rhs = dyn._dealiased_cross(sheared32)
-        resid = laplacian(pi).data + div(rhs).data
-        assert np.max(np.abs(resid)) < 1e-9
+    def test_poisson_self_consistency(self, sheared32, rough32):
+        for b in (sheared32, rough32):
+            pi = dyn.bernoulli_head(b)
+            rhs = dealiased_product(b)
+            resid = laplacian(pi).data + div(rhs).data
+            assert np.max(np.abs(resid)) < 1e-9
 
     def test_quadratic_scaling(self, sheared32):
         b = sheared32

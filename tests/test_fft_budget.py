@@ -13,6 +13,8 @@ from wring.fieldcore import Grid3, inverse_curl
 
 STEP_BUDGET = 95
 INVERSE_CURL_BUDGET = 7
+VORTICITY_RATE_BUDGET = 15
+BERNOULLI_HEAD_BUDGET = 13
 
 
 @pytest.fixture
@@ -47,3 +49,15 @@ def test_inverse_curl_budget(fft_count, sheared32):
     before = fft_count[0]
     inverse_curl(sheared32.W)
     assert fft_count[0] - before <= INVERSE_CURL_BUDGET
+
+
+def test_vorticity_rate_budget(fft_count, sheared32):
+    before = fft_count[0]
+    dyn.vorticity_rate(sheared32)
+    assert fft_count[0] - before <= VORTICITY_RATE_BUDGET
+
+
+def test_bernoulli_head_budget(fft_count, sheared32):
+    before = fft_count[0]
+    dyn.bernoulli_head(sheared32)
+    assert fft_count[0] - before <= BERNOULLI_HEAD_BUDGET
