@@ -106,7 +106,9 @@ def _load_bundle(path) -> fieldzoo.FieldBundle:
 def _cmd_generate(args) -> int:
     _check_writable(args.out)
     grid = _grid_from_args(args)
-    params = dict(json.loads(args.params)) if args.params else {}
+    params = json.loads(args.params) if args.params else {}
+    if not isinstance(params, dict):
+        raise ValueError(f"--params must be a JSON object, got {args.params!r}")
     for item in args.param or []:
         key, _, value = item.partition("=")
         if not _:

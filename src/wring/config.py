@@ -20,11 +20,12 @@ TOL = DEFAULTS["tolerances"]
 def fft_workers() -> int:
     """Worker count for FFT calls, from the documented environment variable.
 
-    Defaults to 1 so repeated runs are reproducible without any setup.
+    Defaults to 1 so repeated runs are reproducible without any setup, and
+    is clamped to the machine's CPU count.
     """
     raw = os.environ.get(DEFAULTS["fft_workers_env"], "1")
     try:
         workers = int(raw)
     except ValueError:
         return 1
-    return max(1, workers)
+    return max(1, min(workers, os.cpu_count() or 1))

@@ -15,6 +15,13 @@ never from W. (The gradient term has no curl, and curl(U x curl A) matches
 the vorticity tendency, so the drift stays at roundoff for a consistent
 pair.)
 
+The stages hold their spectra on the kz band only: the first n_z//3 + 1
+planes of the rfft layout, which are the planes the 2/3 rule keeps (all
+n_z//2 + 1 planes without dealiasing), with the x/y part of the mask
+applied within the band. No stage computes a mode that truncation would
+zero. Modes outside the mask get no increment and pass through a step
+unchanged.
+
 One spectral kernel forms the dealiased product W x U, with U taken from
 the truncated W. It serves the stepper's right-hand side, the vorticity
 tendency -curl(W x U) and the Bernoulli head (periodic pressure solve in
@@ -76,7 +83,7 @@ def vorticity_rate(bundle: FieldBundle) -> VectorField:
     """
     kern = _Stepper(bundle.grid, dealias=True)
     ps, _ = kern.wxu_spec(kern.to_spec(bundle.W))
-    return VectorField(bundle.grid, -kern.to_phys(kern.curl_spec(ps)))
+    return VectorField(bundle.grid, [-c for c in kern.to_phys(_curl_spec(kern.ik, ps))])
 
 
 def bernoulli_head(bundle: FieldBundle) -> ScalarField:
@@ -89,8 +96,8 @@ def bernoulli_head(bundle: FieldBundle) -> ScalarField:
     g = bundle.grid
     kern = _Stepper(g, dealias=True)
     ps, _ = kern.wxu_spec(kern.to_spec(bundle.W))
-    ikx, iky, ikz = g.ik
-    return ScalarField(g, g.irfft((ikx * ps[0] + iky * ps[1] + ikz * ps[2]) * g.inv_k2))
+    ikx, iky, ikz = kern.ik
+    return ScalarField(g, g.irfft((ikx * ps[0] + iky * ps[1] + ikz * ps[2]) * kern.inv_k2))
 
 
 # -- obstruction bound ---------------------------------------------------------
@@ -216,57 +223,77 @@ class _Stepper:
     """Spectral-space kernel: the one place the dealiased W x U is formed.
 
     It serves the RK4 right-hand side, the vorticity tendency and the
-    Bernoulli head.
+    Bernoulli head. Its spectra hold only the kz band: the first
+    ``n_z//3 + 1`` planes of the rfft layout, which are the planes the 2/3
+    rule keeps, or all ``n_z//2 + 1`` planes without dealiasing. The x/y
+    part of the mask is applied within the band. Spectra enter the kernel
+    truncated, so only the spectra of products need truncating.
     """
 
     def __init__(self, grid, dealias: bool):
         self.g = grid
-        self.mask = grid.dealias_mask if dealias else None
+        self.nz = grid.n[2] // 3 + 1 if dealias else grid.n[2] // 2 + 1
+        planes = (slice(None), slice(None), slice(0, self.nz))
+        self.ik = tuple(ik[planes] for ik in grid.ik)
+        self.inv_k2 = grid.inv_k2[planes]
+        self.mask = grid.dealias_mask[planes] if dealias else None
 
-    def _trunc(self, spec):
-        return spec * self.mask if self.mask is not None else spec
+    def band(self, specs):
+        """Truncated band of full rfft spectra: the kernel's input form."""
+        planes = [s[:, :, : self.nz] for s in specs]
+        return planes if self.mask is None else [s * self.mask for s in planes]
+
+    def spec(self, data: np.ndarray) -> np.ndarray:
+        """Truncated band spectrum of physical samples."""
+        out = self.g.rfft(data, self.nz)
+        if self.mask is not None:
+            out *= self.mask
+        return out
 
     def to_spec(self, v: VectorField):
-        return [self.g.rfft(c) for c in v.data]
+        """Truncated band spectra of the components of ``v``."""
+        return [self.spec(c) for c in v.data]
 
-    def to_phys(self, specs) -> np.ndarray:
-        return np.stack([self.g.irfft(s) for s in specs])
-
-    def curl_spec(self, specs):
-        ikx, iky, ikz = self.g.ik
-        sx, sy, sz = specs
-        return [iky * sz - ikz * sy, ikz * sx - ikx * sz, ikx * sy - iky * sx]
+    def to_phys(self, specs) -> list:
+        return [self.g.irfft(s) for s in specs]
 
     def velocity_spec(self, w_specs):
-        inv = self.g.inv_k2
-        return [c * inv for c in self.curl_spec(w_specs)]
+        out = _curl_spec(self.ik, w_specs)
+        for c in out:
+            c *= self.inv_k2
+        return out
 
     def wxu_spec(self, w_specs):
-        """Truncated spectra of W x U, with U the velocity of the truncated W.
+        """Truncated spectra of W x U, with U the velocity of W.
 
-        Returns (spectra, U); U is in physical space, for the co-state.
+        ``w_specs`` are in the kernel's input form. Returns (spectra, U);
+        U is in physical space, for the co-state.
         """
-        wd = [self._trunc(s) for s in w_specs]
-        W = self.to_phys(wd)
-        U = self.to_phys(self.velocity_spec(wd))
-        return [self._trunc(self.g.rfft(c)) for c in _cross(W, U)], U
+        W = self.to_phys(w_specs)
+        U = self.to_phys(self.velocity_spec(w_specs))
+        return [self.spec(c) for c in _cross(W, U)], U
 
     def rhs(self, w_specs, a_specs):
-        g = self.g
         ps, U = self.wxu_spec(w_specs)
-        ad = [self._trunc(s) for s in a_specs]
-        A = self.to_phys(ad)
-        curlA = self.to_phys(self.curl_spec(ad))
+        A = self.to_phys(a_specs)
+        curlA = self.to_phys(_curl_spec(self.ik, a_specs))
         # vorticity: dW/dt = -curl(W x U)
-        rhs_w = [-c for c in self.curl_spec(ps)]
+        rhs_w = [-c for c in _curl_spec(self.ik, ps)]
         # co-state: dA/dt = -L_U A = U x curl(A) - grad(U.A)
-        qs = [self._trunc(g.rfft(c)) for c in _cross(U, curlA)]
-        phi = self._trunc(g.rfft(np.einsum("i...,i...->...", U, A)))
-        rhs_a = [q - ik * phi for q, ik in zip(qs, g.ik)]
+        rhs_a = [self.spec(c) for c in _cross(U, curlA)]
+        phi = self.spec(U[0] * A[0] + U[1] * A[1] + U[2] * A[2])
+        for q, ik in zip(rhs_a, self.ik):
+            q -= ik * phi
         return rhs_w, rhs_a
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> tuple:
+def _curl_spec(ik, specs) -> list:
+    ikx, iky, ikz = ik
+    sx, sy, sz = specs
+    return [iky * sz - ikz * sy, ikz * sx - ikx * sz, ikx * sy - iky * sx]
+
+
+def _cross(a, b) -> tuple:
     return (
         a[1] * b[2] - a[2] * b[1],
         a[2] * b[0] - a[0] * b[2],
@@ -293,8 +320,12 @@ def step(state: EvolutionState) -> EvolutionState:
             f"exceeds {_DYN['cfl_limit']}"
         )
     kern = _Stepper(g, state.dealias)
-    w0 = kern.to_spec(b.W)
-    a0 = kern.to_spec(b.A)
+    # full spectra; the RK4 sum adds the band increment to them in place,
+    # so every mode the mask drops passes through the step unchanged
+    w1 = [g.rfft(c) for c in b.W.data]
+    a1 = [g.rfft(c) for c in b.A.data]
+    w0 = kern.band(w1)
+    a0 = kern.band(a1)
     dt = state.dt
 
     def axpy(y, k, c):
@@ -304,19 +335,13 @@ def step(state: EvolutionState) -> EvolutionState:
     kw2, ka2 = kern.rhs(axpy(w0, kw1, dt / 2), axpy(a0, ka1, dt / 2))
     kw3, ka3 = kern.rhs(axpy(w0, kw2, dt / 2), axpy(a0, ka2, dt / 2))
     kw4, ka4 = kern.rhs(axpy(w0, kw3, dt), axpy(a0, ka3, dt))
-    w1 = [
-        y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        for y, k1, k2, k3, k4 in zip(w0, kw1, kw2, kw3, kw4)
-    ]
-    a1 = [
-        y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        for y, k1, k2, k3, k4 in zip(a0, ka1, ka2, ka3, ka4)
-    ]
+    for y, k1, k2, k3, k4 in zip(w1 + a1, kw1 + ka1, kw2 + ka2, kw3 + ka3, kw4 + ka4):
+        y[:, :, : kern.nz] += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     W1 = VectorField(g, kern.to_phys(w1))
     A1 = VectorField(g, kern.to_phys(a1))
     # curl(A1) comes from the transported A, never from W, so the drift
     # stays an independent measure of integration quality
-    drift = rel_l2(VectorField(g, kern.to_phys(kern.curl_spec(a1))), W1)
+    drift = rel_l2(VectorField(g, kern.to_phys(_curl_spec(g.ik, a1))), W1)
     if drift > state.drift_limit:
         if state.reproject:
             fix = inverse_curl(VectorField(g, W1.data - curl(A1).data))

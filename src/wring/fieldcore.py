@@ -54,6 +54,8 @@ class Grid3:
         box = tuple(float(v) for v in self.box)
         if len(n) != 3 or len(box) != 3:
             raise InvalidGrid("grid needs three point counts and three box lengths")
+        if n != tuple(self.n):
+            raise InvalidGrid(f"points per axis must be integers, got {tuple(self.n)}")
         for v in n:
             if v < _MIN_N or v % 2 != 0:
                 raise InvalidGrid(f"points per axis must be even and >= {_MIN_N}, got {v}")
@@ -160,11 +162,40 @@ class Grid3:
         """Two-thirds-rule mask in the rfft layout (True = keep)."""
         return self.mode_mask(lambda idx, m: idx <= m // 3)
 
-    def rfft(self, data: np.ndarray) -> np.ndarray:
-        return sfft.rfftn(data, workers=config.fft_workers())
+    def rfft(self, data: np.ndarray, nz: int | None = None) -> np.ndarray:
+        """Forward transform in the rfft layout, keeping the first ``nz`` kz planes.
+
+        ``nz=None`` keeps all ``n_z//2 + 1``. For a band, the real transform
+        runs along z first and the x/y transforms see only the kept planes;
+        these equal the planes of ``scipy.fft.rfftn`` bit for bit.
+        """
+        workers = config.fft_workers()
+        if nz is None:
+            return sfft.rfftn(data, workers=workers)
+        # a contiguous copy frees the dropped planes and keeps later
+        # elementwise work on contiguous arrays
+        zspec = np.ascontiguousarray(sfft.rfft(data, axis=2, workers=workers)[:, :, :nz])
+        return sfft.fftn(zspec, axes=(0, 1), overwrite_x=True, workers=workers)
+
+    @cached_property
+    def _inv_points(self) -> float:
+        """1/(nx*ny*nz) rounded from long double, as ``irfftn`` scales."""
+        return float(np.longdouble(1) / np.prod(self.n, dtype=np.longdouble))
 
     def irfft(self, spec: np.ndarray) -> np.ndarray:
-        return sfft.irfftn(spec, s=self.n, workers=config.fft_workers())
+        """Inverse of ``rfft``; a spectrum with fewer kz planes is zero-padded.
+
+        Such a band spectrum is transformed over x and y on its own planes
+        only, which ``irfftn`` would pad first; the result equals ``irfftn``
+        of the zero-padded spectrum bit for bit.
+        """
+        workers = config.fft_workers()
+        if spec.shape[2] == self.n[2] // 2 + 1:
+            return sfft.irfftn(spec, s=self.n, workers=workers)
+        xy = sfft.ifftn(spec, axes=(0, 1), norm="forward", workers=workers)
+        out = sfft.irfft(xy, n=self.n[2], axis=2, norm="forward", overwrite_x=True, workers=workers)
+        out *= self._inv_points
+        return out
 
 
 def _check_finite(data: np.ndarray, what: str):

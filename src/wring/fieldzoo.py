@@ -369,6 +369,8 @@ def gen_kupka_tube(
         )
     if power is None:
         power = config.DEFAULTS["kupka"]["profile_power"]
+    if isinstance(power, bool) or not isinstance(power, int) or power < 1:
+        raise ValueError(f"profile power must be an integer >= 1, got {power!r}")
     if chi is None or dchi is None:
         if chi is not None or dchi is not None:
             raise ValueError("custom profiles need both chi and dchi")

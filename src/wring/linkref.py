@@ -16,6 +16,7 @@ from . import config
 from .errors import (
     CurvesIntersect,
     DegenerateFluxes,
+    FormatError,
     MissingLinkData,
     ZeroSlopeOne,
 )
@@ -115,11 +116,17 @@ class CurveSet:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CurveSet":
-        return cls(
-            curves=doc.get("curves"),
-            fluxes=doc["fluxes"],
-            linking=doc.get("linking"),
-        )
+        """Build from a curves document; FormatError names what is wrong."""
+        if not isinstance(doc, dict) or "fluxes" not in doc:
+            raise FormatError("curves document must be a JSON object with a 'fluxes' list")
+        try:
+            return cls(
+                curves=doc.get("curves"),
+                fluxes=doc["fluxes"],
+                linking=doc.get("linking"),
+            )
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"invalid curves document: {exc}") from exc
 
     def to_json_dict(self) -> dict:
         out: dict = {"fluxes": list(self.fluxes)}

@@ -83,12 +83,21 @@ def read_fields(path) -> tuple[Grid3, dict, dict]:
             raise FormatError(f"{path}: invalid metadata JSON: {exc}") from exc
         try:
             grid = Grid3(tuple(header["grid"]["n"]), tuple(header["grid"]["box"]))
-            declared = header["fields"]
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"{path}: metadata missing required keys: {exc}") from exc
+            declared = list(header["fields"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: invalid grid or field list in metadata: {exc}") from exc
         npts = grid.n[0] * grid.n[1] * grid.n[2]
         fields: dict = {}
-        for entry in declared:
+        for i, entry in enumerate(declared):
+            if not (
+                isinstance(entry, dict)
+                and "name" in entry
+                and entry.get("kind") in ("scalar", "vector")
+            ):
+                raise FormatError(
+                    f"{path}: field entry {i} needs a 'name' and a 'kind' of "
+                    f"'scalar' or 'vector', got {entry!r}"
+                )
             name, kind = entry["name"], entry["kind"]
             count = 3 if kind == "vector" else 1
             raw = fh.read(8 * npts * count)

@@ -105,6 +105,16 @@ class TestGenerateAnalyze:
         )
         assert code == 2
 
+    def test_non_object_params_exit_2(self, tmp_path):
+        out = str(tmp_path / "x.wrg")
+        assert run(["generate", "--family", "clebsch", "--n", "16", "--params", "[1]", "--out", out]) == 2
+
+    @pytest.mark.parametrize("power", ["-3", "0", "2.5"])
+    def test_bad_kupka_power_exit_2(self, tmp_path, power):
+        out = str(tmp_path / "x.wrg")
+        args = ["generate", "--family", "kupka", "--n", "16", "--param", f"power={power}", "--out", out]
+        assert run(args) == 2
+
     def test_corrupt_magic_exit_3(self, tmp_path):
         bad = tmp_path / "bad.wrg"
         bad.write_bytes(b"GARBAGE!" + b"\x00" * 64)
@@ -235,6 +245,12 @@ class TestReference:
     def test_link_bad_json_exit_3(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
+        assert run(["link", "--curves", str(path)]) == 3
+
+    @pytest.mark.parametrize("doc", [{"curves": []}, [1, 2], {"fluxes": 5}])
+    def test_link_schema_error_exit_3(self, tmp_path, doc):
+        path = tmp_path / "curves.json"
+        path.write_text(json.dumps(doc))
         assert run(["link", "--curves", str(path)]) == 3
 
 

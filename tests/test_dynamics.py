@@ -191,6 +191,15 @@ class TestStep:
         assert e1 < 1e-6
         assert e1 / max(e2, 1e-300) > 8.0
 
+    def test_modes_outside_dealias_mask_pass_through(self, rough32):
+        g = rough32.grid
+        out = dyn.step(dyn.EvolutionState(rough32, dt=0.01)).bundle
+        outside = ~g.dealias_mask
+        before = np.stack([g.rfft(c)[outside] for c in rough32.W.data])
+        after = np.stack([g.rfft(c)[outside] for c in out.W.data])
+        assert np.max(np.abs(before)) > 1.0
+        assert np.max(np.abs(after - before)) <= 1e-12 * np.max(np.abs(before))
+
     def test_drift_guard_and_reproject(self, sheared32):
         g = sheared32.grid
         rng = np.random.default_rng(3)

@@ -1,8 +1,11 @@
 """Spectral calculus: analytic examples and operator identities."""
 
+import os
+
 import numpy as np
 import pytest
 
+from wring import config
 from wring.errors import InvalidGrid, NonFiniteData, NonZeroMeanVorticity, NotDivergenceFree
 from wring.fieldcore import (
     Grid3,
@@ -52,9 +55,28 @@ class TestGrid3:
         with pytest.raises(InvalidGrid):
             Grid3(n, (1.0, 1.0, 1.0))
 
+    def test_rejects_non_integral_count(self):
+        with pytest.raises(InvalidGrid):
+            Grid3((16.5, 16, 16), (1.0, 1.0, 1.0))
+
     def test_rejects_bad_box(self):
         with pytest.raises(InvalidGrid):
             Grid3((8, 8, 8), (1.0, -2.0, 1.0))
+
+    @pytest.mark.parametrize("n", [(32, 32, 32), (16, 24, 32)])
+    def test_rfft_band_is_leading_planes(self, n):
+        g = Grid3(n, (TWO_PI, 3.0, 5.0))
+        data = np.random.default_rng(4).standard_normal(n)
+        nz = n[2] // 3 + 1
+        assert np.array_equal(g.rfft(data, nz), g.rfft(data)[:, :, :nz])
+
+    @pytest.mark.parametrize("n", [(32, 32, 32), (16, 24, 32)])
+    def test_irfft_zero_pads_band(self, n):
+        g = Grid3(n, (TWO_PI, 3.0, 5.0))
+        band = g.rfft(np.random.default_rng(5).standard_normal(n), n[2] // 3 + 1)
+        padded = np.zeros((n[0], n[1], n[2] // 2 + 1), dtype=complex)
+        padded[:, :, : band.shape[2]] = band
+        assert np.array_equal(g.irfft(band), g.irfft(padded))
 
     def test_non_finite_rejected(self):
         g = cube(8)
@@ -62,6 +84,12 @@ class TestGrid3:
         data[0, 0, 0] = np.nan
         with pytest.raises(NonFiniteData):
             ScalarField(g, data)
+
+
+def test_fft_workers_clamped_to_cpu_count(monkeypatch):
+    cpus = os.cpu_count() or 1
+    monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], str(cpus + 1))
+    assert config.fft_workers() == cpus
 
 
 class TestGrad:

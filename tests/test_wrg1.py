@@ -1,5 +1,8 @@
 """WRG1 container: bit-exact round trips and format validation."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -76,3 +79,27 @@ def test_header_is_16_bytes_plus_json(tmp_path, grid):
 
     meta = json.loads(raw[16 : 16 + meta_len])
     assert meta["meta"]["note"] == "header check"
+
+
+def _write_raw(path, n, fields, data=b""):
+    header = {"grid": {"n": n, "box": [1.0, 1.0, 1.0]}, "fields": fields, "meta": {}}
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(wrg1.MAGIC + struct.pack("<II", wrg1.VERSION, len(blob)) + blob + data)
+
+
+@pytest.mark.parametrize(
+    "entry", [{"kind": "scalar"}, {"name": "s"}, {"name": "s", "kind": "tensor"}, "s"]
+)
+def test_bad_field_entry_rejected(tmp_path, grid, entry):
+    path = tmp_path / "e.wrg"
+    _write_raw(path, list(grid.n), [entry], np.zeros(grid.shape).tobytes())
+    with pytest.raises(FormatError):
+        wrg1.read_fields(path)
+
+
+@pytest.mark.parametrize("n", [[15, 16, 16], [16.5, 16, 16]])
+def test_bad_grid_rejected(tmp_path, n):
+    path = tmp_path / "g.wrg"
+    _write_raw(path, n, [])
+    with pytest.raises(FormatError):
+        wrg1.read_fields(path)
