@@ -15,12 +15,13 @@ never from W. (The gradient term has no curl, and curl(U x curl A) matches
 the vorticity tendency, so the drift stays at roundoff for a consistent
 pair.)
 
-The stages hold their spectra on the kz band only: the first n_z//3 + 1
-planes of the rfft layout, which are the planes the 2/3 rule keeps (all
-n_z//2 + 1 planes without dealiasing), with the x/y part of the mask
-applied within the band. No stage computes a mode that truncation would
-zero. Modes outside the mask get no increment and pass through a step
-unchanged.
+The stages hold their spectra on the 2/3-rule box only: the modes with
+|index| <= n//3 on every axis, (2*(n_x//3) + 1) x (2*(n_y//3) + 1) x
+(n_z//3 + 1) of them, 43 x 43 x 22 at n = 64 instead of the 64 x 64 x 33
+of a full rfft spectrum (full spectra without dealiasing). No stage
+computes, stores or transforms a mode that truncation would zero, and the
+box needs no mask. Modes outside the box get no increment and pass
+through a step unchanged.
 
 One spectral kernel forms the dealiased product W x U, with U taken from
 the truncated W. It serves the stepper's right-hand side, the vorticity
@@ -223,35 +224,40 @@ class _Stepper:
     """Spectral-space kernel: the one place the dealiased W x U is formed.
 
     It serves the RK4 right-hand side, the vorticity tendency and the
-    Bernoulli head. Its spectra hold only the kz band: the first
-    ``n_z//3 + 1`` planes of the rfft layout, which are the planes the 2/3
-    rule keeps, or all ``n_z//2 + 1`` planes without dealiasing. The x/y
-    part of the mask is applied within the band. Spectra enter the kernel
-    truncated, so only the spectra of products need truncating.
+    Bernoulli head. With dealiasing its spectra are box spectra
+    (``Grid3.rfft(data, box=True)``): they hold only the modes the 2/3 rule
+    keeps, so truncation is implicit in every transform and no mask is
+    applied. Without dealiasing they are full rfft spectra.
     """
 
     def __init__(self, grid, dealias: bool):
         self.g = grid
-        self.nz = grid.n[2] // 3 + 1 if dealias else grid.n[2] // 2 + 1
-        planes = (slice(None), slice(None), slice(0, self.nz))
-        self.ik = tuple(ik[planes] for ik in grid.ik)
-        self.inv_k2 = grid.inv_k2[planes]
-        self.mask = grid.dealias_mask[planes] if dealias else None
+        self.box = dealias
+        if dealias:
+            rows, cols, planes = grid.box_index
+            ikx, iky, ikz = grid.ik
+            self.ik = (ikx[rows], iky[:, cols], ikz[:, :, planes])
+            self.inv_k2 = grid.cut_box(grid.inv_k2)
+        else:
+            self.ik, self.inv_k2 = grid.ik, grid.inv_k2
 
-    def band(self, specs):
-        """Truncated band of full rfft spectra: the kernel's input form."""
-        planes = [s[:, :, : self.nz] for s in specs]
-        return planes if self.mask is None else [s * self.mask for s in planes]
+    def cut(self, specs) -> list:
+        """The kernel's form of full rfft spectra."""
+        return [self.g.cut_box(s) for s in specs] if self.box else specs
+
+    def add(self, spec: np.ndarray, inc: np.ndarray) -> None:
+        """Add a kernel-form increment into the full rfft spectrum ``spec``, in place."""
+        if self.box:
+            self.g.add_box(spec, inc)
+        else:
+            spec += inc
 
     def spec(self, data: np.ndarray) -> np.ndarray:
-        """Truncated band spectrum of physical samples."""
-        out = self.g.rfft(data, self.nz)
-        if self.mask is not None:
-            out *= self.mask
-        return out
+        """Kernel-form spectrum of physical samples."""
+        return self.g.rfft(data, self.box)
 
     def to_spec(self, v: VectorField):
-        """Truncated band spectra of the components of ``v``."""
+        """Kernel-form spectra of the components of ``v``."""
         return [self.spec(c) for c in v.data]
 
     def to_phys(self, specs) -> list:
@@ -320,12 +326,12 @@ def step(state: EvolutionState) -> EvolutionState:
             f"exceeds {_DYN['cfl_limit']}"
         )
     kern = _Stepper(g, state.dealias)
-    # full spectra; the RK4 sum adds the band increment to them in place,
-    # so every mode the mask drops passes through the step unchanged
+    # full spectra; the RK4 sum adds the box increment to them in place,
+    # so every mode outside the box passes through the step unchanged
     w1 = [g.rfft(c) for c in b.W.data]
     a1 = [g.rfft(c) for c in b.A.data]
-    w0 = kern.band(w1)
-    a0 = kern.band(a1)
+    w0 = kern.cut(w1)
+    a0 = kern.cut(a1)
     dt = state.dt
 
     def axpy(y, k, c):
@@ -336,7 +342,7 @@ def step(state: EvolutionState) -> EvolutionState:
     kw3, ka3 = kern.rhs(axpy(w0, kw2, dt / 2), axpy(a0, ka2, dt / 2))
     kw4, ka4 = kern.rhs(axpy(w0, kw3, dt), axpy(a0, ka3, dt))
     for y, k1, k2, k3, k4 in zip(w1 + a1, kw1 + ka1, kw2 + ka2, kw3 + ka3, kw4 + ka4):
-        y[:, :, : kern.nz] += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        kern.add(y, dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
     W1 = VectorField(g, kern.to_phys(w1))
     A1 = VectorField(g, kern.to_phys(a1))
     # curl(A1) comes from the transported A, never from W, so the drift

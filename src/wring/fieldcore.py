@@ -162,20 +162,74 @@ class Grid3:
         """Two-thirds-rule mask in the rfft layout (True = keep)."""
         return self.mode_mask(lambda idx, m: idx <= m // 3)
 
-    def rfft(self, data: np.ndarray, nz: int | None = None) -> np.ndarray:
-        """Forward transform in the rfft layout, keeping the first ``nz`` kz planes.
+    @cached_property
+    def box_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """rfft-layout indices, per axis, of the 2/3-rule box: the modes ``dealias_mask`` keeps.
 
-        ``nz=None`` keeps all ``n_z//2 + 1``. For a band, the real transform
-        runs along z first and the x/y transforms see only the kept planes;
-        these equal the planes of ``scipy.fft.rfftn`` bit for bit.
+        Along x and y these are 2k+1 indices, 0..k and -k..-1, at both ends
+        of the fft layout; along z, the leading planes of the rfft layout.
+        k is n//3, but the float mode index can drop n//3 itself (n = 10,
+        20, 66, ...); read off the mask, the box always agrees with it.
+        """
+        mask = self.dealias_mask
+        return tuple(np.flatnonzero(line) for line in (mask[:, 0, 0], mask[0, :, 0], mask[0, 0, :]))
+
+    @cached_property
+    def box_shape(self) -> tuple[int, int, int]:
+        """Shape of a box spectrum: 43 x 43 x 22 at n = 64."""
+        return tuple(len(i) for i in self.box_index)
+
+    @cached_property
+    def _box_runs(self) -> tuple:
+        """The box's x runs and y runs as (full slice, box slice) pairs, low
+        run first in the box, and its kz band."""
+        xy = []
+        for count, m in zip(self.box_shape, self.n):
+            k = count // 2
+            xy.append(
+                ((slice(0, k + 1), slice(0, k + 1)), (slice(m - k, m), slice(k + 1, count)))
+            )
+        return xy[0], xy[1], slice(0, self.box_shape[2])
+
+    @cached_property
+    def _box_blocks(self) -> tuple:
+        """(full-layout slices, box slices) of the four kx run x ky run blocks."""
+        xruns, yruns, band = self._box_runs
+        return tuple(
+            ((fx, fy, band), (bx, by, slice(None))) for fx, bx in xruns for fy, by in yruns
+        )
+
+    def cut_box(self, spec: np.ndarray) -> np.ndarray:
+        """New contiguous box spectrum holding the box modes of a full-layout ``spec``."""
+        out = np.empty(self.box_shape, dtype=spec.dtype)
+        for full, box in self._box_blocks:
+            out[box] = spec[full]
+        return out
+
+    def add_box(self, spec: np.ndarray, inc: np.ndarray) -> None:
+        """Add the box spectrum ``inc`` into the box modes of ``spec``, in place."""
+        for full, box in self._box_blocks:
+            spec[full] += inc[box]
+
+    def rfft(self, data: np.ndarray, box: bool = False) -> np.ndarray:
+        """Forward transform in the rfft layout, or only its 2/3-rule box.
+
+        With ``box`` the result holds only the modes that ``dealias_mask``
+        keeps, in the layout of ``cut_box``: the real transform runs along
+        every z line, the x transform on the kz band only and the y
+        transform on the kept kx rows only, in the x-then-y order of
+        ``scipy.fft.rfftn``, so the box equals those modes of ``rfftn`` bit
+        for bit. Without it this is ``rfftn``.
         """
         workers = config.fft_workers()
-        if nz is None:
+        if not box:
             return sfft.rfftn(data, workers=workers)
-        # a contiguous copy frees the dropped planes and keeps later
-        # elementwise work on contiguous arrays
-        zspec = np.ascontiguousarray(sfft.rfft(data, axis=2, workers=workers)[:, :, :nz])
-        return sfft.fftn(zspec, axes=(0, 1), overwrite_x=True, workers=workers)
+        xruns, _, band = self._box_runs
+        spec = sfft.rfft(data, axis=2, workers=workers)
+        _c2c_in_place(sfft.fft, spec[:, :, band], 0, workers)
+        for rows, _ in xruns:
+            _c2c_in_place(sfft.fft, spec[rows, :, band], 1, workers)
+        return self.cut_box(spec)
 
     @cached_property
     def _inv_points(self) -> float:
@@ -183,19 +237,40 @@ class Grid3:
         return float(np.longdouble(1) / np.prod(self.n, dtype=np.longdouble))
 
     def irfft(self, spec: np.ndarray) -> np.ndarray:
-        """Inverse of ``rfft``; a spectrum with fewer kz planes is zero-padded.
+        """Inverse of ``rfft``; a spectrum of ``box_shape`` is a box spectrum.
 
-        Such a band spectrum is transformed over x and y on its own planes
-        only, which ``irfftn`` would pad first; the result equals ``irfftn``
-        of the zero-padded spectrum bit for bit.
+        A box is scattered into a zeroed rfft-layout buffer; the x
+        transform then runs on the kept ky columns of the kz band only, the
+        y transform on the band, and the real transform along every z line,
+        with one 1/N scale at the end, as ``irfftn`` scales. The result
+        equals ``irfftn`` of the zero-filled spectrum bit for bit. Full
+        spectra go to ``irfftn``.
         """
         workers = config.fft_workers()
-        if spec.shape[2] == self.n[2] // 2 + 1:
+        if spec.shape != self.box_shape:
             return sfft.irfftn(spec, s=self.n, workers=workers)
-        xy = sfft.ifftn(spec, axes=(0, 1), norm="forward", workers=workers)
-        out = sfft.irfft(xy, n=self.n[2], axis=2, norm="forward", overwrite_x=True, workers=workers)
+        nx, ny, nz = self.n
+        _, yruns, band = self._box_runs
+        full = np.zeros((nx, ny, nz // 2 + 1), dtype=complex)
+        for f, b in self._box_blocks:
+            full[f] = spec[b]
+        for cols, _ in yruns:
+            _c2c_in_place(sfft.ifft, full[:, cols, band], 0, workers, norm="forward")
+        _c2c_in_place(sfft.ifft, full[:, :, band], 1, workers, norm="forward")
+        out = sfft.irfft(full, n=nz, axis=2, norm="forward", overwrite_x=True, workers=workers)
         out *= self._inv_points
         return out
+
+
+def _c2c_in_place(transform, view: np.ndarray, axis: int, workers: int, **kwargs) -> None:
+    """Leave ``transform(view, **kwargs)`` along ``axis`` in ``view``.
+
+    scipy writes into an overwritable complex input without promising to;
+    the result is copied back unless it already occupies ``view``.
+    """
+    out = transform(view, axis=axis, overwrite_x=True, workers=workers, **kwargs)
+    if out.ctypes.data != view.ctypes.data or out.strides != view.strides:
+        view[...] = out
 
 
 def _check_finite(data: np.ndarray, what: str):

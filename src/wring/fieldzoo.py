@@ -620,9 +620,14 @@ class Shear:
             raise ValueError("shear must couple two distinct axes")
         if self.wavenumber < 1 or int(self.wavenumber) != self.wavenumber:
             raise ValueError("wavenumber must be a positive integer")
+        if not np.isfinite(self.amplitude):
+            raise ValueError(f"shear amplitude must be finite, got {self.amplitude!r}")
 
     @classmethod
     def from_names(cls, axis: str, shear_axis: str, amplitude: float, wavenumber: int = 1):
+        for name in (axis, shear_axis):
+            if name not in _AXIS_NAMES:
+                raise ValueError(f"shear axes must be x, y or z, got {name!r}")
         return cls(_AXIS_NAMES[axis], _AXIS_NAMES[shear_axis], amplitude, wavenumber)
 
     def displacement(self, coords_b: np.ndarray, box_b: float) -> np.ndarray:
@@ -694,7 +699,7 @@ def apply_diffeo(
         consistency_tol = _TOL["curl_consistency_rel"]
     g = bundle.grid
     for p in dmap.primitives:
-        if not np.isfinite(p.amplitude) or abs(p.amplitude) >= 0.5 * min(g.box):
+        if abs(p.amplitude) >= 0.5 * min(g.box):
             raise MapNotInvertible(
                 f"shear amplitude {p.amplitude!r} unreasonable for box {g.box}"
             )

@@ -210,6 +210,26 @@ class TestEvolveAndDiffeo:
         b = FieldBundle.load(out)
         assert b.meta["diffeo"][0]["amplitude"] == 0.2
 
+    @pytest.mark.parametrize(
+        "shear, code, message",
+        [
+            ("q,z,0.3", 2, "x, y or z"),
+            ("x,z,nan", 2, "finite"),
+            ("x,z,inf", 2, "finite"),
+            ("x,z,3.2", 4, "unreasonable"),
+        ],
+    )
+    def test_bad_shear_exit_code(self, tmp_path, capsys, shear, code, message):
+        src = tmp_path / "f.wrg"
+        out = str(tmp_path / "g.wrg")
+        run(["generate", "--family", "clebsch", "--n", "16", "--out", str(src)])
+        capsys.readouterr()
+        assert run(["diffeo", str(src), "--shear", shear, "--out", out]) == code
+        assert message in capsys.readouterr().err
+        gen = ["generate", "--family", "clebsch", "--n", "16", "--shear", shear, "--out", out]
+        assert run(gen) == code
+        assert message in capsys.readouterr().err
+
 
 class TestReference:
     def test_thurston_stdout(self, capsys):

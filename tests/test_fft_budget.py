@@ -4,32 +4,48 @@ The counts do not depend on n, so a small grid keeps these fast. A change
 that lowers a count may lower its bound; a bound never goes up.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from wring import dynamics as dyn
 from wring import fieldzoo as fz
+from wring import gv
 from wring.fieldcore import Grid3, inverse_curl
 
 STEP_BUDGET = 95
 INVERSE_CURL_BUDGET = 7
 VORTICITY_RATE_BUDGET = 15
 BERNOULLI_HEAD_BUDGET = 13
+GV_INVARIANT_BUDGET = 6
+ANALYZE_BUDGET = 6
+ANALYZE_RICHARDSON_BUDGET = 12
+OBSTRUCTION_BOUND_BUDGET = 6
+TRACK_ONE_STEP_BUDGET = 107
 
 
 @pytest.fixture
-def fft_count(monkeypatch):
-    """Running count of Grid3.rfft and Grid3.irfft calls."""
-    count = [0]
+def transforms(monkeypatch):
+    """``transforms(fn, *args)`` calls fn and returns the spectrum shapes of
+    the Grid3.rfft and Grid3.irfft calls it made, in order."""
+    shapes = []
     for name in ("rfft", "irfft"):
         original = getattr(Grid3, name)
 
-        def counted(self, data, *args, _original=original):
-            count[0] += 1
-            return _original(self, data, *args)
+        def counted(self, data, *args, _original=original, _name=name, **kwargs):
+            out = _original(self, data, *args, **kwargs)
+            shapes.append((out if _name == "rfft" else data).shape)
+            return out
 
         monkeypatch.setattr(Grid3, name, counted)
-    return count
+
+    def run(fn, *args, **kwargs):
+        start = len(shapes)
+        fn(*args, **kwargs)
+        return shapes[start:]
+
+    return run
 
 
 @pytest.fixture(scope="module")
@@ -39,25 +55,45 @@ def sheared32():
     return fz.apply_diffeo(fz.gen_clebsch(g), dm).with_velocity()
 
 
-def test_rk4_step_budget(fft_count, sheared32):
-    before = fft_count[0]
-    dyn.step(dyn.EvolutionState(sheared32, dt=0.02))
-    assert fft_count[0] - before <= STEP_BUDGET
+def test_rk4_step_budget(transforms, sheared32):
+    assert len(transforms(dyn.step, dyn.EvolutionState(sheared32, dt=0.02))) <= STEP_BUDGET
 
 
-def test_inverse_curl_budget(fft_count, sheared32):
-    before = fft_count[0]
-    inverse_curl(sheared32.W)
-    assert fft_count[0] - before <= INVERSE_CURL_BUDGET
+def test_rk4_step_transforms_split(transforms, sheared32):
+    # every stage transform is a box transform, and each goes through Grid3:
+    # one that bypasses it leaves this split short
+    g = sheared32.grid
+    shapes = transforms(dyn.step, dyn.EvolutionState(sheared32, dt=0.02))
+    assert Counter(shapes) == {g.box_shape: 76, (32, 32, 17): 19}
 
 
-def test_vorticity_rate_budget(fft_count, sheared32):
-    before = fft_count[0]
-    dyn.vorticity_rate(sheared32)
-    assert fft_count[0] - before <= VORTICITY_RATE_BUDGET
+def test_inverse_curl_budget(transforms, sheared32):
+    assert len(transforms(inverse_curl, sheared32.W)) <= INVERSE_CURL_BUDGET
 
 
-def test_bernoulli_head_budget(fft_count, sheared32):
-    before = fft_count[0]
-    dyn.bernoulli_head(sheared32)
-    assert fft_count[0] - before <= BERNOULLI_HEAD_BUDGET
+def test_vorticity_rate_budget(transforms, sheared32):
+    assert len(transforms(dyn.vorticity_rate, sheared32)) <= VORTICITY_RATE_BUDGET
+
+
+def test_bernoulli_head_budget(transforms, sheared32):
+    assert len(transforms(dyn.bernoulli_head, sheared32)) <= BERNOULLI_HEAD_BUDGET
+
+
+@pytest.mark.parametrize("choice", [gv.EtaChoice.canonical(), gv.EtaChoice.velocity()])
+def test_gv_invariant_budget(transforms, sheared32, choice):
+    assert len(transforms(gv.gv_invariant, sheared32, choice)) <= GV_INVARIANT_BUDGET
+
+
+def test_analyze_budget(transforms, sheared32):
+    assert len(transforms(gv.analyze, sheared32)) <= ANALYZE_BUDGET
+    shapes = transforms(gv.analyze, sheared32, richardson=True)
+    assert len(shapes) <= ANALYZE_RICHARDSON_BUDGET
+
+
+def test_obstruction_bound_budget(transforms, sheared32):
+    assert len(transforms(dyn.obstruction_bound, sheared32)) <= OBSTRUCTION_BOUND_BUDGET
+
+
+def test_track_invariants_one_step_budget(transforms, sheared32):
+    state = dyn.EvolutionState(sheared32, dt=0.02)
+    assert len(transforms(dyn.track_invariants, state, 1)) <= TRACK_ONE_STEP_BUDGET

@@ -4,8 +4,9 @@ import os
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
-from wring import config
+from wring import config, fieldcore
 from wring.errors import InvalidGrid, NonFiniteData, NonZeroMeanVorticity, NotDivergenceFree
 from wring.fieldcore import (
     Grid3,
@@ -26,6 +27,8 @@ from wring.fieldcore import (
 )
 
 TWO_PI = 2.0 * np.pi
+# 8^3 is the smallest grid: n//3 = 2 keeps five of eight indices per axis
+BOX_GRIDS = [(32, 32, 32), (16, 24, 32), (8, 8, 8)]
 
 
 def cube(n, L=TWO_PI):
@@ -63,20 +66,45 @@ class TestGrid3:
         with pytest.raises(InvalidGrid):
             Grid3((8, 8, 8), (1.0, -2.0, 1.0))
 
-    @pytest.mark.parametrize("n", [(32, 32, 32), (16, 24, 32)])
-    def test_rfft_band_is_leading_planes(self, n):
+    @pytest.mark.parametrize("n", BOX_GRIDS)
+    def test_rfft_box_is_kept_modes(self, n):
         g = Grid3(n, (TWO_PI, 3.0, 5.0))
         data = np.random.default_rng(4).standard_normal(n)
-        nz = n[2] // 3 + 1
-        assert np.array_equal(g.rfft(data, nz), g.rfft(data)[:, :, :nz])
+        assert g.box_shape == tuple(2 * (m // 3) + 1 for m in n[:2]) + (n[2] // 3 + 1,)
+        kept = g.rfft(data)[g.dealias_mask].reshape(g.box_shape)
+        assert np.array_equal(g.rfft(data, box=True), kept)
 
-    @pytest.mark.parametrize("n", [(32, 32, 32), (16, 24, 32)])
-    def test_irfft_zero_pads_band(self, n):
+    @pytest.mark.parametrize("n", BOX_GRIDS)
+    def test_irfft_box_is_zero_filled_spectrum(self, n):
         g = Grid3(n, (TWO_PI, 3.0, 5.0))
-        band = g.rfft(np.random.default_rng(5).standard_normal(n), n[2] // 3 + 1)
-        padded = np.zeros((n[0], n[1], n[2] // 2 + 1), dtype=complex)
-        padded[:, :, : band.shape[2]] = band
-        assert np.array_equal(g.irfft(band), g.irfft(padded))
+        box = g.rfft(np.random.default_rng(5).standard_normal(n), box=True)
+        filled = np.zeros((n[0], n[1], n[2] // 2 + 1), dtype=complex)
+        filled[g.dealias_mask] = box.ravel()
+        assert g.irfft(box).tobytes() == g.irfft(filled).tobytes()
+
+    def test_box_is_dealias_mask_where_mode_index_rounds(self):
+        # the float mode index drops |index| = n//3 at n = 10 and 20
+        g = Grid3((10, 20, 14), (1.0, 1.0, 1.0))
+        full = np.zeros((10, 20, 8), dtype=complex)
+        g.add_box(full, np.ones(g.box_shape, dtype=complex))
+        assert np.array_equal(full != 0, g.dealias_mask)
+
+    @pytest.mark.parametrize("writes_in_place", [True, False])
+    def test_c2c_result_lands_in_view(self, writes_in_place):
+        parts = np.random.default_rng(6).standard_normal((2, 8, 6, 5))
+        spec = parts[0] + 1j * parts[1]
+        expected = spec.copy()
+        expected[:, :, :3] = sfft.fft(spec[:, :, :3], axis=0)
+        returned = []
+
+        def transform(x, **kwargs):
+            kwargs["overwrite_x"] = writes_in_place
+            returned.append(sfft.fft(x, **kwargs))
+            return returned[-1]
+
+        fieldcore._c2c_in_place(transform, spec[:, :, :3], 0, 1)
+        assert np.shares_memory(returned[0], spec) == writes_in_place
+        assert np.array_equal(spec, expected)
 
     def test_non_finite_rejected(self):
         g = cube(8)

@@ -247,6 +247,10 @@ class TestDiffeo:
             fz.Shear(0, 0, 0.1, 1)
         with pytest.raises(ValueError):
             fz.Shear(0, 1, 0.1, 0)
+        with pytest.raises(ValueError, match="finite"):
+            fz.Shear(0, 1, float("nan"), 1)
+        with pytest.raises(ValueError, match="x, y or z"):
+            fz.Shear.from_names("x", "w", 0.1)
 
 
 class TestExpressions:
