@@ -99,10 +99,6 @@ def _grid_from_args(args) -> Grid3:
     return Grid3((n, n, n) if isinstance(n, int) else tuple(n), _parse_box(args.box))
 
 
-def _load_bundle(path) -> fieldzoo.FieldBundle:
-    return fieldzoo.FieldBundle.load(path)
-
-
 def _cmd_generate(args) -> int:
     _check_writable(args.out)
     grid = _grid_from_args(args)
@@ -128,7 +124,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     _check_writable(args.json, args.density_out)
-    bundle = _load_bundle(args.input).with_velocity()
+    bundle = fieldzoo.FieldBundle.load(args.input)
+    bundle.gate()
     choice = gv.EtaChoice(args.eta, args.eps)
     report = gv.analyze(bundle, choice, richardson=args.richardson)
     doc = report.to_json_dict()
@@ -155,7 +152,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_evolve(args) -> int:
     _check_writable(args.series, args.out)
-    bundle = _load_bundle(args.input).with_velocity()
+    bundle = fieldzoo.FieldBundle.load(args.input)
+    bundle.gate()
     if args.dt is not None:
         dt = args.dt
     else:
@@ -178,7 +176,7 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_diffeo(args) -> int:
     _check_writable(args.out)
-    bundle = _load_bundle(args.input)
+    bundle = fieldzoo.FieldBundle.load(args.input)
     dmap = fieldzoo.DiffeoMap(tuple(_parse_shear(s) for s in args.shear))
     kwargs = {}
     if args.consistency_tol is not None:

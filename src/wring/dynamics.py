@@ -54,12 +54,11 @@ from .fieldcore import (
     ScalarField,
     VectorField,
     cross,
+    cross_parts,
     curl,
     dot,
     grad,
     integrate,
-    inverse_curl,
-    inverse_curl_spectral,
     magnitude2,
     rel_l2,
 )
@@ -67,6 +66,7 @@ from .fieldzoo import FieldBundle
 from .gv import (
     EtaChoice,
     _eta_parts,
+    _uncovered,
     gv_invariant,
     helicity,
     integrability_residual,
@@ -80,11 +80,11 @@ _TOL = config.TOL
 def vorticity_rate(bundle: FieldBundle) -> VectorField:
     """Vorticity tendency -curl(W x U) with the dealiased product.
 
-    U is the velocity of W; a stored U is not read.
+    U is the velocity of W.
     """
     kern = _Stepper(bundle.grid, dealias=True)
     ps, _ = kern.wxu_spec(kern.to_spec(bundle.W))
-    return VectorField(bundle.grid, [-c for c in kern.to_phys(_curl_spec(kern.ik, ps))])
+    return VectorField(bundle.grid, [-c for c in kern.to_phys(cross_parts(kern.ik, ps))])
 
 
 def bernoulli_head(bundle: FieldBundle) -> ScalarField:
@@ -92,7 +92,7 @@ def bernoulli_head(bundle: FieldBundle) -> ScalarField:
 
     Taking the divergence of the momentum equation gives
     lap(Pi) = -div(W x U), so Pi = (ik . p)/|k|^2 for the spectra p of the
-    dealiased product. U is the velocity of W; a stored U is not read.
+    dealiased product. U is the velocity of W.
     """
     g = bundle.grid
     kern = _Stepper(g, dealias=True)
@@ -148,12 +148,11 @@ def obstruction_bound(
         eps = config.DEFAULTS["eta"]["default_eps"]
     if slack_tol is None:
         slack_tol = _TOL["bound_slack_rel"]
-    b = bundle.with_velocity()
-    choice = EtaChoice.velocity(eps)
     try:
-        G, q, mask, uncovered = _eta_parts(b, choice)
+        G, q, (mask,) = _eta_parts(bundle, "velocity", eps)
     except DenominatorVanishesEverywhere as exc:
         raise MaskTooSmall(str(exc)) from exc
+    uncovered = _uncovered(bundle, mask)
     max_uncovered = config.DEFAULTS["eta"]["max_uncovered_vorticity_fraction"]
     if uncovered > max_uncovered:
         raise MaskTooSmall(
@@ -161,10 +160,10 @@ def obstruction_bound(
             f"(limit {max_uncovered:.0%}); the bound constant C is undefined here"
         )
     curlG = curl(G)
-    cv = b.grid.cell_volume
+    cv = bundle.grid.cell_volume
     gv_val = float(np.sum(masked_density(G, curlG, q, mask))) * cv
     q_safe = np.where(mask, q, 1.0)
-    C = float(np.sum(np.where(mask, np.sum(G.data**2, axis=0) / q_safe**4, 0.0))) * cv
+    C = float(np.sum(np.where(mask, magnitude2(G).data / q_safe**4, 0.0))) * cv
     rate = integrate(magnitude2(curlG))
     slack = C * rate - gv_val**2
     if slack < -slack_tol * C * rate:
@@ -172,9 +171,9 @@ def obstruction_bound(
             f"bound slack {slack:g} below -{slack_tol:g} * C * rate; "
             "this should be impossible for consistent inputs"
         )
-    E = 0.5 * integrate(magnitude2(b.U))
-    V = b.grid.volume
-    lam = (2.0 * np.pi / max(b.grid.box)) ** 2
+    E = 0.5 * integrate(magnitude2(bundle.U))
+    V = bundle.grid.volume
+    lam = (2.0 * np.pi / max(bundle.grid.box)) ** 2
     L7 = V**2 / np.sqrt(lam)
     delta = q - 2.0 * E / V
     return BoundReport(
@@ -205,7 +204,6 @@ class EvolutionState:
     dt: float = 0.01
     dealias: bool = _DYN["dealias"]
     drift_limit: float = _DYN["drift_limit"]
-    reproject: bool = False
     curl_drift: float = 0.0
 
 
@@ -213,11 +211,10 @@ def cfl_timestep(bundle: FieldBundle, cfl: float | None = None) -> float:
     """Time step for a target advective CFL number."""
     if cfl is None:
         cfl = _DYN["default_cfl"]
-    b = bundle.with_velocity()
-    umax = b.U.maxnorm()
+    umax = bundle.U.maxnorm()
     if umax == 0.0:
         return 1.0
-    return cfl * min(b.grid.spacing) / umax
+    return cfl * min(bundle.grid.spacing) / umax
 
 
 class _Stepper:
@@ -264,7 +261,7 @@ class _Stepper:
         return [self.g.irfft(s) for s in specs]
 
     def velocity_spec(self, w_specs):
-        out = _curl_spec(self.ik, w_specs)
+        out = cross_parts(self.ik, w_specs)
         for c in out:
             c *= self.inv_k2
         return out
@@ -277,34 +274,20 @@ class _Stepper:
         """
         W = self.to_phys(w_specs)
         U = self.to_phys(self.velocity_spec(w_specs))
-        return [self.spec(c) for c in _cross(W, U)], U
+        return [self.spec(c) for c in cross_parts(W, U)], U
 
     def rhs(self, w_specs, a_specs):
         ps, U = self.wxu_spec(w_specs)
         A = self.to_phys(a_specs)
-        curlA = self.to_phys(_curl_spec(self.ik, a_specs))
+        curlA = self.to_phys(cross_parts(self.ik, a_specs))
         # vorticity: dW/dt = -curl(W x U)
-        rhs_w = [-c for c in _curl_spec(self.ik, ps)]
+        rhs_w = [-c for c in cross_parts(self.ik, ps)]
         # co-state: dA/dt = -L_U A = U x curl(A) - grad(U.A)
-        rhs_a = [self.spec(c) for c in _cross(U, curlA)]
+        rhs_a = [self.spec(c) for c in cross_parts(U, curlA)]
         phi = self.spec(U[0] * A[0] + U[1] * A[1] + U[2] * A[2])
         for q, ik in zip(rhs_a, self.ik):
             q -= ik * phi
         return rhs_w, rhs_a
-
-
-def _curl_spec(ik, specs) -> list:
-    ikx, iky, ikz = ik
-    sx, sy, sz = specs
-    return [iky * sz - ikz * sy, ikz * sx - ikx * sz, ikx * sy - iky * sx]
-
-
-def _cross(a, b) -> tuple:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
 
 
 def step(state: EvolutionState) -> EvolutionState:
@@ -312,12 +295,10 @@ def step(state: EvolutionState) -> EvolutionState:
 
     Preconditions: the advective CFL number |dt| max|U| / min(h) must stay
     below the configured limit. After the step the curl(A) - W residual is
-    measured; DriftExceeded is raised if it passes the drift limit (with
-    ``reproject`` set, A is instead corrected by the solenoidal field that
-    restores consistency exactly). Both errors name the step's start time
-    and dt.
+    measured; DriftExceeded is raised if it passes the drift limit. Both
+    errors name the step's start time and dt.
     """
-    b = state.bundle.with_velocity()
+    b = state.bundle
     g = b.grid
     cfl = abs(state.dt) * b.U.maxnorm() / min(g.spacing)
     if cfl >= _DYN["cfl_limit"]:
@@ -347,25 +328,17 @@ def step(state: EvolutionState) -> EvolutionState:
     A1 = VectorField(g, kern.to_phys(a1))
     # curl(A1) comes from the transported A, never from W, so the drift
     # stays an independent measure of integration quality
-    drift = rel_l2(VectorField(g, kern.to_phys(_curl_spec(g.ik, a1))), W1)
+    drift = rel_l2(VectorField(g, kern.to_phys(cross_parts(g.ik, a1))), W1)
     if drift > state.drift_limit:
-        if state.reproject:
-            fix = inverse_curl(VectorField(g, W1.data - curl(A1).data))
-            A1 = VectorField(g, A1.data + fix.data)
-            drift = rel_l2(curl(A1), W1)
-        else:
-            raise DriftExceeded(
-                f"curl(A) - W drift {drift:g} in the step from t={state.t:g} with "
-                f"dt={state.dt:g} exceeds {state.drift_limit:g} "
-                "(enable reproject or refine the step)"
-            )
-    new_bundle = FieldBundle(
-        g,
-        A1,
-        W1,
-        U=inverse_curl_spectral(W1, w1),
-        meta={k: v for k, v in b.meta.items() if k != "residuals"},
-    )
+        raise DriftExceeded(
+            f"curl(A) - W drift {drift:g} in the step from t={state.t:g} with "
+            f"dt={state.dt:g} exceeds {state.drift_limit:g} (refine the step)"
+        )
+    meta = {k: v for k, v in b.meta.items() if k != "residuals"}
+    new_bundle = FieldBundle(g, A1, W1, meta, w_spec=w1)
+    # every caller needs U next (the next step's CFL check, the samples);
+    # it is formed here from the step's own spectra of W1
+    new_bundle.U
     return dataclasses.replace(
         state, bundle=new_bundle, t=state.t + state.dt, curl_drift=drift
     )
@@ -401,7 +374,7 @@ class InvariantSeries:
 
 
 def _sample(state: EvolutionState, choice: EtaChoice) -> tuple:
-    b = state.bundle.with_velocity()
+    b = state.bundle
     hel = helicity(b)
     res = integrability_residual(b)
     gv_val = gv_invariant(b, choice).value
@@ -453,12 +426,11 @@ def conservation_residual(
     if margin is None:
         margin = _DYN["conservation_mask_margin"]
     g = state.bundle.grid
-    b0 = state.bundle.with_velocity()
-    fwd = step(dataclasses.replace(state, bundle=b0)).bundle
-    bwd = step(dataclasses.replace(state, bundle=b0, dt=-state.dt)).bundle
+    b0 = state.bundle
+    fwd = step(state).bundle
+    bwd = step(dataclasses.replace(state, dt=-state.dt)).bundle
 
     def parts(b: FieldBundle):
-        b = b.with_velocity()
         G = cross(b.W, b.U)
         q = dot(b.U, b.A).data
         N = dot(G, curl(G)).data

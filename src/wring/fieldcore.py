@@ -138,11 +138,18 @@ class Grid3:
 
     @cached_property
     def _mode_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """|mode index| along each axis in the rfft layout (last axis halved)."""
-        return tuple(
-            np.abs(sfft.fftfreq(m) * m) if axis < 2 else sfft.rfftfreq(m) * m
-            for axis, m in enumerate(self.n)
-        )
+        """|mode index| along each axis in the rfft layout (last axis halved), in integers."""
+        nx, ny, nz = self.n
+        ix, iy = np.arange(nx), np.arange(ny)
+        return np.minimum(ix, nx - ix), np.minimum(iy, ny - iy), np.arange(nz // 2 + 1)
+
+    @cached_property
+    def plane_weights(self) -> np.ndarray:
+        """Parseval weights (1, 2, ..., 2, 1) of the rfft kz planes; an
+        interior plane stands for its conjugate too."""
+        weights = np.full(self.n[2] // 2 + 1, 2.0)
+        weights[0] = weights[-1] = 1.0
+        return weights
 
     def mode_mask(self, keep) -> np.ndarray:
         """rfft-layout mask of the modes whose index passes ``keep(idx, m)`` on every axis.
@@ -160,19 +167,17 @@ class Grid3:
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Two-thirds-rule mask in the rfft layout (True = keep)."""
-        return self.mode_mask(lambda idx, m: idx <= m // 3)
+        return self.mode_mask(_two_thirds)
 
     @cached_property
     def box_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """rfft-layout indices, per axis, of the 2/3-rule box: the modes ``dealias_mask`` keeps.
 
         Along x and y these are 2k+1 indices, 0..k and -k..-1, at both ends
-        of the fft layout; along z, the leading planes of the rfft layout.
-        k is n//3, but the float mode index can drop n//3 itself (n = 10,
-        20, 66, ...); read off the mask, the box always agrees with it.
+        of the fft layout; along z, the k+1 leading planes of the rfft
+        layout; k is n//3.
         """
-        mask = self.dealias_mask
-        return tuple(np.flatnonzero(line) for line in (mask[:, 0, 0], mask[0, :, 0], mask[0, 0, :]))
+        return tuple(np.flatnonzero(_two_thirds(idx, m)) for idx, m in zip(self._mode_index, self.n))
 
     @cached_property
     def box_shape(self) -> tuple[int, int, int]:
@@ -260,6 +265,11 @@ class Grid3:
         out = sfft.irfft(full, n=nz, axis=2, norm="forward", overwrite_x=True, workers=workers)
         out *= self._inv_points
         return out
+
+
+def _two_thirds(idx: np.ndarray, m: int) -> np.ndarray:
+    """The 2/3 rule along one axis: keep |mode index| <= m//3."""
+    return idx <= m // 3
 
 
 def _c2c_in_place(transform, view: np.ndarray, axis: int, workers: int, **kwargs) -> None:
@@ -354,7 +364,7 @@ class VectorField:
 
     def maxnorm(self) -> float:
         """Maximum pointwise Euclidean magnitude."""
-        return float(np.sqrt(np.max(np.sum(self.data**2, axis=0))))
+        return float(np.sqrt(np.max(magnitude2(self).data)))
 
     def maxabs(self) -> float:
         return float(np.max(np.abs(self.data)))
@@ -370,19 +380,23 @@ def dot(a: VectorField, b: VectorField) -> ScalarField:
     return ScalarField(a.grid, np.einsum("i...,i...->...", a.data, b.data))
 
 
+def cross_parts(a, b) -> tuple:
+    """Components of a x b for two sequences of three component arrays."""
+    ax, ay, az = a
+    bx, by, bz = b
+    return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+
+
 def cross(a: VectorField, b: VectorField) -> VectorField:
-    ax, ay, az = a.data
-    bx, by, bz = b.data
-    return VectorField(
-        a.grid,
-        np.stack(
-            (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
-        ),
-    )
+    return VectorField(a.grid, np.stack(cross_parts(a.data, b.data)))
 
 
 def magnitude2(a: VectorField) -> ScalarField:
-    return ScalarField(a.grid, np.sum(a.data**2, axis=0))
+    # (x^2 + y^2) + z^2, as np.sum(a.data**2, axis=0) sums, without its 3-component temporary
+    out = a.x**2
+    out += a.y**2
+    out += a.z**2
+    return ScalarField(a.grid, out)
 
 
 # -- spectral calculus -------------------------------------------------------
@@ -407,20 +421,25 @@ def div(v: VectorField) -> ScalarField:
 
 
 def curl(v: VectorField) -> VectorField:
-    """Spectral curl; div(curl v) vanishes to roundoff."""
+    """Spectral curl; div(curl v) vanishes to roundoff.
+
+    To hold at most four spectra, each component's spectrum is folded into
+    the curl spectra (iky sz - ikz sy, ikz sx - ikx sz, ikx sy - iky sx, the
+    same sums bit for bit) and each of those is dropped once transformed.
+    """
     g = v.grid
-    sx, sy, sz = (g.rfft(c) for c in v.data)
     ikx, iky, ikz = g.ik
-    return VectorField(
-        g,
-        np.stack(
-            (
-                g.irfft(iky * sz - ikz * sy),
-                g.irfft(ikz * sx - ikx * sz),
-                g.irfft(ikx * sy - iky * sx),
-            )
-        ),
-    )
+    s = g.rfft(v.data[0])
+    cy, cz = ikz * s, -(iky * s)
+    s = g.rfft(v.data[1])
+    cx = -(ikz * s)
+    cz += ikx * s
+    s = g.rfft(v.data[2])
+    cx += iky * s
+    cy -= ikx * s
+    specs = [cx, cy, cz]
+    del s, cx, cy, cz
+    return VectorField(g, np.stack([g.irfft(specs.pop(0)) for _ in range(3)]))
 
 
 def laplacian(s: ScalarField) -> ScalarField:
@@ -439,81 +458,49 @@ def solve_poisson_zero_mean(s: ScalarField) -> ScalarField:
     return ScalarField(g, g.irfft(-g.inv_k2 * spec))
 
 
-def inverse_curl(
-    w: VectorField,
-    *,
-    mean_tol: float | None = None,
-    div_tol: float | None = None,
-) -> VectorField:
+def vorticity_residuals(w: VectorField, specs) -> tuple[float, float]:
+    """The inverse-curl gate's measures of ``w``, from its three rfft spectra:
+    (div_w, mean_w) = (max|div w| min(h), max|component mean|) / max|w|."""
+    g = w.grid
+    scale = max(w.maxabs(), config.TOL["underflow"])
+    sx, sy, sz = specs
+    ikx, iky, ikz = g.ik
+    div_spec = ikx * sx
+    div_spec += iky * sy
+    div_spec += ikz * sz
+    div_w = float(np.max(np.abs(g.irfft(div_spec)))) * min(g.spacing) / scale
+    mean_w = max(abs(m) for m in w.component_means()) / scale
+    return div_w, mean_w
+
+
+def require_potential(div_w: float, mean_w: float) -> None:
+    """The inverse-curl gate on the two ``vorticity_residuals``: raises
+    NonZeroMeanVorticity (net flux through a fundamental torus, so no
+    periodic potential) or NotDivergenceFree past their tolerances."""
+    mean_tol = config.TOL["zero_mean_rel"]
+    div_tol = config.TOL["div_free_rel"]
+    if mean_w > mean_tol:
+        raise NonZeroMeanVorticity(f"relative component mean {mean_w:g} exceeds {mean_tol:g}")
+    if div_w > div_tol:
+        raise NotDivergenceFree(f"relative divergence residual {div_w:g} exceeds {div_tol:g}")
+
+
+def inverse_curl(w: VectorField) -> VectorField:
     """Vector potential inverse: the unique U with curl U = w, div U = 0, zero mean.
 
     The harmonic (constant) part is set to zero, which fixes the gauge
-    deterministically and makes helicity values reproducible.
-
-    Raises
-    ------
-    NonZeroMeanVorticity
-        if any component mean exceeds ``mean_tol * max|w|`` (such a field
-        carries net flux through a fundamental torus and has no periodic
-        potential).
-    NotDivergenceFree
-        if ``max|div w| * min(h) / max|w|`` exceeds ``div_tol``.
+    deterministically and makes helicity values reproducible. ``w`` must
+    pass ``require_potential``, whose errors this raises.
     """
     g = w.grid
     specs = [g.rfft(c) for c in w.data]
-    return inverse_curl_spectral(w, specs, mean_tol=mean_tol, div_tol=div_tol)
+    require_potential(*vorticity_residuals(w, specs))
+    return inverse_curl_spectral(g, specs)
 
 
-def inverse_curl_spectral(
-    w: VectorField,
-    specs,
-    *,
-    mean_tol: float | None = None,
-    div_tol: float | None = None,
-) -> VectorField:
-    """``inverse_curl`` of ``w`` given its three rfft spectra ``specs``.
-
-    The divergence gate and the solve share the spectra, so a caller that
-    already holds them (the RK4 stepper) pays no forward transform. The
-    mean gate and the scale read the physical samples ``w``; the spectra
-    must be those of ``w``. Gates and errors are those of ``inverse_curl``.
-    """
-    g = w.grid
-    if mean_tol is None:
-        mean_tol = config.TOL["zero_mean_rel"]
-    if div_tol is None:
-        div_tol = config.TOL["div_free_rel"]
-    scale = w.maxabs()
-    if scale == 0.0:
-        return VectorField.zeros(g)
-    means = w.component_means()
-    worst = max(abs(m) for m in means)
-    if worst > mean_tol * scale:
-        raise NonZeroMeanVorticity(
-            f"component means {means} exceed {mean_tol:g} * max|w| = {mean_tol * scale:g}"
-        )
-    sx, sy, sz = specs
-    ikx, iky, ikz = g.ik
-    div_res = (
-        float(np.max(np.abs(g.irfft(ikx * sx + iky * sy + ikz * sz))))
-        * min(g.spacing)
-        / scale
-    )
-    if div_res > div_tol:
-        raise NotDivergenceFree(
-            f"relative divergence residual {div_res:g} exceeds {div_tol:g}"
-        )
-    inv = g.inv_k2
-    return VectorField(
-        g,
-        np.stack(
-            (
-                g.irfft((iky * sz - ikz * sy) * inv),
-                g.irfft((ikz * sx - ikx * sz) * inv),
-                g.irfft((ikx * sy - iky * sx) * inv),
-            )
-        ),
-    )
+def inverse_curl_spectral(g: Grid3, specs) -> VectorField:
+    """The solve of ``inverse_curl`` from the three rfft spectra of a gated field."""
+    return VectorField(g, np.stack([g.irfft(c * g.inv_k2) for c in cross_parts(g.ik, specs)]))
 
 
 def integrate(s: ScalarField) -> float:
@@ -569,13 +556,8 @@ def spectral_tail_fraction(v: VectorField) -> float:
     high = np.maximum(np.maximum(frac_x, frac_y), frac_z) >= 0.75
     total = 0.0
     tail = 0.0
-    nz = g.n[2]
-    # rfft stores half the z-modes; weight interior planes twice for Parseval
-    weights = np.full(nz // 2 + 1, 2.0)
-    weights[0] = 1.0
-    weights[-1] = 1.0
     for comp in v.data:
-        p = np.abs(g.rfft(comp)) ** 2 * weights[None, None, :]
+        p = np.abs(g.rfft(comp)) ** 2 * g.plane_weights
         total += float(p.sum())
         tail += float(p[high].sum())
     if total == 0.0:

@@ -1,10 +1,11 @@
 """Analytic generators of potential/vorticity pairs with known properties.
 
-Every generator returns a FieldBundle: a consistent triple of the potential
-dual A (so the potential 1-form is A's metric dual), the vorticity W with
-curl A = W, an optional velocity U, and provenance metadata recording the
-family, its parameters, and any analytic claims (integrability, expected
-helicity, expected invariant values) that downstream analysis can check.
+Every generator returns a FieldBundle: a consistent pair of the potential
+dual A (so the potential 1-form is A's metric dual) and the vorticity W with
+curl A = W, and provenance metadata recording the family, its parameters,
+and any analytic claims (integrability, expected helicity, expected
+invariant values) that downstream analysis can check. The velocity is
+always derived from W.
 
 Families:
 
@@ -30,12 +31,14 @@ from __future__ import annotations
 import ast
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import config, linkref, wrg1
 from .errors import (
     ConsistencyLoss,
+    FormatError,
     MapNotInvertible,
     NonPeriodic,
     PreconditionError,
@@ -49,13 +52,15 @@ from .fieldcore import (
     VectorField,
     cross,
     curl,
-    div,
     dot,
     grad,
     inverse_curl,
+    inverse_curl_spectral,
     project_solenoidal,
     rel_l2,
+    require_potential,
     spectral_tail_fraction,
+    vorticity_residuals,
 )
 
 _TOL = config.TOL
@@ -64,29 +69,46 @@ _TOL = config.TOL
 # -- bundles -----------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FieldBundle:
-    """Consistent (potential dual A, vorticity W, velocity U) triple.
+    """Consistent (potential dual A, vorticity W) pair, both read-only; U is derived from W.
 
     ``meta`` carries family name, creation parameters, claims and measured
     generation residuals; analysis code treats the claims as oracles.
+    ``w_spec``, if given, must be the rfft spectra of W; it seeds ``W_spec``.
     """
 
     grid: Grid3
     A: VectorField
     W: VectorField
-    U: VectorField | None = None
     meta: dict = dataclasses.field(default_factory=dict)
+    w_spec: dataclasses.InitVar[list | None] = None
 
-    def with_velocity(self, **inverse_curl_kwargs) -> "FieldBundle":
-        """Return a bundle whose U is filled in (zero-mean inverse curl).
+    def __post_init__(self, w_spec):
+        self.A.data.flags.writeable = False
+        self.W.data.flags.writeable = False
+        if w_spec is not None:
+            self.__dict__["W_spec"] = _read_only(w_spec)
 
-        Keyword arguments (mean_tol, div_tol) pass through to the solve;
-        coarse-grid studies of transformed bundles need looser gates.
-        """
-        if self.U is not None:
-            return self
-        return dataclasses.replace(self, U=inverse_curl(self.W, **inverse_curl_kwargs))
+    @cached_property
+    def W_spec(self) -> tuple:
+        """The three rfft spectra of W, read-only."""
+        return _read_only([self.grid.rfft(c) for c in self.W.data])
+
+    @cached_property
+    def W_residuals(self) -> tuple[float, float]:
+        """(div_w, mean_w) of W, from ``W_spec``; see ``vorticity_residuals``."""
+        return vorticity_residuals(self.W, self.W_spec)
+
+    def gate(self) -> None:
+        """Raise unless W has a periodic velocity potential (``require_potential``)."""
+        require_potential(*self.W_residuals)
+
+    @cached_property
+    def U(self) -> VectorField:
+        """The velocity: the zero-mean inverse curl of the gated W."""
+        self.gate()
+        return inverse_curl_spectral(self.grid, self.W_spec)
 
     def claims(self) -> dict:
         return self.meta.get("claims", {})
@@ -94,13 +116,13 @@ class FieldBundle:
     def verify(self) -> dict:
         """Measure the bundle invariants; returns a dict of residuals."""
         w_scale = max(self.W.maxabs(), _TOL["underflow"])
+        # curl(A) first: its transforms are freed before W's spectra are cached
         cons = rel_l2(curl(self.A), self.W)
-        div_res = div(self.W).maxabs() * min(self.grid.spacing) / w_scale
-        mean_res = max(abs(m) for m in self.W.component_means()) / w_scale
+        div_w, mean_w = self.W_residuals
         out = {
             "curl_consistency": cons,
-            "div_w": div_res,
-            "mean_w": mean_res,
+            "div_w": div_w,
+            "mean_w": mean_w,
         }
         if self.claims().get("integrable"):
             a_scale = max(self.A.maxabs(), _TOL["underflow"])
@@ -110,19 +132,29 @@ class FieldBundle:
         return out
 
     def save(self, path) -> None:
-        fields = {"A": self.A, "W": self.W}
-        if self.U is not None:
-            fields["U"] = self.U
-        wrg1.write_fields(path, self.grid, fields, meta=_json_safe(self.meta))
+        wrg1.write_fields(path, self.grid, {"A": self.A, "W": self.W}, meta=_json_safe(self.meta))
 
     @classmethod
     def load(cls, path) -> "FieldBundle":
+        """Read A, W and meta; a stored U, which older files carry, is ignored."""
         grid, fields, meta = wrg1.read_fields(path)
         try:
             A, W = fields["A"], fields["W"]
         except KeyError as exc:
             raise PreconditionError(f"{path}: bundle file lacks field {exc}") from exc
-        return cls(grid, A, W, fields.get("U"), meta)
+        claims = meta.get("claims", {})
+        if not isinstance(claims, dict) or not isinstance(meta.get("diffeo", []), list):
+            raise FormatError(f"{path}: metadata 'claims' must be an object and 'diffeo' a list")
+        for key, value in claims.items():
+            if key in ("helicity", "gv") and type(value) not in (int, float, type(None)):
+                raise FormatError(f"{path}: claim {key!r} must be a number or null, got {value!r}")
+        return cls(grid, A, W, meta)
+
+
+def _read_only(arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return tuple(arrays)
 
 
 def _json_safe(obj):
@@ -432,9 +464,8 @@ def gen_beltrami_abc(grid: Grid3, a: float = 1.0, b: float = 1.0, c: float = 1.0
     helicity = kappa * (a**2 + b**2 + c**2) * grid.volume
     bundle = FieldBundle(
         grid,
-        U.copy(),
+        U,
         W,
-        U=U,
         meta={
             "family": "beltrami",
             "params": {"a": a, "b": b, "c": c},
@@ -551,7 +582,6 @@ def gen_linked_rings(
         grid,
         A,
         W,
-        U=A.copy(),
         meta={
             "family": "rings",
             "params": {
@@ -703,8 +733,8 @@ def apply_diffeo(
             raise MapNotInvertible(
                 f"shear amplitude {p.amplitude!r} unreasonable for box {g.box}"
             )
-    A = bundle.A.data.copy()
-    W = bundle.W.data.copy()
+    A = bundle.A.data
+    W = bundle.W.data
     for p in dmap.primitives:
         if p.amplitude == 0.0:
             continue
@@ -725,7 +755,6 @@ def apply_diffeo(
         g,
         VectorField(g, A),
         VectorField(g, W),
-        U=None,
         meta={
             **{k: v for k, v in bundle.meta.items() if k != "residuals"},
             "diffeo": bundle.meta.get("diffeo", [])

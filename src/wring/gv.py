@@ -42,6 +42,7 @@ from .fieldcore import (
     ScalarField,
     VectorField,
     cross,
+    cross_parts,
     curl,
     dot,
     grad,
@@ -126,6 +127,10 @@ def flux_check(bundle: FieldBundle) -> tuple[float, float, float]:
 def helicity(bundle: FieldBundle, *, flux_tol: float | None = None) -> float:
     """Volume integral of U . W with the zero-mean velocity gauge.
 
+    No velocity is formed: the integral is the Parseval sum on the cached
+    rfft spectra W^ = a + ib of W, with Re(U^ . conj W^) = 2 k.(a x b)/|k|^2
+    for the Nyquist-zeroed k, weighted by ``Grid3.plane_weights``.
+
     Raises FluxObstruction if the vorticity carries net flux through a
     fundamental torus (the integral would depend on the potential gauge).
     """
@@ -139,50 +144,57 @@ def helicity(bundle: FieldBundle, *, flux_tol: float | None = None) -> float:
         raise FluxObstruction(
             f"fundamental-torus fluxes {fluxes} exceed {flux_tol:g} relative"
         )
-    b = bundle.with_velocity()
-    return integrate(dot(b.U, b.W))
+    g = bundle.grid
+    axb = cross_parts([s.real for s in bundle.W_spec], [s.imag for s in bundle.W_spec])
+    kab = sum(ik.imag * c for ik, c in zip(g.ik, axb))
+    return 2.0 * g.cell_volume / np.prod(g.n) * float(np.sum(kab * g.inv_k2 * g.plane_weights))
 
 
-def _eta_parts(bundle: FieldBundle, choice: EtaChoice):
-    """Smooth numerator G, signed denominator q, and the eps mask.
+def _eta_parts(bundle: FieldBundle, variant: str, *eps: float):
+    """Smooth numerator G, signed denominator q, and one mask per relative
+    threshold in ``eps``: where the denominator magnitude (|A| or |U.A|)
+    exceeds that fraction of its maximum.
 
-    The excluded set is allowed to contain vorticity: cutting a tube
-    around the zero set of the potential is exactly how the invariant is
-    defined for singular potentials. What is NOT allowed is a denominator
-    that is small everywhere (the construction then never makes sense),
-    which raises DenominatorVanishesEverywhere. The fraction of the
-    significant-vorticity region left outside the mask is measured and
-    reported so callers (notably the obstruction bound) can gate on it.
+    What is NOT allowed is a denominator that is small everywhere (the
+    construction then never makes sense), which raises
+    DenominatorVanishesEverywhere.
     """
-    a_scale = bundle.A.maxnorm()
-    w_scale = bundle.W.maxnorm()
+    A = bundle.A
+    a_scale = A.maxnorm()
     if a_scale < _TOL["underflow"]:
         raise DegenerateField("potential magnitude below underflow threshold")
-    if choice.variant == "canonical":
-        G = cross(bundle.W, bundle.A)
-        q = magnitude2(bundle.A).data
-        mag = np.sqrt(np.sum(bundle.A.data**2, axis=0))
-        mask = mag > choice.eps * a_scale
+    if variant == "canonical":
+        G, q = cross(bundle.W, A), magnitude2(A).data
+        mag, top = np.sqrt(q), a_scale
     else:
-        b = bundle.with_velocity()
-        G = cross(b.W, b.U)
-        q = dot(b.U, b.A).data
+        U = bundle.U
+        q = dot(U, A).data
         mag = np.abs(q)
-        u_scale = b.U.maxnorm()
-        if float(mag.max()) < 1e-10 * u_scale * a_scale:
+        top = float(mag.max())
+        if top < 1e-10 * U.maxnorm() * a_scale:
             raise DenominatorVanishesEverywhere(
                 "U.A is at roundoff level everywhere; the velocity "
                 "construction is unusable for this field"
             )
-        mask = mag > choice.eps * float(mag.max())
-    if w_scale > _TOL["underflow"]:
-        wmag = np.sqrt(np.sum(bundle.W.data**2, axis=0))
-        significant = wmag > _ETA["vorticity_floor_rel"] * w_scale
-        n_sig = int(significant.sum())
-        uncovered = float((significant & ~mask).sum()) / n_sig if n_sig else 0.0
-    else:
-        uncovered = 0.0
-    return G, q, mask, uncovered
+        G = cross(bundle.W, U)
+    return G, q, [mag > e * top for e in eps]
+
+
+def _uncovered(bundle: FieldBundle, mask: np.ndarray) -> float:
+    """Fraction of the significant-vorticity region outside the mask.
+
+    The excluded set is allowed to contain vorticity: cutting a tube
+    around the zero set of the potential is exactly how the invariant is
+    defined for singular potentials. The fraction is reported so callers
+    (notably the obstruction bound) can gate on it.
+    """
+    w_scale = bundle.W.maxnorm()
+    if w_scale <= _TOL["underflow"]:
+        return 0.0
+    wmag = np.sqrt(magnitude2(bundle.W).data)
+    significant = wmag > _ETA["vorticity_floor_rel"] * w_scale
+    n_sig = int(significant.sum())
+    return float((significant & ~mask).sum()) / n_sig if n_sig else 0.0
 
 
 def masked_density(G: VectorField, curlG: VectorField, q: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -200,14 +212,14 @@ def solve_eta(bundle: FieldBundle, choice: EtaChoice) -> EtaSolution:
     mask = 1 (pointwise algebra given A.W = 0) and is exercised in the
     test suite at 1e-8 relative.
     """
-    G, q, mask, uncovered = _eta_parts(bundle, choice)
+    G, q, (mask,) = _eta_parts(bundle, choice.variant, choice.eps)
     q_safe = np.where(mask, q, 1.0)
     H = VectorField(bundle.grid, np.where(mask, G.data / q_safe, 0.0))
     return EtaSolution(
         H=H,
         mask=ScalarField(bundle.grid, mask.astype(np.float64)),
         covered_fraction=float(mask.mean()),
-        uncovered_vorticity_fraction=uncovered,
+        uncovered_vorticity_fraction=_uncovered(bundle, mask),
         choice=choice,
     )
 
@@ -226,21 +238,21 @@ def gv_invariant(
 
     With ``richardson=True`` a second evaluation at eps/2 is combined
     linearly to estimate the eps -> 0 limit (reported alongside, never in
-    place of, the masked value).
+    place of, the masked value). Only the mask depends on eps, so both
+    evaluations share G, q and curl(G).
     """
     if choice is None:
         choice = EtaChoice.canonical()
-    G, q, mask, _ = _eta_parts(bundle, choice)
-    density = ScalarField(bundle.grid, masked_density(G, curl(G), q, mask))
+    eps = (choice.eps, 0.5 * choice.eps) if richardson and choice.eps > 0.0 else (choice.eps,)
+    G, q, masks = _eta_parts(bundle, choice.variant, *eps)
+    mask = masks[0]
+    curlG = curl(G)
+    density = ScalarField(bundle.grid, masked_density(G, curlG, q, mask))
     value = integrate(density)
     extrap = None
-    if richardson and choice.eps > 0.0:
-        half = gv_invariant(
-            bundle,
-            EtaChoice(choice.variant, 0.5 * choice.eps),
-            richardson=False,
-        )
-        extrap = 2.0 * half.value - value
+    if len(masks) == 2:
+        half = integrate(ScalarField(bundle.grid, masked_density(G, curlG, q, masks[1])))
+        extrap = 2.0 * half - value
     return GvResult(
         value=value,
         density=density,
@@ -388,7 +400,6 @@ def analyze(
         choice = EtaChoice.canonical()
     if integrability_tol is None:
         integrability_tol = _TOL["integrability_rel"]
-    bundle = bundle.with_velocity()
     residual = integrability_residual(bundle)
     fluxes = flux_check(bundle)
     hel = helicity(bundle)

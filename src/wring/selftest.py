@@ -102,10 +102,10 @@ class _Suite:
         return self._cache[key]
 
     def clebsch(self, n):
-        return self.get(("clebsch", n), lambda: fieldzoo.gen_clebsch(_grid(n)).with_velocity())
+        return self.get(("clebsch", n), lambda: fieldzoo.gen_clebsch(_grid(n)))
 
     def morse(self, n):
-        return self.get(("morse", n), lambda: fieldzoo.gen_morse(_grid(n)).with_velocity())
+        return self.get(("morse", n), lambda: fieldzoo.gen_morse(_grid(n)))
 
     def kupka(self, n):
         return self.get(("kupka", n), lambda: fieldzoo.gen_kupka_tube(_grid(n)))
@@ -114,11 +114,9 @@ class _Suite:
         return self.get(("beltrami", n), lambda: fieldzoo.gen_beltrami_abc(_grid(n)))
 
     def sheared_clebsch(self, n):
-        def build():
-            b = fieldzoo.apply_diffeo(self.clebsch(n), _shear(SHEAR_MAIN))
-            return b.with_velocity()
-
-        return self.get(("sheared", n), build)
+        return self.get(
+            ("sheared", n), lambda: fieldzoo.apply_diffeo(self.clebsch(n), _shear(SHEAR_MAIN))
+        )
 
 
 def criterion_1(suite: _Suite) -> CriterionResult:
@@ -175,7 +173,7 @@ def criterion_5(suite: _Suite) -> CriterionResult:
     res = CriterionResult(5, "construction agreement on >99% coverage at n=64")
     bundle = suite.get(
         ("clebsch-phased", 64),
-        lambda: fieldzoo.gen_clebsch(_grid(64), f=PHASED_CLEBSCH_F).with_velocity(),
+        lambda: fieldzoo.gen_clebsch(_grid(64), f=PHASED_CLEBSCH_F),
     )
     eps = ETA_AGREEMENT_EPS
     can = gv.gv_invariant(bundle, gv.EtaChoice.canonical(eps))
@@ -191,8 +189,7 @@ def criterion_5(suite: _Suite) -> CriterionResult:
 
 
 def _invariants(bundle) -> tuple[float, float]:
-    b = bundle.with_velocity(div_tol=1e-1, mean_tol=1e-4)
-    return gv.gv_invariant(b).value, gv.helicity(b)
+    return gv.gv_invariant(bundle).value, gv.helicity(bundle)
 
 
 def criterion_6(suite: _Suite) -> CriterionResult:
@@ -223,7 +220,7 @@ def criterion_6(suite: _Suite) -> CriterionResult:
         b = fieldzoo.hopf_rings(_grid(n))
         h0n = gv.helicity(b)
         sh = fieldzoo.apply_diffeo(b, _shear(SHEAR_STUDY_H), consistency_tol=1.0)
-        h1n = gv.helicity(sh.with_velocity(div_tol=1e-1, mean_tol=1e-4))
+        h1n = gv.helicity(sh)
         dh[n] = abs(h1n - h0n) / (1.0 + abs(h0n))
     res.check("rings |dH|/(1+|H|) at n=96", dh[96], 1e-4)
     res.check("rings dH shrink 48 -> 96", dh[48] / max(dh[96], 1e-300), 4.0, op=">=")
@@ -294,7 +291,7 @@ def criterion_9(suite: _Suite) -> CriterionResult:
 
 def criterion_10(suite: _Suite) -> CriterionResult:
     res = CriterionResult(10, "local conservation law, second-order residual")
-    base = fieldzoo.apply_diffeo(suite.clebsch(32), _shear(SHEAR_MAIN)).with_velocity()
+    base = fieldzoo.apply_diffeo(suite.clebsch(32), _shear(SHEAR_MAIN))
     maxima = []
     dts = (0.02, 0.01, 0.005)
     for dt in dts:

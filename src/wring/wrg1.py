@@ -13,7 +13,7 @@ Layout, all little-endian:
 The metadata block records grid dims, box lengths, the ordered field
 declarations, and free-form provenance (family name, creation parameters,
 claims). Round-trips are bit-exact: arrays are written with tobytes() and
-read with frombuffer().
+read with frombuffer(), as read-only arrays on the file bytes.
 """
 
 from __future__ import annotations
@@ -86,6 +86,9 @@ def read_fields(path) -> tuple[Grid3, dict, dict]:
             declared = list(header["fields"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: invalid grid or field list in metadata: {exc}") from exc
+        meta = header.get("meta", {})
+        if not isinstance(meta, dict):
+            raise FormatError(f"{path}: metadata 'meta' must be an object, got {meta!r}")
         npts = grid.n[0] * grid.n[1] * grid.n[2]
         fields: dict = {}
         for i, entry in enumerate(declared):
@@ -103,7 +106,7 @@ def read_fields(path) -> tuple[Grid3, dict, dict]:
             raw = fh.read(8 * npts * count)
             if len(raw) != 8 * npts * count:
                 raise FormatError(f"{path}: truncated data for field {name!r}")
-            arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+            arr = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False)
             if kind == "vector":
                 fields[name] = VectorField(grid, arr.reshape((3,) + grid.shape))
             else:
@@ -111,4 +114,4 @@ def read_fields(path) -> tuple[Grid3, dict, dict]:
         trailing = fh.read(1)
         if trailing:
             raise FormatError(f"{path}: trailing bytes after declared fields")
-    return grid, fields, header.get("meta", {})
+    return grid, fields, meta

@@ -60,19 +60,19 @@ class TestGenerateAnalyze:
         assert doc["bound"]["slack"] >= -1e-10 * doc["bound"]["C"] * doc["bound"]["enstrophy_rate"]
 
     def test_bound_solves_for_velocity_once(self, tmp_path, monkeypatch):
-        from wring import dynamics, fieldcore, fieldzoo
+        from wring import fieldcore, fieldzoo
 
         field = tmp_path / "f.wrg"
         run(["generate", "--family", "clebsch", "--n", "16", "--out", str(field)])
         calls = []
-        original = fieldcore.inverse_curl
+        original = fieldcore.inverse_curl_spectral
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        for module in (fieldcore, fieldzoo, dynamics):
-            monkeypatch.setattr(module, "inverse_curl", counted)
+        for module in (fieldcore, fieldzoo):
+            monkeypatch.setattr(module, "inverse_curl_spectral", counted)
         assert run(["analyze", str(field), "--bound", "--json", str(tmp_path / "r.json")]) == 0
         assert len(calls) == 1
 
@@ -119,6 +119,63 @@ class TestGenerateAnalyze:
         bad = tmp_path / "bad.wrg"
         bad.write_bytes(b"GARBAGE!" + b"\x00" * 64)
         assert run(["analyze", str(bad)]) == 3
+
+    def test_non_object_meta_exit_3(self, tmp_path, capsys):
+        import struct
+
+        from wring import wrg1
+
+        fields = [{"name": "A", "kind": "vector"}, {"name": "W", "kind": "vector"}]
+        header = {"grid": {"n": [16, 16, 16], "box": [1.0, 1.0, 1.0]}, "fields": fields, "meta": [1, 2]}
+        blob = json.dumps(header).encode("utf-8")
+        bad = tmp_path / "bad.wrg"
+        head = wrg1.MAGIC + struct.pack("<II", wrg1.VERSION, len(blob))
+        bad.write_bytes(head + blob + np.zeros(6 * 16**3).tobytes())
+        out = str(tmp_path / "o.wrg")
+        for command in (["analyze", str(bad)], ["diffeo", str(bad), "--shear", "x,z,0.1", "--out", out]):
+            assert run(command) == 3
+            assert "Traceback" not in capsys.readouterr().err
+
+
+class TestStoredVelocity:
+    """A U stored by older versions is read and ignored; the velocity comes from W."""
+
+    def _with_u(self, src, dst, U):
+        from wring import wrg1
+
+        grid, fields, meta = wrg1.read_fields(src)
+        wrg1.write_fields(dst, grid, {"A": fields["A"], "W": fields["W"], "U": U}, meta)
+
+    def test_stored_velocity_is_ignored(self, tmp_path):
+        from wring.fieldcore import Grid3, VectorField
+
+        field = tmp_path / "f.wrg"
+        run(["generate", "--family", "clebsch", "--n", "16", "--shear", "x,z,0.3,1", "--out", str(field)])
+        g = Grid3((16, 16, 16), (2 * np.pi,) * 3)
+        stale = tmp_path / "stale.wrg"
+        self._with_u(field, stale, VectorField(g, np.random.default_rng(1).standard_normal((3,) + g.shape)))
+        reports = []
+        for path in (field, stale):
+            report = tmp_path / (path.stem + ".json")
+            assert run(["analyze", str(path), "--eta", "velocity", "--bound", "--json", str(report)]) == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_divergent_vorticity_refused_despite_stored_velocity(self, tmp_path, capsys):
+        from wring import wrg1
+        from wring.fieldcore import Grid3, grad, random_band_limited_scalar
+
+        g = Grid3((16, 16, 16), (2 * np.pi,) * 3)
+        W = grad(random_band_limited_scalar(g, 3, seed=4))
+        path = tmp_path / "divergent.wrg"
+        wrg1.write_fields(path, g, {"A": W, "W": W, "U": W}, {"family": "test"})
+        report = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run(["analyze", str(path), "--json", str(report)]) == 4
+        assert "divergence residual" in capsys.readouterr().err
+        assert not report.exists()
+        assert run(["evolve", str(path), "--steps", "1"]) == 4
+        assert "divergence residual" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -34,7 +34,7 @@ def cube(n):
 def sheared_clebsch(n, amp=0.3, k=1):
     b = fz.gen_clebsch(cube(n))
     dm = fz.DiffeoMap((fz.Shear.from_names("x", "z", amp, k),))
-    return fz.apply_diffeo(b, dm).with_velocity()
+    return fz.apply_diffeo(b, dm)
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +47,7 @@ def rough32():
     """Solenoidal band-limited W with modes above n/3, where the 2/3 rule acts."""
     g = cube(32)
     W = random_band_limited_vector(g, 12, 3, div_free=True)
-    return fz.FieldBundle(g, inverse_curl(W), W).with_velocity()
+    return fz.FieldBundle(g, inverse_curl(W), W)
 
 
 def dealiased_product(b):
@@ -62,14 +62,14 @@ class TestVorticityRate:
 
     def test_columnar_clebsch_is_steady(self):
         # W x U is a pure gradient for this family, so the tendency vanishes
-        b = fz.gen_clebsch(cube(32)).with_velocity()
+        b = fz.gen_clebsch(cube(32))
         assert dyn.vorticity_rate(b).maxnorm() < 1e-12
 
     def test_morse_rate_matches_refined_grid(self):
         # the fields are band-limited, so the coarse tendency must agree
         # with a once-refined computation on the shared grid points
-        coarse = fz.gen_morse(cube(32)).with_velocity()
-        fine = fz.gen_morse(cube(64)).with_velocity()
+        coarse = fz.gen_morse(cube(32))
+        fine = fz.gen_morse(cube(64))
         rc = dyn.vorticity_rate(coarse)
         rf = dyn.vorticity_rate(fine)
         sub = rf.data[:, ::2, ::2, ::2]
@@ -86,7 +86,7 @@ class TestVorticityRate:
         assert rel <= 1e-12
 
     def test_zero_vorticity_gives_zero_rate(self):
-        b = fz.gen_clebsch(cube(16), f="1 + 0*x").with_velocity()
+        b = fz.gen_clebsch(cube(16), f="1 + 0*x")
         assert dyn.vorticity_rate(b).maxnorm() == 0.0
 
 
@@ -109,7 +109,6 @@ class TestBernoulliHead:
             b.grid,
             VectorField(b.grid, c * b.A.data),
             VectorField(b.grid, c * b.W.data),
-            U=VectorField(b.grid, c * b.U.data),
             meta=dict(b.meta),
         )
         p1 = dyn.bernoulli_head(b)
@@ -136,7 +135,7 @@ class TestObstructionBound:
         assert abs(rep.C - oracle) <= 1e-8 * abs(oracle)
 
     def test_steady_case_forces_zero_invariant(self):
-        b = fz.gen_clebsch(cube(32)).with_velocity()
+        b = fz.gen_clebsch(cube(32))
         rep = dyn.obstruction_bound(b)
         assert rep.enstrophy_rate < 1e-12
         assert abs(rep.gv) < 1e-6
@@ -200,16 +199,14 @@ class TestStep:
         assert np.max(np.abs(before)) > 1.0
         assert np.max(np.abs(after - before)) <= 1e-12 * np.max(np.abs(before))
 
-    def test_drift_guard_and_reproject(self, sheared32):
+    def test_drift_guard(self, sheared32):
         g = sheared32.grid
         rng = np.random.default_rng(3)
         bad_a = sheared32.A.data + 1e-3 * rng.standard_normal((3,) + g.shape)
-        bad = fz.FieldBundle(g, VectorField(g, bad_a), sheared32.W, sheared32.U, dict(sheared32.meta))
+        bad = fz.FieldBundle(g, VectorField(g, bad_a), sheared32.W, dict(sheared32.meta))
         state = dyn.EvolutionState(bad, dt=0.02, drift_limit=1e-6)
         with pytest.raises(DriftExceeded):
             dyn.step(state)
-        fixed = dyn.step(dataclasses.replace(state, reproject=True))
-        assert fixed.curl_drift < 1e-6
 
 
 class TestCoState:
@@ -237,7 +234,7 @@ class TestCoState:
 
 class TestTrackInvariants:
     def test_steady_series_constant(self):
-        b = fz.gen_clebsch(cube(32)).with_velocity()
+        b = fz.gen_clebsch(cube(32))
         state = dyn.EvolutionState(b, dt=0.02)
         _, series = dyn.track_invariants(state, steps=3)
         for name in ("helicity", "gv", "energy", "enstrophy"):
@@ -259,7 +256,7 @@ class TestTrackInvariants:
 
 class TestConservationLaw:
     def test_steady_residual_vanishes(self):
-        b = fz.gen_clebsch(cube(32)).with_velocity()
+        b = fz.gen_clebsch(cube(32))
         state = dyn.EvolutionState(b, dt=0.01)
         R, k = dyn.conservation_residual(state)
         assert R.maxabs() < 1e-9

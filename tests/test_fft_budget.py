@@ -20,9 +20,15 @@ VORTICITY_RATE_BUDGET = 15
 BERNOULLI_HEAD_BUDGET = 13
 GV_INVARIANT_BUDGET = 6
 ANALYZE_BUDGET = 6
-ANALYZE_RICHARDSON_BUDGET = 12
+ANALYZE_RICHARDSON_BUDGET = 6
 OBSTRUCTION_BOUND_BUDGET = 6
 TRACK_ONE_STEP_BUDGET = 107
+# on a bundle with nothing cached: W's spectra are transformed once
+HELICITY_UNCACHED_BUDGET = 3
+ANALYZE_UNCACHED_BUDGET = 9
+VERIFY_UNCACHED_BUDGET = 10
+# counts Grid3 transforms only; the np.fft shifts of apply_diffeo are not seen
+APPLY_DIFFEO_BUDGET = 10
 
 
 @pytest.fixture
@@ -48,11 +54,26 @@ def transforms(monkeypatch):
     return run
 
 
+SHEAR = fz.DiffeoMap((fz.Shear.from_names("x", "z", 0.3, 1),))
+
+
 @pytest.fixture(scope="module")
-def sheared32():
-    g = Grid3((32, 32, 32), (2.0 * np.pi,) * 3)
-    dm = fz.DiffeoMap((fz.Shear.from_names("x", "z", 0.3, 1),))
-    return fz.apply_diffeo(fz.gen_clebsch(g), dm).with_velocity()
+def clebsch32():
+    return fz.gen_clebsch(Grid3((32, 32, 32), (2.0 * np.pi,) * 3))
+
+
+@pytest.fixture(scope="module")
+def sheared32(clebsch32):
+    """The sheared bundle with W's spectra and U cached, as the budgets assume."""
+    b = fz.apply_diffeo(clebsch32, SHEAR)
+    b.U
+    return b
+
+
+@pytest.fixture
+def uncached32(sheared32):
+    """The same fields in a new bundle: nothing cached."""
+    return fz.FieldBundle(sheared32.grid, sheared32.A, sheared32.W, meta=dict(sheared32.meta))
 
 
 def test_rk4_step_budget(transforms, sheared32):
@@ -97,3 +118,20 @@ def test_obstruction_bound_budget(transforms, sheared32):
 def test_track_invariants_one_step_budget(transforms, sheared32):
     state = dyn.EvolutionState(sheared32, dt=0.02)
     assert len(transforms(dyn.track_invariants, state, 1)) <= TRACK_ONE_STEP_BUDGET
+
+
+def test_helicity_budget(transforms, sheared32, uncached32):
+    assert len(transforms(gv.helicity, uncached32)) <= HELICITY_UNCACHED_BUDGET
+    assert len(transforms(gv.helicity, sheared32)) == 0
+
+
+def test_analyze_uncached_budget(transforms, uncached32):
+    assert len(transforms(gv.analyze, uncached32)) <= ANALYZE_UNCACHED_BUDGET
+
+
+def test_verify_budget(transforms, uncached32):
+    assert len(transforms(uncached32.verify)) <= VERIFY_UNCACHED_BUDGET
+
+
+def test_apply_diffeo_budget(transforms, clebsch32):
+    assert len(transforms(fz.apply_diffeo, clebsch32, SHEAR)) <= APPLY_DIFFEO_BUDGET

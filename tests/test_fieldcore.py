@@ -82,8 +82,20 @@ class TestGrid3:
         filled[g.dealias_mask] = box.ravel()
         assert g.irfft(box).tobytes() == g.irfft(filled).tobytes()
 
+    def test_box_keeps_two_thirds_on_every_even_grid(self):
+        # per-axis arrays only: no 3-D mask is built, so all 253 grids stay fast
+        for n in range(8, 513, 2):
+            g = Grid3((n, n, n), (1.0, 1.0, 1.0))
+            k = n // 3
+            rows, cols, planes = g.box_index
+            kept = np.r_[0 : k + 1, n - k : n]
+            assert g.box_shape == (2 * k + 1, 2 * k + 1, k + 1), n
+            assert np.array_equal(rows, kept) and np.array_equal(cols, kept), n
+            assert np.array_equal(planes, np.arange(k + 1)), n
+
     def test_box_is_dealias_mask_where_mode_index_rounds(self):
-        # the float mode index drops |index| = n//3 at n = 10 and 20
+        # at n = 10 and 20, |index| = n//3 is lost by a mode index taken in
+        # floating point as fftfreq(n) * n
         g = Grid3((10, 20, 14), (1.0, 1.0, 1.0))
         full = np.zeros((10, 20, 8), dtype=complex)
         g.add_box(full, np.ones(g.box_shape, dtype=complex))
@@ -147,6 +159,19 @@ class TestGrad:
 
 
 class TestCurlDiv:
+    def test_curl_and_magnitude2_are_the_direct_forms(self):
+        # the streamed curl and the per-component |v|^2 keep the arithmetic
+        # of the direct forms, so they agree bit for bit
+        g = Grid3((16, 24, 32), (TWO_PI, 3.0, 5.0))
+        v = VectorField(g, np.random.default_rng(8).standard_normal((3,) + g.shape))
+        sx, sy, sz = (g.rfft(c) for c in v.data)
+        ikx, iky, ikz = g.ik
+        direct = np.stack(
+            [g.irfft(iky * sz - ikz * sy), g.irfft(ikz * sx - ikx * sz), g.irfft(ikx * sy - iky * sx)]
+        )
+        assert curl(v).data.tobytes() == direct.tobytes()
+        assert magnitude2(v).data.tobytes() == np.sum(v.data**2, axis=0).tobytes()
+
     def test_curl_of_gradient_vanishes(self):
         g = cube(32)
         s = random_band_limited_scalar(g, 6, seed=1)

@@ -295,3 +295,12 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(b2.W.data, b.W.data)
     assert b2.meta["family"] == "clebsch"
     assert b2.claims()["integrable"]
+
+
+def test_bundle_fields_are_read_only():
+    b = fz.gen_clebsch(cube(16))
+    for data in (b.A.data, b.W.data, *b.W_spec):
+        with pytest.raises(ValueError):
+            data[0, 0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        b.W = b.A

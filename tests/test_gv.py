@@ -13,6 +13,10 @@ from wring.fieldcore import (
     ScalarField,
     VectorField,
     cross,
+    dot,
+    integrate,
+    inverse_curl,
+    magnitude2,
     random_band_limited_scalar,
 )
 
@@ -25,7 +29,7 @@ def cube(n):
 
 @pytest.fixture(scope="module")
 def clebsch64():
-    return fz.gen_clebsch(cube(64)).with_velocity()
+    return fz.gen_clebsch(cube(64))
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +99,23 @@ class TestHelicity:
         assert oracle == 0.0
         assert abs(gv.helicity(clebsch64) - oracle) < 1e-9
 
+    @pytest.mark.parametrize("family", ["beltrami", "rings", "sheared-clebsch"])
+    def test_parseval_sum_is_physical_integral(self, family):
+        g = cube(32)
+        if family == "sheared-clebsch":
+            shear = fz.DiffeoMap((fz.Shear.from_names("x", "z", 0.3, 1),))
+            b = fz.apply_diffeo(fz.gen_clebsch(g), shear)
+        else:
+            b = fz.make_family(g, family)
+        hel = gv.helicity(b)
+        assert "U" not in vars(b)  # the sum forms no velocity
+        # oracle: the physical quadrature of U . W, with U solved from W
+        U = inverse_curl(b.W)
+        physical = integrate(dot(U, b.W))
+        # Cauchy-Schwarz bound on |integral U . W|, the scale of the sum
+        scale = np.sqrt(integrate(magnitude2(U)) * integrate(magnitude2(b.W)))
+        assert abs(hel - physical) <= 1e-12 * max(abs(physical), scale)
+
     def test_hopf_pair_matches_linking_target(self):
         b = fz.hopf_rings(cube(96))
         assert abs(gv.helicity(b) - 2.0) / 2.0 < 0.02
@@ -150,7 +171,7 @@ class TestGvInvariant:
             assert abs(gv.gv_invariant(clebsch64, gv.EtaChoice(variant)).value) < 1e-6
 
     def test_morse_vanishes(self):
-        b = fz.gen_morse(cube(64)).with_velocity()
+        b = fz.gen_morse(cube(64))
         for variant in ("canonical", "velocity"):
             assert abs(gv.gv_invariant(b, gv.EtaChoice(variant)).value) < 1e-6
 
@@ -248,7 +269,7 @@ class TestAnalyze:
         assert report.helicity == pytest.approx(3.0 * TWO_PI**3, rel=1e-8)
 
     def test_eta_agreement_on_high_coverage_bundle(self):
-        b = fz.gen_clebsch(cube(64), f="2 + sin(2*pi*x/Lx + 1)*cos(2*pi*y/Ly + 1)").with_velocity()
+        b = fz.gen_clebsch(cube(64), f="2 + sin(2*pi*x/Lx + 1)*cos(2*pi*y/Ly + 1)")
         eps = 5e-4
         can = gv.gv_invariant(b, gv.EtaChoice.canonical(eps))
         vel = gv.gv_invariant(b, gv.EtaChoice.velocity(eps))

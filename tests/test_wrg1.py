@@ -81,8 +81,8 @@ def test_header_is_16_bytes_plus_json(tmp_path, grid):
     assert meta["meta"]["note"] == "header check"
 
 
-def _write_raw(path, n, fields, data=b""):
-    header = {"grid": {"n": n, "box": [1.0, 1.0, 1.0]}, "fields": fields, "meta": {}}
+def _write_raw(path, n, fields, data=b"", meta={}):
+    header = {"grid": {"n": n, "box": [1.0, 1.0, 1.0]}, "fields": fields, "meta": meta}
     blob = json.dumps(header).encode("utf-8")
     path.write_bytes(wrg1.MAGIC + struct.pack("<II", wrg1.VERSION, len(blob)) + blob + data)
 
@@ -103,3 +103,24 @@ def test_bad_grid_rejected(tmp_path, n):
     _write_raw(path, n, [])
     with pytest.raises(FormatError):
         wrg1.read_fields(path)
+
+
+@pytest.mark.parametrize("meta", [[1, 2], "x", None])
+def test_non_object_meta_rejected(tmp_path, grid, meta):
+    path = tmp_path / "m.wrg"
+    _write_raw(path, list(grid.n), [], meta=meta)
+    with pytest.raises(FormatError):
+        wrg1.read_fields(path)
+
+
+@pytest.mark.parametrize(
+    "meta", [{"claims": 5}, {"claims": {"helicity": "x"}}, {"claims": {"gv": [0]}}, {"diffeo": 1}]
+)
+def test_bundle_meta_of_wrong_type_rejected(tmp_path, grid, meta):
+    from wring.fieldzoo import FieldBundle
+
+    path = tmp_path / "b.wrg"
+    zeros = VectorField.zeros(grid)
+    wrg1.write_fields(path, grid, {"A": zeros, "W": zeros}, meta)
+    with pytest.raises(FormatError):
+        FieldBundle.load(path)
