@@ -163,7 +163,7 @@ def _cmd_evolve(args) -> int:
     else:
         steps = max(1, int(np.ceil(args.time / abs(dt))))
         dt = math.copysign(args.time / steps, dt)
-    state = dynamics.EvolutionState(bundle, dt=dt, dealias=not args.no_dealias)
+    state = dynamics.EvolutionState(bundle, dt=dt)
     state, series = dynamics.track_invariants(state, steps, record_every=args.record_every)
     if args.series:
         series.write_csv(args.series)
@@ -313,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"advective CFL target (default: {_D['dynamics']['default_cfl']})",
     )
     p.add_argument("--record-every", type=_positive_int, default=1, help="sampling stride (default: 1)")
-    p.add_argument("--no-dealias", action="store_true")
     p.add_argument("--series", help="CSV output path")
     p.add_argument("--out", help="final bundle WRG1 path")
     p.set_defaults(func=_cmd_evolve)
@@ -321,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diffeo", help="apply volume-preserving shears to a bundle")
     p.add_argument("input")
     p.add_argument("--shear", action="append", required=True, help="axis,shear_axis,amp[,k] (repeatable)")
-    p.add_argument("--consistency-tol", type=float)
+    p.add_argument("--consistency-tol", type=_finite_positive_float)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_diffeo)
 

@@ -18,10 +18,9 @@ pair.)
 The stages hold their spectra on the 2/3-rule box only: the modes with
 |index| <= n//3 on every axis, (2*(n_x//3) + 1) x (2*(n_y//3) + 1) x
 (n_z//3 + 1) of them, 43 x 43 x 22 at n = 64 instead of the 64 x 64 x 33
-of a full rfft spectrum (full spectra without dealiasing). No stage
-computes, stores or transforms a mode that truncation would zero, and the
-box needs no mask. Modes outside the box get no increment and pass
-through a step unchanged.
+of a full rfft spectrum. No stage computes, stores or transforms a mode
+that truncation would zero, and the box needs no mask. Modes outside the
+box get no increment and pass through a step unchanged.
 
 One spectral kernel forms the dealiased product W x U, with U taken from
 the truncated W. It serves the stepper's right-hand side, the vorticity
@@ -53,7 +52,6 @@ from .errors import DenominatorVanishesEverywhere
 from .fieldcore import (
     ScalarField,
     VectorField,
-    cross,
     cross_parts,
     curl,
     dot,
@@ -82,7 +80,7 @@ def vorticity_rate(bundle: FieldBundle) -> VectorField:
 
     U is the velocity of W.
     """
-    kern = _Stepper(bundle.grid, dealias=True)
+    kern = _Stepper(bundle.grid)
     ps, _ = kern.wxu_spec(kern.to_spec(bundle.W))
     return VectorField(bundle.grid, [-c for c in kern.to_phys(cross_parts(kern.ik, ps))])
 
@@ -95,7 +93,7 @@ def bernoulli_head(bundle: FieldBundle) -> ScalarField:
     dealiased product. U is the velocity of W.
     """
     g = bundle.grid
-    kern = _Stepper(g, dealias=True)
+    kern = _Stepper(g)
     ps, _ = kern.wxu_spec(kern.to_spec(bundle.W))
     ikx, iky, ikz = kern.ik
     return ScalarField(g, g.irfft((ikx * ps[0] + iky * ps[1] + ikz * ps[2]) * kern.inv_k2))
@@ -127,12 +125,7 @@ class BoundReport:
         return d
 
 
-def obstruction_bound(
-    bundle: FieldBundle,
-    eps: float | None = None,
-    *,
-    slack_tol: float | None = None,
-) -> BoundReport:
+def obstruction_bound(bundle: FieldBundle, eps: float | None = None) -> BoundReport:
     """Evaluate gv^2 <= C * integral((dW/dt)^2) on the velocity mask.
 
     Both sides are formed from the same smooth product G = W x U: the
@@ -146,8 +139,7 @@ def obstruction_bound(
     """
     if eps is None:
         eps = config.DEFAULTS["eta"]["default_eps"]
-    if slack_tol is None:
-        slack_tol = _TOL["bound_slack_rel"]
+    slack_tol = _TOL["bound_slack_rel"]
     try:
         G, q, (mask,) = _eta_parts(bundle, "velocity", eps)
     except DenominatorVanishesEverywhere as exc:
@@ -197,12 +189,11 @@ def obstruction_bound(
 
 @dataclass(eq=False)
 class EvolutionState:
-    """Evolving (bundle, t) with fixed time step and integration options."""
+    """Evolving (bundle, t) with a fixed time step and drift limit."""
 
     bundle: FieldBundle
     t: float = 0.0
     dt: float = 0.01
-    dealias: bool = _DYN["dealias"]
     drift_limit: float = _DYN["drift_limit"]
     curl_drift: float = 0.0
 
@@ -221,40 +212,25 @@ class _Stepper:
     """Spectral-space kernel: the one place the dealiased W x U is formed.
 
     It serves the RK4 right-hand side, the vorticity tendency and the
-    Bernoulli head. With dealiasing its spectra are box spectra
+    Bernoulli head. Its spectra are box spectra
     (``Grid3.rfft(data, box=True)``): they hold only the modes the 2/3 rule
     keeps, so truncation is implicit in every transform and no mask is
-    applied. Without dealiasing they are full rfft spectra.
+    applied.
     """
 
-    def __init__(self, grid, dealias: bool):
+    def __init__(self, grid):
         self.g = grid
-        self.box = dealias
-        if dealias:
-            rows, cols, planes = grid.box_index
-            ikx, iky, ikz = grid.ik
-            self.ik = (ikx[rows], iky[:, cols], ikz[:, :, planes])
-            self.inv_k2 = grid.cut_box(grid.inv_k2)
-        else:
-            self.ik, self.inv_k2 = grid.ik, grid.inv_k2
-
-    def cut(self, specs) -> list:
-        """The kernel's form of full rfft spectra."""
-        return [self.g.cut_box(s) for s in specs] if self.box else specs
-
-    def add(self, spec: np.ndarray, inc: np.ndarray) -> None:
-        """Add a kernel-form increment into the full rfft spectrum ``spec``, in place."""
-        if self.box:
-            self.g.add_box(spec, inc)
-        else:
-            spec += inc
+        rows, cols, planes = grid.box_index
+        ikx, iky, ikz = grid.ik
+        self.ik = (ikx[rows], iky[:, cols], ikz[:, :, planes])
+        self.inv_k2 = grid.cut_box(grid.inv_k2)
 
     def spec(self, data: np.ndarray) -> np.ndarray:
-        """Kernel-form spectrum of physical samples."""
-        return self.g.rfft(data, self.box)
+        """Box spectrum of physical samples."""
+        return self.g.rfft(data, box=True)
 
     def to_spec(self, v: VectorField):
-        """Kernel-form spectra of the components of ``v``."""
+        """Box spectra of the components of ``v``."""
         return [self.spec(c) for c in v.data]
 
     def to_phys(self, specs) -> list:
@@ -269,7 +245,7 @@ class _Stepper:
     def wxu_spec(self, w_specs):
         """Truncated spectra of W x U, with U the velocity of W.
 
-        ``w_specs`` are in the kernel's input form. Returns (spectra, U);
+        ``w_specs`` are box spectra. Returns (spectra, U);
         U is in physical space, for the co-state.
         """
         W = self.to_phys(w_specs)
@@ -306,13 +282,13 @@ def step(state: EvolutionState) -> EvolutionState:
             f"CFL number {cfl:.3f} in the step from t={state.t:g} with dt={state.dt:g} "
             f"exceeds {_DYN['cfl_limit']}"
         )
-    kern = _Stepper(g, state.dealias)
+    kern = _Stepper(g)
     # full spectra; the RK4 sum adds the box increment to them in place,
     # so every mode outside the box passes through the step unchanged
     w1 = [g.rfft(c) for c in b.W.data]
     a1 = [g.rfft(c) for c in b.A.data]
-    w0 = kern.cut(w1)
-    a0 = kern.cut(a1)
+    w0 = [g.cut_box(s) for s in w1]
+    a0 = [g.cut_box(s) for s in a1]
     dt = state.dt
 
     def axpy(y, k, c):
@@ -323,7 +299,7 @@ def step(state: EvolutionState) -> EvolutionState:
     kw3, ka3 = kern.rhs(axpy(w0, kw2, dt / 2), axpy(a0, ka2, dt / 2))
     kw4, ka4 = kern.rhs(axpy(w0, kw3, dt), axpy(a0, ka3, dt))
     for y, k1, k2, k3, k4 in zip(w1 + a1, kw1 + ka1, kw2 + ka2, kw3 + ka3, kw4 + ka4):
-        kern.add(y, dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+        g.add_box(y, dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
     W1 = VectorField(g, kern.to_phys(w1))
     A1 = VectorField(g, kern.to_phys(a1))
     # curl(A1) comes from the transported A, never from W, so the drift
@@ -389,12 +365,19 @@ def track_invariants(
     record_every: int = 1,
     choice: EtaChoice | None = None,
 ) -> tuple[EvolutionState, InvariantSeries]:
-    """Advance ``steps`` steps, sampling conserved quantities as a series."""
+    """Advance ``steps`` steps, sampling conserved quantities as a series.
+
+    A CflViolation or DriftExceeded from a step is raised again as the same
+    type, its message prefixed with ``step i of N:``.
+    """
     if choice is None:
         choice = EtaChoice.canonical()
     rows = [_sample(state, choice)]
     for i in range(steps):
-        state = step(state)
+        try:
+            state = step(state)
+        except (CflViolation, DriftExceeded) as exc:
+            raise type(exc)(f"step {i + 1} of {steps}: {exc}") from exc
         if (i + 1) % record_every == 0 or i == steps - 1:
             rows.append(_sample(state, choice))
     return state, InvariantSeries(rows)
@@ -431,11 +414,8 @@ def conservation_residual(
     bwd = step(dataclasses.replace(state, dt=-state.dt)).bundle
 
     def parts(b: FieldBundle):
-        G = cross(b.W, b.U)
-        q = dot(b.U, b.A).data
-        N = dot(G, curl(G)).data
-        m = np.abs(q) > margin * eps * float(np.max(np.abs(q)))
-        return G, q, N, m
+        G, q, (m,) = _eta_parts(b, "velocity", margin * eps)
+        return G, q, dot(G, curl(G)).data, m
 
     G0, q0, N0, m0 = parts(b0)
     _, qp, Np, mp = parts(fwd)
@@ -446,16 +426,13 @@ def conservation_residual(
     qdot = (qp - qm) / (2.0 * dt)
     q_safe = np.where(mask, q0, 1.0)
     pi = bernoulli_head(b0)
-    M = ScalarField(g, np.sum(G0.data**2, axis=0) + dot(G0, grad(pi)).data)
-    U = b0.U.data
-    W = b0.W.data
-    gradN = grad(ScalarField(g, N0))
+    M = ScalarField(g, magnitude2(G0).data + dot(G0, grad(pi)).data)
+    U, W = b0.U, b0.W
     gradq = grad(ScalarField(g, q0))
-    gradM = grad(M)
-    u_dot_gradN = np.einsum("i...,i...->...", U, gradN.data)
-    u_dot_gradq = np.einsum("i...,i...->...", U, gradq.data)
-    w_dot_gradM = np.einsum("i...,i...->...", W, gradM.data)
-    w_dot_gradq = np.einsum("i...,i...->...", W, gradq.data)
+    u_dot_gradN = dot(U, grad(ScalarField(g, N0))).data
+    u_dot_gradq = dot(U, gradq).data
+    w_dot_gradM = dot(W, grad(M)).data
+    w_dot_gradq = dot(W, gradq).data
     dct = Ndot / q_safe**2 - 2.0 * N0 * qdot / q_safe**3
     adv = u_dot_gradN / q_safe**2 - 2.0 * N0 * u_dot_gradq / q_safe**3
     divkw = w_dot_gradM / q_safe**2 - 2.0 * M.data * w_dot_gradq / q_safe**3

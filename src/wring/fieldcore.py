@@ -565,10 +565,8 @@ def spectral_tail_fraction(v: VectorField) -> float:
     return tail / total
 
 
-def random_band_limited_scalar(
-    grid: Grid3, kmax: int, seed: int, *, zero_mean: bool = True
-) -> ScalarField:
-    """Deterministic smooth test scalar with modes confined to |k_i| <= kmax.
+def random_band_limited_scalar(grid: Grid3, kmax: int, seed: int) -> ScalarField:
+    """Deterministic zero-mean smooth test scalar with modes confined to |k_i| <= kmax.
 
     Used by gauge-invariance checks and property tests; the seed pins the
     field exactly.
@@ -577,8 +575,7 @@ def random_band_limited_scalar(
     data = rng.standard_normal(grid.shape)
     spec = grid.rfft(data)
     spec = np.where(grid.mode_mask(lambda idx, m: idx <= kmax), spec, 0.0)
-    if zero_mean:
-        spec[0, 0, 0] = 0.0
+    spec[0, 0, 0] = 0.0
     out = grid.irfft(spec)
     peak = np.max(np.abs(out))
     if peak > 0:

@@ -242,7 +242,12 @@ def eval_scalar_expr(grid: Grid3, expr: str) -> ScalarField:
         x=x, y=y, z=z, pi=np.pi,
         Lx=grid.box[0], Ly=grid.box[1], Lz=grid.box[2],
     )
-    values = eval(compile(tree, "<scalar expr>", "eval"), {"__builtins__": {}}, ns)
+    try:
+        values = np.asarray(eval(compile(tree, "<scalar expr>", "eval"), {"__builtins__": {}}, ns))
+    except ArithmeticError as exc:
+        raise ValueError(f"bad scalar expression {expr!r}: {exc}") from exc
+    if values.dtype.kind not in "fiu":
+        raise ValueError(f"bad scalar expression {expr!r}: its value is not a real float")
     return ScalarField(grid, np.broadcast_to(np.asarray(values, float), grid.shape).copy())
 
 
@@ -554,6 +559,11 @@ def gen_linked_rings(
     power = config.DEFAULTS["rings"]["profile_power"]
     half = 0.5 * min(grid.box)
     for ring in (ring1, ring2):
+        if not (ring.radius > 0.0 and core_radius > 0.0 and any(ring.normal)):
+            raise ValueError(
+                f"core_radius {core_radius:g} and ring radius {ring.radius:g} must be "
+                "positive, and the ring normal nonzero"
+            )
         if ring.radius + core_radius >= half:
             raise SupportTooLarge(
                 f"ring of radius {ring.radius:g} plus core {core_radius:g} "
@@ -774,53 +784,77 @@ def apply_diffeo(
 # -- CLI-facing family dispatcher ---------------------------------------------
 
 
+# The JSON parameters each family takes, named as its generator's keywords.
+# A kind is "string", "number", "integer", a length (a list of that many
+# numbers) or a dict (an object with exactly those keys).
+_RING = {"center": 3, "radius": "number", "normal": 3}
+_PAIR = {"fluxes": 2, "radius": "number", "core_radius": "number"}
+FAMILY_PARAMS = {
+    "clebsch": {"f": "string", "g": "string", "g_linear": 3},
+    "morse": {},
+    "kupka": {"r0": "number", "power": "integer"},
+    "beltrami": {"a": "number", "b": "number", "c": "number"},
+    "rings": {**_PAIR, "ring1": _RING, "ring2": _RING},
+    "unlinked-rings": _PAIR,
+}
+# A nonzero number lies in [1/_MAX_PARAM, _MAX_PARAM] in magnitude, so the
+# squares, reciprocals and volume integrals the generators form stay finite.
+_MAX_PARAM = 1e100
+
+
+def _is_number(v) -> bool:
+    """A JSON number, not a bool: zero or within the _MAX_PARAM range."""
+    return type(v) in (int, float) and (v == 0 or 1.0 / _MAX_PARAM <= abs(v) <= _MAX_PARAM)
+
+
+def _check_params(params: dict, schema: dict, where: str) -> None:
+    """Raise ValueError, naming the key, unless ``params`` fits ``schema``."""
+    for key, value in params.items():
+        kind = schema.get(key)
+        if kind is None:
+            raise ValueError(f"{where} takes no parameter {key!r}; it takes {sorted(schema)}")
+        if isinstance(kind, dict):
+            if not isinstance(value, dict) or set(value) != set(kind):
+                raise ValueError(f"{where} parameter {key!r} must be an object with keys {sorted(kind)}")
+            _check_params(value, kind, f"{where} parameter {key!r}")
+            continue
+        if isinstance(kind, int):
+            ok = type(value) is list and len(value) == kind and all(map(_is_number, value))
+            what = f"a list of {kind} numbers"
+        elif kind == "number":
+            ok = _is_number(value)
+            what = f"zero or a number of magnitude {1 / _MAX_PARAM:g} to {_MAX_PARAM:g}"
+        elif kind == "integer":
+            ok, what = type(value) is int, "an integer"
+        else:
+            ok, what = isinstance(value, str), "a string"
+        if not ok:
+            raise ValueError(f"{where} parameter {key!r} must be {what}, got {value!r}")
+
+
 def make_family(grid: Grid3, family: str, params: dict | None = None) -> FieldBundle:
-    """Build a named family from a JSON-style parameter dict."""
+    """Build a named family from a JSON-style parameter dict.
+
+    The keys and JSON types each family takes are in ``FAMILY_PARAMS``;
+    anything else raises ValueError naming the key.
+    """
+    if family not in FAMILY_PARAMS:
+        raise ValueError(f"unknown family {family!r}")
     p = dict(params or {})
-    if family == "clebsch":
-        return gen_clebsch(
-            grid,
-            f=p.get("f", CLEBSCH_F),
-            g=p.get("g"),
-            g_linear=tuple(p["g_linear"]) if "g_linear" in p else (
-                None if "g" in p else (0.0, 0.0, 1.0)
-            ),
-        )
-    if family == "morse":
-        return gen_morse(grid)
-    if family == "kupka":
-        return gen_kupka_tube(
-            grid,
-            r0=p.get("r0"),
-            power=p.get("power"),
-        )
-    if family == "beltrami":
-        return gen_beltrami_abc(grid, p.get("a", 1.0), p.get("b", 1.0), p.get("c", 1.0))
-    if family == "rings":
-        if "ring1" in p or "ring2" in p:
-            ring1 = Ring(**p["ring1"])
-            ring2 = Ring(**p["ring2"])
-            return gen_linked_rings(
-                grid,
-                ring1,
-                ring2,
-                p.get("core_radius"),
-                tuple(p.get("fluxes", (1.0, 1.0))),
-            )
-        return hopf_rings(
-            grid,
-            fluxes=tuple(p.get("fluxes", (1.0, 1.0))),
-            radius=p.get("radius", 1.0),
-            core_radius=p.get("core_radius", 0.3),
-        )
-    if family == "unlinked-rings":
-        return unlinked_rings(
-            grid,
-            fluxes=tuple(p.get("fluxes", (1.0, 1.0))),
-            radius=p.get("radius", 1.0),
-            core_radius=p.get("core_radius", 0.3),
-        )
-    raise ValueError(f"unknown family {family!r}")
+    _check_params(p, FAMILY_PARAMS[family], family)
+    if "ring1" in p or "ring2" in p:
+        if "ring1" not in p or "ring2" not in p or "radius" in p:
+            raise ValueError("rings takes ring1 and ring2 together, and then no radius")
+        return gen_linked_rings(grid, Ring(**p.pop("ring1")), Ring(**p.pop("ring2")), **p)
+    generators = {
+        "clebsch": gen_clebsch,
+        "morse": gen_morse,
+        "kupka": gen_kupka_tube,
+        "beltrami": gen_beltrami_abc,
+        "rings": hopf_rings,
+        "unlinked-rings": unlinked_rings,
+    }
+    return generators[family](grid, **p)
 
 
-FAMILIES = ("clebsch", "morse", "kupka", "beltrami", "rings", "unlinked-rings")
+FAMILIES = tuple(FAMILY_PARAMS)

@@ -124,7 +124,7 @@ def flux_check(bundle: FieldBundle) -> tuple[float, float, float]:
     return (mx * Ly * Lz, my * Lx * Lz, mz * Lx * Ly)
 
 
-def helicity(bundle: FieldBundle, *, flux_tol: float | None = None) -> float:
+def helicity(bundle: FieldBundle) -> float:
     """Volume integral of U . W with the zero-mean velocity gauge.
 
     No velocity is formed: the integral is the Parseval sum on the cached
@@ -134,8 +134,7 @@ def helicity(bundle: FieldBundle, *, flux_tol: float | None = None) -> float:
     Raises FluxObstruction if the vorticity carries net flux through a
     fundamental torus (the integral would depend on the potential gauge).
     """
-    if flux_tol is None:
-        flux_tol = _TOL["flux_rel"]
+    flux_tol = _TOL["flux_rel"]
     fluxes = flux_check(bundle)
     Lx, Ly, Lz = bundle.grid.box
     scale = max(bundle.W.maxabs(), _TOL["underflow"]) * max(Ly * Lz, Lx * Lz, Lx * Ly)
@@ -200,9 +199,7 @@ def _uncovered(bundle: FieldBundle, mask: np.ndarray) -> float:
 def masked_density(G: VectorField, curlG: VectorField, q: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Invariant density G . curl(G) / q^2 on the mask, zero outside it."""
     q_safe = np.where(mask, q, 1.0)
-    return np.where(
-        mask, np.einsum("i...,i...->...", G.data, curlG.data) / q_safe**2, 0.0
-    )
+    return np.where(mask, dot(G, curlG).data / q_safe**2, 0.0)
 
 
 def solve_eta(bundle: FieldBundle, choice: EtaChoice) -> EtaSolution:
@@ -301,14 +298,10 @@ def helical_compression(bundle: FieldBundle, eps: float | None = None) -> Scalar
     a_scale = A.maxnorm()
     if a_scale < _TOL["underflow"]:
         raise DegenerateField("potential magnitude below underflow threshold")
-    mag = np.sqrt(np.sum(A.data**2, axis=0))
-    mask = mag > eps * a_scale
     Q = magnitude2(A)
-    dA = [grad(ScalarField(g, A.data[i])) for i in range(3)]  # dA[i].data[j] = d_j A_i
-    P = VectorField(
-        g,
-        np.stack([np.einsum("j...,j...->...", A.data, dA[i].data) for i in range(3)]),
-    )
+    mask = np.sqrt(Q.data) > eps * a_scale
+    # P_i = A . grad(A_i) = (A . grad) A
+    P = VectorField(g, np.stack([dot(A, grad(ScalarField(g, c))).data for c in A.data]))
     gradQ = grad(Q)
     R = dot(A, gradQ)
     gradR = grad(R)
@@ -321,13 +314,7 @@ def helical_compression(bundle: FieldBundle, eps: float | None = None) -> Scalar
     curl_PQ = curlP.data / q - cross(gradQ, P).data / q**2
     # s = R/(2Q^2); curl(sA) = grad(s) x A + s W
     grad_s = gradR.data / (2.0 * q**2) - (r / q**3) * gradQ.data
-    sxA = np.stack(
-        (
-            grad_s[1] * A.data[2] - grad_s[2] * A.data[1],
-            grad_s[2] * A.data[0] - grad_s[0] * A.data[2],
-            grad_s[0] * A.data[1] - grad_s[1] * A.data[0],
-        )
-    )
+    sxA = np.stack(cross_parts(grad_s, A.data))
     curl_h = curl_PQ - sxA - (r / (2.0 * q**2)) * bundle.W.data
     dens = np.where(mask, np.einsum("i...,i...->...", h, curl_h), 0.0)
     return ScalarField(g, dens)
@@ -356,7 +343,6 @@ class AnalysisReport:
     claims: dict = field(default_factory=dict)
     deviations: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
-    bound: dict | None = None
 
     SCHEMA = "wring-report/1"
 
@@ -378,7 +364,7 @@ class AnalysisReport:
             "claims": self.claims,
             "deviations": self.deviations,
             "tolerances": self.tolerances,
-            "bound": self.bound,
+            "bound": None,
         }
 
 
@@ -386,7 +372,6 @@ def analyze(
     bundle: FieldBundle,
     choice: EtaChoice | None = None,
     *,
-    integrability_tol: float | None = None,
     richardson: bool = False,
 ) -> AnalysisReport:
     """Measure helicity and the invariant, checking claims along the way.
@@ -398,8 +383,7 @@ def analyze(
     """
     if choice is None:
         choice = EtaChoice.canonical()
-    if integrability_tol is None:
-        integrability_tol = _TOL["integrability_rel"]
+    integrability_tol = _TOL["integrability_rel"]
     residual = integrability_residual(bundle)
     fluxes = flux_check(bundle)
     hel = helicity(bundle)

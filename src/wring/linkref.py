@@ -137,7 +137,7 @@ class CurveSet:
         return out
 
 
-def gauss_linking(curve_a: np.ndarray, curve_b: np.ndarray, *, min_distance: float | None = None) -> float:
+def gauss_linking(curve_a: np.ndarray, curve_b: np.ndarray) -> float:
     """Gauss double integral for two disjoint closed polygonal curves.
 
     Trapezoidal double sum over segment midpoints:
@@ -145,8 +145,7 @@ def gauss_linking(curve_a: np.ndarray, curve_b: np.ndarray, *, min_distance: flo
     Converges spectrally for smooth well-separated curves; the caller may
     round to the nearest integer.
     """
-    if min_distance is None:
-        min_distance = config.DEFAULTS["linking"]["intersection_distance"]
+    min_distance = config.DEFAULTS["linking"]["intersection_distance"]
     a = np.asarray(curve_a, float)
     b = np.asarray(curve_b, float)
     da = np.roll(a, -1, axis=0) - a

@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wring import cli
+from wring.fieldzoo import FAMILY_PARAMS
 
 
 def run(args):
@@ -257,6 +260,25 @@ class TestEvolveAndDiffeo:
         err = capsys.readouterr().err
         assert bad[0] in err and "Traceback" not in err
 
+    def test_no_dealias_option_is_gone(self, tmp_path, capsys):
+        field = tmp_path / "f.wrg"
+        run(["generate", "--family", "clebsch", "--n", "16", "--out", str(field)])
+        with pytest.raises(SystemExit) as exc:
+            run(["evolve", str(field), "--steps", "1", "--no-dealias"])
+        assert exc.value.code == 2
+        assert "--no-dealias" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_consistency_tol_exit_2(self, tmp_path, capsys, tol):
+        src = tmp_path / "f.wrg"
+        run(["generate", "--family", "clebsch", "--n", "16", "--out", str(src)])
+        capsys.readouterr()
+        out = str(tmp_path / "g.wrg")
+        with pytest.raises(SystemExit) as exc:
+            run(["diffeo", str(src), "--shear", "x,z,0.3", "--consistency-tol", tol, "--out", out])
+        assert exc.value.code == 2
+        assert "--consistency-tol" in capsys.readouterr().err
+
     def test_diffeo_round_trip_file(self, tmp_path):
         src = tmp_path / "f.wrg"
         out = tmp_path / "g.wrg"
@@ -286,6 +308,78 @@ class TestEvolveAndDiffeo:
         gen = ["generate", "--family", "clebsch", "--n", "16", "--shear", shear, "--out", out]
         assert run(gen) == code
         assert message in capsys.readouterr().err
+
+
+RING = {"center": [3.1, 3.1, 3.1], "radius": 1.0, "normal": [0.0, 0.0, 1.0]}
+
+
+class TestGenerateParams:
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize(
+        "family, params, key",
+        [
+            ("clebsch", {"f": 5}, "f"),
+            ("clebsch", {"g": 5}, "g"),
+            ("clebsch", {"g_linear": 3}, "g_linear"),
+            ("clebsch", {"g_linear": None}, "g_linear"),
+            ("clebsch", {"g_linear": [1, 2]}, "g_linear"),
+            ("clebsch", {"g_linear": [1, True, 2]}, "g_linear"),
+            ("clebsch", {"r0": "x"}, "r0"),
+            ("kupka", {"r0": "x"}, "r0"),
+            ("beltrami", {"a": "q"}, "a"),
+            ("beltrami", {"a": 1e308}, "a"),
+            ("beltrami", {"b": True}, "b"),
+            ("rings", {"fluxes": "ab"}, "fluxes"),
+            ("rings", {"radius": "x"}, "radius"),
+            ("rings", {"ring1": 5}, "ring1"),
+            ("rings", {"ring1": RING}, "ring2"),
+            ("rings", {"ring1": RING, "ring2": {**RING, "radius": [1]}}, "radius"),
+            ("rings", {"fluxes": [1]}, "fluxes"),
+            ("rings", {"fluxes": [1, 2, 3]}, "fluxes"),
+            ("rings", {"core_radius": 0}, "core_radius"),
+            ("rings", {"core_radius": 1e-180}, "core_radius"),
+            ("unlinked-rings", {"ring1": RING}, "ring1"),
+            ("morse", {"f": "x"}, "f"),
+        ],
+    )
+    def test_bad_params_exit_2(self, tmp_path, capsys, n, family, params, key):
+        out = tmp_path / "x.wrg"
+        args = ["generate", "--family", family, "--n", str(n), "--params", json.dumps(params)]
+        assert run(args + ["--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("expr", ["1/0", "10**1000", "(-1)**0.5"])
+    def test_bad_expression_value_exit_2(self, tmp_path, capsys, expr):
+        out = str(tmp_path / "x.wrg")
+        assert run(["generate", "--family", "clebsch", "--n", "8", "--param", f"f={expr}", "--out", out]) == 2
+        assert "bad scalar expression" in capsys.readouterr().err
+
+    def test_explicit_ring_pair(self, tmp_path):
+        out = str(tmp_path / "x.wrg")
+        ring2 = {"center": [4.1, 3.1, 3.1], "radius": 1.0, "normal": [0.0, 1.0, 0.0]}
+        params = json.dumps({"ring1": RING, "ring2": ring2, "fluxes": [1, 2]})
+        assert run(["generate", "--family", "rings", "--n", "16", "--params", params, "--out", out]) == 0
+
+    JSON = st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers(-(10**6), 10**6)
+        | st.floats(-1e6, 1e6, allow_nan=False)
+        | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+        max_leaves=6,
+    )
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_any_params_give_a_documented_exit_code(self, tmp_path_factory, data):
+        family = data.draw(st.sampled_from(sorted(FAMILY_PARAMS)))
+        keys = list(FAMILY_PARAMS[family]) + ["not_a_parameter"]
+        params = data.draw(st.fixed_dictionaries({}, optional={key: self.JSON for key in keys}))
+        out = str(tmp_path_factory.mktemp("params") / "x.wrg")
+        args = ["generate", "--family", family, "--n", "8", "--params", json.dumps(params), "--out", out]
+        assert run(args) in {0, 2, 3, 4, 5}
 
 
 class TestReference:

@@ -208,6 +208,19 @@ class TestStep:
         with pytest.raises(DriftExceeded):
             dyn.step(state)
 
+    def test_tracked_errors_name_the_step(self, sheared32):
+        g = sheared32.grid
+        rng = np.random.default_rng(3)
+        bad_a = sheared32.A.data + 1e-3 * rng.standard_normal((3,) + g.shape)
+        bad = fz.FieldBundle(g, VectorField(g, bad_a), sheared32.W, dict(sheared32.meta))
+        state = dyn.EvolutionState(bad, dt=0.02, drift_limit=1e-6)
+        with pytest.raises(DriftExceeded, match=r"^step 1 of 3: curl\(A\) - W drift") as exc:
+            dyn.track_invariants(state, 3)
+        assert isinstance(exc.value.__cause__, DriftExceeded)
+        with pytest.raises(CflViolation, match=r"^step 1 of 2: CFL number") as exc:
+            dyn.track_invariants(dyn.EvolutionState(sheared32, dt=10.0), 2)
+        assert isinstance(exc.value.__cause__, CflViolation)
+
 
 class TestCoState:
     def test_vector_invariant_form_matches_gradient_form(self):
@@ -216,7 +229,7 @@ class TestCoState:
         W = random_band_limited_vector(g, 5, 11, div_free=True)
         A = random_band_limited_vector(g, 5, 23)
         U = inverse_curl(W)
-        kern = dyn._Stepper(g, dealias=True)
+        kern = dyn._Stepper(g)
         _, rhs_a = kern.rhs(kern.to_spec(W), kern.to_spec(A))
         got = kern.to_phys(rhs_a)
         # dA[i][j] = d_j A_i, dU[i][j] = d_j U_i
