@@ -220,7 +220,7 @@ def _cmd_link(args) -> int:
         with open(args.curves) as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise FormatError(f"{args.curves}: invalid JSON: {exc}") from exc
         cs = linkref.CurveSet.from_json_dict(doc)
     elif args.preset:

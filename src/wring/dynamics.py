@@ -62,7 +62,6 @@ from .fieldcore import (
 )
 from .fieldzoo import FieldBundle
 from .gv import (
-    EtaChoice,
     _eta_parts,
     _uncovered,
     gv_invariant,
@@ -80,9 +79,10 @@ def vorticity_rate(bundle: FieldBundle) -> VectorField:
 
     U is the velocity of W.
     """
-    kern = _Stepper(bundle.grid)
-    ps, _ = kern.wxu_spec(kern.to_spec(bundle.W))
-    return VectorField(bundle.grid, [-c for c in kern.to_phys(cross_parts(kern.ik, ps))])
+    g = bundle.grid
+    kern = _Stepper(g)
+    ps, _ = kern.wxu_spec([g.rfft(c, box=True) for c in bundle.W.data])
+    return VectorField(g, [-g.irfft(c) for c in cross_parts(kern.ik, ps)])
 
 
 def bernoulli_head(bundle: FieldBundle) -> ScalarField:
@@ -94,7 +94,7 @@ def bernoulli_head(bundle: FieldBundle) -> ScalarField:
     """
     g = bundle.grid
     kern = _Stepper(g)
-    ps, _ = kern.wxu_spec(kern.to_spec(bundle.W))
+    ps, _ = kern.wxu_spec([g.rfft(c, box=True) for c in bundle.W.data])
     ikx, iky, ikz = kern.ik
     return ScalarField(g, g.irfft((ikx * ps[0] + iky * ps[1] + ikz * ps[2]) * kern.inv_k2))
 
@@ -198,10 +198,8 @@ class EvolutionState:
     curl_drift: float = 0.0
 
 
-def cfl_timestep(bundle: FieldBundle, cfl: float | None = None) -> float:
+def cfl_timestep(bundle: FieldBundle, cfl: float) -> float:
     """Time step for a target advective CFL number."""
-    if cfl is None:
-        cfl = _DYN["default_cfl"]
     umax = bundle.U.maxnorm()
     if umax == 0.0:
         return 1.0
@@ -225,42 +223,27 @@ class _Stepper:
         self.ik = (ikx[rows], iky[:, cols], ikz[:, :, planes])
         self.inv_k2 = grid.cut_box(grid.inv_k2)
 
-    def spec(self, data: np.ndarray) -> np.ndarray:
-        """Box spectrum of physical samples."""
-        return self.g.rfft(data, box=True)
-
-    def to_spec(self, v: VectorField):
-        """Box spectra of the components of ``v``."""
-        return [self.spec(c) for c in v.data]
-
-    def to_phys(self, specs) -> list:
-        return [self.g.irfft(s) for s in specs]
-
-    def velocity_spec(self, w_specs):
-        out = cross_parts(self.ik, w_specs)
-        for c in out:
-            c *= self.inv_k2
-        return out
-
     def wxu_spec(self, w_specs):
         """Truncated spectra of W x U, with U the velocity of W.
 
         ``w_specs`` are box spectra. Returns (spectra, U);
         U is in physical space, for the co-state.
         """
-        W = self.to_phys(w_specs)
-        U = self.to_phys(self.velocity_spec(w_specs))
-        return [self.spec(c) for c in cross_parts(W, U)], U
+        g = self.g
+        W = [g.irfft(c) for c in w_specs]
+        U = [g.irfft(c * self.inv_k2) for c in cross_parts(self.ik, w_specs)]
+        return [g.rfft(c, box=True) for c in cross_parts(W, U)], U
 
     def rhs(self, w_specs, a_specs):
+        g = self.g
         ps, U = self.wxu_spec(w_specs)
-        A = self.to_phys(a_specs)
-        curlA = self.to_phys(cross_parts(self.ik, a_specs))
+        A = [g.irfft(c) for c in a_specs]
+        curlA = [g.irfft(c) for c in cross_parts(self.ik, a_specs)]
         # vorticity: dW/dt = -curl(W x U)
         rhs_w = [-c for c in cross_parts(self.ik, ps)]
         # co-state: dA/dt = -L_U A = U x curl(A) - grad(U.A)
-        rhs_a = [self.spec(c) for c in cross_parts(U, curlA)]
-        phi = self.spec(U[0] * A[0] + U[1] * A[1] + U[2] * A[2])
+        rhs_a = [g.rfft(c, box=True) for c in cross_parts(U, curlA)]
+        phi = g.rfft(U[0] * A[0] + U[1] * A[1] + U[2] * A[2], box=True)
         for q, ik in zip(rhs_a, self.ik):
             q -= ik * phi
         return rhs_w, rhs_a
@@ -300,11 +283,11 @@ def step(state: EvolutionState) -> EvolutionState:
     kw4, ka4 = kern.rhs(axpy(w0, kw3, dt), axpy(a0, ka3, dt))
     for y, k1, k2, k3, k4 in zip(w1 + a1, kw1 + ka1, kw2 + ka2, kw3 + ka3, kw4 + ka4):
         g.add_box(y, dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
-    W1 = VectorField(g, kern.to_phys(w1))
-    A1 = VectorField(g, kern.to_phys(a1))
+    W1 = VectorField(g, [g.irfft(s) for s in w1])
+    A1 = VectorField(g, [g.irfft(s) for s in a1])
     # curl(A1) comes from the transported A, never from W, so the drift
     # stays an independent measure of integration quality
-    drift = rel_l2(VectorField(g, kern.to_phys(cross_parts(g.ik, a1))), W1)
+    drift = rel_l2(VectorField(g, [g.irfft(c) for c in cross_parts(g.ik, a1)]), W1)
     if drift > state.drift_limit:
         raise DriftExceeded(
             f"curl(A) - W drift {drift:g} in the step from t={state.t:g} with "
@@ -349,11 +332,11 @@ class InvariantSeries:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _sample(state: EvolutionState, choice: EtaChoice) -> tuple:
+def _sample(state: EvolutionState) -> tuple:
     b = state.bundle
     hel = helicity(b)
     res = integrability_residual(b)
-    gv_val = gv_invariant(b, choice).value
+    gv_val = gv_invariant(b).value
     energy = 0.5 * integrate(magnitude2(b.U))
     enstrophy = integrate(magnitude2(b.W))
     return (state.t, hel, gv_val, energy, enstrophy, res, state.curl_drift)
@@ -363,35 +346,27 @@ def track_invariants(
     state: EvolutionState,
     steps: int,
     record_every: int = 1,
-    choice: EtaChoice | None = None,
 ) -> tuple[EvolutionState, InvariantSeries]:
     """Advance ``steps`` steps, sampling conserved quantities as a series.
 
     A CflViolation or DriftExceeded from a step is raised again as the same
     type, its message prefixed with ``step i of N:``.
     """
-    if choice is None:
-        choice = EtaChoice.canonical()
-    rows = [_sample(state, choice)]
+    rows = [_sample(state)]
     for i in range(steps):
         try:
             state = step(state)
         except (CflViolation, DriftExceeded) as exc:
             raise type(exc)(f"step {i + 1} of {steps}: {exc}") from exc
         if (i + 1) % record_every == 0 or i == steps - 1:
-            rows.append(_sample(state, choice))
+            rows.append(_sample(state))
     return state, InvariantSeries(rows)
 
 
 # -- local conservation law ------------------------------------------------------
 
 
-def conservation_residual(
-    state: EvolutionState,
-    *,
-    eps: float | None = None,
-    margin: float | None = None,
-) -> tuple[ScalarField, ScalarField]:
+def conservation_residual(state: EvolutionState) -> tuple[ScalarField, ScalarField]:
     """Residual of the transported-density law, and the flux coefficient k.
 
     With the velocity construction H = (W x U)/(U.A), the density
@@ -402,19 +377,17 @@ def conservation_residual(
     dt toward the spatial-discretization floor.
 
     The returned fields are zeroed outside a margin mask: points must clear
-    ``margin * eps`` relative denominator at all three time levels.
+    ``conservation_mask_margin`` times the default eps of relative
+    denominator at all three time levels.
     """
-    if eps is None:
-        eps = config.DEFAULTS["eta"]["default_eps"]
-    if margin is None:
-        margin = _DYN["conservation_mask_margin"]
+    threshold = _DYN["conservation_mask_margin"] * config.DEFAULTS["eta"]["default_eps"]
     g = state.bundle.grid
     b0 = state.bundle
     fwd = step(state).bundle
     bwd = step(dataclasses.replace(state, dt=-state.dt)).bundle
 
     def parts(b: FieldBundle):
-        G, q, (m,) = _eta_parts(b, "velocity", margin * eps)
+        G, q, (m,) = _eta_parts(b, "velocity", threshold)
         return G, q, dot(G, curl(G)).data, m
 
     G0, q0, N0, m0 = parts(b0)

@@ -32,6 +32,7 @@ from .errors import (
 )
 
 _MIN_N = config.DEFAULTS["grid"]["min_points_per_axis"]
+_BOX_RANGE = (config.DEFAULTS["grid"]["min_box_length"], config.DEFAULTS["grid"]["max_box_length"])
 
 
 @dataclass(frozen=True)
@@ -43,15 +44,19 @@ class Grid3:
     n : (int, int, int)
         Points per axis. Each must be even and at least 8.
     box : (float, float, float)
-        Physical side lengths (Lx, Ly, Lz), all positive.
+        Physical side lengths (Lx, Ly, Lz), each from ``min_box_length`` to
+        ``max_box_length`` (defaults.json), so the integrals stay finite.
     """
 
     n: tuple[int, int, int]
     box: tuple[float, float, float]
 
     def __post_init__(self):
-        n = tuple(int(v) for v in self.n)
-        box = tuple(float(v) for v in self.box)
+        try:
+            n = tuple(int(v) for v in self.n)
+            box = tuple(float(v) for v in self.box)
+        except (OverflowError, ValueError) as exc:
+            raise InvalidGrid(f"points per axis and box lengths must be finite numbers: {exc}") from exc
         if len(n) != 3 or len(box) != 3:
             raise InvalidGrid("grid needs three point counts and three box lengths")
         if n != tuple(self.n):
@@ -60,8 +65,8 @@ class Grid3:
             if v < _MIN_N or v % 2 != 0:
                 raise InvalidGrid(f"points per axis must be even and >= {_MIN_N}, got {v}")
         for length in box:
-            if not np.isfinite(length) or length <= 0.0:
-                raise InvalidGrid(f"box lengths must be finite and positive, got {length}")
+            if not _BOX_RANGE[0] <= length <= _BOX_RANGE[1]:
+                raise InvalidGrid(f"box lengths must lie in [{_BOX_RANGE[0]:g}, {_BOX_RANGE[1]:g}], got {length}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "box", box)
 
@@ -313,9 +318,6 @@ class ScalarField:
     @classmethod
     def zeros(cls, grid: Grid3) -> "ScalarField":
         return cls(grid, np.zeros(grid.shape))
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.data.copy())
 
     def maxabs(self) -> float:
         return float(np.max(np.abs(self.data)))

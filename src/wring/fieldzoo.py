@@ -64,6 +64,7 @@ from .fieldcore import (
 )
 
 _TOL = config.TOL
+_MAX_FLOAT = float(np.finfo(np.float64).max)
 
 
 # -- bundles -----------------------------------------------------------------
@@ -75,7 +76,11 @@ class FieldBundle:
 
     ``meta`` carries family name, creation parameters, claims and measured
     generation residuals; analysis code treats the claims as oracles.
-    ``w_spec``, if given, must be the rfft spectra of W; it seeds ``W_spec``.
+    ``w_spec``, if given, seeds ``W_spec`` with full rfft-layout spectra whose
+    inverse transforms are W: ``step`` passes the spectra it transformed to
+    get W. They equal the rfft of W only to roundoff (a few 1e-16 relative),
+    so helicity, U and the gate of a stepped bundle may differ in the last
+    bits from those of a new bundle of the same A and W.
     """
 
     grid: Grid3
@@ -142,12 +147,15 @@ class FieldBundle:
             A, W = fields["A"], fields["W"]
         except KeyError as exc:
             raise PreconditionError(f"{path}: bundle file lacks field {exc}") from exc
+        if not (isinstance(A, VectorField) and isinstance(W, VectorField)):
+            raise FormatError(f"{path}: bundle fields 'A' and 'W' must be vectors")
         claims = meta.get("claims", {})
         if not isinstance(claims, dict) or not isinstance(meta.get("diffeo", []), list):
             raise FormatError(f"{path}: metadata 'claims' must be an object and 'diffeo' a list")
         for key, value in claims.items():
-            if key in ("helicity", "gv") and type(value) not in (int, float, type(None)):
-                raise FormatError(f"{path}: claim {key!r} must be a number or null, got {value!r}")
+            number = value is None or type(value) in (int, float) and abs(value) <= _MAX_FLOAT
+            if key in ("helicity", "gv") and not number:
+                raise FormatError(f"{path}: claim {key!r} must be a float64 number or null, got {value!r}")
         return cls(grid, A, W, meta)
 
 
@@ -252,8 +260,6 @@ def eval_scalar_expr(grid: Grid3, expr: str) -> ScalarField:
 
 
 def _as_scalar(grid: Grid3, spec) -> ScalarField:
-    if isinstance(spec, ScalarField):
-        return spec
     if isinstance(spec, str):
         return eval_scalar_expr(grid, spec)
     if callable(spec):
@@ -385,9 +391,6 @@ def gen_kupka_tube(
     r0: float | None = None,
     *,
     power: int | None = None,
-    chi=None,
-    dchi=None,
-    center: tuple[float, float] | None = None,
 ) -> FieldBundle:
     """Columnar vortex with a potential zero line along its axis.
 
@@ -408,13 +411,8 @@ def gen_kupka_tube(
         power = config.DEFAULTS["kupka"]["profile_power"]
     if isinstance(power, bool) or not isinstance(power, int) or power < 1:
         raise ValueError(f"profile power must be an integer >= 1, got {power!r}")
-    if chi is None or dchi is None:
-        if chi is not None or dchi is not None:
-            raise ValueError("custom profiles need both chi and dchi")
-        chi, dchi = default_kupka_profile(r0, power)
-    if not chi(0.0) > 0.0:
-        raise PreconditionError("profile must satisfy chi(0) > 0")
-    cx, cy = center if center is not None else (0.5 * Lx, 0.5 * Ly)
+    chi, dchi = default_kupka_profile(r0, power)
+    cx, cy = 0.5 * Lx, 0.5 * Ly
     x, y, _ = grid.mesh()
     dx = x - cx
     dx -= Lx * np.round(dx / Lx)
@@ -630,12 +628,11 @@ def unlinked_rings(
     fluxes: tuple[float, float] = (1.0, 1.0),
     radius: float = 1.0,
     core_radius: float = 0.3,
-    separation: float = 2.2,
 ) -> FieldBundle:
-    """Coaxial parallel rings, linking number zero."""
+    """Coaxial parallel rings 2.2 apart, linking number zero."""
     cx, cy, cz = (L / 2 for L in grid.box)
-    ring1 = Ring((cx, cy, cz - separation / 2), radius, (0.0, 0.0, 1.0))
-    ring2 = Ring((cx, cy, cz + separation / 2), radius, (0.0, 0.0, 1.0))
+    ring1 = Ring((cx, cy, cz - 1.1), radius, (0.0, 0.0, 1.0))
+    ring2 = Ring((cx, cy, cz + 1.1), radius, (0.0, 0.0, 1.0))
     return gen_linked_rings(grid, ring1, ring2, core_radius, fluxes)
 
 

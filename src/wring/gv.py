@@ -88,9 +88,6 @@ class EtaSolution:
 
     H: VectorField
     mask: ScalarField
-    covered_fraction: float
-    uncovered_vorticity_fraction: float
-    choice: EtaChoice
 
 
 @dataclass(eq=False)
@@ -99,7 +96,6 @@ class GvResult:
     density: ScalarField
     mask: ScalarField
     excluded_volume_fraction: float
-    choice: EtaChoice
     richardson_value: float | None = None
 
 
@@ -212,13 +208,7 @@ def solve_eta(bundle: FieldBundle, choice: EtaChoice) -> EtaSolution:
     G, q, (mask,) = _eta_parts(bundle, choice.variant, choice.eps)
     q_safe = np.where(mask, q, 1.0)
     H = VectorField(bundle.grid, np.where(mask, G.data / q_safe, 0.0))
-    return EtaSolution(
-        H=H,
-        mask=ScalarField(bundle.grid, mask.astype(np.float64)),
-        covered_fraction=float(mask.mean()),
-        uncovered_vorticity_fraction=_uncovered(bundle, mask),
-        choice=choice,
-    )
+    return EtaSolution(H=H, mask=ScalarField(bundle.grid, mask.astype(np.float64)))
 
 
 def gv_invariant(
@@ -255,7 +245,6 @@ def gv_invariant(
         density=density,
         mask=ScalarField(bundle.grid, mask.astype(np.float64)),
         excluded_volume_fraction=1.0 - float(mask.mean()),
-        choice=choice,
         richardson_value=extrap,
     )
 
@@ -265,17 +254,14 @@ def gauge_shift(H: VectorField, bundle: FieldBundle, f: ScalarField) -> VectorFi
     return VectorField(H.grid, H.data + f.data[None, :, :, :] * bundle.A.data)
 
 
-def gv_of_field(H: VectorField, mask: ScalarField | None = None) -> float:
+def gv_of_field(H: VectorField) -> float:
     """Direct integral of H . curl(H) for an explicitly supplied field.
 
     Meant for gauge-shift experiments on bundles whose mask is the whole
-    torus; H must be smooth wherever the mask is 1, since curl(H) is
-    evaluated spectrally on H itself.
+    torus; H must be smooth everywhere, since curl(H) is evaluated
+    spectrally on H itself.
     """
-    dens = dot(H, curl(H)).data
-    if mask is not None:
-        dens = dens * mask.data
-    return float(dens.sum()) * H.grid.cell_volume
+    return float(dot(H, curl(H)).data.sum()) * H.grid.cell_volume
 
 
 def helical_compression(bundle: FieldBundle, eps: float | None = None) -> ScalarField:

@@ -8,6 +8,7 @@ Gauss double integral for the linking number of sampled closed curves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,8 @@ class SlopeData:
             raise ValueError("need at least two components")
         if s[0] == 0.0:
             raise ZeroSlopeOne("s_1 = 0; its reciprocal enters the formula")
+        if not all(map(math.isfinite, s + (1.0 / s[0],))):
+            raise ValueError(f"slopes and 1/s_1 must be finite, got {s}")
         object.__setattr__(self, "slopes", s)
 
     @property
@@ -47,11 +50,15 @@ def thurston_gv(sd: SlopeData) -> float:
     """Invariant of the spun link foliation from its boundary slopes.
 
     Returns 4 pi^2 (N - 2 - (1/s_1 + sum_{i>=2} s_i)). Affine in each
-    s_i (i >= 2) with coefficient -4 pi^2.
+    s_i (i >= 2) with coefficient -4 pi^2. Raises ValueError if the value
+    overflows float64.
     """
     s = sd.slopes
     n = sd.n_components
-    return 4.0 * np.pi**2 * (n - 2.0 - (1.0 / s[0] + sum(s[1:])))
+    value = 4.0 * np.pi**2 * (n - 2.0 - (1.0 / s[0] + sum(s[1:])))
+    if not math.isfinite(value):
+        raise ValueError(f"the invariant of slopes {s} overflows float64")
+    return value
 
 
 def flux_slopes(fluxes) -> tuple[SlopeData, float]:
@@ -61,20 +68,25 @@ def flux_slopes(fluxes) -> tuple[SlopeData, float]:
     The returned residual evaluates sum_{i>=2} s_i + 1/s_1 literally; for
     generic fluxes it equals -2 (sum_{i != 1} phi_i) / phi_1 rather than
     zero, so it is reported, not asserted. Callers decide which slope
-    convention they are working in.
+    convention they are working in. Non-finite fluxes, and slopes or a
+    residual that overflow float64, raise ValueError.
     """
     phi = [float(v) for v in fluxes]
     if len(phi) < 2:
         raise DegenerateFluxes("need at least two fluxes")
     rest = sum(phi[1:])
+    if not (math.isfinite(phi[0]) and math.isfinite(rest)):
+        raise ValueError(f"fluxes and their sum after phi_1 must be finite, got {phi}")
     if phi[0] == 0.0 or rest == 0.0:
         raise DegenerateFluxes(
             f"phi_1 = {phi[0]:g} and sum of the others = {rest:g} must both be nonzero"
         )
     s1 = -phi[0] / rest
-    slopes = (s1,) + tuple(-p / phi[0] for p in phi[1:])
-    residual = sum(slopes[1:]) + 1.0 / s1
-    return SlopeData(slopes), float(residual)
+    sd = SlopeData((s1,) + tuple(-p / phi[0] for p in phi[1:]))
+    residual = sum(sd.slopes[1:]) + 1.0 / s1
+    if not math.isfinite(residual):
+        raise ValueError(f"the identity residual of fluxes {phi} overflows float64")
+    return sd, float(residual)
 
 
 # -- curves and linking -------------------------------------------------------
@@ -84,10 +96,11 @@ def flux_slopes(fluxes) -> tuple[SlopeData, float]:
 class CurveSet:
     """Closed parametric curves with fluxes and an optional linking matrix.
 
-    Each curve is an (m, 3) point array, m >= 64, closed by convention
-    (the segment from the last point back to the first is implied). The
-    linking matrix, when declared, must be a symmetric integer matrix with
-    zero diagonal.
+    Each curve is an (m, 3) array of finite points, m >= 64, closed by
+    convention (the segment from the last point back to the first is
+    implied). Fluxes must be finite. The linking matrix, when declared, must
+    be a symmetric matrix of integers within int64 (integer-valued floats
+    count) with zero diagonal.
     """
 
     curves: list | None
@@ -102,22 +115,26 @@ class CurveSet:
                     raise ValueError(
                         f"curves must be (m, 3) arrays with m >= {_MIN_SAMPLES}"
                     )
+                if not np.all(np.isfinite(c)):
+                    raise ValueError("curve points must be finite")
             if len(self.fluxes) != len(self.curves):
                 raise ValueError("one flux per curve required")
         self.fluxes = [float(v) for v in self.fluxes]
+        if not all(map(math.isfinite, self.fluxes)):
+            raise ValueError(f"fluxes must be finite, got {self.fluxes}")
         if self.linking is not None:
-            lk = np.asarray(self.linking)
+            lk = np.array([[_int64_entry(v) for v in row] for row in self.linking], dtype=np.int64)
             n = len(self.fluxes)
             if lk.shape != (n, n):
                 raise ValueError("linking matrix shape must match curve count")
             if not np.array_equal(lk, lk.T) or np.any(np.diag(lk) != 0):
                 raise ValueError("linking matrix must be symmetric with zero diagonal")
-            self.linking = lk.astype(int)
+            self.linking = lk
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CurveSet":
         """Build from a curves document; FormatError names what is wrong."""
-        if not isinstance(doc, dict) or "fluxes" not in doc:
+        if not isinstance(doc, dict) or not isinstance(doc.get("fluxes"), list):
             raise FormatError("curves document must be a JSON object with a 'fluxes' list")
         try:
             return cls(
@@ -125,7 +142,7 @@ class CurveSet:
                 fluxes=doc["fluxes"],
                 linking=doc.get("linking"),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"invalid curves document: {exc}") from exc
 
     def to_json_dict(self) -> dict:
@@ -135,6 +152,13 @@ class CurveSet:
         if self.linking is not None:
             out["linking"] = self.linking.tolist()
         return out
+
+
+def _int64_entry(v) -> int:
+    """A linking-matrix entry: an integer, or an integer-valued float, within int64."""
+    if isinstance(v, (bool, np.bool_)) or int(v) != v or not -(2**63) <= v < 2**63:
+        raise ValueError(f"linking entries must be integers within int64, got {v!r}")
+    return int(v)
 
 
 def gauss_linking(curve_a: np.ndarray, curve_b: np.ndarray) -> float:
@@ -178,6 +202,8 @@ def linking_matrix(cs: CurveSet) -> tuple[np.ndarray, float]:
     for i in range(n):
         for j in range(i + 1, n):
             raw = gauss_linking(cs.curves[i], cs.curves[j])
+            if not abs(raw) < 2.0**63:
+                raise ValueError(f"Gauss integral {raw!r} of curves {i} and {j} is not finite or is outside int64")
             nearest = int(np.rint(raw))
             dev = max(dev, abs(raw - nearest))
             lk[i, j] = lk[j, i] = nearest
@@ -194,7 +220,10 @@ def linking_helicities(cs: CurveSet) -> tuple[list[float], float]:
     lk, _ = linking_matrix(cs)
     phi = np.asarray(cs.fluxes, float)
     per = (phi * (lk @ phi)).tolist()
-    return [float(v) for v in per], float(sum(per))
+    total = float(sum(per))
+    if not math.isfinite(total):
+        raise ValueError("per-tube helicities overflow float64")
+    return [float(v) for v in per], total
 
 
 # -- reference curve constructions ---------------------------------------------
@@ -235,15 +264,15 @@ def hopf_pair(samples: int | None = None, fluxes=(1.0, 1.0), reverse_second: boo
     return CurveSet([c1, c2], list(fluxes))
 
 
-def distant_pair(samples: int | None = None, separation: float = 6.0) -> CurveSet:
-    """Two far-apart unlinked circles."""
+def distant_pair(samples: int | None = None) -> CurveSet:
+    """Two unlinked unit circles whose centres are 6 apart."""
     c1 = circle_points((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0), samples)
-    c2 = circle_points((separation, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0), samples)
+    c2 = circle_points((6.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0), samples)
     return CurveSet([c1, c2], [1.0, 1.0])
 
 
-def zero_helicity_quad(samples: int | None = None, flux: float = 1.0) -> CurveSet:
-    """Four rings with equal fluxes whose per-tube helicities all vanish.
+def zero_helicity_quad(samples: int | None = None) -> CurveSet:
+    """Four rings of unit flux whose per-tube helicities all vanish.
 
     Two horizontal rings with opposite orientations are both threaded by two
     vertical rings of opposite orientations; every row of the linking matrix
@@ -254,7 +283,7 @@ def zero_helicity_quad(samples: int | None = None, flux: float = 1.0) -> CurveSe
     r2 = circle_points((1.0, 0.0, 0.5), 1.0, (0.0, 1.0, 0.0), samples)
     r3 = circle_points((0.0, -1.0, 0.5), 0.9, (1.0, 0.0, 0.0), samples, orientation=-1)
     r4 = circle_points((0.0, 0.0, 1.0), 1.0, (0.0, 0.0, -1.0), samples)
-    cs = CurveSet([r1, r2, r3, r4], [flux] * 4)
+    cs = CurveSet([r1, r2, r3, r4], [1.0] * 4)
     lk, _ = linking_matrix(cs)
     if np.any(lk.sum(axis=1) != 0):
         raise MissingLinkData("constructed quad failed its row-sum-zero property")

@@ -358,18 +358,16 @@ CRITERIA = {
 }
 
 
-def run_selftest(ids=None, *, verbose: bool = True) -> list[CriterionResult]:
+def run_selftest(ids=None) -> list[CriterionResult]:
     """Run the requested criteria (all by default) and print a table."""
     suite = _Suite()
     results = []
     for cid in sorted(ids or CRITERIA):
         result = CRITERIA[cid](suite)
         results.append(result)
-        if verbose:
-            print(format_result(result))
-    if verbose:
-        n_ok = sum(r.passed for r in results)
-        print(f"[selftest] {n_ok}/{len(results)} criteria passed")
+        print(format_result(result))
+    n_ok = sum(r.passed for r in results)
+    print(f"[selftest] {n_ok}/{len(results)} criteria passed")
     return results
 
 

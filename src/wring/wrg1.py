@@ -12,13 +12,16 @@ Layout, all little-endian:
 
 The metadata block records grid dims, box lengths, the ordered field
 declarations, and free-form provenance (family name, creation parameters,
-claims). Round-trips are bit-exact: arrays are written with tobytes() and
+claims), as strict JSON: no NaN, Infinity or number that overflows float64.
+The data size it declares is checked against the file size before any array
+is read. Round-trips are bit-exact: arrays are written with tobytes() and
 read with frombuffer(), as read-only arrays on the file bytes.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -31,7 +34,14 @@ VERSION = 1
 
 
 def _meta_bytes(meta: dict) -> bytes:
-    return json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return json.dumps(meta, sort_keys=True, separators=(",", ":"), allow_nan=False).encode("utf-8")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text} is not a finite float64 number")
+    return value
 
 
 def write_fields(path, grid: Grid3, fields: dict, meta: dict | None = None) -> None:
@@ -78,8 +88,8 @@ def read_fields(path) -> tuple[Grid3, dict, dict]:
         if len(blob) != meta_len:
             raise FormatError(f"{path}: truncated metadata block")
         try:
-            header = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            header = json.loads(blob.decode("utf-8"), parse_constant=_finite_float, parse_float=_finite_float)
+        except (ValueError, RecursionError) as exc:
             raise FormatError(f"{path}: invalid metadata JSON: {exc}") from exc
         try:
             grid = Grid3(tuple(header["grid"]["n"]), tuple(header["grid"]["box"]))
@@ -89,29 +99,32 @@ def read_fields(path) -> tuple[Grid3, dict, dict]:
         meta = header.get("meta", {})
         if not isinstance(meta, dict):
             raise FormatError(f"{path}: metadata 'meta' must be an object, got {meta!r}")
-        npts = grid.n[0] * grid.n[1] * grid.n[2]
-        fields: dict = {}
         for i, entry in enumerate(declared):
             if not (
                 isinstance(entry, dict)
-                and "name" in entry
+                and isinstance(entry.get("name"), str)
                 and entry.get("kind") in ("scalar", "vector")
             ):
                 raise FormatError(
-                    f"{path}: field entry {i} needs a 'name' and a 'kind' of "
+                    f"{path}: field entry {i} needs a string 'name' and a 'kind' of "
                     f"'scalar' or 'vector', got {entry!r}"
                 )
-            name, kind = entry["name"], entry["kind"]
-            count = 3 if kind == "vector" else 1
-            raw = fh.read(8 * npts * count)
-            if len(raw) != 8 * npts * count:
-                raise FormatError(f"{path}: truncated data for field {name!r}")
-            arr = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False)
-            if kind == "vector":
-                fields[name] = VectorField(grid, arr.reshape((3,) + grid.shape))
+        npts = grid.n[0] * grid.n[1] * grid.n[2]
+        # the sizes are compared before any read, so a header that declares
+        # more data than the file holds never allocates it
+        declared_bytes = sum(8 * npts * (3 if e["kind"] == "vector" else 1) for e in declared)
+        file_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
+        if declared_bytes != file_bytes:
+            raise FormatError(
+                f"{path}: the declared fields take {declared_bytes} data bytes, "
+                f"the file holds {file_bytes} after the metadata"
+            )
+        fields: dict = {}
+        for entry in declared:
+            count = 3 if entry["kind"] == "vector" else 1
+            arr = np.frombuffer(fh.read(8 * npts * count), dtype="<f8").astype(np.float64, copy=False)
+            if count == 3:
+                fields[entry["name"]] = VectorField(grid, arr.reshape((3,) + grid.shape))
             else:
-                fields[name] = ScalarField(grid, arr.reshape(grid.shape))
-        trailing = fh.read(1)
-        if trailing:
-            raise FormatError(f"{path}: trailing bytes after declared fields")
+                fields[entry["name"]] = ScalarField(grid, arr.reshape(grid.shape))
     return grid, fields, meta

@@ -140,6 +140,76 @@ class TestGenerateAnalyze:
             assert "Traceback" not in capsys.readouterr().err
 
 
+def _raw_wrg1(path, n="[16, 16, 16]", box="[1.0, 1.0, 1.0]", fields=None, meta="{}", data=None):
+    """A WRG1 file with its header given as JSON text, so literals such as 1e400 stay as written."""
+    import struct
+
+    from wring import wrg1
+
+    if fields is None:
+        fields = '[{"name": "A", "kind": "vector"}, {"name": "W", "kind": "vector"}]'
+    blob = f'{{"grid": {{"n": {n}, "box": {box}}}, "fields": {fields}, "meta": {meta}}}'.encode()
+    if data is None:
+        data = np.zeros(6 * 16**3).tobytes()
+    path.write_bytes(wrg1.MAGIC + struct.pack("<II", wrg1.VERSION, len(blob)) + blob + data)
+
+
+class TestHostileWrg1:
+    """Malformed WRG1 headers exit 3 from every command that reads one."""
+
+    COMMANDS = {
+        "analyze": lambda src, out: ["analyze", src],
+        "evolve": lambda src, out: ["evolve", src, "--steps", "1", "--out", out],
+        "diffeo": lambda src, out: ["diffeo", src, "--shear", "x,z,0.1", "--out", out],
+    }
+
+    def _exit_3(self, tmp_path, capsys, command, message, **header):
+        src = tmp_path / "bad.wrg"
+        _raw_wrg1(src, **header)
+        assert run(self.COMMANDS[command](str(src), str(tmp_path / "o.wrg"))) == 3
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        return captured.err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_overflowing_grid_count(self, tmp_path, capsys, command):
+        self._exit_3(tmp_path, capsys, command, "1e400 is not a finite float64", n="[1e400, 16, 16]")
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_list_field_name(self, tmp_path, capsys, command):
+        fields = '[{"name": ["A"], "kind": "vector"}, {"name": "W", "kind": "vector"}]'
+        self._exit_3(tmp_path, capsys, command, "string 'name'", fields=fields)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_declared_size_beyond_file(self, tmp_path, capsys, command):
+        src = tmp_path / "bad.wrg"
+        _raw_wrg1(src, n="[65536, 65536, 8]", data=b"")
+        pad = 200 - src.stat().st_size
+        _raw_wrg1(src, n="[65536, 65536, 8]", data=b"\x00" * pad)
+        assert src.stat().st_size == 200
+        err = self._exit_3(tmp_path, capsys, command, "data bytes", n="[65536, 65536, 8]", data=b"\x00" * pad)
+        assert f"take {8 * 6 * 65536 * 65536 * 8} data bytes" in err
+        assert f"holds {pad} after the metadata" in err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ({"meta": '{"family": NaN}'}, "NaN is not a finite float64 number"),
+            ({"meta": '{"family": 1e400}'}, "1e400 is not a finite float64 number"),
+            ({"meta": '{"claims": {"helicity": 1%s}}' % ("0" * 400)}, "claim 'helicity'"),
+            ({"meta": '{"deep": %s}' % ("[" * 100000 + "]" * 100000)}, "recursion"),
+            ({"box": "[1e300, 1.0, 1.0]"}, "box lengths must lie in"),
+            ({"fields": '[{"name": "A", "kind": "scalar"}, {"name": "W", "kind": "vector"}]',
+              "data": np.zeros(4 * 16**3).tobytes()}, "must be vectors"),
+        ],
+        ids=["nan-meta", "overflow-meta", "overflow-claim", "deep-meta", "huge-box", "scalar-A"],
+    )
+    def test_header_outside_schema(self, tmp_path, capsys, command, header, message):
+        self._exit_3(tmp_path, capsys, command, message, **header)
+
+
 class TestStoredVelocity:
     """A U stored by older versions is read and ignored; the velocity comes from W."""
 
@@ -423,6 +493,58 @@ class TestReference:
         path = tmp_path / "curves.json"
         path.write_text(json.dumps(doc))
         assert run(["link", "--curves", str(path)]) == 3
+
+
+class TestHostileReference:
+    """Out-of-schema curves documents exit 3 and overflowing numbers exit 2; neither writes stdout."""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"fluxes": [NaN, 1.0], "linking": [[0, 1], [1, 0]]}', "fluxes must be finite"),
+            ('{"fluxes": [1e400, 1.0], "linking": [[0, 1], [1, 0]]}', "fluxes must be finite"),
+            (None, "curve points must be finite"),
+            ('{"fluxes": [1.0, 1.0], "linking": [[0, 1.5], [1.5, 0]]}', "integers within int64"),
+            ('{"fluxes": [1.0, 1.0], "linking": [[0, 1%s], [1%s, 0]]}' % ("0" * 400, "0" * 400), "within int64"),
+            ('{"fluxes": [1.0, 1.0], "linking": %s}' % ("[" * 100000 + "]" * 100000), "recursion"),
+        ],
+        ids=["nan-flux", "overflow-flux", "nan-point", "fractional-linking", "overflow-linking", "deep-linking"],
+    )
+    def test_curves_outside_schema_exit_3(self, tmp_path, capsys, doc, message):
+        from wring import linkref
+
+        if doc is None:
+            cs = linkref.hopf_pair(64).to_json_dict()
+            cs["curves"][0][5][1] = float("nan")
+            doc = json.dumps(cs)
+        path = tmp_path / "curves.json"
+        path.write_text(doc)
+        assert run(["link", "--curves", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    def test_overflowing_helicities_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "curves.json"
+        path.write_text('{"fluxes": [1e200, 1e200], "linking": [[0, 1], [1, 0]]}')
+        assert run(["link", "--curves", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "overflow" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [
+            ("--slopes", "nan,1", "must be finite"),
+            ("--slopes", "1e-320,1", "1/s_1 must be finite"),
+            ("--slopes", "1,1e308,1e308", "overflows"),
+            ("--fluxes", "1e400,1", "fluxes and their sum"),
+            ("--fluxes", "1,1e-320", "1/s_1 must be finite"),
+            ("--fluxes", "1,1e308,1e308", "fluxes and their sum"),
+        ],
+    )
+    def test_thurston_non_finite_exit_2(self, capsys, flag, text, message):
+        assert run(["thurston", flag, text]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
 
 def test_selftest_subset(capsys):

@@ -66,6 +66,16 @@ class TestGrid3:
         with pytest.raises(InvalidGrid):
             Grid3((8, 8, 8), (1.0, -2.0, 1.0))
 
+    @pytest.mark.parametrize("n", [(float("inf"), 8, 8), (8, float("nan"), 8), (8, 8, -float("inf"))])
+    def test_rejects_non_finite_count(self, n):
+        with pytest.raises(InvalidGrid, match="finite"):
+            Grid3(n, (1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("box", [(1e7, 1.0, 1.0), (1.0, 1e-7, 1.0), (1.0, 1.0, 10**400)])
+    def test_rejects_box_outside_range(self, box):
+        with pytest.raises(InvalidGrid):
+            Grid3((8, 8, 8), box)
+
     @pytest.mark.parametrize("n", BOX_GRIDS)
     def test_rfft_box_is_kept_modes(self, n):
         g = Grid3(n, (TWO_PI, 3.0, 5.0))
