@@ -271,6 +271,24 @@ class Grid3:
         out *= self._inv_points
         return out
 
+    def shift(self, data: np.ndarray, axis: int, delta: np.ndarray) -> np.ndarray:
+        """A vector field's components at points displaced by -delta along ``axis``.
+
+        ``delta`` broadcasts against the grid shape and is constant along
+        ``axis``, so a phase on the real transform along that axis evaluates
+        the trigonometric interpolant exactly. The inverse keeps the real
+        part of the phased Nyquist coefficient, as the real part of a complex
+        transform's shift does.
+        """
+        workers = config.fft_workers()
+        m = self.n[axis]
+        k = np.abs(self._k1d[axis][: m // 2 + 1])
+        shape = [1, 1, 1]
+        shape[axis] = k.size
+        spec = sfft.rfft(data, axis=axis + 1, workers=workers)
+        spec *= np.exp(-1j * k.reshape(shape) * delta)
+        return sfft.irfft(spec, n=m, axis=axis + 1, overwrite_x=True, workers=workers)
+
 
 def _two_thirds(idx: np.ndarray, m: int) -> np.ndarray:
     """The 2/3 rule along one axis: keep |mode index| <= m//3."""
@@ -544,18 +562,14 @@ def dealias(obj):
 
 
 def spectral_tail_fraction(v: VectorField) -> float:
-    """Fraction of spectral energy in the top 10 percent of wavenumbers.
+    """Fraction of spectral energy in the modes with |index| >= 3n/8 on some axis.
 
     A cheap periodicity diagnostic: sampled non-periodic data (ramps,
-    sawtooths) puts O(1) energy near the Nyquist shell.
+    sawtooths) puts O(1) energy near the Nyquist shell. The band lies below
+    the Nyquist planes, which first derivatives zero out.
     """
     g = v.grid
-    kx, ky, kz = g._k1d
-    frac_x = np.abs(kx)[:, None, None] / (np.pi * g.n[0] / g.box[0])
-    frac_y = np.abs(ky)[None, :, None] / (np.pi * g.n[1] / g.box[1])
-    frac_z = np.abs(kz)[None, None, :] / (np.pi * g.n[2] / g.box[2])
-    # band chosen below the Nyquist planes, which first derivatives zero out
-    high = np.maximum(np.maximum(frac_x, frac_y), frac_z) >= 0.75
+    high = ~g.mode_mask(lambda idx, m: 8 * idx < 3 * m)
     total = 0.0
     tail = 0.0
     for comp in v.data:

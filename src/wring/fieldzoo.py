@@ -38,6 +38,7 @@ import numpy as np
 from . import config, linkref, wrg1
 from .errors import (
     ConsistencyLoss,
+    DegenerateField,
     FormatError,
     MapNotInvertible,
     NonPeriodic,
@@ -120,7 +121,6 @@ class FieldBundle:
 
     def verify(self) -> dict:
         """Measure the bundle invariants; returns a dict of residuals."""
-        w_scale = max(self.W.maxabs(), _TOL["underflow"])
         # curl(A) first: its transforms are freed before W's spectra are cached
         cons = rel_l2(curl(self.A), self.W)
         div_w, mean_w = self.W_residuals
@@ -130,10 +130,10 @@ class FieldBundle:
             "mean_w": mean_w,
         }
         if self.claims().get("integrable"):
-            a_scale = max(self.A.maxabs(), _TOL["underflow"])
-            out["integrability"] = (
-                float(np.max(np.abs(dot(self.A, self.W).data))) / (a_scale * w_scale)
-            )
+            try:
+                out["integrability"] = integrability_residual(self)
+            except DegenerateField:
+                out["integrability"] = 0.0  # A.W vanishes with A or W
         return out
 
     def save(self, path) -> None:
@@ -157,6 +157,15 @@ class FieldBundle:
             if key in ("helicity", "gv") and not number:
                 raise FormatError(f"{path}: claim {key!r} must be a float64 number or null, got {value!r}")
         return cls(grid, A, W, meta)
+
+
+def integrability_residual(bundle: FieldBundle) -> float:
+    """max|A.W| / (max|A| max|W|), Euclidean maxima; zero means the potential is integrable."""
+    a_scale = bundle.A.maxnorm()
+    w_scale = bundle.W.maxnorm()
+    if a_scale < _TOL["underflow"] or w_scale < _TOL["underflow"]:
+        raise DegenerateField("A or W magnitude below underflow threshold")
+    return float(np.max(np.abs(dot(bundle.A, bundle.W).data))) / (a_scale * w_scale)
 
 
 def _read_only(arrays) -> tuple:
@@ -242,8 +251,11 @@ def eval_scalar_expr(grid: Grid3, expr: str) -> ScalarField:
             not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_FUNCS
         ):
             raise ValueError(f"bad scalar expression {expr!r}: bad function call")
-        if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
-            raise ValueError(f"bad scalar expression {expr!r}: non-numeric constant")
+        if isinstance(node, ast.Constant):
+            if not isinstance(node.value, (int, float)) or abs(node.value) > _MAX_FLOAT:
+                raise ValueError(f"bad scalar expression {expr!r}: constants must be float64 numbers")
+            # float literals keep every operation bounded: 9**9**7 overflows at once
+            node.value = float(node.value)
     x, y, z = grid.mesh()
     ns = dict(_ALLOWED_FUNCS)
     ns.update(
@@ -371,7 +383,8 @@ def gen_morse(grid: Grid3) -> FieldBundle:
 def default_kupka_profile(r0: float, power: int = 8):
     """C^(power-1) polynomial bump chi(r) = (1 - (r/r0)^2)^power, chi(0) = 1.
 
-    Returns (chi, dchi) callables vanishing identically for r >= r0.
+    Returns (chi, dchi) callables vanishing identically for r >= r0 when
+    power >= 2 (at power 1, (1 - 1)^0 = 1 leaves dchi nonzero outside).
     """
 
     def chi(r):
@@ -409,8 +422,8 @@ def gen_kupka_tube(
         )
     if power is None:
         power = config.DEFAULTS["kupka"]["profile_power"]
-    if isinstance(power, bool) or not isinstance(power, int) or power < 1:
-        raise ValueError(f"profile power must be an integer >= 1, got {power!r}")
+    if isinstance(power, bool) or not isinstance(power, int) or power < 2:
+        raise ValueError(f"profile power must be an integer >= 2, got {power!r}")
     chi, dchi = default_kupka_profile(r0, power)
     cx, cy = 0.5 * Lx, 0.5 * Ly
     x, y, _ = grid.mesh()
@@ -494,25 +507,11 @@ class Ring:
     radius: float
     normal: tuple[float, float, float]
 
-    def frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return linkref.circle_frame(self.normal)
-
-    def points(self, samples: int = 256) -> np.ndarray:
-        """Sampled closed loop, first point not repeated."""
-        e1, e2, n = self.frame()
-        t = 2.0 * np.pi * np.arange(samples) / samples
-        c = np.asarray(self.center, float)
-        return (
-            c[None, :]
-            + self.radius * np.cos(t)[:, None] * e1[None, :]
-            + self.radius * np.sin(t)[:, None] * e2[None, :]
-        )
-
 
 def _tube_vorticity(grid: Grid3, ring: Ring, flux: float, core: float, power: int) -> np.ndarray:
     """Sampled solenoidal tube field: flux-normalized profile along the centreline."""
     x, y, z = grid.mesh()
-    e1, e2, n = ring.frame()
+    n = linkref.circle_frame(ring.normal)[2]
     cx, cy, cz = ring.center
     dx = x - cx
     dy = y - cy
@@ -567,8 +566,7 @@ def gen_linked_rings(
                 f"ring of radius {ring.radius:g} plus core {core_radius:g} "
                 f"does not fit in half the box {half:g}"
             )
-    p1 = ring1.points(512)
-    p2 = ring2.points(512)
+    p1, p2 = (linkref.circle_points(r.center, r.radius, r.normal, 512) for r in (ring1, ring2))
     dmin = np.min(np.linalg.norm(p1[:, None, :] - p2[None, :, :], axis=-1))
     if dmin <= 2.0 * core_radius:
         raise TubesOverlap(
@@ -700,24 +698,6 @@ class DiffeoMap:
         return out
 
 
-def _shift_along_axis(grid: Grid3, data: np.ndarray, axis: int, delta: np.ndarray, delta_axis: int) -> np.ndarray:
-    """Evaluate data at points displaced by -delta along one axis.
-
-    delta is a 1-D array indexed by the coordinate along ``delta_axis``;
-    the shift is constant along ``axis`` for each transverse slice, so a
-    Fourier phase shift evaluates the trigonometric interpolant exactly.
-    """
-    n = grid.n[axis]
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing[axis])
-    shape_k = [1, 1, 1]
-    shape_k[axis] = n
-    shape_d = [1, 1, 1]
-    shape_d[delta_axis] = grid.n[delta_axis]
-    phase = np.exp(-1j * k.reshape(shape_k) * delta.reshape(shape_d))
-    spec = np.fft.fft(data, axis=axis)
-    return np.real(np.fft.ifft(spec * phase, axis=axis))
-
-
 def apply_diffeo(
     bundle: FieldBundle,
     dmap: DiffeoMap,
@@ -746,18 +726,16 @@ def apply_diffeo(
         if p.amplitude == 0.0:
             continue
         a, b = p.axis, p.shear_axis
-        coords_b = g.axes[b]
-        delta = p.displacement(coords_b, g.box[b])
-        slope = p.slope(coords_b, g.box[b])
-        shape_d = [1, 1, 1]
-        shape_d[b] = g.n[b]
-        slope = slope.reshape(shape_d)
-        A = np.stack([_shift_along_axis(g, c, a, delta, b) for c in A])
-        W = np.stack([_shift_along_axis(g, c, a, delta, b) for c in W])
+        shape = [1, 1, 1]
+        shape[b] = g.n[b]
+        delta = p.displacement(g.axes[b], g.box[b]).reshape(shape)
+        slope = p.slope(g.axes[b], g.box[b]).reshape(shape)
+        A = g.shift(A, a, delta)
+        W = g.shift(W, a, delta)
         # covector law: component along the shear coordinate picks up -g' A_a
-        A[b] = A[b] - slope * A[a]
+        A[b] -= slope * A[a]
         # vector law: component along the sheared axis picks up +g' W_b
-        W[a] = W[a] + slope * W[b]
+        W[a] += slope * W[b]
     out = FieldBundle(
         g,
         VectorField(g, A),
@@ -783,7 +761,8 @@ def apply_diffeo(
 
 # The JSON parameters each family takes, named as its generator's keywords.
 # A kind is "string", "number", "integer", a length (a list of that many
-# numbers) or a dict (an object with exactly those keys).
+# numbers) or a dict (an object with exactly those keys). The generator
+# checks ranges, such as kupka's power >= 2, and names the key.
 _RING = {"center": 3, "radius": "number", "normal": 3}
 _PAIR = {"fluxes": 2, "radius": "number", "core_radius": "number"}
 FAMILY_PARAMS = {

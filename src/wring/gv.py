@@ -49,7 +49,7 @@ from .fieldcore import (
     integrate,
     magnitude2,
 )
-from .fieldzoo import FieldBundle
+from .fieldzoo import FieldBundle, integrability_residual
 
 _TOL = config.TOL
 _ETA = config.DEFAULTS["eta"]
@@ -99,15 +99,6 @@ class GvResult:
     richardson_value: float | None = None
 
 
-def integrability_residual(bundle: FieldBundle) -> float:
-    """max|A.W| / (max|A| max|W|); zero means the potential is integrable."""
-    a_scale = bundle.A.maxnorm()
-    w_scale = bundle.W.maxnorm()
-    if a_scale < _TOL["underflow"] or w_scale < _TOL["underflow"]:
-        raise DegenerateField("A or W magnitude below underflow threshold")
-    return float(np.max(np.abs(dot(bundle.A, bundle.W).data))) / (a_scale * w_scale)
-
-
 def flux_check(bundle: FieldBundle) -> tuple[float, float, float]:
     """Vorticity flux through the three fundamental 2-tori.
 
@@ -155,11 +146,12 @@ def _eta_parts(bundle: FieldBundle, variant: str, *eps: float):
     DenominatorVanishesEverywhere.
     """
     A = bundle.A
-    a_scale = A.maxnorm()
+    a2 = magnitude2(A).data
+    a_scale = float(np.sqrt(a2.max()))
     if a_scale < _TOL["underflow"]:
         raise DegenerateField("potential magnitude below underflow threshold")
     if variant == "canonical":
-        G, q = cross(bundle.W, A), magnitude2(A).data
+        G, q = cross(bundle.W, A), a2
         mag, top = np.sqrt(q), a_scale
     else:
         U = bundle.U
@@ -183,10 +175,10 @@ def _uncovered(bundle: FieldBundle, mask: np.ndarray) -> float:
     defined for singular potentials. The fraction is reported so callers
     (notably the obstruction bound) can gate on it.
     """
-    w_scale = bundle.W.maxnorm()
+    wmag = np.sqrt(magnitude2(bundle.W).data)
+    w_scale = float(wmag.max())
     if w_scale <= _TOL["underflow"]:
         return 0.0
-    wmag = np.sqrt(magnitude2(bundle.W).data)
     significant = wmag > _ETA["vorticity_floor_rel"] * w_scale
     n_sig = int(significant.sum())
     return float((significant & ~mask).sum()) / n_sig if n_sig else 0.0
@@ -281,11 +273,12 @@ def helical_compression(bundle: FieldBundle, eps: float | None = None) -> Scalar
         eps = _ETA["default_eps"]
     g = bundle.grid
     A = bundle.A
-    a_scale = A.maxnorm()
+    Q = magnitude2(A)
+    a_mag = np.sqrt(Q.data)
+    a_scale = float(a_mag.max())
     if a_scale < _TOL["underflow"]:
         raise DegenerateField("potential magnitude below underflow threshold")
-    Q = magnitude2(A)
-    mask = np.sqrt(Q.data) > eps * a_scale
+    mask = a_mag > eps * a_scale
     # P_i = A . grad(A_i) = (A . grad) A
     P = VectorField(g, np.stack([dot(A, grad(ScalarField(g, c))).data for c in A.data]))
     gradQ = grad(Q)

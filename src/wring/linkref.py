@@ -98,9 +98,9 @@ class CurveSet:
 
     Each curve is an (m, 3) array of finite points, m >= 64, closed by
     convention (the segment from the last point back to the first is
-    implied). Fluxes must be finite. The linking matrix, when declared, must
-    be a symmetric matrix of integers within int64 (integer-valued floats
-    count) with zero diagonal.
+    implied). Fluxes must be finite numbers, not strings or bools. The
+    linking matrix, when declared, must be a symmetric matrix of integers
+    within int64 (integer-valued floats count) with zero diagonal.
     """
 
     curves: list | None
@@ -119,6 +119,8 @@ class CurveSet:
                     raise ValueError("curve points must be finite")
             if len(self.fluxes) != len(self.curves):
                 raise ValueError("one flux per curve required")
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in self.fluxes):
+            raise ValueError(f"fluxes must be numbers, got {self.fluxes}")
         self.fluxes = [float(v) for v in self.fluxes]
         if not all(map(math.isfinite, self.fluxes)):
             raise ValueError(f"fluxes must be finite, got {self.fluxes}")

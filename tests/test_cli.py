@@ -1,6 +1,7 @@
 """CLI behavior: pipelines, exit codes, determinism."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -112,11 +113,32 @@ class TestGenerateAnalyze:
         out = str(tmp_path / "x.wrg")
         assert run(["generate", "--family", "clebsch", "--n", "16", "--params", "[1]", "--out", out]) == 2
 
-    @pytest.mark.parametrize("power", ["-3", "0", "2.5"])
-    def test_bad_kupka_power_exit_2(self, tmp_path, power):
+    @pytest.mark.parametrize("power", ["-3", "0", "1", "2.5"])
+    def test_bad_kupka_power_exit_2(self, tmp_path, capsys, power):
         out = str(tmp_path / "x.wrg")
         args = ["generate", "--family", "kupka", "--n", "16", "--param", f"power={power}", "--out", out]
         assert run(args) == 2
+        assert "power" in capsys.readouterr().err
+
+    def test_vanishing_velocity_denominator_exit_4(self, tmp_path, capsys):
+        # U = (0, -cos x, 0) for W = (0, 0, sin x), so U.A vanishes for A along x
+        from wring import dynamics
+        from wring.errors import MaskTooSmall
+        from wring.fieldcore import Grid3, VectorField
+        from wring.fieldzoo import FieldBundle
+
+        g = Grid3((16, 16, 16), (2 * np.pi,) * 3)
+        x, y, _ = g.mesh()
+        bundle = FieldBundle(g, VectorField.from_components(g, 2.0 + np.sin(y), 0.0, 0.0),
+                             VectorField.from_components(g, 0.0, 0.0, np.sin(x)))
+        path = tmp_path / "b.wrg"
+        bundle.save(path)
+        for flags in (["--eta", "velocity"], ["--bound"]):
+            assert run(["analyze", str(path), *flags]) == 4
+            captured = capsys.readouterr()
+            assert "U.A is at roundoff level everywhere" in captured.err and captured.out == ""
+        with pytest.raises(MaskTooSmall):
+            dynamics.obstruction_bound(FieldBundle.load(path))
 
     def test_corrupt_magic_exit_3(self, tmp_path):
         bad = tmp_path / "bad.wrg"
@@ -191,6 +213,23 @@ class TestHostileWrg1:
         err = self._exit_3(tmp_path, capsys, command, "data bytes", n="[65536, 65536, 8]", data=b"\x00" * pad)
         assert f"take {8 * 6 * 65536 * 65536 * 8} data bytes" in err
         assert f"holds {pad} after the metadata" in err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize(
+        "version, meta_len, message",
+        [(2, 2, "unsupported WRG1 version 2"), (1, 100, "truncated metadata block")],
+        ids=["version-2", "truncated-metadata"],
+    )
+    def test_bad_preamble(self, tmp_path, capsys, command, version, meta_len, message):
+        import struct
+
+        from wring import wrg1
+
+        src = tmp_path / "bad.wrg"
+        src.write_bytes(wrg1.MAGIC + struct.pack("<II", version, meta_len) + b"{}")
+        assert run(self.COMMANDS[command](str(src), str(tmp_path / "o.wrg"))) == 3
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     @pytest.mark.parametrize(
@@ -349,6 +388,15 @@ class TestEvolveAndDiffeo:
         assert exc.value.code == 2
         assert "--consistency-tol" in capsys.readouterr().err
 
+    def test_tiny_consistency_tol_exit_5(self, tmp_path, capsys):
+        src = tmp_path / "f.wrg"
+        run(["generate", "--family", "clebsch", "--n", "16", "--out", str(src)])
+        out = tmp_path / "g.wrg"
+        args = ["diffeo", str(src), "--shear", "x,z,0.3", "--consistency-tol", "1e-30", "--out", str(out)]
+        assert run(args) == 5
+        assert "exceeds 1e-30" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_diffeo_round_trip_file(self, tmp_path):
         src = tmp_path / "f.wrg"
         out = tmp_path / "g.wrg"
@@ -419,10 +467,12 @@ class TestGenerateParams:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("expr", ["1/0", "10**1000", "(-1)**0.5"])
+    @pytest.mark.parametrize("expr", ["1/0", "10**1000", "(-1)**0.5", "9**9**7", "x*1e999"])
     def test_bad_expression_value_exit_2(self, tmp_path, capsys, expr):
         out = str(tmp_path / "x.wrg")
+        start = time.perf_counter()
         assert run(["generate", "--family", "clebsch", "--n", "8", "--param", f"f={expr}", "--out", out]) == 2
+        assert time.perf_counter() - start < 1.0
         assert "bad scalar expression" in capsys.readouterr().err
 
     def test_explicit_ring_pair(self, tmp_path):
@@ -503,12 +553,13 @@ class TestHostileReference:
         [
             ('{"fluxes": [NaN, 1.0], "linking": [[0, 1], [1, 0]]}', "fluxes must be finite"),
             ('{"fluxes": [1e400, 1.0], "linking": [[0, 1], [1, 0]]}', "fluxes must be finite"),
+            ('{"fluxes": ["2", true], "linking": [[0, 1], [1, 0]]}', "fluxes must be numbers"),
             (None, "curve points must be finite"),
             ('{"fluxes": [1.0, 1.0], "linking": [[0, 1.5], [1.5, 0]]}', "integers within int64"),
             ('{"fluxes": [1.0, 1.0], "linking": [[0, 1%s], [1%s, 0]]}' % ("0" * 400, "0" * 400), "within int64"),
             ('{"fluxes": [1.0, 1.0], "linking": %s}' % ("[" * 100000 + "]" * 100000), "recursion"),
         ],
-        ids=["nan-flux", "overflow-flux", "nan-point", "fractional-linking", "overflow-linking", "deep-linking"],
+        ids=["nan-flux", "overflow-flux", "text-flux", "nan-point", "fractional-linking", "overflow-linking", "deep-linking"],
     )
     def test_curves_outside_schema_exit_3(self, tmp_path, capsys, doc, message):
         from wring import linkref

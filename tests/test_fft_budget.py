@@ -27,7 +27,8 @@ TRACK_ONE_STEP_BUDGET = 107
 HELICITY_UNCACHED_BUDGET = 3
 ANALYZE_UNCACHED_BUDGET = 9
 VERIFY_UNCACHED_BUDGET = 10
-# counts Grid3 transforms only; the np.fft shifts of apply_diffeo are not seen
+# counts Grid3.rfft/irfft only: the one-axis real transforms of the shear
+# shifts (Grid3.shift) are not among them
 APPLY_DIFFEO_BUDGET = 10
 
 

@@ -24,6 +24,7 @@ from wring.fieldcore import (
     random_band_limited_scalar,
     random_band_limited_vector,
     solve_poisson_zero_mean,
+    spectral_tail_fraction,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -110,6 +111,34 @@ class TestGrid3:
         full = np.zeros((10, 20, 8), dtype=complex)
         g.add_box(full, np.ones(g.box_shape, dtype=complex))
         assert np.array_equal(full != 0, g.dealias_mask)
+
+    @pytest.mark.parametrize("axis, delta_axis", [(0, 2), (2, 1), (1, 0)])
+    def test_shift_samples_the_displaced_field(self, axis, delta_axis):
+        g = Grid3((16, 12, 10), (TWO_PI, 3.0, 5.0))
+        coords = list(g.mesh())
+        k = [TWO_PI * m / L for m, L in zip((3, 2, 1), g.box)]
+        shape = [1, 1, 1]
+        shape[delta_axis] = g.n[delta_axis]
+        delta = 0.4 * np.sin(TWO_PI * g.axes[delta_axis] / g.box[delta_axis]).reshape(shape)
+        nyquist = np.pi / g.spacing[axis]
+        smooth = lambda c: np.sin(k[0] * c[0] + k[1] * c[1] + k[2] * c[2] + 0.3)
+        data = np.stack(np.broadcast_arrays(smooth(coords), 2.0 * smooth(coords), np.cos(nyquist * coords[axis])))
+        coords[axis] = coords[axis] - delta
+        # the Nyquist mode keeps its real part: cos(k_N (x - d)) sampled is cos(k_N d) cos(k_N x)
+        expected = np.stack(np.broadcast_arrays(smooth(coords), 2.0 * smooth(coords), np.cos(nyquist * delta) * data[2]))
+        assert np.max(np.abs(g.shift(data, axis, delta) - expected)) < 1e-13
+
+    def test_tail_fraction_splits_at_three_eighths_on_every_grid(self):
+        # the 3n/8 mode was misplaced by a floating-point wavenumber ratio, on
+        # the 2*pi box at n = 104, 200, 208, 280, 328, 400 and 416
+        for L in (TWO_PI, 1.0, 3.7):
+            for n in range(8, 513, 8):
+                g = Grid3((n, 8, 8), (L, 1.0, 1.0))
+                x = g.mesh()[0]
+                tail = VectorField.from_components(g, np.cos(TWO_PI * (3 * n // 8) * x / L), 0.0, 0.0)
+                below = VectorField.from_components(g, np.cos(TWO_PI * (3 * n // 8 - 1) * x / L), 0.0, 0.0)
+                assert spectral_tail_fraction(tail) > 0.99, (L, n)
+                assert spectral_tail_fraction(below) < 1e-20, (L, n)
 
     @pytest.mark.parametrize("writes_in_place", [True, False])
     def test_c2c_result_lands_in_view(self, writes_in_place):

@@ -1,4 +1,6 @@
-"""Tooling check: every name a module of the package imports is used in it."""
+"""Tooling checks: every name a module of the package imports is used in it,
+and no module calls numpy's FFT, so every transform runs on scipy.fft with
+the configured worker count."""
 
 import ast
 import pathlib
@@ -32,3 +34,28 @@ def test_no_unused_imports(path):
 def test_check_finds_an_unused_name():
     source = "from .fieldcore import cross, dot\nimport numpy as np\n\nx = dot(np.zeros(3))\n"
     assert unused_imports(source) == [(1, "cross")]
+
+
+def numpy_fft_lines(source: str) -> list:
+    """Lines that name np.fft or numpy.fft, or import numpy's fft module."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "fft" and getattr(node.value, "id", None) in ("np", "numpy"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(a.name.startswith("numpy.fft") for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (
+            node.module == "numpy.fft" or node.module == "numpy" and any(a.name == "fft" for a in node.names)
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(wring.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_no_numpy_fft(path):
+    assert numpy_fft_lines(path.read_text()) == []
+
+
+def test_check_finds_numpy_fft():
+    source = "import numpy as np\nimport numpy.fft\nfrom numpy import fft\n\ny = np.fft.rfft(np.ones(4))\n"
+    assert numpy_fft_lines(source) == [2, 3, 5]
