@@ -127,11 +127,7 @@ def _cmd_analyze(args) -> int:
     bundle = fieldzoo.FieldBundle.load(args.input)
     bundle.gate()
     choice = gv.EtaChoice(args.eta, args.eps)
-    report = gv.analyze(bundle, choice, richardson=args.richardson)
-    doc = report.to_json_dict()
-    if args.bound:
-        rep = dynamics.obstruction_bound(bundle, eps=args.eps)
-        doc["bound"] = rep.to_json_dict()
+    report = gv.analyze(bundle, choice, richardson=args.richardson, bound=args.bound)
     if args.density_out and report.gv_density is not None:
         wrg1.write_fields(
             args.density_out,
@@ -139,7 +135,7 @@ def _cmd_analyze(args) -> int:
             {"gv_density": report.gv_density},
             meta={"family": report.family, "eta": args.eta, "eps": args.eps},
         )
-    _json_dump(doc, args.json)
+    _json_dump(report.to_json_dict(), args.json)
     if not report.integrable:
         print(
             f"integrability residual {report.integrability_residual:.3e} exceeds "
@@ -245,7 +241,10 @@ def _cmd_link(args) -> int:
 def _cmd_selftest(args) -> int:
     ids = None
     if args.criteria:
-        ids = [int(v) for v in args.criteria.split(",")]
+        ids = {int(v) for v in args.criteria.split(",")}
+        unknown = sorted(ids - selftest.CRITERIA.keys())
+        if unknown:
+            raise ValueError(f"unknown criteria {unknown}; valid ids are {sorted(selftest.CRITERIA)}")
     results = selftest.run_selftest(ids)
     if args.json:
         _json_dump([r.to_json_dict() for r in results], args.json)

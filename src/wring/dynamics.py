@@ -27,16 +27,11 @@ the truncated W. It serves the stepper's right-hand side, the vorticity
 tendency -curl(W x U) and the Bernoulli head (periodic pressure solve in
 spectral space).
 
-On top of the stepper:
-
-* the steady-flow obstruction bound: the squared invariant is bounded by
-  C * integral((dW/dt)^2) with C = integral(|W x U|^2 / (U.A)^4) over the
-  velocity mask, which is a Cauchy-Schwarz pairing and therefore holds
-  exactly for the discrete sums as well;
-* the local conservation law for the invariant density c = H . curl(H):
-  (d/dt + U.grad) c = div(k W) with k = H^2 + (U.A)^{-1} H . grad(Pi),
-  whose residual is measured by centred time differences of stepped
-  states.
+On top of the stepper, the local conservation law for the invariant
+density c = H . curl(H): (d/dt + U.grad) c = div(k W) with
+k = H^2 + (U.A)^{-1} H . grad(Pi), whose residual is measured by centred
+time differences of stepped states. The steady-flow obstruction bound
+lives in ``gv`` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -46,9 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config
-from .errors import CflViolation, DriftExceeded, MaskTooSmall, ToleranceBreach
-from .errors import DenominatorVanishesEverywhere
+from . import config, gv
+from .errors import CflViolation, DriftExceeded
 from .fieldcore import (
     ScalarField,
     VectorField,
@@ -61,17 +55,11 @@ from .fieldcore import (
     rel_l2,
 )
 from .fieldzoo import FieldBundle
-from .gv import (
-    _eta_parts,
-    _uncovered,
-    gv_invariant,
-    helicity,
-    integrability_residual,
-    masked_density,
-)
 
 _DYN = config.DEFAULTS["dynamics"]
-_TOL = config.TOL
+
+BoundReport = gv.BoundReport
+obstruction_bound = gv.obstruction_bound
 
 
 def vorticity_rate(bundle: FieldBundle) -> VectorField:
@@ -97,91 +85,6 @@ def bernoulli_head(bundle: FieldBundle) -> ScalarField:
     ps, _ = kern.wxu_spec([g.rfft(c, box=True) for c in bundle.W.data])
     ikx, iky, ikz = kern.ik
     return ScalarField(g, g.irfft((ikx * ps[0] + iky * ps[1] + ikz * ps[2]) * kern.inv_k2))
-
-
-# -- obstruction bound ---------------------------------------------------------
-
-
-@dataclass(eq=False)
-class BoundReport:
-    """Measured pieces of the steady-flow obstruction inequality."""
-
-    gv: float
-    C: float
-    enstrophy_rate: float
-    slack: float
-    E: float
-    V: float
-    lambda_min: float
-    approx_bound_rhs: float
-    delta_measure: float
-    covered_fraction: float
-    uncovered_vorticity_fraction: float
-    eps: float
-
-    def to_json_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["schema"] = "wring-bound/1"
-        return d
-
-
-def obstruction_bound(bundle: FieldBundle, eps: float | None = None) -> BoundReport:
-    """Evaluate gv^2 <= C * integral((dW/dt)^2) on the velocity mask.
-
-    Both sides are formed from the same smooth product G = W x U: the
-    tendency is -curl(G) and the invariant density is G . curl(G)/(U.A)^2,
-    so the inequality is a literal Cauchy-Schwarz statement about the
-    discrete sums and the reported slack can only be negative at roundoff.
-
-    Raises MaskTooSmall when U.A vanishes over too much of the vorticity
-    support (the constant C is then undefined; it is reported, never
-    regularized silently).
-    """
-    if eps is None:
-        eps = config.DEFAULTS["eta"]["default_eps"]
-    slack_tol = _TOL["bound_slack_rel"]
-    try:
-        G, q, (mask,) = _eta_parts(bundle, "velocity", eps)
-    except DenominatorVanishesEverywhere as exc:
-        raise MaskTooSmall(str(exc)) from exc
-    uncovered = _uncovered(bundle, mask)
-    max_uncovered = config.DEFAULTS["eta"]["max_uncovered_vorticity_fraction"]
-    if uncovered > max_uncovered:
-        raise MaskTooSmall(
-            f"U.A mask misses {uncovered:.1%} of the vorticity support "
-            f"(limit {max_uncovered:.0%}); the bound constant C is undefined here"
-        )
-    curlG = curl(G)
-    cv = bundle.grid.cell_volume
-    gv_val = float(np.sum(masked_density(G, curlG, q, mask))) * cv
-    q_safe = np.where(mask, q, 1.0)
-    C = float(np.sum(np.where(mask, magnitude2(G).data / q_safe**4, 0.0))) * cv
-    rate = integrate(magnitude2(curlG))
-    slack = C * rate - gv_val**2
-    if slack < -slack_tol * C * rate:
-        raise ToleranceBreach(
-            f"bound slack {slack:g} below -{slack_tol:g} * C * rate; "
-            "this should be impossible for consistent inputs"
-        )
-    E = 0.5 * integrate(magnitude2(bundle.U))
-    V = bundle.grid.volume
-    lam = (2.0 * np.pi / max(bundle.grid.box)) ** 2
-    L7 = V**2 / np.sqrt(lam)
-    delta = q - 2.0 * E / V
-    return BoundReport(
-        gv=gv_val,
-        C=C,
-        enstrophy_rate=rate,
-        slack=slack,
-        E=E,
-        V=V,
-        lambda_min=lam,
-        approx_bound_rhs=L7 / (4.0 * E**2) * rate,
-        delta_measure=float(np.max(np.abs(delta))) * V / E,
-        covered_fraction=float(mask.mean()),
-        uncovered_vorticity_fraction=uncovered,
-        eps=eps,
-    )
 
 
 # -- time stepping -------------------------------------------------------------
@@ -334,9 +237,9 @@ class InvariantSeries:
 
 def _sample(state: EvolutionState) -> tuple:
     b = state.bundle
-    hel = helicity(b)
-    res = integrability_residual(b)
-    gv_val = gv_invariant(b).value
+    hel = gv.helicity(b)
+    res = gv.integrability_residual(b)
+    gv_val = gv.gv_invariant(b).value
     energy = 0.5 * integrate(magnitude2(b.U))
     enstrophy = integrate(magnitude2(b.W))
     return (state.t, hel, gv_val, energy, enstrophy, res, state.curl_drift)
@@ -387,7 +290,7 @@ def conservation_residual(state: EvolutionState) -> tuple[ScalarField, ScalarFie
     bwd = step(dataclasses.replace(state, dt=-state.dt)).bundle
 
     def parts(b: FieldBundle):
-        G, q, (m,) = _eta_parts(b, "velocity", threshold)
+        G, q, (m,) = gv.eta_parts(b, "velocity", threshold)
         return G, q, dot(G, curl(G)).data, m
 
     G0, q0, N0, m0 = parts(b0)

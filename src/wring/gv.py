@@ -24,11 +24,17 @@ H . curl(H) = G . curl(G) / q^2 holds pointwise because the gradient-of-q
 term is perpendicular to G. Spectral derivatives only ever see the smooth
 G, and the division happens pointwise on the masked set, so the mask
 introduces no Gibbs artefacts.
+
+The steady-flow obstruction bound uses the velocity construction: the
+squared invariant is bounded by C * integral((dW/dt)^2) with
+C = integral(|W x U|^2 / (U.A)^4) over the velocity mask, a Cauchy-Schwarz
+pairing that holds exactly for the discrete sums as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +43,8 @@ from .errors import (
     DegenerateField,
     DenominatorVanishesEverywhere,
     FluxObstruction,
+    MaskTooSmall,
+    ToleranceBreach,
 )
 from .fieldcore import (
     ScalarField,
@@ -136,7 +144,7 @@ def helicity(bundle: FieldBundle) -> float:
     return 2.0 * g.cell_volume / np.prod(g.n) * float(np.sum(kab * g.inv_k2 * g.plane_weights))
 
 
-def _eta_parts(bundle: FieldBundle, variant: str, *eps: float):
+def eta_parts(bundle: FieldBundle, variant: str, *eps: float):
     """Smooth numerator G, signed denominator q, and one mask per relative
     threshold in ``eps``: where the denominator magnitude (|A| or |U.A|)
     exceeds that fraction of its maximum.
@@ -168,13 +176,10 @@ def _eta_parts(bundle: FieldBundle, variant: str, *eps: float):
 
 
 def _uncovered(bundle: FieldBundle, mask: np.ndarray) -> float:
-    """Fraction of the significant-vorticity region outside the mask.
-
-    The excluded set is allowed to contain vorticity: cutting a tube
-    around the zero set of the potential is exactly how the invariant is
-    defined for singular potentials. The fraction is reported so callers
-    (notably the obstruction bound) can gate on it.
-    """
+    """Fraction of the significant vorticity outside the mask. The mask may
+    exclude vorticity (a tube cut around the zero set of the potential is
+    how the invariant is defined for singular potentials); the bound gates
+    on this fraction."""
     wmag = np.sqrt(magnitude2(bundle.W).data)
     w_scale = float(wmag.max())
     if w_scale <= _TOL["underflow"]:
@@ -184,10 +189,9 @@ def _uncovered(bundle: FieldBundle, mask: np.ndarray) -> float:
     return float((significant & ~mask).sum()) / n_sig if n_sig else 0.0
 
 
-def masked_density(G: VectorField, curlG: VectorField, q: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Invariant density G . curl(G) / q^2 on the mask, zero outside it."""
-    q_safe = np.where(mask, q, 1.0)
-    return np.where(mask, dot(G, curlG).data / q_safe**2, 0.0)
+def _masked_quotient(num: np.ndarray, q: np.ndarray, mask: np.ndarray, power: int) -> np.ndarray:
+    """num / q**power on the mask, zero outside it, never dividing by q off it."""
+    return np.where(mask, num / np.where(mask, q, 1.0) ** power, 0.0)
 
 
 def solve_eta(bundle: FieldBundle, choice: EtaChoice) -> EtaSolution:
@@ -197,10 +201,41 @@ def solve_eta(bundle: FieldBundle, choice: EtaChoice) -> EtaSolution:
     mask = 1 (pointwise algebra given A.W = 0) and is exercised in the
     test suite at 1e-8 relative.
     """
-    G, q, (mask,) = _eta_parts(bundle, choice.variant, choice.eps)
-    q_safe = np.where(mask, q, 1.0)
-    H = VectorField(bundle.grid, np.where(mask, G.data / q_safe, 0.0))
+    G, q, (mask,) = eta_parts(bundle, choice.variant, choice.eps)
+    H = VectorField(bundle.grid, _masked_quotient(G.data, q, mask, 1))
     return EtaSolution(H=H, mask=ScalarField(bundle.grid, mask.astype(np.float64)))
+
+
+class _Evaluation:
+    """G, q and the masks of ``eta_parts`` at eps (and eps/2 for Richardson),
+    shared by the invariant and the bound. curl(G) and the invariant are
+    formed on first use, so a bound refused on its mask forms neither."""
+
+    def __init__(self, bundle: FieldBundle, variant: str, eps: float, richardson: bool = False):
+        levels = (eps, 0.5 * eps) if richardson and eps > 0.0 else (eps,)
+        self.grid = bundle.grid
+        self.G, self.q, self.masks = eta_parts(bundle, variant, *levels)
+
+    @cached_property
+    def curlG(self) -> VectorField:
+        return curl(self.G)
+
+    @cached_property
+    def result(self) -> GvResult:
+        num, q, mask = dot(self.G, self.curlG).data, self.q, self.masks[0]
+        density = ScalarField(self.grid, _masked_quotient(num, q, mask, 2))
+        value = integrate(density)
+        extrap = None
+        if len(self.masks) == 2:
+            half = integrate(ScalarField(self.grid, _masked_quotient(num, q, self.masks[1], 2)))
+            extrap = 2.0 * half - value
+        return GvResult(
+            value=value,
+            density=density,
+            mask=ScalarField(self.grid, mask.astype(np.float64)),
+            excluded_volume_fraction=1.0 - float(mask.mean()),
+            richardson_value=extrap,
+        )
 
 
 def gv_invariant(
@@ -222,22 +257,90 @@ def gv_invariant(
     """
     if choice is None:
         choice = EtaChoice.canonical()
-    eps = (choice.eps, 0.5 * choice.eps) if richardson and choice.eps > 0.0 else (choice.eps,)
-    G, q, masks = _eta_parts(bundle, choice.variant, *eps)
-    mask = masks[0]
-    curlG = curl(G)
-    density = ScalarField(bundle.grid, masked_density(G, curlG, q, mask))
-    value = integrate(density)
-    extrap = None
-    if len(masks) == 2:
-        half = integrate(ScalarField(bundle.grid, masked_density(G, curlG, q, masks[1])))
-        extrap = 2.0 * half - value
-    return GvResult(
-        value=value,
-        density=density,
-        mask=ScalarField(bundle.grid, mask.astype(np.float64)),
-        excluded_volume_fraction=1.0 - float(mask.mean()),
-        richardson_value=extrap,
+    return _Evaluation(bundle, choice.variant, choice.eps, richardson).result
+
+
+# -- obstruction bound ---------------------------------------------------------
+
+
+@dataclass(eq=False)
+class BoundReport:
+    """Measured pieces of the steady-flow obstruction inequality."""
+
+    gv: float
+    C: float
+    enstrophy_rate: float
+    slack: float
+    E: float
+    V: float
+    lambda_min: float
+    approx_bound_rhs: float
+    delta_measure: float
+    covered_fraction: float
+    uncovered_vorticity_fraction: float
+    eps: float
+
+    def to_json_dict(self) -> dict:
+        return {**asdict(self), "schema": "wring-bound/1"}
+
+
+def obstruction_bound(bundle: FieldBundle, eps: float | None = None) -> BoundReport:
+    """Evaluate gv^2 <= C * integral((dW/dt)^2) on the velocity mask.
+
+    Both sides are formed from the same smooth product G = W x U: the
+    tendency is -curl(G) and the invariant density is G . curl(G)/(U.A)^2,
+    so the inequality is a literal Cauchy-Schwarz statement about the
+    discrete sums and the reported slack can only be negative at roundoff.
+
+    Raises MaskTooSmall when U.A vanishes over too much of the vorticity
+    support (the constant C is then undefined; it is reported, never
+    regularized silently).
+    """
+    if eps is None:
+        eps = _ETA["default_eps"]
+    try:
+        return _bound(bundle, eps, _Evaluation(bundle, "velocity", eps))
+    except DenominatorVanishesEverywhere as exc:
+        raise MaskTooSmall(str(exc)) from exc
+
+
+def _bound(bundle: FieldBundle, eps: float, evaluation: _Evaluation) -> BoundReport:
+    """The bound from the velocity evaluation at ``eps``."""
+    G, q, mask = evaluation.G, evaluation.q, evaluation.masks[0]
+    uncovered = _uncovered(bundle, mask)
+    max_uncovered = _ETA["max_uncovered_vorticity_fraction"]
+    if uncovered > max_uncovered:
+        raise MaskTooSmall(
+            f"U.A mask misses {uncovered:.1%} of the vorticity support "
+            f"(limit {max_uncovered:.0%}); the bound constant C is undefined here"
+        )
+    slack_tol = _TOL["bound_slack_rel"]
+    C = float(np.sum(_masked_quotient(magnitude2(G).data, q, mask, 4))) * bundle.grid.cell_volume
+    rate = integrate(magnitude2(evaluation.curlG))
+    slack = C * rate - evaluation.result.value**2
+    if slack < -slack_tol * C * rate:
+        raise ToleranceBreach(
+            f"bound slack {slack:g} below -{slack_tol:g} * C * rate; "
+            "this should be impossible for consistent inputs"
+        )
+    E = 0.5 * integrate(magnitude2(bundle.U))
+    V = bundle.grid.volume
+    lam = (2.0 * np.pi / max(bundle.grid.box)) ** 2
+    L7 = V**2 / np.sqrt(lam)
+    delta = q - 2.0 * E / V
+    return BoundReport(
+        gv=evaluation.result.value,
+        C=C,
+        enstrophy_rate=rate,
+        slack=slack,
+        E=E,
+        V=V,
+        lambda_min=lam,
+        approx_bound_rhs=L7 / (4.0 * E**2) * rate,
+        delta_measure=float(np.max(np.abs(delta))) * V / E,
+        covered_fraction=float(mask.mean()),
+        uncovered_vorticity_fraction=uncovered,
+        eps=eps,
     )
 
 
@@ -273,12 +376,8 @@ def helical_compression(bundle: FieldBundle, eps: float | None = None) -> Scalar
         eps = _ETA["default_eps"]
     g = bundle.grid
     A = bundle.A
-    Q = magnitude2(A)
-    a_mag = np.sqrt(Q.data)
-    a_scale = float(a_mag.max())
-    if a_scale < _TOL["underflow"]:
-        raise DegenerateField("potential magnitude below underflow threshold")
-    mask = a_mag > eps * a_scale
+    _, a2, (mask,) = eta_parts(bundle, "canonical", eps)
+    Q = ScalarField(g, a2)
     # P_i = A . grad(A_i) = (A . grad) A
     P = VectorField(g, np.stack([dot(A, grad(ScalarField(g, c))).data for c in A.data]))
     gradQ = grad(Q)
@@ -315,21 +414,20 @@ class AnalysisReport:
     integrable: bool
     helicity: float | None
     flux_residuals: tuple[float, float, float]
-    gv: float | None
-    gv_richardson: float | None
-    gv_density: ScalarField | None
-    excluded_volume_fraction: float | None
+    gv: float | None = None
+    gv_richardson: float | None = None
+    gv_density: ScalarField | None = None
+    excluded_volume_fraction: float | None = None
     claims: dict = field(default_factory=dict)
     deviations: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
-
-    SCHEMA = "wring-report/1"
+    bound: BoundReport | None = None
 
     def to_json_dict(self) -> dict:
         # gv_density is a full 3-D field; it travels as a WRG1 file, never
         # inside the JSON document
         return {
-            "schema": self.SCHEMA,
+            "schema": "wring-report/1",
             "family": self.family,
             "grid": {"n": list(self.grid_n), "box": list(self.grid_box)},
             "eta_choice": {"variant": self.eta_variant, "eps": self.eta_eps},
@@ -343,7 +441,7 @@ class AnalysisReport:
             "claims": self.claims,
             "deviations": self.deviations,
             "tolerances": self.tolerances,
-            "bound": None,
+            "bound": None if self.bound is None else self.bound.to_json_dict(),
         }
 
 
@@ -352,13 +450,16 @@ def analyze(
     choice: EtaChoice | None = None,
     *,
     richardson: bool = False,
+    bound: bool = False,
 ) -> AnalysisReport:
     """Measure helicity and the invariant, checking claims along the way.
 
     The invariant is only reported when the integrability residual is
     below tolerance; otherwise the report flags the failure and leaves gv
     unset (it is undefined without an integrable potential). Helicity is
-    reported either way, gated by the flux check.
+    reported either way, gated by the flux check. With ``bound=True`` the
+    report carries the obstruction bound at the choice's eps either way;
+    under the velocity choice it reuses the invariant's evaluation.
     """
     if choice is None:
         choice = EtaChoice.canonical()
@@ -367,23 +468,7 @@ def analyze(
     fluxes = flux_check(bundle)
     hel = helicity(bundle)
     integrable = residual <= integrability_tol
-    gv_val = None
-    gv_rich = None
-    gv_dens = None
-    excluded = None
-    if integrable:
-        result = gv_invariant(bundle, choice, richardson=richardson)
-        gv_val = result.value
-        gv_rich = result.richardson_value
-        gv_dens = result.density
-        excluded = result.excluded_volume_fraction
-    claims = bundle.claims()
-    deviations: dict = {}
-    if "helicity" in claims and claims["helicity"] is not None:
-        deviations["helicity"] = hel - float(claims["helicity"])
-    if gv_val is not None and claims.get("gv") is not None:
-        deviations["gv"] = gv_val - float(claims["gv"])
-    return AnalysisReport(
+    report = AnalysisReport(
         family=bundle.meta.get("family"),
         grid_n=bundle.grid.n,
         grid_box=bundle.grid.box,
@@ -393,15 +478,28 @@ def analyze(
         integrable=integrable,
         helicity=hel,
         flux_residuals=fluxes,
-        gv=gv_val,
-        gv_richardson=gv_rich,
-        gv_density=gv_dens,
-        excluded_volume_fraction=excluded,
-        claims=claims,
-        deviations=deviations,
+        claims=bundle.claims(),
         tolerances={
             "integrability_rel": integrability_tol,
             "flux_rel": _TOL["flux_rel"],
             "eps": choice.eps,
         },
     )
+    evaluation = None
+    if integrable:
+        evaluation = _Evaluation(bundle, choice.variant, choice.eps, richardson)
+        report.gv = evaluation.result.value
+        report.gv_richardson = evaluation.result.richardson_value
+        report.gv_density = evaluation.result.density
+        report.excluded_volume_fraction = evaluation.result.excluded_volume_fraction
+    if bound and choice.variant == "velocity" and evaluation is not None:
+        report.bound = _bound(bundle, choice.eps, evaluation)
+    elif bound:
+        evaluation = None  # free the canonical construction before the bound forms its own
+        report.bound = obstruction_bound(bundle, choice.eps)
+    claims = report.claims
+    if claims.get("helicity") is not None:
+        report.deviations["helicity"] = hel - float(claims["helicity"])
+    if report.gv is not None and claims.get("gv") is not None:
+        report.deviations["gv"] = report.gv - float(claims["gv"])
+    return report

@@ -140,6 +140,30 @@ class TestGenerateAnalyze:
         with pytest.raises(MaskTooSmall):
             dynamics.obstruction_bound(FieldBundle.load(path))
 
+    def test_beltrami_bound_block_without_gv(self, tmp_path):
+        field = tmp_path / "b.wrg"
+        report = tmp_path / "r.json"
+        assert run(["generate", "--family", "beltrami", "--n", "16", "--out", str(field)]) == 0
+        assert run(["analyze", str(field), "--bound", "--json", str(report)]) == 4
+        doc = json.loads(report.read_text())
+        assert doc["gv"] is None
+        assert doc["bound"]["schema"] == "wring-bound/1"
+
+    def test_kupka_bound_fails_alike_for_both_variants(self, tmp_path, capsys):
+        field = tmp_path / "k.wrg"
+        assert run(["generate", "--family", "kupka", "--n", "16", "--out", str(field)]) == 0
+        capsys.readouterr()
+        errors = []
+        for eta in ("canonical", "velocity"):
+            report, dens = tmp_path / f"{eta}.json", tmp_path / f"{eta}.wrg"
+            args = ["analyze", str(field), "--eta", eta, "--bound", "--json", str(report), "--density-out", str(dens)]
+            assert run(args) == 4
+            captured = capsys.readouterr()
+            assert "U.A mask misses" in captured.err and captured.out == ""
+            assert not report.exists() and not dens.exists()
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+
     def test_corrupt_magic_exit_3(self, tmp_path):
         bad = tmp_path / "bad.wrg"
         bad.write_bytes(b"GARBAGE!" + b"\x00" * 64)
@@ -602,3 +626,17 @@ def test_selftest_subset(capsys):
     assert run(["selftest", "--criteria", "11"]) == 0
     out = capsys.readouterr().out
     assert "criterion 11" in out and "PASS" in out
+
+
+@pytest.mark.parametrize("ids", ["0", "13", "99", "11,99"])
+def test_selftest_unknown_criterion_exit_2(capsys, ids):
+    assert run(["selftest", "--criteria", ids]) == 2
+    captured = capsys.readouterr()
+    assert "valid ids are [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]" in captured.err
+    assert captured.out == ""
+
+
+def test_selftest_repeated_criterion_runs_once(tmp_path, capsys):
+    table = tmp_path / "s.json"
+    assert run(["selftest", "--criteria", "11,11", "--json", str(table)]) == 0
+    assert [r["criterion"] for r in json.loads(table.read_text())] == [11]

@@ -159,6 +159,10 @@ class TestObstructionBound:
         with pytest.raises(MaskTooSmall):
             dyn.obstruction_bound(fz.gen_kupka_tube(cube(32)))
 
+    def test_reexported_from_gv(self):
+        assert dyn.obstruction_bound is gv.obstruction_bound
+        assert dyn.BoundReport is gv.BoundReport
+
 
 class TestStep:
     def test_cfl_violation(self, sheared32):

@@ -22,6 +22,10 @@ GV_INVARIANT_BUDGET = 6
 ANALYZE_BUDGET = 6
 ANALYZE_RICHARDSON_BUDGET = 6
 OBSTRUCTION_BOUND_BUDGET = 6
+# analyze with the bound: the velocity choice shares its evaluation with
+# the bound, the canonical choice cannot
+ANALYZE_BOUND_VELOCITY_BUDGET = 6
+ANALYZE_BOUND_CANONICAL_BUDGET = 12
 TRACK_ONE_STEP_BUDGET = 107
 # on a bundle with nothing cached: W's spectra are transformed once
 HELICITY_UNCACHED_BUDGET = 3
@@ -30,6 +34,8 @@ VERIFY_UNCACHED_BUDGET = 10
 # counts Grid3.rfft/irfft only: the one-axis real transforms of the shear
 # shifts (Grid3.shift) are not among them
 APPLY_DIFFEO_BUDGET = 10
+# Grid3.shift calls per shear primitive of apply_diffeo: one for A, one for W
+SHIFTS_PER_SHEAR = 2
 
 
 @pytest.fixture
@@ -112,6 +118,18 @@ def test_analyze_budget(transforms, sheared32):
     assert len(shapes) <= ANALYZE_RICHARDSON_BUDGET
 
 
+@pytest.mark.parametrize(
+    "choice, budget",
+    [
+        (gv.EtaChoice.velocity(), ANALYZE_BOUND_VELOCITY_BUDGET),
+        (gv.EtaChoice.canonical(), ANALYZE_BOUND_CANONICAL_BUDGET),
+    ],
+    ids=["velocity", "canonical"],
+)
+def test_analyze_bound_budget(transforms, sheared32, choice, budget):
+    assert len(transforms(gv.analyze, sheared32, choice, bound=True)) <= budget
+
+
 def test_obstruction_bound_budget(transforms, sheared32):
     assert len(transforms(dyn.obstruction_bound, sheared32)) <= OBSTRUCTION_BOUND_BUDGET
 
@@ -136,3 +154,20 @@ def test_verify_budget(transforms, uncached32):
 
 def test_apply_diffeo_budget(transforms, clebsch32):
     assert len(transforms(fz.apply_diffeo, clebsch32, SHEAR)) <= APPLY_DIFFEO_BUDGET
+
+
+def test_apply_diffeo_shift_count(monkeypatch, clebsch32):
+    calls = []
+    original = Grid3.shift
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Grid3, "shift", counted)
+    shears = [fz.Shear.from_names("x", "z", 0.3, 1), fz.Shear.from_names("y", "x", 0.0, 1),
+              fz.Shear.from_names("y", "x", 0.2, 1)]
+    for primitives, nonzero in ((shears[:1], 1), (shears[1:2], 0), (shears, 2)):
+        calls.clear()
+        fz.apply_diffeo(clebsch32, fz.DiffeoMap(tuple(primitives)), consistency_tol=1.0)
+        assert len(calls) == SHIFTS_PER_SHEAR * nonzero

@@ -1,5 +1,6 @@
 """Invariant engine: residuals, helicity, dual-field solves, densities."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from wring import fieldzoo as fz
 from wring import gv
-from wring.errors import DegenerateField, FluxObstruction
+from wring.errors import DegenerateField, FluxObstruction, MaskTooSmall
 from wring.fieldcore import (
     Grid3,
     ScalarField,
@@ -282,3 +283,40 @@ class TestAnalyze:
             gv.EtaChoice("magic")
         with pytest.raises(ValueError):
             gv.EtaChoice("canonical", eps=1.5)
+
+
+@pytest.fixture(scope="module")
+def seeded_sheared32():
+    """Sheared Clebsch bundle with a seeded multiplier; U is cached."""
+    f = fz.random_trig_scalar(2, 4, 71)
+    shear = fz.DiffeoMap((fz.Shear.from_names("x", "z", 0.3, 1),))
+    b = fz.apply_diffeo(fz.gen_clebsch(cube(32), f=f), shear)
+    b.U
+    return b
+
+
+class TestAnalyzeBound:
+    @pytest.mark.parametrize("richardson", [False, True])
+    @pytest.mark.parametrize("eps", [0.05, 0.01])
+    @pytest.mark.parametrize("variant", ["canonical", "velocity"])
+    def test_matches_obstruction_bound(self, seeded_sheared32, variant, eps, richardson):
+        b = seeded_sheared32
+        report = gv.analyze(b, gv.EtaChoice(variant, eps), richardson=richardson, bound=True)
+        assert dataclasses.asdict(report.bound) == dataclasses.asdict(gv.obstruction_bound(b, eps))
+        if variant == "velocity":
+            assert report.bound.gv == report.gv
+            assert report.bound.covered_fraction == 1.0 - report.excluded_volume_fraction
+        assert report.to_json_dict()["bound"] == report.bound.to_json_dict()
+
+    def test_no_bound_unless_asked(self, seeded_sheared32):
+        report = gv.analyze(seeded_sheared32)
+        assert report.bound is None and report.to_json_dict()["bound"] is None
+
+    def test_bound_without_integrability(self):
+        report = gv.analyze(fz.gen_beltrami_abc(cube(16)), bound=True)
+        assert report.gv is None and report.bound is not None
+
+    @pytest.mark.parametrize("variant", ["canonical", "velocity"])
+    def test_kupka_mask_too_small(self, variant):
+        with pytest.raises(MaskTooSmall, match="U.A mask misses"):
+            gv.analyze(fz.gen_kupka_tube(cube(32)), gv.EtaChoice(variant), bound=True)

@@ -1,4 +1,5 @@
 """Tooling checks: every name a module of the package imports is used in it,
+no module imports an underscore name from another module of the package,
 and no module calls numpy's FFT, so every transform runs on scipy.fft with
 the configured worker count."""
 
@@ -59,3 +60,28 @@ def test_no_numpy_fft(path):
 def test_check_finds_numpy_fft():
     source = "import numpy as np\nimport numpy.fft\nfrom numpy import fft\n\ny = np.fft.rfft(np.ones(4))\n"
     assert numpy_fft_lines(source) == [2, 3, 5]
+
+
+def private_imports(source: str) -> list:
+    """(line, name) of each underscore name imported from a module of the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").split(".")[0] == "wring"):
+            found += [(node.lineno, a.name) for a in node.names if a.name.startswith("_")]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(wring.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_check_finds_a_private_import():
+    source = (
+        "from __future__ import annotations\n"
+        "from .gv import _eta_parts, helicity\n"
+        "from wring.fieldcore import _k1d\n"
+        "from . import _private\n"
+        "from os import _exit\n"
+    )
+    assert private_imports(source) == [(2, "_eta_parts"), (3, "_k1d"), (4, "_private")]
