@@ -186,18 +186,18 @@ def step(state: EvolutionState) -> EvolutionState:
     kw4, ka4 = kern.rhs(axpy(w0, kw3, dt), axpy(a0, ka3, dt))
     for y, k1, k2, k3, k4 in zip(w1 + a1, kw1 + ka1, kw2 + ka2, kw3 + ka3, kw4 + ka4):
         g.add_box(y, dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
-    W1 = VectorField(g, [g.irfft(s) for s in w1])
-    A1 = VectorField(g, [g.irfft(s) for s in a1])
     # curl(A1) comes from the transported A, never from W, so the drift
     # stays an independent measure of integration quality
-    drift = rel_l2(VectorField(g, [g.irfft(c) for c in cross_parts(g.ik, a1)]), W1)
+    drift = rel_l2(g, cross_parts(g.ik, a1), w1)
     if drift > state.drift_limit:
         raise DriftExceeded(
             f"curl(A) - W drift {drift:g} in the step from t={state.t:g} with "
             f"dt={state.dt:g} exceeds {state.drift_limit:g} (refine the step)"
         )
+    W1 = VectorField(g, [g.irfft(s) for s in w1], spec=w1)
+    A1 = VectorField(g, [g.irfft(s) for s in a1])
     meta = {k: v for k, v in b.meta.items() if k != "residuals"}
-    new_bundle = FieldBundle(g, A1, W1, meta, w_spec=w1)
+    new_bundle = FieldBundle(g, A1, W1, meta)
     # every caller needs U next (the next step's CFL check, the samples);
     # it is formed here from the step's own spectra of W1
     new_bundle.U

@@ -306,25 +306,31 @@ def _c2c_in_place(transform, view: np.ndarray, axis: int, workers: int, **kwargs
         view[...] = out
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _check_finite(data: np.ndarray, what: str):
     if not np.all(np.isfinite(data)):
         raise NonFiniteData(f"{what} contains non-finite entries")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ScalarField:
-    """Real scalar samples on a Grid3."""
+    """Real scalar samples on a Grid3, read-only from construction."""
 
     grid: Grid3
     data: np.ndarray
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.shape != self.grid.shape:
+        data = np.asarray(self.data, dtype=np.float64)
+        if data.shape != self.grid.shape:
             raise InvalidGrid(
-                f"scalar data shape {self.data.shape} does not match grid {self.grid.shape}"
+                f"scalar data shape {data.shape} does not match grid {self.grid.shape}"
             )
-        _check_finite(self.data, "scalar field")
+        _check_finite(data, "scalar field")
+        object.__setattr__(self, "data", _read_only(data))
 
     @classmethod
     def sample(cls, grid: Grid3, fn) -> "ScalarField":
@@ -341,20 +347,30 @@ class ScalarField:
         return float(np.max(np.abs(self.data)))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class VectorField:
-    """Real vector samples on a Grid3, components stacked along axis 0."""
+    """Real vector samples on a Grid3, components stacked along axis 0.
+
+    The array is read-only from construction, so the field caches what it
+    derives from it: ``spec``, its three read-only rfft spectra, and the
+    values of ``maxabs`` and ``component_means``. ``step`` seeds W's ``spec``
+    with the spectra it inverted to get W, equal to their rfft to roundoff.
+    """
 
     grid: Grid3
     data: np.ndarray
 
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.shape != (3,) + self.grid.shape:
+    def __init__(self, grid: Grid3, data, *, spec=None):
+        data = np.asarray(data, dtype=np.float64)
+        if data.shape != (3,) + grid.shape:
             raise InvalidGrid(
-                f"vector data shape {self.data.shape} does not match grid {self.grid.shape}"
+                f"vector data shape {data.shape} does not match grid {grid.shape}"
             )
-        _check_finite(self.data, "vector field")
+        _check_finite(data, "vector field")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "data", _read_only(data))
+        if spec is not None:
+            self.__dict__["spec"] = tuple(map(_read_only, spec))
 
     @classmethod
     def from_components(cls, grid: Grid3, cx, cy, cz) -> "VectorField":
@@ -379,18 +395,24 @@ class VectorField:
     def z(self) -> np.ndarray:
         return self.data[2]
 
-    def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.data.copy())
+    @cached_property
+    def spec(self) -> tuple:
+        """The three rfft spectra of the components, read-only."""
+        return tuple(_read_only(self.grid.rfft(c)) for c in self.data)
 
     def maxnorm(self) -> float:
         """Maximum pointwise Euclidean magnitude."""
         return float(np.sqrt(np.max(magnitude2(self).data)))
 
     def maxabs(self) -> float:
-        return float(np.max(np.abs(self.data)))
+        return self._stats[0]
 
     def component_means(self) -> tuple[float, float, float]:
-        return tuple(float(np.mean(c)) for c in self.data)
+        return self._stats[1]
+
+    @cached_property
+    def _stats(self) -> tuple:
+        return float(np.max(np.abs(self.data))), tuple(float(np.mean(c)) for c in self.data)
 
 
 # -- pointwise algebra -------------------------------------------------------
@@ -478,12 +500,12 @@ def solve_poisson_zero_mean(s: ScalarField) -> ScalarField:
     return ScalarField(g, g.irfft(-g.inv_k2 * spec))
 
 
-def vorticity_residuals(w: VectorField, specs) -> tuple[float, float]:
-    """The inverse-curl gate's measures of ``w``, from its three rfft spectra:
+def vorticity_residuals(w: VectorField) -> tuple[float, float]:
+    """The inverse-curl gate's measures of ``w``, from ``w.spec``:
     (div_w, mean_w) = (max|div w| min(h), max|component mean|) / max|w|."""
     g = w.grid
     scale = max(w.maxabs(), config.TOL["underflow"])
-    sx, sy, sz = specs
+    sx, sy, sz = w.spec
     ikx, iky, ikz = g.ik
     div_spec = ikx * sx
     div_spec += iky * sy
@@ -512,10 +534,8 @@ def inverse_curl(w: VectorField) -> VectorField:
     deterministically and makes helicity values reproducible. ``w`` must
     pass ``require_potential``, whose errors this raises.
     """
-    g = w.grid
-    specs = [g.rfft(c) for c in w.data]
-    require_potential(*vorticity_residuals(w, specs))
-    return inverse_curl_spectral(g, specs)
+    require_potential(*vorticity_residuals(w))
+    return inverse_curl_spectral(w.grid, w.spec)
 
 
 def inverse_curl_spectral(g: Grid3, specs) -> VectorField:
@@ -531,12 +551,16 @@ def integrate(s: ScalarField) -> float:
     return float(np.sum(s.data)) * s.grid.cell_volume
 
 
-def rel_l2(a: VectorField, b: VectorField) -> float:
-    """L2 norm of a - b relative to that of b (absolute when b vanishes)."""
-    num = integrate(magnitude2(VectorField(a.grid, a.data - b.data)))
-    den = integrate(magnitude2(b))
+def rel_l2(g: Grid3, a, b) -> float:
+    """L2 norm of a - b relative to that of b (absolute when b vanishes) for two vector
+    fields given by their rfft spectra: a Parseval sum weighted by ``plane_weights``."""
+    num = den = 0.0
+    for sa, sb in zip(a, b):
+        d = sa - sb
+        num += float(np.sum((d.real**2 + d.imag**2) * g.plane_weights))
+        den += float(np.sum((sb.real**2 + sb.imag**2) * g.plane_weights))
     if den <= 0.0:
-        return float(np.sqrt(num))
+        return float(np.sqrt(num * g.cell_volume / np.prod(g.n)))
     return float(np.sqrt(num / den))
 
 
@@ -552,15 +576,6 @@ def project_solenoidal(g: Grid3, specs) -> VectorField:
     )
 
 
-def dealias(obj):
-    """Apply the 2/3-rule spectral truncation (used around nonlinear products)."""
-    g = obj.grid
-    mask = g.dealias_mask
-    if isinstance(obj, ScalarField):
-        return ScalarField(g, g.irfft(mask * g.rfft(obj.data)))
-    return VectorField(g, np.stack([g.irfft(mask * g.rfft(c)) for c in obj.data]))
-
-
 def spectral_tail_fraction(v: VectorField) -> float:
     """Fraction of spectral energy in the modes with |index| >= 3n/8 on some axis.
 
@@ -570,10 +585,9 @@ def spectral_tail_fraction(v: VectorField) -> float:
     """
     g = v.grid
     high = ~g.mode_mask(lambda idx, m: 8 * idx < 3 * m)
-    total = 0.0
-    tail = 0.0
-    for comp in v.data:
-        p = np.abs(g.rfft(comp)) ** 2 * g.plane_weights
+    total = tail = 0.0
+    for spec in v.spec:
+        p = np.abs(spec) ** 2 * g.plane_weights
         total += float(p.sum())
         tail += float(p[high].sum())
     if total == 0.0:
@@ -609,7 +623,5 @@ def random_band_limited_vector(
     v = VectorField(grid, np.stack(comps))
     if not div_free:
         return v
-    proj = project_solenoidal(grid, [grid.rfft(c) for c in v.data])
-    for i, m in enumerate(proj.component_means()):
-        proj.data[i] -= m
-    return proj
+    proj = project_solenoidal(grid, v.spec)
+    return VectorField(grid, proj.data - np.array(proj.component_means())[:, None, None, None])

@@ -52,7 +52,7 @@ from .fieldcore import (
     ScalarField,
     VectorField,
     cross,
-    curl,
+    cross_parts,
     dot,
     grad,
     inverse_curl,
@@ -73,38 +73,23 @@ _MAX_FLOAT = float(np.finfo(np.float64).max)
 
 @dataclass(frozen=True, eq=False)
 class FieldBundle:
-    """Consistent (potential dual A, vorticity W) pair, both read-only; U is derived from W.
+    """Consistent (potential dual A, vorticity W) pair; U is derived from W.
 
+    A and W are read-only fields, each caching its own spectra, so the
+    gate residuals and U computed from W's are cached here too.
     ``meta`` carries family name, creation parameters, claims and measured
     generation residuals; analysis code treats the claims as oracles.
-    ``w_spec``, if given, seeds ``W_spec`` with full rfft-layout spectra whose
-    inverse transforms are W: ``step`` passes the spectra it transformed to
-    get W. They equal the rfft of W only to roundoff (a few 1e-16 relative),
-    so helicity, U and the gate of a stepped bundle may differ in the last
-    bits from those of a new bundle of the same A and W.
     """
 
     grid: Grid3
     A: VectorField
     W: VectorField
     meta: dict = dataclasses.field(default_factory=dict)
-    w_spec: dataclasses.InitVar[list | None] = None
-
-    def __post_init__(self, w_spec):
-        self.A.data.flags.writeable = False
-        self.W.data.flags.writeable = False
-        if w_spec is not None:
-            self.__dict__["W_spec"] = _read_only(w_spec)
-
-    @cached_property
-    def W_spec(self) -> tuple:
-        """The three rfft spectra of W, read-only."""
-        return _read_only([self.grid.rfft(c) for c in self.W.data])
 
     @cached_property
     def W_residuals(self) -> tuple[float, float]:
-        """(div_w, mean_w) of W, from ``W_spec``; see ``vorticity_residuals``."""
-        return vorticity_residuals(self.W, self.W_spec)
+        """(div_w, mean_w) of W; see ``vorticity_residuals``."""
+        return vorticity_residuals(self.W)
 
     def gate(self) -> None:
         """Raise unless W has a periodic velocity potential (``require_potential``)."""
@@ -114,15 +99,14 @@ class FieldBundle:
     def U(self) -> VectorField:
         """The velocity: the zero-mean inverse curl of the gated W."""
         self.gate()
-        return inverse_curl_spectral(self.grid, self.W_spec)
+        return inverse_curl_spectral(self.grid, self.W.spec)
 
     def claims(self) -> dict:
         return self.meta.get("claims", {})
 
     def verify(self) -> dict:
         """Measure the bundle invariants; returns a dict of residuals."""
-        # curl(A) first: its transforms are freed before W's spectra are cached
-        cons = rel_l2(curl(self.A), self.W)
+        cons = rel_l2(self.grid, cross_parts(self.grid.ik, self.A.spec), self.W.spec)
         div_w, mean_w = self.W_residuals
         out = {
             "curl_consistency": cons,
@@ -168,12 +152,6 @@ def integrability_residual(bundle: FieldBundle) -> float:
     return float(np.max(np.abs(dot(bundle.A, bundle.W).data))) / (a_scale * w_scale)
 
 
-def _read_only(arrays) -> tuple:
-    for a in arrays:
-        a.flags.writeable = False
-    return tuple(arrays)
-
-
 def _json_safe(obj):
     if isinstance(obj, dict):
         return {k: _json_safe(v) for k, v in obj.items()}
@@ -184,19 +162,21 @@ def _json_safe(obj):
     return obj
 
 
-def _snap_zero_mean(v: VectorField, *, tol: float = 1e-3) -> None:
-    """Remove roundoff-level component means in place.
+def _snap_zero_mean(v: VectorField, *, tol: float = 1e-3) -> VectorField:
+    """``v`` less its roundoff-level component means.
 
     Generators produce analytically mean-free vorticity; a mean beyond
-    ``tol`` relative to the field scale signals bad (non-periodic) input.
+    ``tol`` relative to the field scale signals input that is not periodic
+    or that the grid does not resolve.
     """
     scale = max(v.maxabs(), _TOL["underflow"])
     for i, m in enumerate(v.component_means()):
         if abs(m) > tol * scale:
             raise NonPeriodic(
-                f"component {i} mean {m:g} too large for a periodic construction"
+                f"component {i} mean {m:g} exceeds {tol:g} of max|component| {scale:g}: "
+                "the field is either not periodic or not resolved by the grid (raise n)"
             )
-        v.data[i] -= m
+    return VectorField(v.grid, v.data - np.array(v.component_means())[:, None, None, None])
 
 
 # -- scalar specs ------------------------------------------------------------
@@ -336,18 +316,16 @@ def gen_clebsch(
     f_scale = fs.maxabs()
     if float(np.min(np.abs(fs.data))) < _TOL["zero_f_rel"] * max(f_scale, 1e-300):
         raise ZeroF("f passes too close to zero; the potential would degenerate")
-    dg = VectorField.zeros(grid)
-    if g is not None:
-        dg = grad(_as_scalar(grid, g))
+    dg = grad(_as_scalar(grid, g)).data if g is not None else np.zeros((3,) + grid.shape)
     if g_linear is not None:
-        for i, c in enumerate(g_linear):
-            dg.data[i] += float(c)
-    df = grad(fs)
-    A = VectorField(grid, fs.data[None, :, :, :] * dg.data)
-    W = cross(df, dg)
+        dg = dg + np.array(g_linear, dtype=float)[:, None, None, None]
+    A = VectorField(grid, fs.data[None, :, :, :] * dg)
+    W = cross(grad(fs), VectorField(grid, dg))
+    # f and grad(g) are not needed past this point; verify runs without them
+    del fs, dg
     if spectral_tail_fraction(A) > _TOL["spectral_tail_fraction"]:
         raise NonPeriodic("potential has O(1) energy at the grid Nyquist scale")
-    _snap_zero_mean(W)
+    W = _snap_zero_mean(W)
     bundle = FieldBundle(
         grid,
         A,
@@ -435,8 +413,7 @@ def gen_kupka_tube(
     c = chi(r)
     A = VectorField.from_components(grid, -dy * c, dx * c, 0.0)
     wz = 2.0 * c + r * dchi(r)
-    W = VectorField.from_components(grid, 0.0, 0.0, wz)
-    _snap_zero_mean(W)
+    W = _snap_zero_mean(VectorField.from_components(grid, 0.0, 0.0, wz))
     bundle = FieldBundle(
         grid,
         A,
@@ -574,13 +551,13 @@ def gen_linked_rings(
         )
     w = _tube_vorticity(grid, ring1, fluxes[0], core_radius, power)
     w += _tube_vorticity(grid, ring2, fluxes[1], core_radius, power)
-    W = VectorField(grid, w)
-    _snap_zero_mean(W, tol=0.05)
+    W = _snap_zero_mean(VectorField(grid, w), tol=0.05)
+    del w
     # exact solenoidal projection: the sampled profile is only divergence
     # free to its smoothness, the projected field is so to roundoff. The
     # Nyquist planes are dropped so curl(inverse_curl(W)) = W holds exactly.
     W = project_solenoidal(grid, [grid.non_nyquist_mask * grid.rfft(c) for c in W.data])
-    _snap_zero_mean(W, tol=0.05)
+    W = _snap_zero_mean(W, tol=0.05)
     A = inverse_curl(W)
     lk_raw = linkref.gauss_linking(p1, p2)
     lk = int(np.rint(lk_raw))

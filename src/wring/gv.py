@@ -123,8 +123,9 @@ def helicity(bundle: FieldBundle) -> float:
     """Volume integral of U . W with the zero-mean velocity gauge.
 
     No velocity is formed: the integral is the Parseval sum on the cached
-    rfft spectra W^ = a + ib of W, with Re(U^ . conj W^) = 2 k.(a x b)/|k|^2
-    for the Nyquist-zeroed k, weighted by ``Grid3.plane_weights``.
+    rfft spectra W^ = a + ib of W (``W.spec``), with
+    Re(U^ . conj W^) = 2 k.(a x b)/|k|^2 for the Nyquist-zeroed k, weighted
+    by ``Grid3.plane_weights``.
 
     Raises FluxObstruction if the vorticity carries net flux through a
     fundamental torus (the integral would depend on the potential gauge).
@@ -139,7 +140,8 @@ def helicity(bundle: FieldBundle) -> float:
             f"fundamental-torus fluxes {fluxes} exceed {flux_tol:g} relative"
         )
     g = bundle.grid
-    axb = cross_parts([s.real for s in bundle.W_spec], [s.imag for s in bundle.W_spec])
+    spec = bundle.W.spec
+    axb = cross_parts([s.real for s in spec], [s.imag for s in spec])
     kab = sum(ik.imag * c for ik, c in zip(g.ik, axb))
     return 2.0 * g.cell_volume / np.prod(g.n) * float(np.sum(kab * g.inv_k2 * g.plane_weights))
 
@@ -207,9 +209,9 @@ def solve_eta(bundle: FieldBundle, choice: EtaChoice) -> EtaSolution:
 
 
 class _Evaluation:
-    """G, q and the masks of ``eta_parts`` at eps (and eps/2 for Richardson),
-    shared by the invariant and the bound. curl(G) and the invariant are
-    formed on first use, so a bound refused on its mask forms neither."""
+    """G, q and the masks of ``eta_parts`` at eps (and eps/2 for Richardson), shared by
+    the invariant and the bound. curl(G), the masked density and the value are formed on
+    first use, so a bound refused on its mask forms none; only ``result`` is a GvResult."""
 
     def __init__(self, bundle: FieldBundle, variant: str, eps: float, richardson: bool = False):
         levels = (eps, 0.5 * eps) if richardson and eps > 0.0 else (eps,)
@@ -221,17 +223,25 @@ class _Evaluation:
         return curl(self.G)
 
     @cached_property
+    def density(self) -> np.ndarray:
+        """G . curl(G) / q^2 on the mask at eps, zero off it."""
+        return _masked_quotient(dot(self.G, self.curlG).data, self.q, self.masks[0], 2)
+
+    @cached_property
+    def value(self) -> float:
+        return float(np.sum(self.density)) * self.grid.cell_volume
+
+    @cached_property
     def result(self) -> GvResult:
-        num, q, mask = dot(self.G, self.curlG).data, self.q, self.masks[0]
-        density = ScalarField(self.grid, _masked_quotient(num, q, mask, 2))
-        value = integrate(density)
+        mask = self.masks[0]
         extrap = None
         if len(self.masks) == 2:
-            half = integrate(ScalarField(self.grid, _masked_quotient(num, q, self.masks[1], 2)))
-            extrap = 2.0 * half - value
+            num = dot(self.G, self.curlG).data
+            half = float(np.sum(_masked_quotient(num, self.q, self.masks[1], 2))) * self.grid.cell_volume
+            extrap = 2.0 * half - self.value
         return GvResult(
-            value=value,
-            density=density,
+            value=self.value,
+            density=ScalarField(self.grid, self.density),
             mask=ScalarField(self.grid, mask.astype(np.float64)),
             excluded_volume_fraction=1.0 - float(mask.mean()),
             richardson_value=extrap,
@@ -317,7 +327,7 @@ def _bound(bundle: FieldBundle, eps: float, evaluation: _Evaluation) -> BoundRep
     slack_tol = _TOL["bound_slack_rel"]
     C = float(np.sum(_masked_quotient(magnitude2(G).data, q, mask, 4))) * bundle.grid.cell_volume
     rate = integrate(magnitude2(evaluation.curlG))
-    slack = C * rate - evaluation.result.value**2
+    slack = C * rate - evaluation.value**2
     if slack < -slack_tol * C * rate:
         raise ToleranceBreach(
             f"bound slack {slack:g} below -{slack_tol:g} * C * rate; "
@@ -329,7 +339,7 @@ def _bound(bundle: FieldBundle, eps: float, evaluation: _Evaluation) -> BoundRep
     L7 = V**2 / np.sqrt(lam)
     delta = q - 2.0 * E / V
     return BoundReport(
-        gv=evaluation.result.value,
+        gv=evaluation.value,
         C=C,
         enstrophy_rate=rate,
         slack=slack,

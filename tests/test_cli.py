@@ -120,6 +120,13 @@ class TestGenerateAnalyze:
         assert run(args) == 2
         assert "power" in capsys.readouterr().err
 
+    def test_unresolved_kupka_names_the_grid_exit_4(self, tmp_path, capsys):
+        # at n=8 the sampled profile leaves a z mean no periodic field has
+        out = tmp_path / "x.wrg"
+        assert run(["generate", "--family", "kupka", "--n", "8", "--out", str(out)]) == 4
+        assert "either not periodic or not resolved by the grid (raise n)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_vanishing_velocity_denominator_exit_4(self, tmp_path, capsys):
         # U = (0, -cos x, 0) for W = (0, 0, sin x), so U.A vanishes for A along x
         from wring import dynamics

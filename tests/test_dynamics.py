@@ -22,7 +22,7 @@ from wring.fieldcore import (
     magnitude2,
     random_band_limited_vector,
 )
-from wring.fieldcore import cross, curl, dealias
+from wring.fieldcore import cross, curl
 
 TWO_PI = 2.0 * np.pi
 
@@ -48,6 +48,12 @@ def rough32():
     g = cube(32)
     W = random_band_limited_vector(g, 12, 3, div_free=True)
     return fz.FieldBundle(g, inverse_curl(W), W)
+
+
+def dealias(v):
+    """The 2/3-rule truncation of a vector field, through full spectra."""
+    g = v.grid
+    return VectorField(g, np.stack([g.irfft(g.dealias_mask * g.rfft(c)) for c in v.data]))
 
 
 def dealiased_product(b):

@@ -12,9 +12,9 @@ import pytest
 from wring import dynamics as dyn
 from wring import fieldzoo as fz
 from wring import gv
-from wring.fieldcore import Grid3, inverse_curl
+from wring.fieldcore import Grid3, VectorField, inverse_curl
 
-STEP_BUDGET = 95
+STEP_BUDGET = 92
 INVERSE_CURL_BUDGET = 7
 VORTICITY_RATE_BUDGET = 15
 BERNOULLI_HEAD_BUDGET = 13
@@ -26,14 +26,17 @@ OBSTRUCTION_BOUND_BUDGET = 6
 # the bound, the canonical choice cannot
 ANALYZE_BOUND_VELOCITY_BUDGET = 6
 ANALYZE_BOUND_CANONICAL_BUDGET = 12
-TRACK_ONE_STEP_BUDGET = 107
+TRACK_ONE_STEP_BUDGET = 104
 # on a bundle with nothing cached: W's spectra are transformed once
 HELICITY_UNCACHED_BUDGET = 3
 ANALYZE_UNCACHED_BUDGET = 9
-VERIFY_UNCACHED_BUDGET = 10
+VERIFY_UNCACHED_BUDGET = 7
 # counts Grid3.rfft/irfft only: the one-axis real transforms of the shear
 # shifts (Grid3.shift) are not among them
-APPLY_DIFFEO_BUDGET = 10
+APPLY_DIFFEO_BUDGET = 7
+# the generators, verify included: A and W are each transformed once
+GEN_CLEBSCH_BUDGET = 11
+HOPF_RINGS_BUDGET = 17
 # Grid3.shift calls per shear primitive of apply_diffeo: one for A, one for W
 SHIFTS_PER_SHEAR = 2
 
@@ -79,8 +82,10 @@ def sheared32(clebsch32):
 
 @pytest.fixture
 def uncached32(sheared32):
-    """The same fields in a new bundle: nothing cached."""
-    return fz.FieldBundle(sheared32.grid, sheared32.A, sheared32.W, meta=dict(sheared32.meta))
+    """New fields of the same samples in a new bundle: nothing cached."""
+    g = sheared32.grid
+    A, W = (VectorField(g, v.data.copy()) for v in (sheared32.A, sheared32.W))
+    return fz.FieldBundle(g, A, W, meta=dict(sheared32.meta))
 
 
 def test_rk4_step_budget(transforms, sheared32):
@@ -92,7 +97,7 @@ def test_rk4_step_transforms_split(transforms, sheared32):
     # one that bypasses it leaves this split short
     g = sheared32.grid
     shapes = transforms(dyn.step, dyn.EvolutionState(sheared32, dt=0.02))
-    assert Counter(shapes) == {g.box_shape: 76, (32, 32, 17): 19}
+    assert Counter(shapes) == {g.box_shape: 76, (32, 32, 17): 16}
 
 
 def test_inverse_curl_budget(transforms, sheared32):
@@ -154,6 +159,15 @@ def test_verify_budget(transforms, uncached32):
 
 def test_apply_diffeo_budget(transforms, clebsch32):
     assert len(transforms(fz.apply_diffeo, clebsch32, SHEAR)) <= APPLY_DIFFEO_BUDGET
+
+
+@pytest.mark.parametrize(
+    "generate, budget",
+    [(fz.gen_clebsch, GEN_CLEBSCH_BUDGET), (fz.hopf_rings, HOPF_RINGS_BUDGET)],
+    ids=["clebsch", "hopf_rings"],
+)
+def test_generator_budget(transforms, generate, budget):
+    assert len(transforms(generate, Grid3((32, 32, 32), (2.0 * np.pi,) * 3))) <= budget
 
 
 def test_apply_diffeo_shift_count(monkeypatch, clebsch32):

@@ -283,7 +283,7 @@ class TestInverseCurl:
     def test_rejects_mean_flow(self):
         g = cube(16)
         v = random_band_limited_vector(g, 4, seed=6, div_free=True)
-        v.data[2] += 0.5
+        v = VectorField(g, v.data + np.array([0.0, 0.0, 0.5])[:, None, None, None])
         with pytest.raises(NonZeroMeanVorticity):
             inverse_curl(v)
 

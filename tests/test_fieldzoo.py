@@ -14,9 +14,12 @@ from wring.errors import (
 )
 from wring.fieldcore import (
     Grid3,
+    ScalarField,
     curl,
     dot,
+    grad,
     integrate,
+    inverse_curl,
     magnitude2,
     VectorField,
 )
@@ -298,9 +301,16 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_bundle_fields_are_read_only():
-    b = fz.gen_clebsch(cube(16))
-    for data in (b.A.data, b.W.data, *b.W_spec):
-        with pytest.raises(ValueError):
-            data[0, 0, 0] = 1.0
-    with pytest.raises(AttributeError):
-        b.W = b.A
+    g = cube(16)
+    b = fz.gen_clebsch(g)
+    s = ScalarField.sample(g, lambda x, y, z: np.sin(x) * np.cos(y))
+    fields = (b.A, b.W, curl(b.A), grad(s), inverse_curl(b.W), VectorField.from_components(g, 1.0, 0.0, 0.0))
+    for v in fields:
+        for data in (v.data, *v.spec):
+            with pytest.raises(ValueError):
+                data[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        s.data[0, 0, 0] = 1.0
+    for obj, name in ((b, "W"), (b.W, "data"), (b.W, "spec"), (s, "data")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)

@@ -54,6 +54,11 @@ class TestIntegrabilityResidual:
             gv.integrability_residual(b)
 
 
+def with_z_mean(w, mean):
+    """A new field: ``w`` with ``mean`` added to its z component."""
+    return VectorField(w.grid, w.data + np.array([0.0, 0.0, mean])[:, None, None, None])
+
+
 class TestFluxCheck:
     def test_curl_generated_fluxes_vanish(self, clebsch64):
         assert max(abs(f) for f in gv.flux_check(clebsch64)) < 1e-12
@@ -61,9 +66,7 @@ class TestFluxCheck:
     def test_added_constant_shows_up_exactly(self):
         g = cube(16)
         b = fz.gen_clebsch(g)
-        w = b.W.copy()
-        w.data[2] += 0.25
-        shifted = fz.FieldBundle(g, b.A, w)
+        shifted = fz.FieldBundle(g, b.A, with_z_mean(b.W, 0.25))
         fx, fy, fzz = gv.flux_check(shifted)
         assert fzz == pytest.approx(0.25 * g.box[0] * g.box[1], rel=1e-12)
 
@@ -74,10 +77,8 @@ class TestFluxCheck:
     def test_flux_obstruction_blocks_helicity(self):
         g = cube(16)
         b = fz.gen_clebsch(g)
-        w = b.W.copy()
-        w.data[2] += 0.25
         with pytest.raises(FluxObstruction):
-            gv.helicity(fz.FieldBundle(g, b.A, w))
+            gv.helicity(fz.FieldBundle(g, b.A, with_z_mean(b.W, 0.25)))
 
 
 class TestHelicity:
@@ -307,6 +308,15 @@ class TestAnalyzeBound:
             assert report.bound.gv == report.gv
             assert report.bound.covered_fraction == 1.0 - report.excluded_volume_fraction
         assert report.to_json_dict()["bound"] == report.bound.to_json_dict()
+
+    def test_bound_builds_no_gv_result(self, seeded_sheared32, monkeypatch):
+        # the bound reads the invariant value only, never the full result
+        def refuse(**_):
+            raise AssertionError("GvResult built for the bound")
+
+        monkeypatch.setattr(gv, "GvResult", refuse)
+        report = gv.obstruction_bound(seeded_sheared32)
+        assert report.to_json_dict()["schema"] == "wring-bound/1"
 
     def test_no_bound_unless_asked(self, seeded_sheared32):
         report = gv.analyze(seeded_sheared32)

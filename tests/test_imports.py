@@ -1,7 +1,7 @@
 """Tooling checks: every name a module of the package imports is used in it,
 no module imports an underscore name from another module of the package,
-and no module calls numpy's FFT, so every transform runs on scipy.fft with
-the configured worker count."""
+no module calls numpy's FFT, so every transform runs on scipy.fft with
+the configured worker count, and no module writes into a field's array."""
 
 import ast
 import pathlib
@@ -85,3 +85,49 @@ def test_check_finds_a_private_import():
         "from os import _exit\n"
     )
     assert private_imports(source) == [(2, "_eta_parts"), (3, "_k1d"), (4, "_private")]
+
+
+def data_writes(source: str) -> list:
+    """Lines that assign to, or augment, a subscript of an attribute named
+    ``data``, as in ``v.data[i] -= m``: a write into a field's samples."""
+
+    def writes_data(target) -> bool:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(writes_data(t) for t in target.elts)
+        if isinstance(target, ast.Starred):
+            return writes_data(target.value)
+        while isinstance(target, ast.Subscript):
+            target = target.value
+            if isinstance(target, ast.Attribute) and target.attr == "data":
+                return True
+        return False
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(writes_data(t) for t in targets):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(wring.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_no_field_data_writes(path):
+    assert data_writes(path.read_text()) == []
+
+
+def test_check_finds_a_data_write():
+    source = (
+        "v.data[i] -= m\n"
+        "v.data[0][1] = 0.0\n"
+        "a, w.data[2] = 1.0, 2.0\n"
+        "data[0] = 1.0\n"
+        "v.data = v.data[::-1]\n"
+        "x = v.data[0] + 1.0\n"
+        "out[0] += v.data[0]\n"
+    )
+    assert data_writes(source) == [1, 2, 3]
