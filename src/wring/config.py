@@ -18,12 +18,15 @@ TOL = DEFAULTS["tolerances"]
 
 
 def fft_workers() -> int:
-    """Worker count for FFT calls, from the documented environment variable.
+    """Number of FFT lanes, from the documented environment variable.
 
-    Defaults to 1 so repeated runs are reproducible without any setup, and
-    is clamped to the machine's CPU count.
+    A stacked ``Grid3.rfft``/``irfft`` call splits its components over this
+    many threads, the caller included; every other transform runs serially.
+    Defaults to 2 and is clamped to the machine's CPU count; a value that is
+    not an integer counts as 1, the serial path. The lane count changes no
+    output bit.
     """
-    raw = os.environ.get(DEFAULTS["fft_workers_env"], "1")
+    raw = os.environ.get(DEFAULTS["fft_workers_env"], "2")
     try:
         workers = int(raw)
     except ValueError:

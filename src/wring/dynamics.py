@@ -69,8 +69,8 @@ def vorticity_rate(bundle: FieldBundle) -> VectorField:
     """
     g = bundle.grid
     kern = _Stepper(g)
-    ps, _ = kern.wxu_spec([g.rfft(c, box=True) for c in bundle.W.data])
-    return VectorField(g, [-g.irfft(c) for c in cross_parts(kern.ik, ps)])
+    ps, _ = kern.wxu_spec(g.rfft(bundle.W.data, box=True))
+    return VectorField(g, -g.irfft(np.stack(cross_parts(kern.ik, ps))))
 
 
 def bernoulli_head(bundle: FieldBundle) -> ScalarField:
@@ -82,7 +82,7 @@ def bernoulli_head(bundle: FieldBundle) -> ScalarField:
     """
     g = bundle.grid
     kern = _Stepper(g)
-    ps, _ = kern.wxu_spec([g.rfft(c, box=True) for c in bundle.W.data])
+    ps, _ = kern.wxu_spec(g.rfft(bundle.W.data, box=True))
     ikx, iky, ikz = kern.ik
     return ScalarField(g, g.irfft((ikx * ps[0] + iky * ps[1] + ikz * ps[2]) * kern.inv_k2))
 
@@ -116,7 +116,8 @@ class _Stepper:
     Bernoulli head. Its spectra are box spectra
     (``Grid3.rfft(data, box=True)``): they hold only the modes the 2/3 rule
     keeps, so truncation is implicit in every transform and no mask is
-    applied.
+    applied. They are held as stacks, (W^, A^) as one (6, ...) array, so
+    each group of transforms is one stacked call that the FFT lanes share.
     """
 
     def __init__(self, grid):
@@ -126,30 +127,38 @@ class _Stepper:
         self.ik = (ikx[rows], iky[:, cols], ikz[:, :, planes])
         self.inv_k2 = grid.cut_box(grid.inv_k2)
 
-    def wxu_spec(self, w_specs):
-        """Truncated spectra of W x U, with U the velocity of W.
+    def wxu_spec(self, w):
+        """Box spectra of the truncated W x U, with U the velocity of W.
 
-        ``w_specs`` are box spectra. Returns (spectra, U);
-        U is in physical space, for the co-state.
+        ``w`` is the stack of W's three box spectra; W and U are one
+        six-component inverse. Returns (spectra, U), with U a new physical
+        stack that holds no reference to W's samples, for the co-state.
         """
         g = self.g
-        W = [g.irfft(c) for c in w_specs]
-        U = [g.irfft(c * self.inv_k2) for c in cross_parts(self.ik, w_specs)]
-        return [g.rfft(c, box=True) for c in cross_parts(W, U)], U
+        wu = g.irfft(np.concatenate((w, [c * self.inv_k2 for c in cross_parts(self.ik, w)])))
+        ps = g.rfft(cross_parts(wu[:3], wu[3:], out=np.empty_like(wu[:3])), box=True)
+        return ps, wu[3:].copy()
 
-    def rhs(self, w_specs, a_specs):
+    def rhs(self, y):
+        """Box spectra of the right-hand side (dW/dt, dA/dt) at the stack y = (W^, A^)."""
         g = self.g
-        ps, U = self.wxu_spec(w_specs)
-        A = [g.irfft(c) for c in a_specs]
-        curlA = [g.irfft(c) for c in cross_parts(self.ik, a_specs)]
+        ps, U = self.wxu_spec(y[:3])
+        # A and curl(A) as one six-component inverse
+        ac = g.irfft(np.concatenate((y[3:], cross_parts(self.ik, y[3:]))))
+        A, curlA = ac[:3], ac[3:]
+        # co-state: dA/dt = -L_U A = U x curl(A) - grad(U.A), from the
+        # products (U x curl(A), U.A) transformed as one stack
+        prods = np.empty((4,) + g.shape)
+        cross_parts(U, curlA, out=prods[:3])
+        ua = np.multiply(U[0], A[0], out=prods[3])
+        ua += U[1] * A[1]
+        ua += U[2] * A[2]
+        # the samples are dropped before the transform's buffers are made
+        del ac, A, curlA, U, ua
+        q = g.rfft(prods, box=True)
         # vorticity: dW/dt = -curl(W x U)
         rhs_w = [-c for c in cross_parts(self.ik, ps)]
-        # co-state: dA/dt = -L_U A = U x curl(A) - grad(U.A)
-        rhs_a = [g.rfft(c, box=True) for c in cross_parts(U, curlA)]
-        phi = g.rfft(U[0] * A[0] + U[1] * A[1] + U[2] * A[2], box=True)
-        for q, ik in zip(rhs_a, self.ik):
-            q -= ik * phi
-        return rhs_w, rhs_a
+        return np.concatenate((rhs_w, [qi - ik * q[3] for qi, ik in zip(q, self.ik)]))
 
 
 def step(state: EvolutionState) -> EvolutionState:
@@ -169,23 +178,20 @@ def step(state: EvolutionState) -> EvolutionState:
             f"exceeds {_DYN['cfl_limit']}"
         )
     kern = _Stepper(g)
-    # full spectra; the RK4 sum adds the box increment to them in place,
-    # so every mode outside the box passes through the step unchanged
-    w1 = [g.rfft(c) for c in b.W.data]
-    a1 = [g.rfft(c) for c in b.A.data]
-    w0 = [g.cut_box(s) for s in w1]
-    a0 = [g.cut_box(s) for s in a1]
+    # the full spectra of (W, A); the RK4 sum adds the box increment to
+    # them in place, so every mode outside the box passes through unchanged
+    s = g.rfft(np.concatenate((b.W.data, b.A.data)))
+    y0 = g.cut_box(s)
     dt = state.dt
-
-    def axpy(y, k, c):
-        return [yi + c * ki for yi, ki in zip(y, k)]
-
-    kw1, ka1 = kern.rhs(w0, a0)
-    kw2, ka2 = kern.rhs(axpy(w0, kw1, dt / 2), axpy(a0, ka1, dt / 2))
-    kw3, ka3 = kern.rhs(axpy(w0, kw2, dt / 2), axpy(a0, ka2, dt / 2))
-    kw4, ka4 = kern.rhs(axpy(w0, kw3, dt), axpy(a0, ka3, dt))
-    for y, k1, k2, k3, k4 in zip(w1 + a1, kw1 + ka1, kw2 + ka2, kw3 + ka3, kw4 + ka4):
-        g.add_box(y, dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+    # k1 + 2 k2 + 2 k3 + k4 is summed in that order as the stages finish,
+    # so one stage's right-hand side is held at a time
+    k = total = kern.rhs(y0)
+    for c in (dt / 2, dt / 2):
+        k = kern.rhs(y0 + c * k)
+        total = total + 2 * k
+    total += kern.rhs(y0 + dt * k)
+    g.add_box(s, dt / 6.0 * total)
+    w1, a1 = s[:3], s[3:]
     # curl(A1) comes from the transported A, never from W, so the drift
     # stays an independent measure of integration quality
     drift = rel_l2(g, cross_parts(g.ik, a1), w1)
@@ -194,8 +200,10 @@ def step(state: EvolutionState) -> EvolutionState:
             f"curl(A) - W drift {drift:g} in the step from t={state.t:g} with "
             f"dt={state.dt:g} exceeds {state.drift_limit:g} (refine the step)"
         )
-    W1 = VectorField(g, [g.irfft(s) for s in w1], spec=w1)
-    A1 = VectorField(g, [g.irfft(s) for s in a1])
+    phys = g.irfft(s)
+    # W1 keeps a copy of its spectra: a view would keep A1's alive too
+    W1 = VectorField(g, phys[:3], spec=w1.copy())
+    A1 = VectorField(g, phys[3:])
     meta = {k: v for k, v in b.meta.items() if k != "residuals"}
     new_bundle = FieldBundle(g, A1, W1, meta)
     # every caller needs U next (the next step's CFL check, the samples);

@@ -17,6 +17,8 @@ Conventions fixed here and relied on elsewhere:
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -209,17 +211,20 @@ class Grid3:
             ((fx, fy, band), (bx, by, slice(None))) for fx, bx in xruns for fy, by in yruns
         )
 
-    def cut_box(self, spec: np.ndarray) -> np.ndarray:
-        """New contiguous box spectrum holding the box modes of a full-layout ``spec``."""
-        out = np.empty(self.box_shape, dtype=spec.dtype)
+    def cut_box(self, spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The box modes of a full-layout ``spec``, in a new contiguous box
+        spectrum or in ``out``; leading axes are kept."""
+        if out is None:
+            out = np.empty(spec.shape[:-3] + self.box_shape, dtype=spec.dtype)
         for full, box in self._box_blocks:
-            out[box] = spec[full]
+            out[(..., *box)] = spec[(..., *full)]
         return out
 
     def add_box(self, spec: np.ndarray, inc: np.ndarray) -> None:
-        """Add the box spectrum ``inc`` into the box modes of ``spec``, in place."""
+        """Add the box spectrum ``inc`` into the box modes of ``spec``, in place;
+        leading axes broadcast."""
         for full, box in self._box_blocks:
-            spec[full] += inc[box]
+            spec[(..., *full)] += inc[(..., *box)]
 
     def rfft(self, data: np.ndarray, box: bool = False) -> np.ndarray:
         """Forward transform in the rfft layout, or only its 2/3-rule box.
@@ -230,16 +235,31 @@ class Grid3:
         transform on the kept kx rows only, in the x-then-y order of
         ``scipy.fft.rfftn``, so the box equals those modes of ``rfftn`` bit
         for bit. Without it this is ``rfftn``.
+
+        A stack of components, shape (k, nx, ny, nz), gives the stack of
+        their transforms, each equal bit for bit to the transform of its
+        component alone; the components are split over the FFT lanes.
         """
-        workers = config.fft_workers()
+        if data.ndim == 3:
+            return self._rfft(data, box)
+        shape = self.box_shape if box else self._half_shape
+        return _LANES.stack(lambda d, out: self._rfft(d, box, out), data, shape, complex)
+
+    def _rfft(self, data: np.ndarray, box: bool, out: np.ndarray | None = None) -> np.ndarray:
         if not box:
-            return sfft.rfftn(data, workers=workers)
+            return _into(sfft.rfftn(data), out)
         xruns, _, band = self._box_runs
-        spec = sfft.rfft(data, axis=2, workers=workers)
-        _c2c_in_place(sfft.fft, spec[:, :, band], 0, workers)
+        spec = sfft.rfft(data, axis=2)
+        _c2c_in_place(sfft.fft, spec[:, :, band], 0)
         for rows, _ in xruns:
-            _c2c_in_place(sfft.fft, spec[rows, :, band], 1, workers)
-        return self.cut_box(spec)
+            _c2c_in_place(sfft.fft, spec[rows, :, band], 1)
+        return self.cut_box(spec, out)
+
+    @cached_property
+    def _half_shape(self) -> tuple[int, int, int]:
+        """Shape of a full rfft spectrum: the last axis halved."""
+        nx, ny, nz = self.n
+        return nx, ny, nz // 2 + 1
 
     @cached_property
     def _inv_points(self) -> float:
@@ -254,22 +274,25 @@ class Grid3:
         y transform on the band, and the real transform along every z line,
         with one 1/N scale at the end, as ``irfftn`` scales. The result
         equals ``irfftn`` of the zero-filled spectrum bit for bit. Full
-        spectra go to ``irfftn``.
+        spectra go to ``irfftn``. A stack of spectra, shape (k, ...), gives
+        the stack of their inverses, split over the FFT lanes as in ``rfft``.
         """
-        workers = config.fft_workers()
+        if spec.ndim == 3:
+            return self._irfft(spec)
+        return _LANES.stack(self._irfft, spec, self.n, float)
+
+    def _irfft(self, spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if spec.shape != self.box_shape:
-            return sfft.irfftn(spec, s=self.n, workers=workers)
-        nx, ny, nz = self.n
+            return _into(sfft.irfftn(spec, s=self.n), out)
         _, yruns, band = self._box_runs
-        full = np.zeros((nx, ny, nz // 2 + 1), dtype=complex)
+        full = np.zeros(self._half_shape, dtype=complex)
         for f, b in self._box_blocks:
             full[f] = spec[b]
         for cols, _ in yruns:
-            _c2c_in_place(sfft.ifft, full[:, cols, band], 0, workers, norm="forward")
-        _c2c_in_place(sfft.ifft, full[:, :, band], 1, workers, norm="forward")
-        out = sfft.irfft(full, n=nz, axis=2, norm="forward", overwrite_x=True, workers=workers)
-        out *= self._inv_points
-        return out
+            _c2c_in_place(sfft.ifft, full[:, cols, band], 0, norm="forward")
+        _c2c_in_place(sfft.ifft, full[:, :, band], 1, norm="forward")
+        r = sfft.irfft(full, n=self.n[2], axis=2, norm="forward", overwrite_x=True)
+        return np.multiply(r, self._inv_points, out=r if out is None else out)
 
     def shift(self, data: np.ndarray, axis: int, delta: np.ndarray) -> np.ndarray:
         """A vector field's components at points displaced by -delta along ``axis``.
@@ -280,14 +303,13 @@ class Grid3:
         part of the phased Nyquist coefficient, as the real part of a complex
         transform's shift does.
         """
-        workers = config.fft_workers()
         m = self.n[axis]
         k = np.abs(self._k1d[axis][: m // 2 + 1])
         shape = [1, 1, 1]
         shape[axis] = k.size
-        spec = sfft.rfft(data, axis=axis + 1, workers=workers)
+        spec = sfft.rfft(data, axis=axis + 1)
         spec *= np.exp(-1j * k.reshape(shape) * delta)
-        return sfft.irfft(spec, n=m, axis=axis + 1, overwrite_x=True, workers=workers)
+        return sfft.irfft(spec, n=m, axis=axis + 1, overwrite_x=True)
 
 
 def _two_thirds(idx: np.ndarray, m: int) -> np.ndarray:
@@ -295,15 +317,89 @@ def _two_thirds(idx: np.ndarray, m: int) -> np.ndarray:
     return idx <= m // 3
 
 
-def _c2c_in_place(transform, view: np.ndarray, axis: int, workers: int, **kwargs) -> None:
+def _c2c_in_place(transform, view: np.ndarray, axis: int, **kwargs) -> None:
     """Leave ``transform(view, **kwargs)`` along ``axis`` in ``view``.
 
     scipy writes into an overwritable complex input without promising to;
     the result is copied back unless it already occupies ``view``.
     """
-    out = transform(view, axis=axis, overwrite_x=True, workers=workers, **kwargs)
+    out = transform(view, axis=axis, overwrite_x=True, **kwargs)
     if out.ctypes.data != view.ctypes.data or out.strides != view.strides:
         view[...] = out
+
+
+def _into(result: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``result``, copied into ``out`` when one is given."""
+    if out is None:
+        return result
+    out[...] = result
+    return out
+
+
+class _Lanes:
+    """The FFT lanes: the calling thread plus a persistent pool of
+    ``config.fft_workers() - 1`` threads, made on first use.
+
+    scipy's transforms release the interpreter lock, so one transform per
+    lane runs on its own core. pocketfft's own ``workers`` splits each
+    transform finely and made the stepper slower; whole components per lane
+    do not. Every component is computed by the same single-component code
+    whichever lane runs it, so results do not depend on the lane count.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._pool = None
+        self._size = 0
+
+    def _workers(self, size: int) -> ThreadPoolExecutor:
+        """The pool of ``size`` threads; a pool of another size is shut down."""
+        with self._lock:
+            if self._size != size:
+                if self._pool is not None:
+                    self._pool.shutdown(wait=False)
+                self._pool = ThreadPoolExecutor(size, thread_name_prefix="wring-fft-lane")
+                self._size = size
+            return self._pool
+
+    def run(self, count: int, fn) -> None:
+        """Call ``fn(i)`` once for every i in range(count), each lane
+        claiming the next unclaimed i until none is left, so a lane that
+        another process slows down takes fewer. Returns, or raises a lane's
+        error (the calling lane's first), once every lane is done."""
+        size = config.fft_workers()
+        lanes = min(size, count)
+        indices = iter(range(count))
+        claim = threading.Lock()
+
+        def lane():
+            while True:
+                with claim:
+                    i = next(indices, None)
+                if i is None:
+                    return
+                fn(i)
+
+        futures = []
+        if lanes > 1:
+            pool = self._workers(size - 1)
+            futures = [pool.submit(lane) for _ in range(lanes - 1)]
+        try:
+            lane()
+        finally:
+            wait(futures)
+        for f in futures:
+            f.result()
+
+    def stack(self, one, data: np.ndarray, shape: tuple, dtype) -> np.ndarray:
+        """The stack of ``one(data[i], out[i])`` over the leading axis of
+        ``data``, each lane writing its own slices of one new array ``out``."""
+        out = np.empty((len(data),) + tuple(shape), dtype=dtype)
+        self.run(len(data), lambda i: one(data[i], out[i]))
+        return out
+
+
+_LANES = _Lanes()
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -405,14 +501,19 @@ class VectorField:
         return float(np.sqrt(np.max(magnitude2(self).data)))
 
     def maxabs(self) -> float:
-        return self._stats[0]
+        return self._maxabs
 
     def component_means(self) -> tuple[float, float, float]:
-        return self._stats[1]
+        return self._means
 
     @cached_property
-    def _stats(self) -> tuple:
-        return float(np.max(np.abs(self.data))), tuple(float(np.mean(c)) for c in self.data)
+    def _maxabs(self) -> float:
+        # max(max x, -min x) is max|x| exactly, without an |x| temporary
+        return float(max(self.data.max(), -self.data.min()))
+
+    @cached_property
+    def _means(self) -> tuple:
+        return tuple(float(np.mean(c)) for c in self.data)
 
 
 # -- pointwise algebra -------------------------------------------------------
@@ -422,11 +523,21 @@ def dot(a: VectorField, b: VectorField) -> ScalarField:
     return ScalarField(a.grid, np.einsum("i...,i...->...", a.data, b.data))
 
 
-def cross_parts(a, b) -> tuple:
-    """Components of a x b for two sequences of three component arrays."""
+def cross_parts(a, b, out=None):
+    """Components of a x b for two sequences of three component arrays.
+
+    With ``out``, a stack of three arrays, they are written into it (with
+    the same roundings) and ``out`` is returned.
+    """
     ax, ay, az = a
     bx, by, bz = b
-    return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+    if out is None:
+        return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+    tmp = np.empty_like(out[0])
+    for o, (p, q, r, s) in zip(out, ((ay, bz, az, by), (az, bx, ax, bz), (ax, by, ay, bx))):
+        np.multiply(p, q, out=o)
+        o -= np.multiply(r, s, out=tmp)
+    return out
 
 
 def cross(a: VectorField, b: VectorField) -> VectorField:

@@ -66,6 +66,7 @@ from .fieldcore import (
 
 _TOL = config.TOL
 _MAX_FLOAT = float(np.finfo(np.float64).max)
+_VALUES = config.DEFAULTS["bundle_values"]
 
 
 # -- bundles -----------------------------------------------------------------
@@ -125,7 +126,12 @@ class FieldBundle:
 
     @classmethod
     def load(cls, path) -> "FieldBundle":
-        """Read A, W and meta; a stored U, which older files carry, is ignored."""
+        """Read A, W and meta; a stored U, which older files carry, is ignored.
+
+        A and W must each be zero or have a largest |component| within
+        ``bundle_values`` (defaults.json); outside it, FormatError names the
+        file and the field, before any product of the samples can overflow.
+        """
         grid, fields, meta = wrg1.read_fields(path)
         try:
             A, W = fields["A"], fields["W"]
@@ -133,6 +139,14 @@ class FieldBundle:
             raise PreconditionError(f"{path}: bundle file lacks field {exc}") from exc
         if not (isinstance(A, VectorField) and isinstance(W, VectorField)):
             raise FormatError(f"{path}: bundle fields 'A' and 'W' must be vectors")
+        low, high = _VALUES["min_nonzero_abs"], _VALUES["max_abs"]
+        for name, field in (("A", A), ("W", W)):
+            peak = field.maxabs()
+            if peak > high or 0.0 < peak < low:
+                raise FormatError(
+                    f"{path}: field {name!r} has max|component| {peak:g}; a bundle field "
+                    f"must be zero or have it within [{low:g}, {high:g}]"
+                )
         claims = meta.get("claims", {})
         if not isinstance(claims, dict) or not isinstance(meta.get("diffeo", []), list):
             raise FormatError(f"{path}: metadata 'claims' must be an object and 'diffeo' a list")

@@ -279,6 +279,27 @@ class TestHostileWrg1:
     def test_header_outside_schema(self, tmp_path, capsys, command, header, message):
         self._exit_3(tmp_path, capsys, command, message, **header)
 
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("field, scale", [("A", 1e160), ("W", 1e160), ("W", 1e-160)])
+    def test_field_values_out_of_range(self, tmp_path, capsys, command, field, scale):
+        # a valid bundle scaled out of [1e-100, 1e100] is refused on load,
+        # naming the file and the field, before anything overflows
+        from wring import wrg1
+        from wring.fieldcore import Grid3, VectorField
+        from wring.fieldzoo import gen_clebsch
+
+        g = Grid3((8, 8, 8), (2 * np.pi,) * 3)
+        b = gen_clebsch(g)
+        fields = {"A": b.A, "W": b.W}
+        fields[field] = VectorField(g, fields[field].data * scale)
+        src = tmp_path / "scaled.wrg"
+        wrg1.write_fields(src, g, fields, {"family": "clebsch"})
+        assert run(self.COMMANDS[command](str(src), str(tmp_path / "o.wrg"))) == 3
+        captured = capsys.readouterr()
+        assert f"{src}: field '{field}' has max|component|" in captured.err
+        assert "[1e-100, 1e+100]" in captured.err
+        assert captured.out == ""
+
 
 class TestStoredVelocity:
     """A U stored by older versions is read and ignored; the velocity comes from W."""

@@ -1,10 +1,12 @@
 """Evolution, bounds and the local conservation law."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
 
+from wring import config
 from wring import dynamics as dyn
 from wring import fieldzoo as fz
 from wring import gv
@@ -48,6 +50,13 @@ def rough32():
     g = cube(32)
     W = random_band_limited_vector(g, 12, 3, div_free=True)
     return fz.FieldBundle(g, inverse_curl(W), W)
+
+
+@pytest.fixture(scope="module")
+def sheared_box():
+    """A sheared Clebsch bundle on an uneven 16 x 24 x 32 grid and box."""
+    b = fz.gen_clebsch(Grid3((16, 24, 32), (TWO_PI, 5.0, 7.0)))
+    return fz.apply_diffeo(b, fz.DiffeoMap((fz.Shear.from_names("x", "z", 0.2, 1),)))
 
 
 def dealias(v):
@@ -240,8 +249,8 @@ class TestCoState:
         A = random_band_limited_vector(g, 5, 23)
         U = inverse_curl(W)
         kern = dyn._Stepper(g)
-        _, rhs_a = kern.rhs([g.rfft(c, box=True) for c in W.data], [g.rfft(c, box=True) for c in A.data])
-        got = np.stack([g.irfft(s) for s in rhs_a])
+        rhs_a = kern.rhs(g.rfft(np.concatenate((W.data, A.data)), box=True))[3:]
+        got = g.irfft(rhs_a)
         # dA[i][j] = d_j A_i, dU[i][j] = d_j U_i
         dA = [grad(ScalarField(g, c)).data for c in A.data]
         dU = [grad(ScalarField(g, c)).data for c in U.data]
@@ -311,3 +320,61 @@ def test_cfl_timestep_helper(sheared32):
     dt = dyn.cfl_timestep(sheared32, 0.4)
     umax = sheared32.U.maxnorm()
     assert dt * umax / min(sheared32.grid.spacing) == pytest.approx(0.4)
+
+
+class TestLanes:
+    """The stepper's stacked transforms split over the FFT lanes without
+    changing a bit, a thread or an error."""
+
+    @staticmethod
+    def outputs(bundle):
+        st = dyn.step(dyn.EvolutionState(bundle, dt=0.01))
+        _, series = dyn.track_invariants(dyn.EvolutionState(bundle, dt=0.01), 2)
+        arrays = (
+            st.bundle.W.data, st.bundle.A.data, st.bundle.U.data, *st.bundle.W.spec,
+            np.array([st.curl_drift]), dyn.vorticity_rate(bundle).data,
+            dyn.bernoulli_head(bundle).data, np.array(series.rows),
+        )
+        return [a.tobytes() for a in arrays]
+
+    @pytest.mark.parametrize("name", ["sheared32", "rough32", "sheared_box"])
+    def test_identical_bytes_at_one_and_two_lanes(self, request, monkeypatch, name):
+        bundle = request.getfixturevalue(name)
+        results = []
+        for lanes in ("1", "2"):
+            monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], lanes)
+            results.append(self.outputs(bundle))
+        assert results[0] == results[1]
+
+    def test_worker_lane_error_propagates(self, monkeypatch, sheared32):
+        monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], "2")
+        if config.fft_workers() < 2:
+            pytest.skip("one CPU: no worker lane")
+        state = dyn.EvolutionState(sheared32, dt=0.01)
+        expected = dyn.step(state).bundle.W.data.tobytes()
+        original = Grid3._irfft
+        claimed = threading.Event()
+
+        def failing(self, *args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                # the calling lane waits until the worker lane has claimed
+                # a component, so the failure always comes from the worker
+                claimed.wait(timeout=30)
+                return original(self, *args, **kwargs)
+            claimed.set()
+            raise RuntimeError("lane failure")
+
+        monkeypatch.setattr(Grid3, "_irfft", failing)
+        with pytest.raises(RuntimeError, match="lane failure"):
+            dyn.step(state)
+        monkeypatch.setattr(Grid3, "_irfft", original)
+        assert dyn.step(state).bundle.W.data.tobytes() == expected
+
+    def test_threads_bounded_by_lanes(self, monkeypatch, sheared32):
+        monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], "2")
+        lanes = config.fft_workers()
+        before = threading.active_count()
+        state = dyn.EvolutionState(sheared32, dt=0.01)
+        for _ in range(5):
+            state = dyn.step(state)
+        assert threading.active_count() - before <= lanes - 1

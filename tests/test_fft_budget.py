@@ -9,6 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from wring import config
 from wring import dynamics as dyn
 from wring import fieldzoo as fz
 from wring import gv
@@ -44,14 +45,16 @@ SHIFTS_PER_SHEAR = 2
 @pytest.fixture
 def transforms(monkeypatch):
     """``transforms(fn, *args)`` calls fn and returns the spectrum shapes of
-    the Grid3.rfft and Grid3.irfft calls it made, in order."""
+    the Grid3.rfft and Grid3.irfft calls it made, in order; a stacked call
+    of k components counts as k transforms of one component's shape."""
     shapes = []
     for name in ("rfft", "irfft"):
         original = getattr(Grid3, name)
 
         def counted(self, data, *args, _original=original, _name=name, **kwargs):
             out = _original(self, data, *args, **kwargs)
-            shapes.append((out if _name == "rfft" else data).shape)
+            spec = out if _name == "rfft" else data
+            shapes.extend([spec.shape[-3:]] * (spec.shape[0] if spec.ndim == 4 else 1))
             return out
 
         monkeypatch.setattr(Grid3, name, counted)
@@ -88,16 +91,25 @@ def uncached32(sheared32):
     return fz.FieldBundle(g, A, W, meta=dict(sheared32.meta))
 
 
-def test_rk4_step_budget(transforms, sheared32):
-    assert len(transforms(dyn.step, dyn.EvolutionState(sheared32, dt=0.02))) <= STEP_BUDGET
+# the stepper's stacked transforms split over the FFT lanes; the counts do
+# not depend on the lane count
+LANES = ("1", "2")
 
 
-def test_rk4_step_transforms_split(transforms, sheared32):
+def test_rk4_step_budget(transforms, sheared32, monkeypatch):
+    for lanes in LANES:
+        monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], lanes)
+        assert len(transforms(dyn.step, dyn.EvolutionState(sheared32, dt=0.02))) <= STEP_BUDGET
+
+
+def test_rk4_step_transforms_split(transforms, sheared32, monkeypatch):
     # every stage transform is a box transform, and each goes through Grid3:
     # one that bypasses it leaves this split short
     g = sheared32.grid
-    shapes = transforms(dyn.step, dyn.EvolutionState(sheared32, dt=0.02))
-    assert Counter(shapes) == {g.box_shape: 76, (32, 32, 17): 16}
+    for lanes in LANES:
+        monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], lanes)
+        shapes = transforms(dyn.step, dyn.EvolutionState(sheared32, dt=0.02))
+        assert Counter(shapes) == {g.box_shape: 76, (32, 32, 17): 16}
 
 
 def test_inverse_curl_budget(transforms, sheared32):
@@ -139,9 +151,11 @@ def test_obstruction_bound_budget(transforms, sheared32):
     assert len(transforms(dyn.obstruction_bound, sheared32)) <= OBSTRUCTION_BOUND_BUDGET
 
 
-def test_track_invariants_one_step_budget(transforms, sheared32):
+def test_track_invariants_one_step_budget(transforms, sheared32, monkeypatch):
     state = dyn.EvolutionState(sheared32, dt=0.02)
-    assert len(transforms(dyn.track_invariants, state, 1)) <= TRACK_ONE_STEP_BUDGET
+    for lanes in LANES:
+        monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], lanes)
+        assert len(transforms(dyn.track_invariants, state, 1)) <= TRACK_ONE_STEP_BUDGET
 
 
 def test_helicity_budget(transforms, sheared32, uncached32):

@@ -1,6 +1,8 @@
 """Spectral calculus: analytic examples and operator identities."""
 
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -93,6 +95,33 @@ class TestGrid3:
         filled[g.dealias_mask] = box.ravel()
         assert g.irfft(box).tobytes() == g.irfft(filled).tobytes()
 
+    @pytest.mark.parametrize("lanes", ["1", "2"])
+    @pytest.mark.parametrize("box", [False, True], ids=["full", "box"])
+    @pytest.mark.parametrize("n", BOX_GRIDS[:2])
+    def test_stacked_transforms_equal_per_component(self, monkeypatch, n, box, lanes):
+        # seven components split unevenly over the lanes; each result is the
+        # single-component transform, bit for bit, at any lane count
+        monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], lanes)
+        g = Grid3(n, (TWO_PI, 3.0, 5.0))
+        data = np.random.default_rng(7).standard_normal((7,) + n)
+        spec = g.rfft(data, box=box)
+        assert spec.shape == (7,) + (g.box_shape if box else (n[0], n[1], n[2] // 2 + 1))
+        assert spec.tobytes() == np.stack([g.rfft(c, box=box) for c in data]).tobytes()
+        assert g.irfft(spec).tobytes() == np.stack([g.irfft(s) for s in spec]).tobytes()
+
+    def test_cut_and_add_box_keep_leading_axes(self):
+        g = Grid3((16, 24, 32), (TWO_PI, 3.0, 5.0))
+        rng = np.random.default_rng(8)
+        full = rng.standard_normal((2, 16, 24, 17)) + 1j * rng.standard_normal((2, 16, 24, 17))
+        box = g.cut_box(full)
+        assert np.array_equal(box, np.stack([g.cut_box(s) for s in full]))
+        twice = full.copy()
+        g.add_box(twice, box)
+        for before, after, inc in zip(full, twice, box):
+            expected = before.copy()
+            g.add_box(expected, inc)
+            assert np.array_equal(after, expected)
+
     def test_box_keeps_two_thirds_on_every_even_grid(self):
         # per-axis arrays only: no 3-D mask is built, so all 253 grids stay fast
         for n in range(8, 513, 2):
@@ -153,7 +182,7 @@ class TestGrid3:
             returned.append(sfft.fft(x, **kwargs))
             return returned[-1]
 
-        fieldcore._c2c_in_place(transform, spec[:, :, :3], 0, 1)
+        fieldcore._c2c_in_place(transform, spec[:, :, :3], 0)
         assert np.shares_memory(returned[0], spec) == writes_in_place
         assert np.array_equal(spec, expected)
 
@@ -169,6 +198,44 @@ def test_fft_workers_clamped_to_cpu_count(monkeypatch):
     cpus = os.cpu_count() or 1
     monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], str(cpus + 1))
     assert config.fft_workers() == cpus
+
+
+@pytest.mark.parametrize("raw, lanes", [(None, 2), ("1", 1), ("0", 1), ("two", 1)])
+def test_fft_workers_default_and_fallback(monkeypatch, raw, lanes):
+    if raw is None:
+        monkeypatch.delenv(config.DEFAULTS["fft_workers_env"], raising=False)
+    else:
+        monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], raw)
+    assert config.fft_workers() == min(lanes, os.cpu_count() or 1)
+
+
+def test_concurrent_callers_share_the_lanes(monkeypatch):
+    # more callers than cores, switching threads often: every caller's
+    # stacked transforms still equal the serial per-component ones
+    monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], "2")
+    g = Grid3((16, 24, 32), (TWO_PI, 3.0, 5.0))
+    data = np.random.default_rng(9).standard_normal((6, 16, 24, 32))
+    box = np.stack([g.rfft(c, box=True) for c in data])
+    expected = (box.tobytes(), np.stack([g.irfft(s) for s in box]).tobytes())
+    results = []
+
+    def caller():
+        for _ in range(10):
+            spec = g.rfft(data, box=True)
+            results.append((spec.tobytes(), g.irfft(spec).tobytes()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 40
 
 
 class TestGrad:

@@ -1,7 +1,9 @@
 """Tooling checks: every name a module of the package imports is used in it,
 no module imports an underscore name from another module of the package,
-no module calls numpy's FFT, so every transform runs on scipy.fft with
-the configured worker count, and no module writes into a field's array."""
+no module calls numpy's FFT, so every transform runs on scipy.fft, no
+module writes into a field's array, and only fieldcore starts threads:
+no other module imports threading or concurrent.futures, and no scipy.fft
+call is given a worker count, so the FFT lanes are the only parallelism."""
 
 import ast
 import pathlib
@@ -131,3 +133,57 @@ def test_check_finds_a_data_write():
         "out[0] += v.data[0]\n"
     )
     assert data_writes(source) == [1, 2, 3]
+
+
+# the module that owns the FFT lanes
+THREADED = "fieldcore.py"
+
+
+def thread_imports(source: str) -> list:
+    """Lines that import threading or concurrent.futures, or a name from them."""
+
+    def threaded(name) -> bool:
+        return (name or "").split(".")[0] in ("threading", "concurrent")
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(threaded(a.name) for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and threaded(node.module):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def fft_worker_lines(source: str) -> list:
+    """Lines of calls that pass ``workers=`` or call scipy.fft's ``set_workers``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name == "set_workers" or any(k.arg == "workers" for k in node.keywords):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(wring.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_threads_only_in_fieldcore(path):
+    source = path.read_text()
+    assert fft_worker_lines(source) == []
+    if path.name != THREADED:
+        assert thread_imports(source) == []
+
+
+def test_check_finds_threads_and_fft_workers():
+    source = (
+        "import threading\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import concurrent.futures as cf, os\n"
+        "import scipy.fft as sfft\n"
+        "x = sfft.rfftn(a, workers=2)\n"
+        "with sfft.set_workers(2):\n"
+        "    y = sfft.irfftn(x, s=(8, 8, 8))\n"
+        "from os import cpu_count\n"
+    )
+    assert thread_imports(source) == [1, 2, 3]
+    assert fft_worker_lines(source) == [5, 6]
