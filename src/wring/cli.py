@@ -224,7 +224,7 @@ def _cmd_link(args) -> int:
     else:
         raise ValueError("need --curves FILE or --preset NAME")
     matrix, deviation = linkref.linking_matrix(cs)
-    per, total = linkref.linking_helicities(cs)
+    per, total = linkref.linking_helicities(cs.fluxes, matrix)
     _json_dump(
         {
             "fluxes": list(cs.fluxes),

@@ -18,12 +18,10 @@ Conventions fixed here and relied on elsewhere:
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as sfft
 
 from . import config
 from .errors import (
@@ -104,6 +102,8 @@ class Grid3:
 
     @cached_property
     def _k1d(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        import scipy.fft as sfft
+
         nx, ny, nz = self.n
         hx, hy, hz = self.spacing
         kx = 2.0 * np.pi * sfft.fftfreq(nx, d=hx)
@@ -246,6 +246,8 @@ class Grid3:
         return _LANES.stack(lambda d, out: self._rfft(d, box, out), data, shape, complex)
 
     def _rfft(self, data: np.ndarray, box: bool, out: np.ndarray | None = None) -> np.ndarray:
+        import scipy.fft as sfft
+
         if not box:
             return _into(sfft.rfftn(data), out)
         xruns, _, band = self._box_runs
@@ -282,6 +284,8 @@ class Grid3:
         return _LANES.stack(self._irfft, spec, self.n, float)
 
     def _irfft(self, spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        import scipy.fft as sfft
+
         if spec.shape != self.box_shape:
             return _into(sfft.irfftn(spec, s=self.n), out)
         _, yruns, band = self._box_runs
@@ -303,6 +307,8 @@ class Grid3:
         part of the phased Nyquist coefficient, as the real part of a complex
         transform's shift does.
         """
+        import scipy.fft as sfft
+
         m = self.n[axis]
         k = np.abs(self._k1d[axis][: m // 2 + 1])
         shape = [1, 1, 1]
@@ -352,10 +358,13 @@ class _Lanes:
         self._pool = None
         self._size = 0
 
-    def _workers(self, size: int) -> ThreadPoolExecutor:
-        """The pool of ``size`` threads; a pool of another size is shut down."""
+    def _workers(self, size: int):
+        """The pool of ``size`` threads, built on first use; a pool of
+        another size is shut down."""
         with self._lock:
             if self._size != size:
+                from concurrent.futures import ThreadPoolExecutor
+
                 if self._pool is not None:
                     self._pool.shutdown(wait=False)
                 self._pool = ThreadPoolExecutor(size, thread_name_prefix="wring-fft-lane")
@@ -380,14 +389,16 @@ class _Lanes:
                     return
                 fn(i)
 
-        futures = []
-        if lanes > 1:
-            pool = self._workers(size - 1)
-            futures = [pool.submit(lane) for _ in range(lanes - 1)]
+        if lanes < 2:
+            lane()
+            return
+        pool = self._workers(size - 1)
+        futures = [pool.submit(lane) for _ in range(lanes - 1)]
         try:
             lane()
         finally:
-            wait(futures)
+            for f in futures:
+                f.exception()  # waits for the lane without raising its error
         for f in futures:
             f.result()
 
@@ -449,8 +460,9 @@ class VectorField:
 
     The array is read-only from construction, so the field caches what it
     derives from it: ``spec``, its three read-only rfft spectra, and the
-    values of ``maxabs`` and ``component_means``. ``step`` seeds W's ``spec``
-    with the spectra it inverted to get W, equal to their rfft to roundoff.
+    values of ``maxnorm``, ``maxabs`` and ``component_means``. ``step``
+    seeds W's ``spec`` with the spectra it inverted to get W, equal to
+    their rfft to roundoff.
     """
 
     grid: Grid3
@@ -498,13 +510,17 @@ class VectorField:
 
     def maxnorm(self) -> float:
         """Maximum pointwise Euclidean magnitude."""
-        return float(np.sqrt(np.max(magnitude2(self).data)))
+        return self._maxnorm
 
     def maxabs(self) -> float:
         return self._maxabs
 
     def component_means(self) -> tuple[float, float, float]:
         return self._means
+
+    @cached_property
+    def _maxnorm(self) -> float:
+        return float(np.sqrt(np.max(magnitude2(self).data)))
 
     @cached_property
     def _maxabs(self) -> float:

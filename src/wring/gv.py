@@ -210,8 +210,9 @@ def solve_eta(bundle: FieldBundle, choice: EtaChoice) -> EtaSolution:
 
 class _Evaluation:
     """G, q and the masks of ``eta_parts`` at eps (and eps/2 for Richardson), shared by
-    the invariant and the bound. curl(G), the masked density and the value are formed on
-    first use, so a bound refused on its mask forms none; only ``result`` is a GvResult."""
+    the invariant and the bound. curl(G), G . curl(G), the masked density and the value
+    are formed on first use, so a bound refused on its mask forms none; only ``result``
+    is a GvResult."""
 
     def __init__(self, bundle: FieldBundle, variant: str, eps: float, richardson: bool = False):
         levels = (eps, 0.5 * eps) if richardson and eps > 0.0 else (eps,)
@@ -223,9 +224,19 @@ class _Evaluation:
         return curl(self.G)
 
     @cached_property
+    def _quotients(self) -> tuple:
+        """The masked density at eps and, under Richardson, the masked integral at
+        eps/2 (else None), both from one G . curl(G), which is not kept."""
+        num = dot(self.G, self.curlG).data
+        half = None
+        if len(self.masks) == 2:
+            half = float(np.sum(_masked_quotient(num, self.q, self.masks[1], 2))) * self.grid.cell_volume
+        return _masked_quotient(num, self.q, self.masks[0], 2), half
+
+    @property
     def density(self) -> np.ndarray:
         """G . curl(G) / q^2 on the mask at eps, zero off it."""
-        return _masked_quotient(dot(self.G, self.curlG).data, self.q, self.masks[0], 2)
+        return self._quotients[0]
 
     @cached_property
     def value(self) -> float:
@@ -234,11 +245,8 @@ class _Evaluation:
     @cached_property
     def result(self) -> GvResult:
         mask = self.masks[0]
-        extrap = None
-        if len(self.masks) == 2:
-            num = dot(self.G, self.curlG).data
-            half = float(np.sum(_masked_quotient(num, self.q, self.masks[1], 2))) * self.grid.cell_volume
-            extrap = 2.0 * half - self.value
+        half = self._quotients[1]
+        extrap = None if half is None else 2.0 * half - self.value
         return GvResult(
             value=self.value,
             density=ScalarField(self.grid, self.density),
@@ -263,7 +271,7 @@ def gv_invariant(
     With ``richardson=True`` a second evaluation at eps/2 is combined
     linearly to estimate the eps -> 0 limit (reported alongside, never in
     place of, the masked value). Only the mask depends on eps, so both
-    evaluations share G, q and curl(G).
+    evaluations share G, q, curl(G) and G . curl(G).
     """
     if choice is None:
         choice = EtaChoice.canonical()

@@ -23,6 +23,8 @@ from .errors import (
 )
 
 _MIN_SAMPLES = config.DEFAULTS["linking"]["min_samples"]
+# rows of the first curve per block of ``gauss_linking``
+_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -170,6 +172,10 @@ def gauss_linking(curve_a: np.ndarray, curve_b: np.ndarray) -> float:
     (1/4pi) sum_ij (da_i x db_j) . (xa_i - xb_j) / |xa_i - xb_j|^3.
     Converges spectrally for smooth well-separated curves; the caller may
     round to the nearest integer.
+
+    The terms are formed in blocks of ``_ROWS`` rows of ``curve_a`` into one
+    array and summed by a single ``np.sum``, so no block holds more than
+    ``_ROWS`` x len(curve_b) x 3 values and the sum is the unblocked one.
     """
     min_distance = config.DEFAULTS["linking"]["intersection_distance"]
     a = np.asarray(curve_a, float)
@@ -178,14 +184,19 @@ def gauss_linking(curve_a: np.ndarray, curve_b: np.ndarray) -> float:
     db = np.roll(b, -1, axis=0) - b
     xa = a + 0.5 * da
     xb = b + 0.5 * db
-    diff = xa[:, None, :] - xb[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    if float(dist.min()) < min_distance:
-        raise CurvesIntersect(
-            f"curves approach within {dist.min():g} < {min_distance:g}"
-        )
-    tri = np.einsum("ijk,ijk->ij", np.cross(da[:, None, :], db[None, :, :]), diff)
-    return float(np.sum(tri / dist**3) / (4.0 * np.pi))
+    terms = np.empty((len(a), len(b)))
+    nearest = np.inf
+    for start in range(0, len(a), _ROWS):
+        rows = slice(start, start + _ROWS)
+        diff = xa[rows, None, :] - xb[None, :, :]
+        dist = np.linalg.norm(diff, axis=-1)
+        nearest = min(nearest, dist.min())
+        if nearest >= min_distance:
+            tri = np.einsum("ijk,ijk->ij", np.cross(da[rows, None, :], db[None, :, :]), diff)
+            np.divide(tri, dist**3, out=terms[rows])
+    if nearest < min_distance:
+        raise CurvesIntersect(f"curves approach within {nearest:g} < {min_distance:g}")
+    return float(np.sum(terms) / (4.0 * np.pi))
 
 
 def linking_matrix(cs: CurveSet) -> tuple[np.ndarray, float]:
@@ -212,15 +223,15 @@ def linking_matrix(cs: CurveSet) -> tuple[np.ndarray, float]:
     return lk, dev
 
 
-def linking_helicities(cs: CurveSet) -> tuple[list[float], float]:
-    """Per-tube helicities H_i = Phi_i sum_j Phi_j Lk(i, j) and their total.
+def linking_helicities(fluxes, lk: np.ndarray) -> tuple[list[float], float]:
+    """Per-tube helicities H_i = Phi_i sum_j Phi_j Lk(i, j) and their total,
+    from the fluxes and the matrix ``linking_matrix`` returned.
 
     Self-linking terms are zero by the tube construction (vortex lines
     inside each tube are mutually unlinked), so the diagonal does not
     contribute; each off-diagonal pair is counted once in each row.
     """
-    lk, _ = linking_matrix(cs)
-    phi = np.asarray(cs.fluxes, float)
+    phi = np.asarray(fluxes, float)
     per = (phi * (lk @ phi)).tolist()
     total = float(sum(per))
     if not math.isfinite(total):

@@ -243,7 +243,7 @@ def criterion_7(suite: _Suite) -> CriterionResult:
     h = gv.helicity(rings)
     res.check("ring-pair helicity vs 2, rel", abs(h - 2.0) / 2.0, 0.02)
     cs = linkref.hopf_pair(256)
-    _, total = linkref.linking_helicities(cs)
+    _, total = linkref.linking_helicities(cs.fluxes, linkref.linking_matrix(cs)[0])
     res.check("grid vs linking-matrix total, rel", abs(h - total) / 2.0, 0.02)
     return res
 

@@ -379,6 +379,15 @@ class TestIntegrate:
         assert abs(value - 3.0 * TWO_PI**3) / (3.0 * TWO_PI**3) < 1e-9
 
 
+def test_maxnorm_is_cached(monkeypatch):
+    v = abc_velocity(cube(16))
+    expected = float(np.sqrt(np.max(magnitude2(v).data)))
+    calls = []
+    monkeypatch.setattr(fieldcore, "magnitude2", lambda a: calls.append(a) or magnitude2(a))
+    assert v.maxnorm() == expected and v.maxnorm() == expected
+    assert len(calls) == 1
+
+
 class TestOperatorProperties:
     def test_integration_by_parts(self):
         g = cube(32)

@@ -318,6 +318,16 @@ class TestAnalyzeBound:
         report = gv.obstruction_bound(seeded_sheared32)
         assert report.to_json_dict()["schema"] == "wring-bound/1"
 
+    def test_richardson_forms_the_numerator_once(self, seeded_sheared32, monkeypatch):
+        # the masks at eps and eps/2 share one G . curl(G)
+        curls, numerators = [], []
+        curl, dot = gv.curl, gv.dot
+        monkeypatch.setattr(gv, "curl", lambda v: curls.append(curl(v)) or curls[-1])
+        monkeypatch.setattr(gv, "dot", lambda a, b: numerators.append(b in curls) or dot(a, b))
+        report = gv.analyze(seeded_sheared32, gv.EtaChoice("velocity"), richardson=True, bound=True)
+        assert report.gv_richardson is not None
+        assert numerators.count(True) == 1
+
     def test_no_bound_unless_asked(self, seeded_sheared32):
         report = gv.analyze(seeded_sheared32)
         assert report.bound is None and report.to_json_dict()["bound"] is None

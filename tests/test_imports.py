@@ -3,10 +3,17 @@ no module imports an underscore name from another module of the package,
 no module calls numpy's FFT, so every transform runs on scipy.fft, no
 module writes into a field's array, and only fieldcore starts threads:
 no other module imports threading or concurrent.futures, and no scipy.fft
-call is given a worker count, so the FFT lanes are the only parallelism."""
+call is given a worker count, so the FFT lanes are the only parallelism.
+No module imports scipy or concurrent.futures at module level, so a cold
+process loads them only for a command that transforms or stacks
+transforms; a fresh interpreter shows it."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -187,3 +194,102 @@ def test_check_finds_threads_and_fft_workers():
     )
     assert thread_imports(source) == [1, 2, 3]
     assert fft_worker_lines(source) == [5, 6]
+
+
+def eager_heavy_imports(source: str) -> list:
+    """Lines that import scipy or concurrent.futures, or a name from them,
+    when the module is imported: outside every function body."""
+
+    def heavy(name) -> bool:
+        return (name or "").split(".")[0] in ("scipy", "concurrent")
+
+    lines = []
+    pending = list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import) and any(heavy(a.name) for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and heavy(node.module):
+            lines.append(node.lineno)
+        pending.extend(ast.iter_child_nodes(node))
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(wring.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_no_eager_heavy_imports(path):
+    assert eager_heavy_imports(path.read_text()) == []
+
+
+def test_check_finds_eager_heavy_imports():
+    source = (
+        "import scipy.fft as sfft\n"
+        "from concurrent.futures import wait\n"
+        "try:\n"
+        "    from scipy import special\n"
+        "except ImportError:\n"
+        "    special = None\n"
+        "class Lanes:\n"
+        "    import concurrent.futures\n"
+        "    def pool(self):\n"
+        "        from concurrent.futures import ThreadPoolExecutor\n"
+        "def transform(x):\n"
+        "    import scipy.fft as sfft\n"
+        "    return sfft.rfftn(x, workers=2)\n"
+        "import threading, numpy\n"
+    )
+    assert eager_heavy_imports(source) == [1, 2, 4, 8]
+    # the function-level spellings stay visible to the thread and worker checks
+    assert thread_imports(source) == [2, 8, 10, 14]
+    assert fft_worker_lines(source) == [13]
+
+
+COLD_START = """
+import contextlib, io, json, sys
+from wring import cli
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+codes = [run(argv) for argv in json.loads(sys.argv[1])]
+loaded = [m for m in ("scipy", "scipy.fft", "concurrent.futures") if m in sys.modules]
+pool = sys.modules["wring.fieldcore"]._LANES._pool is not None
+print(json.dumps({"codes": codes, "loaded": loaded, "pool": pool}))
+"""
+
+
+def cold_run(*argvs) -> dict:
+    """Run ``cli.main`` on each argument list in one fresh interpreter; the
+    exit codes, which of scipy, scipy.fft and concurrent.futures it loaded,
+    and whether it built the FFT lanes' thread pool."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(wring.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cold_start_loads_no_fft_backend_or_pool():
+    result = cold_run(
+        ["thurston", "--fluxes", "1,1,1"],
+        ["link", "--preset", "hopf"],
+        ["--help"],
+        ["link", "--samples", "many"],
+    )
+    assert result == {"codes": [0, 0, 0, 2], "loaded": [], "pool": False}
+
+
+def test_generate_loads_the_fft_backend_but_builds_no_pool(tmp_path):
+    result = cold_run(["generate", "--family", "clebsch", "--n", "16", "--out", str(tmp_path / "g.wrg")])
+    assert result["codes"] == [0]
+    assert "scipy.fft" in result["loaded"]
+    # concurrent.futures comes with scipy.fft itself (through numpy.testing), but only stacked
+    # transforms, which the stepper alone makes, build the pool
+    assert not result["pool"]

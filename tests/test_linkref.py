@@ -15,6 +15,10 @@ from wring.errors import (
 
 PI2 = np.pi**2
 
+
+def helicities(cs):
+    return linkref.linking_helicities(cs.fluxes, linkref.linking_matrix(cs)[0])
+
 finite_slopes = st.floats(
     min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False
 ).filter(lambda v: abs(v) > 1e-3)
@@ -119,22 +123,81 @@ class TestGaussLinking:
             linkref.gauss_linking(a, a.copy())
 
 
+def unblocked_gauss_linking(curve_a, curve_b):
+    """The Gauss sum over the whole len(a) x len(b) x 3 difference array at
+    once, with its minimum distance: the oracle of the blocked sum."""
+    a = np.asarray(curve_a, float)
+    b = np.asarray(curve_b, float)
+    da = np.roll(a, -1, axis=0) - a
+    db = np.roll(b, -1, axis=0) - b
+    xa = a + 0.5 * da
+    xb = b + 0.5 * db
+    diff = xa[:, None, :] - xb[None, :, :]
+    dist = np.linalg.norm(diff, axis=-1)
+    tri = np.einsum("ijk,ijk->ij", np.cross(da[:, None, :], db[None, :, :]), diff)
+    return float(np.sum(tri / dist**3) / (4.0 * np.pi)), dist.min()
+
+
+PAIRS = {
+    "hopf": lambda m: linkref.hopf_pair(m).curves,
+    "hopf-reversed": lambda m: linkref.hopf_pair(m, reverse_second=True).curves,
+    "distant": lambda m: linkref.distant_pair(m).curves,
+    "quad": lambda m: linkref.zero_helicity_quad(m).curves,
+}
+
+
+class TestBlockedGaussLinking:
+    # 1000 rows is not a whole number of blocks
+    @pytest.mark.parametrize("samples", [64, 1000, 1024])
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_equals_unblocked_sum_bit_for_bit(self, name, samples):
+        curves = PAIRS[name](samples)
+        for i in range(len(curves)):
+            for j in range(i + 1, len(curves)):
+                expected, _ = unblocked_gauss_linking(curves[i], curves[j])
+                assert linkref.gauss_linking(curves[i], curves[j]) == expected
+
+    def test_unequal_sample_counts(self):
+        a = linkref.circle_points((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0), 300)
+        b = linkref.circle_points((1.0, 0.0, 0.0), 1.0, (0.0, 1.0, 0.0), 77)
+        assert linkref.gauss_linking(a, b) == unblocked_gauss_linking(a, b)[0]
+        assert linkref.gauss_linking(b, a) == unblocked_gauss_linking(b, a)[0]
+
+    def test_intersection_names_the_global_minimum(self):
+        # b lies just above a, closest near its last points, far past the first block
+        a = linkref.circle_points((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0), 256)
+        b = a.copy()
+        b[:, 2] += 1e-12 * (1.0 + np.arange(256)[::-1])
+        _, nearest = unblocked_gauss_linking(a, b)
+        with pytest.raises(CurvesIntersect, match=f"within {nearest:g} < "):
+            linkref.gauss_linking(a, b)
+
+    def test_link_command_integrates_the_pair_once(self, monkeypatch, tmp_path):
+        from wring import cli
+
+        calls = []
+        integrate = linkref.gauss_linking
+        monkeypatch.setattr(linkref, "gauss_linking", lambda a, b: calls.append(1) or integrate(a, b))
+        assert cli.main(["link", "--preset", "hopf", "--json", str(tmp_path / "l.json")]) == 0
+        assert len(calls) == 1
+
+
 class TestLinkingHelicities:
     def test_hopf_unit_fluxes(self):
-        per, total = linkref.linking_helicities(linkref.hopf_pair(256))
+        per, total = helicities(linkref.hopf_pair(256))
         assert per[0] == pytest.approx(1.0)
         assert per[1] == pytest.approx(1.0)
         assert total == pytest.approx(2.0)
 
     def test_flux_two_one(self):
         cs = linkref.hopf_pair(256, fluxes=(2.0, 1.0))
-        per, total = linkref.linking_helicities(cs)
+        per, total = helicities(cs)
         assert per == [pytest.approx(2.0), pytest.approx(2.0)]
         assert total == pytest.approx(4.0)
 
     def test_zero_fluxes(self):
         cs = linkref.hopf_pair(128, fluxes=(0.0, 0.0))
-        per, total = linkref.linking_helicities(cs)
+        per, total = helicities(cs)
         assert per == [0.0, 0.0] and total == 0.0
 
     def test_quad_preset_zero_rows_nonzero_links(self):
@@ -143,7 +206,7 @@ class TestLinkingHelicities:
         assert dev == 0.0  # declared matrix takes precedence
         assert np.any(lk != 0)
         assert np.all(lk.sum(axis=1) == 0)
-        per, total = linkref.linking_helicities(cs)
+        per, total = helicities(cs)
         assert per == [0.0, 0.0, 0.0, 0.0] and total == 0.0
 
     def test_quad_matrix_validated_by_quadrature(self):
@@ -164,13 +227,13 @@ class TestLinkingHelicities:
             for j in range(len(phi))
             if i != j
         )
-        _, total = linkref.linking_helicities(cs)
+        _, total = helicities(cs)
         assert total == pytest.approx(expected)
 
     def test_missing_link_data(self):
         cs = linkref.CurveSet(None, [1.0, 1.0])
         with pytest.raises(MissingLinkData):
-            linkref.linking_helicities(cs)
+            helicities(cs)
 
 
 class TestCurveSet:
