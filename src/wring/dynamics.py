@@ -22,6 +22,16 @@ of a full rfft spectrum. No stage computes, stores or transforms a mode
 that truncation would zero, and the box needs no mask. Modes outside the
 box get no increment and pass through a step unchanged.
 
+Spectra flow from step to step: a step starts from the cached rfft spectra
+of W and A (``VectorField.spec``) and hands its final spectra to the
+stepped bundle's W and A as read-only views, so no step transforms the
+samples of a stepped bundle and none round-trips its own spectra through
+physical space; the stepped W and A are the inverse transform of those
+spectra. A
+stepped bundle's U is formed, with the gate, only when a caller asks for
+it (the next step's CFL check). The sampled energy and enstrophy are
+Parseval sums on W's spectra, so the invariant series forms no velocity.
+
 One spectral kernel forms the dealiased product W x U, with U taken from
 the truncated W. It serves the stepper's right-hand side, the vorticity
 tendency -curl(W x U) and the Bernoulli head (periodic pressure solve in
@@ -50,7 +60,6 @@ from .fieldcore import (
     curl,
     dot,
     grad,
-    integrate,
     magnitude2,
     rel_l2,
 )
@@ -178,9 +187,10 @@ def step(state: EvolutionState) -> EvolutionState:
             f"exceeds {_DYN['cfl_limit']}"
         )
     kern = _Stepper(g)
-    # the full spectra of (W, A); the RK4 sum adds the box increment to
+    # the full spectra of (W, A), from the fields' caches: a stepped bundle
+    # carries the previous step's; the RK4 sum adds the box increment to
     # them in place, so every mode outside the box passes through unchanged
-    s = g.rfft(np.concatenate((b.W.data, b.A.data)))
+    s = np.stack(b.W.spec + b.A.spec)
     y0 = g.cut_box(s)
     dt = state.dt
     # k1 + 2 k2 + 2 k3 + k4 is summed in that order as the stages finish,
@@ -194,21 +204,19 @@ def step(state: EvolutionState) -> EvolutionState:
     w1, a1 = s[:3], s[3:]
     # curl(A1) comes from the transported A, never from W, so the drift
     # stays an independent measure of integration quality
-    drift = rel_l2(g, cross_parts(g.ik, a1), w1)
+    drift = rel_l2(g, cross_parts(g.ik, a1, out=np.empty_like(a1)), w1)
     if drift > state.drift_limit:
         raise DriftExceeded(
             f"curl(A) - W drift {drift:g} in the step from t={state.t:g} with "
             f"dt={state.dt:g} exceeds {state.drift_limit:g} (refine the step)"
         )
     phys = g.irfft(s)
-    # W1 keeps a copy of its spectra: a view would keep A1's alive too
-    W1 = VectorField(g, phys[:3], spec=w1.copy())
-    A1 = VectorField(g, phys[3:])
+    # W1 and A1 keep views of s as their spectra, so the next step and the
+    # samples start from them; U is formed only when a caller asks for it
+    W1 = VectorField(g, phys[:3], spec=w1)
+    A1 = VectorField(g, phys[3:], spec=a1)
     meta = {k: v for k, v in b.meta.items() if k != "residuals"}
     new_bundle = FieldBundle(g, A1, W1, meta)
-    # every caller needs U next (the next step's CFL check, the samples);
-    # it is formed here from the step's own spectra of W1
-    new_bundle.U
     return dataclasses.replace(
         state, bundle=new_bundle, t=state.t + state.dt, curl_drift=drift
     )
@@ -243,13 +251,30 @@ class InvariantSeries:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def _energy_enstrophy(bundle: FieldBundle) -> tuple[float, float]:
+    """0.5 * integral of |U|^2 and integral of |W|^2, as Parseval sums on the
+    cached rfft spectra W^ of W (``W.spec``), weighted by ``Grid3.plane_weights``.
+
+    No velocity is formed. U^ = (ik x W^)/|k|^2 with the Nyquist-zeroed
+    real k, so Lagrange's identity gives
+    |U^|^2 = (|k|^2 |W^|^2 - |k . W^|^2)/|k|^4 = (|W^|^2 - |k . W^|^2/|k|^2)/|k|^2,
+    zero on the modes ``inv_k2`` treats as degenerate.
+    """
+    g, spec = bundle.grid, bundle.W.spec
+    kx, ky, kz = (ik.imag for ik in g.ik)
+    kw = kx * spec[0] + ky * spec[1] + kz * spec[2]
+    w2 = sum(s.real**2 + s.imag**2 for s in spec) * g.plane_weights
+    u2 = (w2 - (kw.real**2 + kw.imag**2) * g.plane_weights * g.inv_k2) * g.inv_k2
+    scale = g.cell_volume / np.prod(g.n)
+    return 0.5 * float(np.sum(u2)) * scale, float(np.sum(w2)) * scale
+
+
 def _sample(state: EvolutionState) -> tuple:
     b = state.bundle
     hel = gv.helicity(b)
     res = gv.integrability_residual(b)
     gv_val = gv.gv_invariant(b).value
-    energy = 0.5 * integrate(magnitude2(b.U))
-    enstrophy = integrate(magnitude2(b.W))
+    energy, enstrophy = _energy_enstrophy(b)
     return (state.t, hel, gv_val, energy, enstrophy, res, state.curl_drift)
 
 

@@ -461,8 +461,8 @@ class VectorField:
     The array is read-only from construction, so the field caches what it
     derives from it: ``spec``, its three read-only rfft spectra, and the
     values of ``maxnorm``, ``maxabs`` and ``component_means``. ``step``
-    seeds W's ``spec`` with the spectra it inverted to get W, equal to
-    their rfft to roundoff.
+    seeds the stepped W's and A's ``spec`` with the spectra it inverted to
+    get them, equal to their rfft to roundoff.
     """
 
     grid: Grid3

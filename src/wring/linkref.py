@@ -186,14 +186,17 @@ def gauss_linking(curve_a: np.ndarray, curve_b: np.ndarray) -> float:
     xb = b + 0.5 * db
     terms = np.empty((len(a), len(b)))
     nearest = np.inf
-    for start in range(0, len(a), _ROWS):
-        rows = slice(start, start + _ROWS)
-        diff = xa[rows, None, :] - xb[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        nearest = min(nearest, dist.min())
-        if nearest >= min_distance:
-            tri = np.einsum("ijk,ijk->ij", np.cross(da[rows, None, :], db[None, :, :]), diff)
-            np.divide(tri, dist**3, out=terms[rows])
+    # curves near the float64 limit overflow here; the caller's finiteness
+    # check on the result reports them, so numpy's warnings are not wanted
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(a), _ROWS):
+            rows = slice(start, start + _ROWS)
+            diff = xa[rows, None, :] - xb[None, :, :]
+            dist = np.linalg.norm(diff, axis=-1)
+            nearest = min(nearest, dist.min())
+            if nearest >= min_distance:
+                tri = np.einsum("ijk,ijk->ij", np.cross(da[rows, None, :], db[None, :, :]), diff)
+                np.divide(tri, dist**3, out=terms[rows])
     if nearest < min_distance:
         raise CurvesIntersect(f"curves approach within {nearest:g} < {min_distance:g}")
     return float(np.sum(terms) / (4.0 * np.pi))
@@ -232,7 +235,8 @@ def linking_helicities(fluxes, lk: np.ndarray) -> tuple[list[float], float]:
     contribute; each off-diagonal pair is counted once in each row.
     """
     phi = np.asarray(fluxes, float)
-    per = (phi * (lk @ phi)).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        per = (phi * (lk @ phi)).tolist()
     total = float(sum(per))
     if not math.isfinite(total):
         raise ValueError("per-tube helicities overflow float64")

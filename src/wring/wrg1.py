@@ -14,8 +14,8 @@ The metadata block records grid dims, box lengths, the ordered field
 declarations, and free-form provenance (family name, creation parameters,
 claims), as strict JSON: no NaN, Infinity or number that overflows float64.
 The data size it declares is checked against the file size before any array
-is read. Round-trips are bit-exact: arrays are written with tobytes() and
-read with frombuffer(), as read-only arrays on the file bytes.
+is read. Round-trips are bit-exact: arrays are written from their own
+buffers and read with frombuffer(), as read-only arrays on the file bytes.
 """
 
 from __future__ import annotations
@@ -72,7 +72,9 @@ def write_fields(path, grid: Grid3, fields: dict, meta: dict | None = None) -> N
         fh.write(struct.pack("<II", VERSION, len(blob)))
         fh.write(blob)
         for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            # the array's own buffer: a contiguous little-endian float64
+            # array is written without a copy
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def read_fields(path) -> tuple[Grid3, dict, dict]:

@@ -384,6 +384,17 @@ class TestEvolveAndDiffeo:
         assert len(lines) == 4  # header + initial sample + 2 steps
         assert out.exists()
 
+    def test_evolve_outputs_are_deterministic(self, tmp_path):
+        field = tmp_path / "f.wrg"
+        run(["generate", "--family", "clebsch", "--n", "16", "--shear", "x,z,0.3,1", "--out", str(field)])
+        outputs = []
+        for i in (1, 2):
+            series, out = tmp_path / f"s{i}.csv", tmp_path / f"out{i}.wrg"
+            args = ["evolve", str(field), "--steps", "3", "--series", str(series), "--out", str(out)]
+            assert run(args) == 0
+            outputs.append((series.read_bytes(), out.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_negative_dt_steps_backward(self, tmp_path):
         field = tmp_path / "f.wrg"
         run(["generate", "--family", "clebsch", "--n", "16", "--shear", "x,z,0.3,1", "--out", str(field)])
@@ -626,12 +637,25 @@ class TestHostileReference:
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_helicities_exit_2(self, tmp_path, capsys):
         path = tmp_path / "curves.json"
         path.write_text('{"fluxes": [1e200, 1e200], "linking": [[0, 1], [1, 0]]}')
         assert run(["link", "--curves", str(path)]) == 2
         captured = capsys.readouterr()
         assert "overflow" in captured.err and captured.out == ""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_curves_near_the_float64_limit_exit_2(self, tmp_path, capsys):
+        from wring import linkref
+
+        cs = linkref.hopf_pair(64).to_json_dict()
+        cs["curves"] = [[[1e307 * x for x in p] for p in c] for c in cs["curves"]]
+        path = tmp_path / "curves.json"
+        path.write_text(json.dumps(cs))
+        assert run(["link", "--curves", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "not finite" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize(
         "flag, text, message",

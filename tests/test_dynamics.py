@@ -241,6 +241,20 @@ class TestStep:
         assert isinstance(exc.value.__cause__, CflViolation)
 
 
+    @pytest.mark.parametrize("name", ["sheared32", "rough32"])
+    def test_stepped_bundle_carries_its_spectra(self, request, name):
+        # W1 and A1 hold read-only views of the step's own spectra, which
+        # their samples are the inverse of
+        b = dyn.step(dyn.EvolutionState(request.getfixturevalue(name), dt=0.01)).bundle
+        g = b.grid
+        for f in (b.W, b.A):
+            for s, c in zip(f.spec, f.data):
+                assert not s.flags.writeable
+                assert s.base is b.W.spec[0].base
+                ref = g.rfft(c)
+                assert np.max(np.abs(s - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestCoState:
     def test_vector_invariant_form_matches_gradient_form(self):
         # kmax <= n/6: every quadratic product is resolved under the 2/3 rule
@@ -272,6 +286,18 @@ class TestTrackInvariants:
         for name in ("helicity", "gv", "energy", "enstrophy"):
             col = series.column(name)
             assert np.max(np.abs(col - col[0])) < 1e-9 * (1.0 + abs(col[0]))
+
+    @pytest.mark.parametrize("name", ["sheared32", "rough32", "sheared_box"])
+    def test_parseval_samples_match_physical_integrals(self, request, name):
+        # energy and enstrophy are Parseval sums on W's spectra, for the
+        # loaded-like bundle and for a stepped one that carries its spectra
+        b0 = request.getfixturevalue(name)
+        for b in (b0, dyn.step(dyn.EvolutionState(b0, dt=0.01)).bundle):
+            _, series = dyn.track_invariants(dyn.EvolutionState(b), 0)
+            energy = 0.5 * integrate(magnitude2(b.U))
+            enstrophy = integrate(magnitude2(b.W))
+            assert abs(series.column("energy")[0] - energy) <= 1e-13 * energy
+            assert abs(series.column("enstrophy")[0] - enstrophy) <= 1e-13 * enstrophy
 
     def test_csv_format(self, tmp_path, sheared32):
         state = dyn.EvolutionState(sheared32, dt=0.02)

@@ -1,5 +1,6 @@
 """WRG1 container: bit-exact round trips and format validation."""
 
+import hashlib
 import json
 import struct
 
@@ -9,6 +10,7 @@ import pytest
 from wring import wrg1
 from wring.errors import FormatError
 from wring.fieldcore import Grid3, ScalarField, VectorField, random_band_limited_vector
+from wring.fieldzoo import FieldBundle
 
 
 @pytest.fixture
@@ -38,6 +40,38 @@ def test_write_read_write_identical_bytes(tmp_path, grid):
     grid2, fields, meta = wrg1.read_fields(p1)
     wrg1.write_fields(p2, grid2, {"v": fields["v"]}, meta)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_bytes_match_a_tobytes_oracle(tmp_path, grid):
+    # a non-contiguous scalar takes the copying path, the vector the direct one
+    rng = np.random.default_rng(1)
+    s = ScalarField(grid, rng.standard_normal(grid.shape)[::-1])
+    v = VectorField(grid, rng.standard_normal((3,) + grid.shape))
+    meta = {"k": [1, 2.5]}
+    path = tmp_path / "f.wrg"
+    wrg1.write_fields(path, grid, {"s": s, "v": v}, meta)
+    header = {
+        "grid": {"n": list(grid.n), "box": list(grid.box)},
+        "fields": [{"name": "s", "kind": "scalar"}, {"name": "v", "kind": "vector"}],
+        "meta": meta,
+    }
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    arrays = [s.data, *v.data]
+    oracle = wrg1.MAGIC + struct.pack("<II", wrg1.VERSION, len(blob)) + blob
+    oracle += b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
+    assert path.read_bytes() == oracle
+
+
+def test_fixed_bundle_hash(tmp_path):
+    # exact arithmetic only, so the bytes do not depend on the FFT library
+    g = Grid3((8, 8, 8), (1.0, 2.0, 3.0))
+    ramp = np.arange(3 * 512).reshape((3,) + g.shape)
+    A = VectorField(g, ramp / 7.0)
+    W = VectorField(g, (ramp % 11 - 5) / 3.0)
+    path = tmp_path / "fixed.wrg"
+    FieldBundle(g, A, W, {"family": "fixed", "params": {"k": 1}}).save(path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "5f229968440f05e0f0f31efef3cc45b856f3c2987c40c8034e552bee056b80e8"
 
 
 def test_bad_magic_rejected(tmp_path):
