@@ -300,10 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="advance a bundle by ideal transport, tracking invariants")
     p.add_argument("input")
-    p.add_argument(
+    span = p.add_mutually_exclusive_group()
+    span.add_argument(
         "--time", type=_finite_positive_float, default=0.5, help="total integration time (default: 0.5)"
     )
-    p.add_argument("--steps", type=_positive_int, help="step count (overrides --time rounding)")
+    span.add_argument("--steps", type=_positive_int, help="step count at the --dt or CFL step (not with --time)")
     p.add_argument("--dt", type=_finite_nonzero_float, help="fixed step (overrides --cfl)")
     p.add_argument(
         "--cfl",

@@ -57,7 +57,6 @@ from .fieldcore import (
     ScalarField,
     VectorField,
     cross_parts,
-    curl,
     dot,
     grad,
     magnitude2,
@@ -322,13 +321,9 @@ def conservation_residual(state: EvolutionState) -> tuple[ScalarField, ScalarFie
     fwd = step(state).bundle
     bwd = step(dataclasses.replace(state, dt=-state.dt)).bundle
 
-    def parts(b: FieldBundle):
-        G, q, (m,) = gv.eta_parts(b, "velocity", threshold)
-        return G, q, dot(G, curl(G)).data, m
-
-    G0, q0, N0, m0 = parts(b0)
-    _, qp, Np, mp = parts(fwd)
-    _, qm, Nm, mm = parts(bwd)
+    # one evaluation per time level, each dropped (with its curl(G)) once read
+    levels = (gv.GvResult(g, *gv.eta_parts(b, "velocity", threshold)) for b in (b0, fwd, bwd))
+    (G0, q0, N0, m0), (_, qp, Np, mp), (_, qm, Nm, mm) = ((e.G, e.q, e.numerator, e.masks[0]) for e in levels)
     mask = m0 & mp & mm
     dt = state.dt
     Ndot = (Np - Nm) / (2.0 * dt)

@@ -611,22 +611,6 @@ def curl(v: VectorField) -> VectorField:
     return VectorField(g, np.stack([g.irfft(specs.pop(0)) for _ in range(3)]))
 
 
-def laplacian(s: ScalarField) -> ScalarField:
-    g = s.grid
-    return ScalarField(g, g.irfft(-g.k2 * g.rfft(s.data)))
-
-
-def solve_poisson_zero_mean(s: ScalarField) -> ScalarField:
-    """Solve lap(u) = s on the torus, returning the zero-mean solution.
-
-    The mean of s is projected out (a periodic Poisson problem is solvable
-    only for zero-mean right-hand sides; callers pass compatible data).
-    """
-    g = s.grid
-    spec = g.rfft(s.data)
-    return ScalarField(g, g.irfft(-g.inv_k2 * spec))
-
-
 def vorticity_residuals(w: VectorField) -> tuple[float, float]:
     """The inverse-curl gate's measures of ``w``, from ``w.spec``:
     (div_w, mean_w) = (max|div w| min(h), max|component mean|) / max|w|."""

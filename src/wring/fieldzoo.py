@@ -681,13 +681,6 @@ class DiffeoMap:
             )
         )
 
-    def apply_points(self, pts: np.ndarray, box) -> np.ndarray:
-        """Map an (m, 3) array of points (useful for testing the geometry)."""
-        out = np.array(pts, float, copy=True)
-        for p in self.primitives:
-            out[:, p.axis] += p.displacement(out[:, p.shear_axis], box[p.shear_axis])
-        return out
-
 
 def apply_diffeo(
     bundle: FieldBundle,

@@ -25,6 +25,15 @@ term is perpendicular to G. Spectral derivatives only ever see the smooth
 G, and the division happens pointwise on the masked set, so the mask
 introduces no Gibbs artefacts.
 
+One type, ``GvResult``, holds an evaluation: G, q and the masks of
+``eta_parts``. ``gv_invariant`` returns it with curl(G), the masked density
+array, the value and the Richardson value formed, from one G . curl(G)
+that is then dropped; the ``density`` and ``mask`` fields and the dual
+field ``H`` are formed only when read. The velocity bound reuses G, q, the
+first mask, curl(G) and the value, so under the velocity choice ``analyze``
+forms them once for both. A float64 overflow in the density, C, the
+enstrophy rate or E raises NonFiniteData naming it and its field scale.
+
 The steady-flow obstruction bound uses the velocity construction: the
 squared invariant is bounded by C * integral((dW/dt)^2) with
 C = integral(|W x U|^2 / (U.A)^4) over the velocity mask, a Cauchy-Schwarz
@@ -33,6 +42,7 @@ pairing that holds exactly for the discrete sums as well.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
@@ -44,6 +54,7 @@ from .errors import (
     DenominatorVanishesEverywhere,
     FluxObstruction,
     MaskTooSmall,
+    NonFiniteData,
     ToleranceBreach,
 )
 from .fieldcore import (
@@ -88,23 +99,6 @@ class EtaChoice:
     @classmethod
     def velocity(cls, eps: float = _ETA["default_eps"]) -> "EtaChoice":
         return cls("velocity", eps)
-
-
-@dataclass(eq=False)
-class EtaSolution:
-    """Masked dual field: A x H = W holds where mask = 1."""
-
-    H: VectorField
-    mask: ScalarField
-
-
-@dataclass(eq=False)
-class GvResult:
-    value: float
-    density: ScalarField
-    mask: ScalarField
-    excluded_volume_fraction: float
-    richardson_value: float | None = None
 
 
 def flux_check(bundle: FieldBundle) -> tuple[float, float, float]:
@@ -196,64 +190,90 @@ def _masked_quotient(num: np.ndarray, q: np.ndarray, mask: np.ndarray, power: in
     return np.where(mask, num / np.where(mask, q, 1.0) ** power, 0.0)
 
 
-def solve_eta(bundle: FieldBundle, choice: EtaChoice) -> EtaSolution:
-    """Dual field H with A x H = W on the masked region.
+@contextmanager
+def _overflow(what: str, name: str, source: VectorField):
+    """Raise NonFiniteData naming ``what`` and the scale of ``source`` (the field
+    whose products form it) when float64 overflows in the block, in place of a
+    numpy RuntimeWarning and a wrong number. In-range values are unchanged."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except (FloatingPointError, NonFiniteData) as exc:
+        raise NonFiniteData(
+            f"{what} overflows float64 at field scale max|{name}| = {source.maxabs():.3g}"
+        ) from exc
 
-    H is zeroed outside the mask. The identity A x H = W holds wherever
-    mask = 1 (pointwise algebra given A.W = 0) and is exercised in the
-    test suite at 1e-8 relative.
-    """
-    G, q, (mask,) = eta_parts(bundle, choice.variant, choice.eps)
-    H = VectorField(bundle.grid, _masked_quotient(G.data, q, mask, 1))
-    return EtaSolution(H=H, mask=ScalarField(bundle.grid, mask.astype(np.float64)))
+
+_DENSITY = "the invariant density G . curl(G) / q^2"
 
 
-class _Evaluation:
-    """G, q and the masks of ``eta_parts`` at eps (and eps/2 for Richardson), shared by
-    the invariant and the bound. curl(G), G . curl(G), the masked density and the value
-    are formed on first use, so a bound refused on its mask forms none; only ``result``
-    is a GvResult."""
+class GvResult:
+    """The masked invariant of H = G/q from the grid and what ``eta_parts``
+    returns: G, q and the masks at eps and, for Richardson, at eps/2. Each
+    quantity is formed on first read (see the module note)."""
 
-    def __init__(self, bundle: FieldBundle, variant: str, eps: float, richardson: bool = False):
-        levels = (eps, 0.5 * eps) if richardson and eps > 0.0 else (eps,)
-        self.grid = bundle.grid
-        self.G, self.q, self.masks = eta_parts(bundle, variant, *levels)
+    def __init__(self, grid, G: VectorField, q: np.ndarray, masks):
+        self.grid, self.G, self.q, self.masks = grid, G, q, masks
 
     @cached_property
     def curlG(self) -> VectorField:
         return curl(self.G)
 
     @cached_property
-    def _quotients(self) -> tuple:
-        """The masked density at eps and, under Richardson, the masked integral at
-        eps/2 (else None), both from one G . curl(G), which is not kept."""
-        num = dot(self.G, self.curlG).data
-        half = None
-        if len(self.masks) == 2:
-            half = float(np.sum(_masked_quotient(num, self.q, self.masks[1], 2))) * self.grid.cell_volume
-        return _masked_quotient(num, self.q, self.masks[0], 2), half
+    def numerator(self) -> np.ndarray:
+        """G . curl(G), unmasked."""
+        with _overflow(_DENSITY, "G", self.G):
+            return dot(self.G, self.curlG).data
+
+    @cached_property
+    def _integrals(self) -> tuple:
+        """The masked density on the first mask, its integral, and the
+        Richardson value (None with one mask). Every mask shares one
+        G . curl(G), dropped once they are formed: nothing reads it after."""
+        num = self.numerator
+        del self.numerator
+        cell = self.grid.cell_volume
+        with _overflow(_DENSITY, "G", self.G):
+            halves = [float(np.sum(_masked_quotient(num, self.q, m, 2))) * cell for m in self.masks[1:]]
+            density = _masked_quotient(num, self.q, self.masks[0], 2)
+            value = float(np.sum(density)) * cell
+            if not np.all(np.isfinite([value, *halves])):
+                raise FloatingPointError("non-finite integral")
+        return density, value, (2.0 * halves[0] - value if halves else None)
 
     @property
-    def density(self) -> np.ndarray:
-        """G . curl(G) / q^2 on the mask at eps, zero off it."""
-        return self._quotients[0]
-
-    @cached_property
     def value(self) -> float:
-        return float(np.sum(self.density)) * self.grid.cell_volume
+        return self._integrals[1]
+
+    @property
+    def richardson_value(self) -> float | None:
+        """2 I(eps/2) - I(eps), the eps -> 0 estimate, given a second mask."""
+        return self._integrals[2]
+
+    @property
+    def excluded_volume_fraction(self) -> float:
+        return 1.0 - float(self.masks[0].mean())
 
     @cached_property
-    def result(self) -> GvResult:
-        mask = self.masks[0]
-        half = self._quotients[1]
-        extrap = None if half is None else 2.0 * half - self.value
-        return GvResult(
-            value=self.value,
-            density=ScalarField(self.grid, self.density),
-            mask=ScalarField(self.grid, mask.astype(np.float64)),
-            excluded_volume_fraction=1.0 - float(mask.mean()),
-            richardson_value=extrap,
-        )
+    def density(self) -> ScalarField:
+        """G . curl(G)/q^2 on the mask, zero off it: for the velocity choice,
+        the local obstruction to steady flow."""
+        return ScalarField(self.grid, self._integrals[0])
+
+    @cached_property
+    def mask(self) -> ScalarField:
+        return ScalarField(self.grid, self.masks[0].astype(np.float64))
+
+    @cached_property
+    def H(self) -> VectorField:
+        """The dual field G/q, zero off the mask: A x H = W where mask = 1."""
+        return VectorField(self.grid, _masked_quotient(self.G.data, self.q, self.masks[0], 1))
+
+
+def solve_eta(bundle: FieldBundle, choice: EtaChoice) -> GvResult:
+    """The evaluation of ``choice`` on ``bundle``, read for its dual field ``H``
+    and ``mask``; nothing is formed until read."""
+    return GvResult(bundle.grid, *eta_parts(bundle, choice.variant, choice.eps))
 
 
 def gv_invariant(
@@ -262,20 +282,23 @@ def gv_invariant(
     *,
     richardson: bool = False,
 ) -> GvResult:
-    """Masked integral of H . curl(H), with its density field.
+    """Masked integral of H . curl(H), with ``value`` formed before return.
 
     The density is formed as G . curl(G) / q^2 (see the module note), so
-    the returned field is also meaningful pointwise: for the velocity
+    the result's ``density`` is also meaningful pointwise: for the velocity
     choice it is the local obstruction to steady flow.
 
-    With ``richardson=True`` a second evaluation at eps/2 is combined
-    linearly to estimate the eps -> 0 limit (reported alongside, never in
-    place of, the masked value). Only the mask depends on eps, so both
-    evaluations share G, q, curl(G) and G . curl(G).
+    With ``richardson=True`` a second mask at eps/2 gives
+    ``richardson_value``, the eps -> 0 estimate. Only the mask depends on
+    eps, so both integrals share G, q, curl(G) and G . curl(G).
     """
     if choice is None:
         choice = EtaChoice.canonical()
-    return _Evaluation(bundle, choice.variant, choice.eps, richardson).result
+    eps = choice.eps
+    levels = (eps, 0.5 * eps) if richardson and eps > 0.0 else (eps,)
+    result = GvResult(bundle.grid, *eta_parts(bundle, choice.variant, *levels))
+    result.value  # formed inside the call
+    return result
 
 
 # -- obstruction bound ---------------------------------------------------------
@@ -317,13 +340,14 @@ def obstruction_bound(bundle: FieldBundle, eps: float | None = None) -> BoundRep
     if eps is None:
         eps = _ETA["default_eps"]
     try:
-        return _bound(bundle, eps, _Evaluation(bundle, "velocity", eps))
+        return _bound(bundle, eps, GvResult(bundle.grid, *eta_parts(bundle, "velocity", eps)))
     except DenominatorVanishesEverywhere as exc:
         raise MaskTooSmall(str(exc)) from exc
 
 
-def _bound(bundle: FieldBundle, eps: float, evaluation: _Evaluation) -> BoundReport:
-    """The bound from the velocity evaluation at ``eps``."""
+def _bound(bundle: FieldBundle, eps: float, evaluation: GvResult) -> BoundReport:
+    """The bound from the velocity evaluation at ``eps``: its G, q, mask,
+    curl(G) and value. It reads neither ``density`` nor ``mask``."""
     G, q, mask = evaluation.G, evaluation.q, evaluation.masks[0]
     uncovered = _uncovered(bundle, mask)
     max_uncovered = _ETA["max_uncovered_vorticity_fraction"]
@@ -333,15 +357,18 @@ def _bound(bundle: FieldBundle, eps: float, evaluation: _Evaluation) -> BoundRep
             f"(limit {max_uncovered:.0%}); the bound constant C is undefined here"
         )
     slack_tol = _TOL["bound_slack_rel"]
-    C = float(np.sum(_masked_quotient(magnitude2(G).data, q, mask, 4))) * bundle.grid.cell_volume
-    rate = integrate(magnitude2(evaluation.curlG))
+    with _overflow("the bound constant C", "G", G):
+        C = float(np.sum(_masked_quotient(magnitude2(G).data, q, mask, 4))) * bundle.grid.cell_volume
+    with _overflow("the enstrophy rate", "G", G):
+        rate = integrate(magnitude2(evaluation.curlG))
     slack = C * rate - evaluation.value**2
     if slack < -slack_tol * C * rate:
         raise ToleranceBreach(
             f"bound slack {slack:g} below -{slack_tol:g} * C * rate; "
             "this should be impossible for consistent inputs"
         )
-    E = 0.5 * integrate(magnitude2(bundle.U))
+    with _overflow("the energy E", "U", bundle.U):
+        E = 0.5 * integrate(magnitude2(bundle.U))
     V = bundle.grid.volume
     lam = (2.0 * np.pi / max(bundle.grid.box)) ** 2
     L7 = V**2 / np.sqrt(lam)
@@ -505,11 +532,11 @@ def analyze(
     )
     evaluation = None
     if integrable:
-        evaluation = _Evaluation(bundle, choice.variant, choice.eps, richardson)
-        report.gv = evaluation.result.value
-        report.gv_richardson = evaluation.result.richardson_value
-        report.gv_density = evaluation.result.density
-        report.excluded_volume_fraction = evaluation.result.excluded_volume_fraction
+        evaluation = gv_invariant(bundle, choice, richardson=richardson)
+        report.gv = evaluation.value
+        report.gv_richardson = evaluation.richardson_value
+        report.gv_density = evaluation.density
+        report.excluded_volume_fraction = evaluation.excluded_volume_fraction
     if bound and choice.variant == "velocity" and evaluation is not None:
         report.bound = _bound(bundle, choice.eps, evaluation)
     elif bound:

@@ -301,6 +301,48 @@ class TestHostileWrg1:
         assert captured.out == ""
 
 
+class TestOverflowingScale:
+    """A bundle scaled inside the load range until a product overflows
+    float64 exits 4 naming the quantity and its field scale, with no numpy
+    warning and no report; below that it is analyzed as before."""
+
+    def _scaled(self, tmp_path, scale):
+        from wring import wrg1
+        from wring.fieldcore import Grid3, VectorField
+        from wring.fieldzoo import gen_clebsch
+
+        g = Grid3((8, 8, 8), (2 * np.pi,) * 3)
+        b = gen_clebsch(g)
+        src = tmp_path / "scaled.wrg"
+        fields = {name: VectorField(g, f.data * scale) for name, f in (("A", b.A), ("W", b.W))}
+        wrg1.write_fields(src, g, fields, {"family": "clebsch"})
+        return str(src)
+
+    @pytest.mark.parametrize(
+        "scale, args, quantity",
+        [
+            (1e50, ["analyze", "--bound"], "the bound constant C"),
+            (1e50, ["analyze", "--eta", "velocity", "--bound"], "the bound constant C"),
+            (1e90, ["analyze", "--bound"], "the invariant density"),
+            (1e90, ["analyze", "--eta", "velocity", "--bound"], "the invariant density"),
+            (1e90, ["evolve", "--steps", "1"], "the invariant density"),
+        ],
+    )
+    def test_overflow_exit_4(self, tmp_path, capsys, scale, args, quantity):
+        report = tmp_path / "report.json"
+        out = ["--json", str(report)] if args[0] == "analyze" else ["--series", str(report)]
+        assert run([args[0], self._scaled(tmp_path, scale), *args[1:], *out]) == 4
+        captured = capsys.readouterr()
+        assert f"error: {quantity}" in captured.err
+        assert "overflows float64 at field scale max|G| = " in captured.err
+        assert captured.out == "" and not report.exists()
+
+    def test_in_range_scale_still_analyzed(self, tmp_path, capsys):
+        assert run(["analyze", self._scaled(tmp_path, 1e30), "--eta", "velocity", "--bound"]) == 0
+        bound = json.loads(capsys.readouterr().out)["bound"]
+        assert 0.0 < bound["C"] < 1e-100
+
+
 class TestStoredVelocity:
     """A U stored by older versions is read and ignored; the velocity comes from W."""
 
@@ -431,6 +473,15 @@ class TestEvolveAndDiffeo:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert bad[0] in err and "Traceback" not in err
+
+    def test_time_with_steps_exit_2(self, tmp_path, capsys):
+        # --steps fixes the step count at the step dt, so a --time beside it
+        # would be ignored; the pair is refused before the input is read
+        with pytest.raises(SystemExit) as exc:
+            run(["evolve", str(tmp_path / "missing.wrg"), "--time", "0.1", "--steps", "16"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--time" in err and "--steps" in err and "Traceback" not in err
 
     def test_no_dealias_option_is_gone(self, tmp_path, capsys):
         field = tmp_path / "f.wrg"

@@ -20,7 +20,6 @@ from wring.fieldcore import (
     grad,
     integrate,
     inverse_curl,
-    laplacian,
     magnitude2,
     random_band_limited_vector,
 )
@@ -114,7 +113,8 @@ class TestBernoulliHead:
         for b in (sheared32, rough32):
             pi = dyn.bernoulli_head(b)
             rhs = dealiased_product(b)
-            resid = laplacian(pi).data + div(rhs).data
+            g = pi.grid
+            resid = g.irfft(-g.k2 * g.rfft(pi.data)) + div(rhs).data
             assert np.max(np.abs(resid)) < 1e-9
 
     def test_quadratic_scaling(self, sheared32):
@@ -298,6 +298,21 @@ class TestTrackInvariants:
             enstrophy = integrate(magnitude2(b.W))
             assert abs(series.column("energy")[0] - energy) <= 1e-13 * energy
             assert abs(series.column("enstrophy")[0] - enstrophy) <= 1e-13 * enstrophy
+
+    def test_helicity_conserved_at_the_integrator_order(self):
+        # the sheared beltrami bundle has helicity 3 (2 pi)^3, not 0: the
+        # truncated equations conserve it exactly, so its drift measures the
+        # time integrator alone, and halving dt must cut it by RK4's 16 (>= 8)
+        shear = fz.DiffeoMap((fz.Shear.from_names("x", "z", 0.3, 1),))
+        b = fz.apply_diffeo(fz.gen_beltrami_abc(cube(32)), shear)
+        drifts = []
+        for steps in (16, 32):
+            _, series = dyn.track_invariants(dyn.EvolutionState(b, dt=0.4 / steps), steps)
+            h = series.column("helicity")
+            assert h[0] == pytest.approx(3.0 * TWO_PI**3, rel=1e-12, abs=0.0)
+            drifts.append(float(np.max(np.abs(h - h[0]))) / h[0])
+        assert max(drifts) <= 1e-10
+        assert drifts[0] >= 8.0 * drifts[1]
 
     def test_csv_format(self, tmp_path, sheared32):
         state = dyn.EvolutionState(sheared32, dt=0.02)

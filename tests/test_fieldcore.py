@@ -21,11 +21,9 @@ from wring.fieldcore import (
     grad,
     integrate,
     inverse_curl,
-    laplacian,
     magnitude2,
     random_band_limited_scalar,
     random_band_limited_vector,
-    solve_poisson_zero_mean,
     spectral_tail_fraction,
 )
 
@@ -409,14 +407,6 @@ class TestOperatorProperties:
         weights[-1] = 1.0
         spectral = float(np.sum(np.abs(spec) ** 2 * weights[None, None, :])) * g.volume
         assert abs(phys - spectral) / abs(phys) < 1e-12
-
-    def test_poisson_round_trip(self):
-        g = cube(32)
-        s = random_band_limited_scalar(g, 6, seed=31)
-        u = solve_poisson_zero_mean(s)
-        resid = laplacian(u).data - (s.data - s.data.mean())
-        assert np.max(np.abs(resid)) < 1e-11
-        assert abs(u.data.mean()) < 1e-14
 
     def test_cross_and_dot_are_pointwise(self):
         g = cube(8)

@@ -205,18 +205,6 @@ class TestDiffeo:
         den = integrate(magnitude2(b.A))
         assert np.sqrt(num / den) < 1e-9
 
-    def test_point_map_round_trip(self):
-        dm = fz.DiffeoMap(
-            (
-                fz.Shear.from_names("x", "y", 0.3, 2),
-                fz.Shear.from_names("z", "x", 0.1, 1),
-            )
-        )
-        pts = np.array([[0.1, 2.0, 4.0], [3.0, 1.0, 0.5]])
-        box = (TWO_PI,) * 3
-        back = dm.inverse().apply_points(dm.apply_points(pts, box), box)
-        assert np.max(np.abs(back - pts)) < 1e-14
-
     def test_unit_jacobian_via_transported_scalar(self):
         # A.W is a transported scalar; with a unit Jacobian its integral is
         # preserved exactly. The eigenfield bundle has it nonzero.

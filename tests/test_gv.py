@@ -198,6 +198,47 @@ class TestGvInvariant:
         assert abs(res.richardson_value) < 1e-6
 
 
+class TestMaskedDensityValue:
+    """A manufactured evaluation with a nonzero value: G = ABC(1, 1, 1), so
+    curl G = G, and q = 2 + sin x. The y-z sum of |G|^2 dy dz is 12 pi^2 at
+    every grid x, so the invariant is the 1-D sum of 12 pi^2 / q(x)^2 dx over
+    the mask, and over the whole torus 16 pi^3 / sqrt(3)."""
+
+    @pytest.fixture(scope="class")
+    def abc32(self):
+        g = cube(32)
+        x, y, z = g.mesh()
+        G = VectorField.from_components(
+            g, np.sin(z) + np.cos(y), np.sin(x) + np.cos(z), np.sin(y) + np.cos(x)
+        )
+        q = np.ascontiguousarray(np.broadcast_to(2.0 + np.sin(x), g.shape))
+        return g, G, q
+
+    def slab(self, g, half_width):
+        x = g.mesh()[0]
+        return np.broadcast_to(np.abs(x - np.pi) < half_width, g.shape)
+
+    def slab_sum(self, g, half_width):
+        x = g.axes[0]
+        inside = np.abs(x - np.pi) < half_width
+        return float(np.sum(12.0 * np.pi**2 / (2.0 + np.sin(x[inside])) ** 2)) * g.spacing[0]
+
+    def test_whole_torus_value(self, abc32):
+        g, G, q = abc32
+        res = gv.GvResult(g, G, q, [np.ones(g.shape, dtype=bool)])
+        assert res.value == pytest.approx(16.0 * np.pi**3 / np.sqrt(3.0), rel=1e-13, abs=0.0)
+        assert res.richardson_value is None
+        assert res.excluded_volume_fraction == 0.0
+
+    def test_nested_slabs_and_richardson(self, abc32):
+        g, G, q = abc32
+        res = gv.GvResult(g, G, q, [self.slab(g, 1.0), self.slab(g, 2.0)])
+        inner, outer = self.slab_sum(g, 1.0), self.slab_sum(g, 2.0)
+        assert res.value == pytest.approx(inner, rel=1e-13, abs=0.0)
+        assert res.richardson_value == pytest.approx(2.0 * outer - inner, rel=1e-13, abs=0.0)
+        assert np.all(res.density.data[~self.slab(g, 1.0)] == 0.0)
+
+
 class TestGaugeShift:
     def test_zero_shift_is_identity(self, clebsch64):
         sol = gv.solve_eta(clebsch64, gv.EtaChoice.canonical())
@@ -309,12 +350,13 @@ class TestAnalyzeBound:
             assert report.bound.covered_fraction == 1.0 - report.excluded_volume_fraction
         assert report.to_json_dict()["bound"] == report.bound.to_json_dict()
 
-    def test_bound_builds_no_gv_result(self, seeded_sheared32, monkeypatch):
-        # the bound reads the invariant value only, never the full result
-        def refuse(**_):
-            raise AssertionError("GvResult built for the bound")
+    def test_bound_forms_no_density_or_mask(self, seeded_sheared32, monkeypatch):
+        # the bound reads the evaluation's value, never its full-size fields
+        def refuse(self):
+            raise AssertionError("full-size field formed for the bound")
 
-        monkeypatch.setattr(gv, "GvResult", refuse)
+        monkeypatch.setattr(gv.GvResult, "density", property(refuse))
+        monkeypatch.setattr(gv.GvResult, "mask", property(refuse))
         report = gv.obstruction_bound(seeded_sheared32)
         assert report.to_json_dict()["schema"] == "wring-bound/1"
 
