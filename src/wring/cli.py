@@ -95,8 +95,7 @@ def _finite_nonzero_float(text: str) -> float:
 
 
 def _grid_from_args(args) -> Grid3:
-    n = args.n
-    return Grid3((n, n, n) if isinstance(n, int) else tuple(n), _parse_box(args.box))
+    return Grid3((args.n,) * 3, _parse_box(args.box))
 
 
 def _cmd_generate(args) -> int:

@@ -27,15 +27,18 @@ of W and A (``VectorField.spec``) and hands its final spectra to the
 stepped bundle's W and A as read-only views, so no step transforms the
 samples of a stepped bundle and none round-trips its own spectra through
 physical space; the stepped W and A are the inverse transform of those
-spectra. A
-stepped bundle's U is formed, with the gate, only when a caller asks for
-it (the next step's CFL check). The sampled energy and enstrophy are
-Parseval sums on W's spectra, so the invariant series forms no velocity.
+spectra. A stepped bundle's U is formed, with the gate, only when a caller
+asks for it (the next step's CFL check). The sampled energy and enstrophy
+are ``Grid3.parseval`` sums on W's spectra, so the series forms no velocity.
 
-One spectral kernel forms the dealiased product W x U, with U taken from
-the truncated W. It serves the stepper's right-hand side, the vorticity
-tendency -curl(W x U) and the Bernoulli head (periodic pressure solve in
-spectral space).
+One spectral kernel, ``_wxu_spec``, forms the dealiased product W x U, with
+U taken from the truncated W. It serves the stepper's right-hand side
+(``_rhs``), the vorticity tendency -curl(W x U) and the Bernoulli head
+(periodic pressure solve in spectral space); the latter two start, as a
+step does, from W's cached spectra cut to the box. It reads the box
+multipliers ``Grid3.box_ik`` and ``box_inv_k2``, and holds spectra as
+stacks, (W^, A^) as one (6, ...) array, so each group of transforms is one
+stacked call that the FFT lanes share.
 
 On top of the stepper, the local conservation law for the invariant
 density c = H . curl(H): (d/dt + U.grad) c = div(k W) with
@@ -57,10 +60,10 @@ from .fieldcore import (
     ScalarField,
     VectorField,
     cross_parts,
+    curl_drift,
     dot,
     grad,
     magnitude2,
-    rel_l2,
 )
 from .fieldzoo import FieldBundle
 
@@ -76,9 +79,8 @@ def vorticity_rate(bundle: FieldBundle) -> VectorField:
     U is the velocity of W.
     """
     g = bundle.grid
-    kern = _Stepper(g)
-    ps, _ = kern.wxu_spec(g.rfft(bundle.W.data, box=True))
-    return VectorField(g, -g.irfft(np.stack(cross_parts(kern.ik, ps))))
+    ps, _ = _wxu_spec(g, np.stack([g.cut_box(s) for s in bundle.W.spec]))
+    return VectorField(g, -g.irfft(np.stack(cross_parts(g.box_ik, ps))))
 
 
 def bernoulli_head(bundle: FieldBundle) -> ScalarField:
@@ -89,10 +91,9 @@ def bernoulli_head(bundle: FieldBundle) -> ScalarField:
     dealiased product. U is the velocity of W.
     """
     g = bundle.grid
-    kern = _Stepper(g)
-    ps, _ = kern.wxu_spec(g.rfft(bundle.W.data, box=True))
-    ikx, iky, ikz = kern.ik
-    return ScalarField(g, g.irfft((ikx * ps[0] + iky * ps[1] + ikz * ps[2]) * kern.inv_k2))
+    ps, _ = _wxu_spec(g, np.stack([g.cut_box(s) for s in bundle.W.spec]))
+    ikx, iky, ikz = g.box_ik
+    return ScalarField(g, g.irfft((ikx * ps[0] + iky * ps[1] + ikz * ps[2]) * g.box_inv_k2))
 
 
 # -- time stepping -------------------------------------------------------------
@@ -100,12 +101,11 @@ def bernoulli_head(bundle: FieldBundle) -> ScalarField:
 
 @dataclass(eq=False)
 class EvolutionState:
-    """Evolving (bundle, t) with a fixed time step and drift limit."""
+    """Evolving (bundle, t) with a fixed time step."""
 
     bundle: FieldBundle
     t: float = 0.0
     dt: float = 0.01
-    drift_limit: float = _DYN["drift_limit"]
     curl_drift: float = 0.0
 
 
@@ -117,56 +117,37 @@ def cfl_timestep(bundle: FieldBundle, cfl: float) -> float:
     return cfl * min(bundle.grid.spacing) / umax
 
 
-class _Stepper:
-    """Spectral-space kernel: the one place the dealiased W x U is formed.
+def _wxu_spec(g, w):
+    """Box spectra of the truncated W x U, with U the velocity of W: the kernel.
 
-    It serves the RK4 right-hand side, the vorticity tendency and the
-    Bernoulli head. Its spectra are box spectra
-    (``Grid3.rfft(data, box=True)``): they hold only the modes the 2/3 rule
-    keeps, so truncation is implicit in every transform and no mask is
-    applied. They are held as stacks, (W^, A^) as one (6, ...) array, so
-    each group of transforms is one stacked call that the FFT lanes share.
+    ``w`` is the stack of W's three box spectra; W and U are one
+    six-component inverse. Returns (spectra, U), with U a new physical
+    stack that holds no reference to W's samples, for the co-state.
     """
+    wu = g.irfft(np.concatenate((w, [c * g.box_inv_k2 for c in cross_parts(g.box_ik, w)])))
+    ps = g.rfft(cross_parts(wu[:3], wu[3:], out=np.empty_like(wu[:3])), box=True)
+    return ps, wu[3:].copy()
 
-    def __init__(self, grid):
-        self.g = grid
-        rows, cols, planes = grid.box_index
-        ikx, iky, ikz = grid.ik
-        self.ik = (ikx[rows], iky[:, cols], ikz[:, :, planes])
-        self.inv_k2 = grid.cut_box(grid.inv_k2)
 
-    def wxu_spec(self, w):
-        """Box spectra of the truncated W x U, with U the velocity of W.
-
-        ``w`` is the stack of W's three box spectra; W and U are one
-        six-component inverse. Returns (spectra, U), with U a new physical
-        stack that holds no reference to W's samples, for the co-state.
-        """
-        g = self.g
-        wu = g.irfft(np.concatenate((w, [c * self.inv_k2 for c in cross_parts(self.ik, w)])))
-        ps = g.rfft(cross_parts(wu[:3], wu[3:], out=np.empty_like(wu[:3])), box=True)
-        return ps, wu[3:].copy()
-
-    def rhs(self, y):
-        """Box spectra of the right-hand side (dW/dt, dA/dt) at the stack y = (W^, A^)."""
-        g = self.g
-        ps, U = self.wxu_spec(y[:3])
-        # A and curl(A) as one six-component inverse
-        ac = g.irfft(np.concatenate((y[3:], cross_parts(self.ik, y[3:]))))
-        A, curlA = ac[:3], ac[3:]
-        # co-state: dA/dt = -L_U A = U x curl(A) - grad(U.A), from the
-        # products (U x curl(A), U.A) transformed as one stack
-        prods = np.empty((4,) + g.shape)
-        cross_parts(U, curlA, out=prods[:3])
-        ua = np.multiply(U[0], A[0], out=prods[3])
-        ua += U[1] * A[1]
-        ua += U[2] * A[2]
-        # the samples are dropped before the transform's buffers are made
-        del ac, A, curlA, U, ua
-        q = g.rfft(prods, box=True)
-        # vorticity: dW/dt = -curl(W x U)
-        rhs_w = [-c for c in cross_parts(self.ik, ps)]
-        return np.concatenate((rhs_w, [qi - ik * q[3] for qi, ik in zip(q, self.ik)]))
+def _rhs(g, y):
+    """Box spectra of the right-hand side (dW/dt, dA/dt) at the stack y = (W^, A^)."""
+    ps, U = _wxu_spec(g, y[:3])
+    # A and curl(A) as one six-component inverse
+    ac = g.irfft(np.concatenate((y[3:], cross_parts(g.box_ik, y[3:]))))
+    A, curlA = ac[:3], ac[3:]
+    # co-state: dA/dt = -L_U A = U x curl(A) - grad(U.A), from the
+    # products (U x curl(A), U.A) transformed as one stack
+    prods = np.empty((4,) + g.shape)
+    cross_parts(U, curlA, out=prods[:3])
+    ua = np.multiply(U[0], A[0], out=prods[3])
+    ua += U[1] * A[1]
+    ua += U[2] * A[2]
+    # the samples are dropped before the transform's buffers are made
+    del ac, A, curlA, U, ua
+    q = g.rfft(prods, box=True)
+    # vorticity: dW/dt = -curl(W x U)
+    rhs_w = [-c for c in cross_parts(g.box_ik, ps)]
+    return np.concatenate((rhs_w, [qi - ik * q[3] for qi, ik in zip(q, g.box_ik)]))
 
 
 def step(state: EvolutionState) -> EvolutionState:
@@ -174,8 +155,8 @@ def step(state: EvolutionState) -> EvolutionState:
 
     Preconditions: the advective CFL number |dt| max|U| / min(h) must stay
     below the configured limit. After the step the curl(A) - W residual is
-    measured; DriftExceeded is raised if it passes the drift limit. Both
-    errors name the step's start time and dt.
+    measured; DriftExceeded is raised if it passes ``dynamics.drift_limit``
+    (defaults.json). Both errors name the step's start time and dt.
     """
     b = state.bundle
     g = b.grid
@@ -185,7 +166,6 @@ def step(state: EvolutionState) -> EvolutionState:
             f"CFL number {cfl:.3f} in the step from t={state.t:g} with dt={state.dt:g} "
             f"exceeds {_DYN['cfl_limit']}"
         )
-    kern = _Stepper(g)
     # the full spectra of (W, A), from the fields' caches: a stepped bundle
     # carries the previous step's; the RK4 sum adds the box increment to
     # them in place, so every mode outside the box passes through unchanged
@@ -194,20 +174,20 @@ def step(state: EvolutionState) -> EvolutionState:
     dt = state.dt
     # k1 + 2 k2 + 2 k3 + k4 is summed in that order as the stages finish,
     # so one stage's right-hand side is held at a time
-    k = total = kern.rhs(y0)
+    k = total = _rhs(g, y0)
     for c in (dt / 2, dt / 2):
-        k = kern.rhs(y0 + c * k)
+        k = _rhs(g, y0 + c * k)
         total = total + 2 * k
-    total += kern.rhs(y0 + dt * k)
+    total += _rhs(g, y0 + dt * k)
     g.add_box(s, dt / 6.0 * total)
     w1, a1 = s[:3], s[3:]
     # curl(A1) comes from the transported A, never from W, so the drift
     # stays an independent measure of integration quality
-    drift = rel_l2(g, cross_parts(g.ik, a1, out=np.empty_like(a1)), w1)
-    if drift > state.drift_limit:
+    drift = curl_drift(g, a1, w1)
+    if drift > _DYN["drift_limit"]:
         raise DriftExceeded(
             f"curl(A) - W drift {drift:g} in the step from t={state.t:g} with "
-            f"dt={state.dt:g} exceeds {state.drift_limit:g} (refine the step)"
+            f"dt={state.dt:g} exceeds {_DYN['drift_limit']:g} (refine the step)"
         )
     phys = g.irfft(s)
     # W1 and A1 keep views of s as their spectra, so the next step and the
@@ -251,8 +231,8 @@ class InvariantSeries:
 
 
 def _energy_enstrophy(bundle: FieldBundle) -> tuple[float, float]:
-    """0.5 * integral of |U|^2 and integral of |W|^2, as Parseval sums on the
-    cached rfft spectra W^ of W (``W.spec``), weighted by ``Grid3.plane_weights``.
+    """0.5 * integral of |U|^2 and integral of |W|^2, as ``Grid3.parseval``
+    sums on the cached rfft spectra W^ of W (``W.spec``).
 
     No velocity is formed. U^ = (ik x W^)/|k|^2 with the Nyquist-zeroed
     real k, so Lagrange's identity gives
@@ -262,10 +242,9 @@ def _energy_enstrophy(bundle: FieldBundle) -> tuple[float, float]:
     g, spec = bundle.grid, bundle.W.spec
     kx, ky, kz = (ik.imag for ik in g.ik)
     kw = kx * spec[0] + ky * spec[1] + kz * spec[2]
-    w2 = sum(s.real**2 + s.imag**2 for s in spec) * g.plane_weights
-    u2 = (w2 - (kw.real**2 + kw.imag**2) * g.plane_weights * g.inv_k2) * g.inv_k2
-    scale = g.cell_volume / np.prod(g.n)
-    return 0.5 * float(np.sum(u2)) * scale, float(np.sum(w2)) * scale
+    w2 = sum(s.real**2 + s.imag**2 for s in spec)
+    u2 = (w2 - (kw.real**2 + kw.imag**2) * g.inv_k2) * g.inv_k2
+    return 0.5 * g.parseval(u2), g.parseval(w2)
 
 
 def _sample(state: EvolutionState) -> tuple:

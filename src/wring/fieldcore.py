@@ -158,6 +158,17 @@ class Grid3:
         weights[0] = weights[-1] = 1.0
         return weights
 
+    @cached_property
+    def _mode_volume(self) -> float:
+        """cell volume / N: the volume one unit of Parseval power stands for."""
+        return self.cell_volume / np.prod(self.n)
+
+    def parseval(self, power: np.ndarray) -> float:
+        """The volume integral of f g from ``power``, the real rfft-layout
+        array of Re(f^ conj(g^)): its sum weighted by ``plane_weights``,
+        times cell volume / N."""
+        return float(np.sum(power * self.plane_weights)) * self._mode_volume
+
     def mode_mask(self, keep) -> np.ndarray:
         """rfft-layout mask of the modes whose index passes ``keep(idx, m)`` on every axis.
 
@@ -190,6 +201,18 @@ class Grid3:
     def box_shape(self) -> tuple[int, int, int]:
         """Shape of a box spectrum: 43 x 43 x 22 at n = 64."""
         return tuple(len(i) for i in self.box_index)
+
+    @cached_property
+    def box_ik(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``ik`` multipliers of the box modes, broadcastable against a box spectrum."""
+        rows, cols, planes = self.box_index
+        ikx, iky, ikz = self.ik
+        return ikx[rows], iky[:, cols], ikz[:, :, planes]
+
+    @cached_property
+    def box_inv_k2(self) -> np.ndarray:
+        """``inv_k2`` on the box modes."""
+        return self.cut_box(self.inv_k2)
 
     @cached_property
     def _box_runs(self) -> tuple:
@@ -459,8 +482,9 @@ class VectorField:
     """Real vector samples on a Grid3, components stacked along axis 0.
 
     The array is read-only from construction, so the field caches what it
-    derives from it: ``spec``, its three read-only rfft spectra, and the
-    values of ``maxnorm``, ``maxabs`` and ``component_means``. ``step``
+    derives from it: ``spec``, its three read-only rfft spectra, the values
+    of ``maxnorm``, ``maxabs`` and ``component_means``, and the inverse-curl
+    gate's ``potential_residuals``. ``step``
     seeds the stepped W's and A's ``spec`` with the spectra it inverted to
     get them, equal to their rfft to roundoff.
     """
@@ -531,6 +555,14 @@ class VectorField:
     def _means(self) -> tuple:
         return tuple(float(np.mean(c)) for c in self.data)
 
+    @cached_property
+    def potential_residuals(self) -> tuple[float, float]:
+        """What the inverse-curl gate measures, from ``spec``: (div_w, mean_w) =
+        (max|div w| min(h), max|component mean|) / max|w|."""
+        scale = max(self.maxabs(), config.TOL["underflow"])
+        div_w = div(self).maxabs() * min(self.grid.spacing) / scale
+        return div_w, max(abs(m) for m in self.component_means()) / scale
+
 
 # -- pointwise algebra -------------------------------------------------------
 
@@ -580,12 +612,12 @@ def grad(s: ScalarField) -> VectorField:
 
 
 def div(v: VectorField) -> ScalarField:
-    """Spectral divergence."""
+    """Spectral divergence, from the field's cached spectra."""
     g = v.grid
-    acc = None
-    for ik, comp in zip(g.ik, v.data):
-        term = ik * g.rfft(comp)
-        acc = term if acc is None else acc + term
+    (ikx, iky, ikz), (sx, sy, sz) = g.ik, v.spec
+    acc = ikx * sx
+    acc += iky * sy
+    acc += ikz * sz
     return ScalarField(g, g.irfft(acc))
 
 
@@ -611,25 +643,11 @@ def curl(v: VectorField) -> VectorField:
     return VectorField(g, np.stack([g.irfft(specs.pop(0)) for _ in range(3)]))
 
 
-def vorticity_residuals(w: VectorField) -> tuple[float, float]:
-    """The inverse-curl gate's measures of ``w``, from ``w.spec``:
-    (div_w, mean_w) = (max|div w| min(h), max|component mean|) / max|w|."""
-    g = w.grid
-    scale = max(w.maxabs(), config.TOL["underflow"])
-    sx, sy, sz = w.spec
-    ikx, iky, ikz = g.ik
-    div_spec = ikx * sx
-    div_spec += iky * sy
-    div_spec += ikz * sz
-    div_w = float(np.max(np.abs(g.irfft(div_spec)))) * min(g.spacing) / scale
-    mean_w = max(abs(m) for m in w.component_means()) / scale
-    return div_w, mean_w
-
-
-def require_potential(div_w: float, mean_w: float) -> None:
-    """The inverse-curl gate on the two ``vorticity_residuals``: raises
+def require_potential(w: VectorField) -> None:
+    """The inverse-curl gate on ``w.potential_residuals``: raises
     NonZeroMeanVorticity (net flux through a fundamental torus, so no
     periodic potential) or NotDivergenceFree past their tolerances."""
+    div_w, mean_w = w.potential_residuals
     mean_tol = config.TOL["zero_mean_rel"]
     div_tol = config.TOL["div_free_rel"]
     if mean_w > mean_tol:
@@ -643,15 +661,12 @@ def inverse_curl(w: VectorField) -> VectorField:
 
     The harmonic (constant) part is set to zero, which fixes the gauge
     deterministically and makes helicity values reproducible. ``w`` must
-    pass ``require_potential``, whose errors this raises.
+    pass ``require_potential``, whose errors this raises. U is solved from
+    ``w.spec``, so a gated field costs three inverse transforms.
     """
-    require_potential(*vorticity_residuals(w))
-    return inverse_curl_spectral(w.grid, w.spec)
-
-
-def inverse_curl_spectral(g: Grid3, specs) -> VectorField:
-    """The solve of ``inverse_curl`` from the three rfft spectra of a gated field."""
-    return VectorField(g, np.stack([g.irfft(c * g.inv_k2) for c in cross_parts(g.ik, specs)]))
+    require_potential(w)
+    g = w.grid
+    return VectorField(g, np.stack([g.irfft(c * g.inv_k2) for c in cross_parts(g.ik, w.spec)]))
 
 
 def integrate(s: ScalarField) -> float:
@@ -662,17 +677,17 @@ def integrate(s: ScalarField) -> float:
     return float(np.sum(s.data)) * s.grid.cell_volume
 
 
-def rel_l2(g: Grid3, a, b) -> float:
-    """L2 norm of a - b relative to that of b (absolute when b vanishes) for two vector
-    fields given by their rfft spectra: a Parseval sum weighted by ``plane_weights``."""
+def curl_drift(g: Grid3, a, w) -> float:
+    """L2 norm of curl(A) - W relative to that of W (absolute when W vanishes),
+    from the rfft spectra ``a`` of A and ``w`` of W: a Parseval sum, with
+    curl(A) formed in one preallocated stack and W subtracted in place."""
+    d = cross_parts(g.ik, a, out=np.empty((3,) + a[0].shape, dtype=complex))
     num = den = 0.0
-    for sa, sb in zip(a, b):
-        d = sa - sb
-        num += float(np.sum((d.real**2 + d.imag**2) * g.plane_weights))
-        den += float(np.sum((sb.real**2 + sb.imag**2) * g.plane_weights))
-    if den <= 0.0:
-        return float(np.sqrt(num * g.cell_volume / np.prod(g.n)))
-    return float(np.sqrt(num / den))
+    for dc, wc in zip(d, w):
+        dc -= wc
+        num += float(np.sum((dc.real**2 + dc.imag**2) * g.plane_weights))
+        den += float(np.sum((wc.real**2 + wc.imag**2) * g.plane_weights))
+    return float(np.sqrt(num / den if den > 0.0 else num * g._mode_volume))
 
 
 def project_solenoidal(g: Grid3, specs) -> VectorField:

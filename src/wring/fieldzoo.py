@@ -52,16 +52,13 @@ from .fieldcore import (
     ScalarField,
     VectorField,
     cross,
-    cross_parts,
+    curl_drift,
     dot,
     grad,
     inverse_curl,
-    inverse_curl_spectral,
     project_solenoidal,
-    rel_l2,
     require_potential,
     spectral_tail_fraction,
-    vorticity_residuals,
 )
 
 _TOL = config.TOL
@@ -76,8 +73,8 @@ _VALUES = config.DEFAULTS["bundle_values"]
 class FieldBundle:
     """Consistent (potential dual A, vorticity W) pair; U is derived from W.
 
-    A and W are read-only fields, each caching its own spectra, so the
-    gate residuals and U computed from W's are cached here too.
+    A and W are read-only fields, each caching its own spectra and W its
+    gate residuals, so U, the inverse curl of W, is cached here too.
     ``meta`` carries family name, creation parameters, claims and measured
     generation residuals; analysis code treats the claims as oracles.
     """
@@ -87,28 +84,22 @@ class FieldBundle:
     W: VectorField
     meta: dict = dataclasses.field(default_factory=dict)
 
-    @cached_property
-    def W_residuals(self) -> tuple[float, float]:
-        """(div_w, mean_w) of W; see ``vorticity_residuals``."""
-        return vorticity_residuals(self.W)
-
     def gate(self) -> None:
         """Raise unless W has a periodic velocity potential (``require_potential``)."""
-        require_potential(*self.W_residuals)
+        require_potential(self.W)
 
     @cached_property
     def U(self) -> VectorField:
         """The velocity: the zero-mean inverse curl of the gated W."""
-        self.gate()
-        return inverse_curl_spectral(self.grid, self.W.spec)
+        return inverse_curl(self.W)
 
     def claims(self) -> dict:
         return self.meta.get("claims", {})
 
     def verify(self) -> dict:
         """Measure the bundle invariants; returns a dict of residuals."""
-        cons = rel_l2(self.grid, cross_parts(self.grid.ik, self.A.spec), self.W.spec)
-        div_w, mean_w = self.W_residuals
+        cons = curl_drift(self.grid, self.A.spec, self.W.spec)
+        div_w, mean_w = self.W.potential_residuals
         out = {
             "curl_consistency": cons,
             "div_w": div_w,

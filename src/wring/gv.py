@@ -116,10 +116,9 @@ def flux_check(bundle: FieldBundle) -> tuple[float, float, float]:
 def helicity(bundle: FieldBundle) -> float:
     """Volume integral of U . W with the zero-mean velocity gauge.
 
-    No velocity is formed: the integral is the Parseval sum on the cached
-    rfft spectra W^ = a + ib of W (``W.spec``), with
-    Re(U^ . conj W^) = 2 k.(a x b)/|k|^2 for the Nyquist-zeroed k, weighted
-    by ``Grid3.plane_weights``.
+    No velocity is formed: the integral is the ``Grid3.parseval`` sum on
+    the cached rfft spectra W^ = a + ib of W (``W.spec``), with
+    Re(U^ . conj W^) = 2 k.(a x b)/|k|^2 for the Nyquist-zeroed k.
 
     Raises FluxObstruction if the vorticity carries net flux through a
     fundamental torus (the integral would depend on the potential gauge).
@@ -137,7 +136,7 @@ def helicity(bundle: FieldBundle) -> float:
     spec = bundle.W.spec
     axb = cross_parts([s.real for s in spec], [s.imag for s in spec])
     kab = sum(ik.imag * c for ik, c in zip(g.ik, axb))
-    return 2.0 * g.cell_volume / np.prod(g.n) * float(np.sum(kab * g.inv_k2 * g.plane_weights))
+    return 2.0 * g.parseval(kab * g.inv_k2)
 
 
 def eta_parts(bundle: FieldBundle, variant: str, *eps: float):

@@ -69,14 +69,14 @@ class TestGenerateAnalyze:
         field = tmp_path / "f.wrg"
         run(["generate", "--family", "clebsch", "--n", "16", "--out", str(field)])
         calls = []
-        original = fieldcore.inverse_curl_spectral
+        original = fieldcore.inverse_curl
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
         for module in (fieldcore, fieldzoo):
-            monkeypatch.setattr(module, "inverse_curl_spectral", counted)
+            monkeypatch.setattr(module, "inverse_curl", counted)
         assert run(["analyze", str(field), "--bound", "--json", str(tmp_path / "r.json")]) == 0
         assert len(calls) == 1
 

@@ -105,11 +105,16 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+# field scales: at the load gate's bounds (1e-100, 1e100) and past them,
+# and in range where the products the analysis forms overflow float64
+SCALES = [1.0, 1e-101, 1e-60, 1e-40, 1e40, 1e50, 1e90, 1e99, 1e101]
+
+
 @functools.cache
-def samples() -> bytes:
-    """float64 samples of a valid n=8 bundle (A then W), repeated to fill any payload."""
+def samples(scale: float = 1.0) -> bytes:
+    """float64 samples of a valid n=8 bundle (A then W) times ``scale``, repeated to fill any payload."""
     b = fieldzoo.gen_clebsch(Grid3((8, 8, 8), (TWO_PI,) * 3))
-    return np.concatenate([b.A.data.ravel(), b.W.data.ravel()]).astype("<f8").tobytes()
+    return (scale * np.concatenate([b.A.data.ravel(), b.W.data.ravel()])).astype("<f8").tobytes()
 
 
 def _declared_bytes(n, fields):
@@ -127,7 +132,8 @@ DRAWN = {"n": GRID_N, "box": GRID_BOX, "fields": FIELDS, "meta": META}
 
 
 def draw_wrg1(data, path) -> None:
-    """Write a WRG1 file whose header has one drawn part, or all four, and a drawn payload length."""
+    """Write a WRG1 file whose header has one drawn part, or all four, and a drawn
+    payload length, of samples at a drawn scale."""
     drawn = data.draw(st.sampled_from(["n", "box", "fields", "meta", "size", "all"]))
     header = {key: data.draw(DRAWN[key]) if drawn in (key, "all") else VALID[key] for key in VALID}
     blob = json.dumps(
@@ -138,7 +144,8 @@ def draw_wrg1(data, path) -> None:
         size = data.draw(st.integers(0, 2 * len(samples())))
     else:
         size = max(exact + data.draw(st.sampled_from([0, 0, 0, -8, 8, -1])), 0)
-    payload = (samples() * (size // len(samples()) + 1))[:size]
+    unit = samples(data.draw(st.sampled_from(SCALES)))
+    payload = (unit * (size // len(unit) + 1))[:size]
     path.write_bytes(wrg1.MAGIC + struct.pack("<II", wrg1.VERSION, len(blob)) + blob + payload)
 
 

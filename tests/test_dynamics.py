@@ -218,21 +218,23 @@ class TestStep:
         assert np.max(np.abs(before)) > 1.0
         assert np.max(np.abs(after - before)) <= 1e-12 * np.max(np.abs(before))
 
-    def test_drift_guard(self, sheared32):
+    def test_drift_guard(self, sheared32, monkeypatch):
+        monkeypatch.setitem(config.DEFAULTS["dynamics"], "drift_limit", 1e-6)
         g = sheared32.grid
         rng = np.random.default_rng(3)
         bad_a = sheared32.A.data + 1e-3 * rng.standard_normal((3,) + g.shape)
         bad = fz.FieldBundle(g, VectorField(g, bad_a), sheared32.W, dict(sheared32.meta))
-        state = dyn.EvolutionState(bad, dt=0.02, drift_limit=1e-6)
+        state = dyn.EvolutionState(bad, dt=0.02)
         with pytest.raises(DriftExceeded):
             dyn.step(state)
 
-    def test_tracked_errors_name_the_step(self, sheared32):
+    def test_tracked_errors_name_the_step(self, sheared32, monkeypatch):
+        monkeypatch.setitem(config.DEFAULTS["dynamics"], "drift_limit", 1e-6)
         g = sheared32.grid
         rng = np.random.default_rng(3)
         bad_a = sheared32.A.data + 1e-3 * rng.standard_normal((3,) + g.shape)
         bad = fz.FieldBundle(g, VectorField(g, bad_a), sheared32.W, dict(sheared32.meta))
-        state = dyn.EvolutionState(bad, dt=0.02, drift_limit=1e-6)
+        state = dyn.EvolutionState(bad, dt=0.02)
         with pytest.raises(DriftExceeded, match=r"^step 1 of 3: curl\(A\) - W drift") as exc:
             dyn.track_invariants(state, 3)
         assert isinstance(exc.value.__cause__, DriftExceeded)
@@ -262,8 +264,7 @@ class TestCoState:
         W = random_band_limited_vector(g, 5, 11, div_free=True)
         A = random_band_limited_vector(g, 5, 23)
         U = inverse_curl(W)
-        kern = dyn._Stepper(g)
-        rhs_a = kern.rhs(g.rfft(np.concatenate((W.data, A.data)), box=True))[3:]
+        rhs_a = dyn._rhs(g, g.rfft(np.concatenate((W.data, A.data)), box=True))[3:]
         got = g.irfft(rhs_a)
         # dA[i][j] = d_j A_i, dU[i][j] = d_j U_i
         dA = [grad(ScalarField(g, c)).data for c in A.data]
