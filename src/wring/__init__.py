@@ -1,92 +1,3 @@
 """Integrable vorticity fields on the periodic box and their invariants."""
 
-from .errors import (
-    CflViolation,
-    ConsistencyLoss,
-    CurvesIntersect,
-    DegenerateField,
-    DegenerateFluxes,
-    DenominatorVanishesEverywhere,
-    DriftExceeded,
-    FluxObstruction,
-    FormatError,
-    InvalidGrid,
-    MapNotInvertible,
-    MaskTooSmall,
-    MissingLinkData,
-    NonFiniteData,
-    NonPeriodic,
-    NonZeroMeanVorticity,
-    NotDivergenceFree,
-    PreconditionError,
-    SupportTooLarge,
-    ToleranceBreach,
-    ToleranceError,
-    TubesOverlap,
-    WringError,
-    ZeroF,
-    ZeroSlopeOne,
-)
-from .fieldcore import (
-    Grid3,
-    ScalarField,
-    VectorField,
-    cross,
-    curl,
-    div,
-    dot,
-    grad,
-    integrate,
-    inverse_curl,
-    magnitude2,
-)
-from .fieldzoo import (
-    DiffeoMap,
-    FieldBundle,
-    Ring,
-    Shear,
-    apply_diffeo,
-    gen_beltrami_abc,
-    gen_clebsch,
-    gen_kupka_tube,
-    gen_linked_rings,
-    gen_morse,
-    hopf_rings,
-    make_family,
-    unlinked_rings,
-)
-from .gv import (
-    AnalysisReport,
-    EtaChoice,
-    analyze,
-    flux_check,
-    gauge_shift,
-    gv_invariant,
-    gv_of_field,
-    helical_compression,
-    helicity,
-    integrability_residual,
-    solve_eta,
-)
-from .dynamics import (
-    BoundReport,
-    EvolutionState,
-    bernoulli_head,
-    cfl_timestep,
-    conservation_residual,
-    obstruction_bound,
-    step,
-    track_invariants,
-    vorticity_rate,
-)
-from .linkref import (
-    CurveSet,
-    SlopeData,
-    flux_slopes,
-    gauss_linking,
-    linking_helicities,
-    linking_matrix,
-    thurston_gv,
-)
-
 __version__ = "0.1.0"

@@ -18,7 +18,9 @@ import sys
 
 import numpy as np
 
-from . import config, dynamics, fieldzoo, gv, linkref, selftest, wrg1
+# every module but selftest loads here, not in its handler, because
+# perfbench/spans.py wraps them in sys.modules right after ``import wring.cli``
+from . import config, dynamics, fieldzoo, gv, linkref, wrg1
 from .errors import FormatError, PreconditionError, ToleranceError, WringError
 from .fieldcore import Grid3
 
@@ -238,6 +240,8 @@ def _cmd_link(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import selftest
+
     ids = None
     if args.criteria:
         ids = {int(v) for v in args.criteria.split(",")}
@@ -363,7 +367,7 @@ def main(argv=None) -> int:
     except ToleranceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
-    except (ValueError, OSError, json.JSONDecodeError, WringError) as exc:
+    except (ValueError, OSError, MemoryError, json.JSONDecodeError, WringError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,9 +33,9 @@ are ``Grid3.parseval`` sums on W's spectra, so the series forms no velocity.
 
 One spectral kernel, ``_wxu_spec``, forms the dealiased product W x U, with
 U taken from the truncated W. It serves the stepper's right-hand side
-(``_rhs``), the vorticity tendency -curl(W x U) and the Bernoulli head
-(periodic pressure solve in spectral space); the latter two start, as a
-step does, from W's cached spectra cut to the box. It reads the box
+(``_rhs``) and the Bernoulli head (periodic pressure solve in spectral
+space); the latter starts, as a step does, from W's cached spectra cut to
+the box. It reads the box
 multipliers ``Grid3.box_ik`` and ``box_inv_k2``, and holds spectra as
 stacks, (W^, A^) as one (6, ...) array, so each group of transforms is one
 stacked call that the FFT lanes share.
@@ -69,18 +69,7 @@ from .fieldzoo import FieldBundle
 
 _DYN = config.DEFAULTS["dynamics"]
 
-BoundReport = gv.BoundReport
 obstruction_bound = gv.obstruction_bound
-
-
-def vorticity_rate(bundle: FieldBundle) -> VectorField:
-    """Vorticity tendency -curl(W x U) with the dealiased product.
-
-    U is the velocity of W.
-    """
-    g = bundle.grid
-    ps, _ = _wxu_spec(g, np.stack([g.cut_box(s) for s in bundle.W.spec]))
-    return VectorField(g, -g.irfft(np.stack(cross_parts(g.box_ik, ps))))
 
 
 def bernoulli_head(bundle: FieldBundle) -> ScalarField:

@@ -183,19 +183,15 @@ class Grid3:
         return self.mode_mask(lambda idx, m: idx < m // 2)
 
     @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """Two-thirds-rule mask in the rfft layout (True = keep)."""
-        return self.mode_mask(_two_thirds)
-
-    @cached_property
     def box_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """rfft-layout indices, per axis, of the 2/3-rule box: the modes ``dealias_mask`` keeps.
+        """rfft-layout indices, per axis, of the 2/3-rule box: the modes whose
+        |mode index| is at most m//3 on every axis of m points.
 
         Along x and y these are 2k+1 indices, 0..k and -k..-1, at both ends
         of the fft layout; along z, the k+1 leading planes of the rfft
         layout; k is n//3.
         """
-        return tuple(np.flatnonzero(_two_thirds(idx, m)) for idx, m in zip(self._mode_index, self.n))
+        return tuple(np.flatnonzero(idx <= m // 3) for idx, m in zip(self._mode_index, self.n))
 
     @cached_property
     def box_shape(self) -> tuple[int, int, int]:
@@ -252,10 +248,10 @@ class Grid3:
     def rfft(self, data: np.ndarray, box: bool = False) -> np.ndarray:
         """Forward transform in the rfft layout, or only its 2/3-rule box.
 
-        With ``box`` the result holds only the modes that ``dealias_mask``
-        keeps, in the layout of ``cut_box``: the real transform runs along
-        every z line, the x transform on the kz band only and the y
-        transform on the kept kx rows only, in the x-then-y order of
+        With ``box`` the result holds only the 2/3-rule box modes
+        (``box_index``), in the layout of ``cut_box``: the real transform
+        runs along every z line, the x transform on the kz band only and the
+        y transform on the kept kx rows only, in the x-then-y order of
         ``scipy.fft.rfftn``, so the box equals those modes of ``rfftn`` bit
         for bit. Without it this is ``rfftn``.
 
@@ -339,11 +335,6 @@ class Grid3:
         spec = sfft.rfft(data, axis=axis + 1)
         spec *= np.exp(-1j * k.reshape(shape) * delta)
         return sfft.irfft(spec, n=m, axis=axis + 1, overwrite_x=True)
-
-
-def _two_thirds(idx: np.ndarray, m: int) -> np.ndarray:
-    """The 2/3 rule along one axis: keep |mode index| <= m//3."""
-    return idx <= m // 3
 
 
 def _c2c_in_place(transform, view: np.ndarray, axis: int, **kwargs) -> None:
@@ -469,10 +460,6 @@ class ScalarField:
         values = np.broadcast_to(np.asarray(fn(x, y, z), dtype=np.float64), grid.shape)
         return cls(grid, np.ascontiguousarray(values))
 
-    @classmethod
-    def zeros(cls, grid: Grid3) -> "ScalarField":
-        return cls(grid, np.zeros(grid.shape))
-
     def maxabs(self) -> float:
         return float(np.max(np.abs(self.data)))
 
@@ -510,10 +497,6 @@ class VectorField:
         for i, comp in enumerate((cx, cy, cz)):
             out[i] = np.broadcast_to(np.asarray(comp, dtype=np.float64), grid.shape)
         return cls(grid, out)
-
-    @classmethod
-    def zeros(cls, grid: Grid3) -> "VectorField":
-        return cls(grid, np.zeros((3,) + grid.shape))
 
     @property
     def x(self) -> np.ndarray:
@@ -738,16 +721,3 @@ def random_band_limited_scalar(grid: Grid3, kmax: int, seed: int) -> ScalarField
         out = out / peak
     return ScalarField(grid, out)
 
-
-def random_band_limited_vector(
-    grid: Grid3, kmax: int, seed: int, *, div_free: bool = False
-) -> VectorField:
-    """Deterministic band-limited vector field, optionally solenoidal."""
-    comps = [
-        random_band_limited_scalar(grid, kmax, seed + 7 * i).data for i in range(3)
-    ]
-    v = VectorField(grid, np.stack(comps))
-    if not div_free:
-        return v
-    proj = project_solenoidal(grid, v.spec)
-    return VectorField(grid, proj.data - np.array(proj.component_means())[:, None, None, None])

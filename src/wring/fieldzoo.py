@@ -248,7 +248,8 @@ def eval_scalar_expr(grid: Grid3, expr: str) -> ScalarField:
         Lx=grid.box[0], Ly=grid.box[1], Lz=grid.box[2],
     )
     try:
-        values = np.asarray(eval(compile(tree, "<scalar expr>", "eval"), {"__builtins__": {}}, ns))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            values = np.asarray(eval(compile(tree, "<scalar expr>", "eval"), {"__builtins__": {}}, ns))
     except ArithmeticError as exc:
         raise ValueError(f"bad scalar expression {expr!r}: {exc}") from exc
     if values.dtype.kind not in "fiu":
@@ -663,14 +664,6 @@ class DiffeoMap:
 
     def __post_init__(self):
         object.__setattr__(self, "primitives", tuple(self.primitives))
-
-    def inverse(self) -> "DiffeoMap":
-        return DiffeoMap(
-            tuple(
-                Shear(p.axis, p.shear_axis, -p.amplitude, p.wavenumber)
-                for p in reversed(self.primitives)
-            )
-        )
 
 
 def apply_diffeo(

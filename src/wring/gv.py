@@ -28,11 +28,11 @@ introduces no Gibbs artefacts.
 One type, ``GvResult``, holds an evaluation: G, q and the masks of
 ``eta_parts``. ``gv_invariant`` returns it with curl(G), the masked density
 array, the value and the Richardson value formed, from one G . curl(G)
-that is then dropped; the ``density`` and ``mask`` fields and the dual
-field ``H`` are formed only when read. The velocity bound reuses G, q, the
-first mask, curl(G) and the value, so under the velocity choice ``analyze``
-forms them once for both. A float64 overflow in the density, C, the
-enstrophy rate or E raises NonFiniteData naming it and its field scale.
+that is then dropped; the ``density`` field and the dual field ``H`` are
+formed only when read. The velocity bound reuses G, q, the first mask,
+curl(G) and the value, so under the velocity choice ``analyze`` forms them
+once for both. A float64 overflow in the density, C, the enstrophy rate
+or E raises NonFiniteData naming it and its field scale.
 
 The steady-flow obstruction bound uses the velocity construction: the
 squared invariant is bounded by C * integral((dW/dt)^2) with
@@ -260,19 +260,9 @@ class GvResult:
         return ScalarField(self.grid, self._integrals[0])
 
     @cached_property
-    def mask(self) -> ScalarField:
-        return ScalarField(self.grid, self.masks[0].astype(np.float64))
-
-    @cached_property
     def H(self) -> VectorField:
         """The dual field G/q, zero off the mask: A x H = W where mask = 1."""
         return VectorField(self.grid, _masked_quotient(self.G.data, self.q, self.masks[0], 1))
-
-
-def solve_eta(bundle: FieldBundle, choice: EtaChoice) -> GvResult:
-    """The evaluation of ``choice`` on ``bundle``, read for its dual field ``H``
-    and ``mask``; nothing is formed until read."""
-    return GvResult(bundle.grid, *eta_parts(bundle, choice.variant, choice.eps))
 
 
 def gv_invariant(
@@ -346,7 +336,7 @@ def obstruction_bound(bundle: FieldBundle, eps: float | None = None) -> BoundRep
 
 def _bound(bundle: FieldBundle, eps: float, evaluation: GvResult) -> BoundReport:
     """The bound from the velocity evaluation at ``eps``: its G, q, mask,
-    curl(G) and value. It reads neither ``density`` nor ``mask``."""
+    curl(G) and value. It reads neither ``density`` nor ``H``."""
     G, q, mask = evaluation.G, evaluation.q, evaluation.masks[0]
     uncovered = _uncovered(bundle, mask)
     max_uncovered = _ETA["max_uncovered_vorticity_fraction"]
@@ -386,21 +376,6 @@ def _bound(bundle: FieldBundle, eps: float, evaluation: GvResult) -> BoundReport
         uncovered_vorticity_fraction=uncovered,
         eps=eps,
     )
-
-
-def gauge_shift(H: VectorField, bundle: FieldBundle, f: ScalarField) -> VectorField:
-    """The dual-field gauge freedom: H -> H + f A."""
-    return VectorField(H.grid, H.data + f.data[None, :, :, :] * bundle.A.data)
-
-
-def gv_of_field(H: VectorField) -> float:
-    """Direct integral of H . curl(H) for an explicitly supplied field.
-
-    Meant for gauge-shift experiments on bundles whose mask is the whole
-    torus; H must be smooth everywhere, since curl(H) is evaluated
-    spectrally on H itself.
-    """
-    return float(dot(H, curl(H)).data.sum()) * H.grid.cell_volume
 
 
 def helical_compression(bundle: FieldBundle, eps: float | None = None) -> ScalarField:

@@ -149,14 +149,6 @@ class CurveSet:
         except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"invalid curves document: {exc}") from exc
 
-    def to_json_dict(self) -> dict:
-        out: dict = {"fluxes": list(self.fluxes)}
-        if self.curves is not None:
-            out["curves"] = [c.tolist() for c in self.curves]
-        if self.linking is not None:
-            out["linking"] = self.linking.tolist()
-        return out
-
 
 def _int64_entry(v) -> int:
     """A linking-matrix entry: an integer, or an integer-valued float, within int64."""

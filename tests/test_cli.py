@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from wring import cli
 from wring.fieldzoo import FAMILY_PARAMS
 
+from helpers import curves_doc
+
 
 def run(args):
     return cli.main(args)
@@ -92,6 +94,14 @@ class TestGenerateAnalyze:
 
     def test_bad_family_exit_2(self, tmp_path):
         assert run(["generate", "--family", "clebsch", "--n", "4", "--out", str(tmp_path / "x.wrg")]) == 2
+
+    def test_unallocatable_grid_exit_2(self, tmp_path, capsys):
+        # n^2 float64 samples of one mesh plane alone are 512 TiB: numpy
+        # refuses the allocation, and the refusal is a bad argument
+        out = tmp_path / "x.wrg"
+        assert run(["generate", "--family", "clebsch", "--n", "8388608", "--out", str(out)]) == 2
+        assert "error: Unable to allocate" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_hostile_param_exit_2(self, tmp_path):
         code = run(
@@ -581,7 +591,10 @@ class TestGenerateParams:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("expr", ["1/0", "10**1000", "(-1)**0.5", "9**9**7", "x*1e999"])
+    @pytest.mark.parametrize(
+        "expr",
+        ["1/0", "10**1000", "(-1)**0.5", "9**9**7", "x*1e999", "exp(1000*x)", "sqrt(x - 10)", "1/(x - x)"],
+    )
     def test_bad_expression_value_exit_2(self, tmp_path, capsys, expr):
         out = str(tmp_path / "x.wrg")
         start = time.perf_counter()
@@ -642,7 +655,7 @@ class TestReference:
 
         cs = linkref.hopf_pair(128, fluxes=(2.0, 1.0))
         path = tmp_path / "curves.json"
-        path.write_text(json.dumps(cs.to_json_dict()))
+        path.write_text(json.dumps(curves_doc(cs)))
         assert run(["link", "--curves", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["total_helicity"] == pytest.approx(4.0)
@@ -679,7 +692,7 @@ class TestHostileReference:
         from wring import linkref
 
         if doc is None:
-            cs = linkref.hopf_pair(64).to_json_dict()
+            cs = curves_doc(linkref.hopf_pair(64))
             cs["curves"][0][5][1] = float("nan")
             doc = json.dumps(cs)
         path = tmp_path / "curves.json"
@@ -700,7 +713,7 @@ class TestHostileReference:
     def test_curves_near_the_float64_limit_exit_2(self, tmp_path, capsys):
         from wring import linkref
 
-        cs = linkref.hopf_pair(64).to_json_dict()
+        cs = curves_doc(linkref.hopf_pair(64))
         cs["curves"] = [[[1e307 * x for x in p] for p in c] for c in cs["curves"]]
         path = tmp_path / "curves.json"
         path.write_text(json.dumps(cs))

@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 from wring import cli, fieldzoo, linkref, wrg1
 from wring.fieldcore import Grid3
 
+from helpers import curves_doc
+
 EXIT_CODES = {0, 2, 3, 4, 5}
 FUZZ = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 TWO_PI = 2.0 * math.pi
@@ -194,7 +196,7 @@ class TestCurvesFuzz:
     def test_link(self, workdir, data):
         """A valid two-curve document with its fluxes, curves or linking matrix drawn, or all three."""
         drawn = data.draw(st.sampled_from(["fluxes", "curves", "linking", "all"]))
-        pair = linkref.hopf_pair(64).to_json_dict()["curves"]
+        pair = curves_doc(linkref.hopf_pair(64))["curves"]
         doc = {"fluxes": [1.0, 2.0], "curves": pair}
         if drawn in ("fluxes", "all"):
             doc["fluxes"] = data.draw(FLUXES)

@@ -6,7 +6,10 @@ no other module imports threading or concurrent.futures, and no scipy.fft
 call is given a worker count, so the FFT lanes are the only parallelism.
 No module imports scipy or concurrent.futures at module level, so a cold
 process loads them only for a command that transforms or stacks
-transforms; a fresh interpreter shows it."""
+transforms; a fresh interpreter shows it. ``import wring`` loads no module
+of the package, ``wring.selftest`` loads only for ``wring selftest``, and
+every function the benchmark's tracer wraps is there after
+``import wring.cli``."""
 
 import ast
 import json
@@ -259,21 +262,32 @@ def run(argv):
 codes = [run(argv) for argv in json.loads(sys.argv[1])]
 loaded = [m for m in ("scipy", "scipy.fft", "concurrent.futures") if m in sys.modules]
 pool = sys.modules["wring.fieldcore"]._LANES._pool is not None
-print(json.dumps({"codes": codes, "loaded": loaded, "pool": pool}))
+selftest = "wring.selftest" in sys.modules
+print(json.dumps({"codes": codes, "loaded": loaded, "pool": pool, "selftest": selftest}))
 """
+
+
+def fresh(*args) -> str:
+    """stdout of a fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(wring.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def cold_run(*argvs) -> dict:
     """Run ``cli.main`` on each argument list in one fresh interpreter; the
     exit codes, which of scipy, scipy.fft and concurrent.futures it loaded,
-    and whether it built the FFT lanes' thread pool."""
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(wring.__file__).parent.parent))
-    proc = subprocess.run(
-        [sys.executable, "-c", COLD_START, json.dumps(argvs)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    whether it built the FFT lanes' thread pool and whether it loaded
+    ``wring.selftest``."""
+    return json.loads(fresh("-c", COLD_START, json.dumps(argvs)))
+
+
+def test_import_wring_loads_no_submodule():
+    out = fresh("-c", "import sys, wring; print(sorted(m for m in sys.modules if m.startswith('wring.')))")
+    assert out.strip() == "[]"
 
 
 def test_cold_start_loads_no_fft_backend_or_pool():
@@ -283,7 +297,7 @@ def test_cold_start_loads_no_fft_backend_or_pool():
         ["--help"],
         ["link", "--samples", "many"],
     )
-    assert result == {"codes": [0, 0, 0, 2], "loaded": [], "pool": False}
+    assert result == {"codes": [0, 0, 0, 2], "loaded": [], "pool": False, "selftest": False}
 
 
 def test_generate_loads_the_fft_backend_but_builds_no_pool(tmp_path):
@@ -293,3 +307,42 @@ def test_generate_loads_the_fft_backend_but_builds_no_pool(tmp_path):
     # concurrent.futures comes with scipy.fft itself (through numpy.testing), but only stacked
     # transforms, which the stepper alone makes, build the pool
     assert not result["pool"]
+    assert not result["selftest"]
+
+
+def test_selftest_loads_only_for_its_command():
+    result = cold_run(["selftest", "--criteria", "11"])
+    assert result["codes"] == [0] and result["selftest"]
+
+
+SPANS = pathlib.Path(wring.__file__).parent.parent.parent / "perfbench" / "spans.py"
+
+RESOLVE_TARGETS = """
+import functools, json, sys
+import wring.cli
+
+def resolves(module, attr):
+    try:
+        functools.reduce(getattr, attr.split("."), sys.modules[module])
+    except (KeyError, AttributeError):
+        return False
+    return True
+
+targets = json.loads(sys.argv[1])
+print(json.dumps([t for t in targets if not resolves(*t)]))
+"""
+
+
+def test_benchmark_trace_targets_resolve_after_import_cli():
+    # perfbench/spans.py wraps each (module, attribute) of TARGETS, looked up
+    # in sys.modules right after ``import wring.cli``; read without importing it
+    if not SPANS.is_file():
+        pytest.skip("no perfbench/ next to this checkout")
+    tree = ast.parse(SPANS.read_text())
+    node = next(
+        n.value for n in tree.body
+        if isinstance(n, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in n.targets)
+    )
+    targets = [list(t[:2]) for t in ast.literal_eval(node)]
+    assert len(targets) > 20
+    assert json.loads(fresh("-c", RESOLVE_TARGETS, json.dumps(targets))) == []

@@ -13,6 +13,8 @@ from wring.errors import (
     ZeroSlopeOne,
 )
 
+from helpers import curves_doc
+
 PI2 = np.pi**2
 
 
@@ -257,7 +259,7 @@ class TestCurveSet:
 
     def test_json_round_trip(self):
         cs = linkref.hopf_pair(128)
-        doc = cs.to_json_dict()
+        doc = curves_doc(cs)
         back = linkref.CurveSet.from_json_dict(doc)
         assert np.allclose(back.curves[0], cs.curves[0])
         assert back.fluxes == cs.fluxes

@@ -9,8 +9,10 @@ import pytest
 
 from wring import wrg1
 from wring.errors import FormatError
-from wring.fieldcore import Grid3, ScalarField, VectorField, random_band_limited_vector
+from wring.fieldcore import Grid3, ScalarField, VectorField
 from wring.fieldzoo import FieldBundle
+
+from helpers import random_band_limited_vector
 
 
 @pytest.fixture
@@ -154,7 +156,7 @@ def test_bundle_meta_of_wrong_type_rejected(tmp_path, grid, meta):
     from wring.fieldzoo import FieldBundle
 
     path = tmp_path / "b.wrg"
-    zeros = VectorField.zeros(grid)
+    zeros = VectorField(grid, np.zeros((3,) + grid.shape))
     wrg1.write_fields(path, grid, {"A": zeros, "W": zeros}, meta)
     with pytest.raises(FormatError):
         FieldBundle.load(path)
