@@ -20,8 +20,9 @@ TOL = DEFAULTS["tolerances"]
 def fft_workers() -> int:
     """Number of FFT lanes, from the documented environment variable.
 
-    A stacked ``Grid3.rfft``/``irfft`` call splits its components over this
-    many threads, the caller included; every other transform runs serially.
+    A stacked ``Grid3.rfft``/``irfft`` call on a grid of more than
+    ``fft_serial_max_points`` points splits its components over this many
+    threads, the caller included; every other transform runs serially.
     Defaults to 2 and is clamped to the machine's CPU count; a value that is
     not an integer counts as 1, the serial path. The lane count changes no
     output bit.

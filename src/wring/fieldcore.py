@@ -33,6 +33,7 @@ from .errors import (
 
 _MIN_N = config.DEFAULTS["grid"]["min_points_per_axis"]
 _BOX_RANGE = (config.DEFAULTS["grid"]["min_box_length"], config.DEFAULTS["grid"]["max_box_length"])
+_SERIAL_MAX_POINTS = config.DEFAULTS["fft_serial_max_points"]
 
 
 @dataclass(frozen=True)
@@ -102,13 +103,11 @@ class Grid3:
 
     @cached_property
     def _k1d(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        import scipy.fft as sfft
-
         nx, ny, nz = self.n
         hx, hy, hz = self.spacing
-        kx = 2.0 * np.pi * sfft.fftfreq(nx, d=hx)
-        ky = 2.0 * np.pi * sfft.fftfreq(ny, d=hy)
-        kz = 2.0 * np.pi * sfft.rfftfreq(nz, d=hz)
+        kx = 2.0 * np.pi * np.fft.fftfreq(nx, d=hx)
+        ky = 2.0 * np.pi * np.fft.fftfreq(ny, d=hy)
+        kz = 2.0 * np.pi * np.fft.rfftfreq(nz, d=hz)
         return kx, ky, kz
 
     @cached_property
@@ -248,33 +247,45 @@ class Grid3:
     def rfft(self, data: np.ndarray, box: bool = False) -> np.ndarray:
         """Forward transform in the rfft layout, or only its 2/3-rule box.
 
-        With ``box`` the result holds only the 2/3-rule box modes
-        (``box_index``), in the layout of ``cut_box``: the real transform
-        runs along every z line, the x transform on the kz band only and the
-        y transform on the kept kx rows only, in the x-then-y order of
-        ``scipy.fft.rfftn``, so the box equals those modes of ``rfftn`` bit
-        for bit. Without it this is ``rfftn``.
+        The real transform runs along every z line, then the x transform,
+        then the y transform, each in place; this equals ``numpy.fft.rfftn``
+        to roundoff. With ``box`` the result holds only the 2/3-rule box
+        modes (``box_index``), in the layout of ``cut_box``: the x transform
+        runs on the kz band only and the y transform on the kept kx rows
+        only, in the same order, so the box equals those modes of the full
+        transform bit for bit.
 
         A stack of components, shape (k, nx, ny, nz), gives the stack of
         their transforms, each equal bit for bit to the transform of its
-        component alone; the components are split over the FFT lanes.
+        component alone; on a grid of more than ``fft_serial_max_points``
+        points (defaults.json) the components are split over the FFT lanes.
         """
         if data.ndim == 3:
             return self._rfft(data, box)
         shape = self.box_shape if box else self._half_shape
-        return _LANES.stack(lambda d, out: self._rfft(d, box, out), data, shape, complex)
+        return _LANES.stack(lambda d, out: self._rfft(d, box, out), data, shape, complex, self._split)
 
     def _rfft(self, data: np.ndarray, box: bool, out: np.ndarray | None = None) -> np.ndarray:
-        import scipy.fft as sfft
-
-        if not box:
-            return _into(sfft.rfftn(data), out)
-        xruns, _, band = self._box_runs
-        spec = sfft.rfft(data, axis=2)
-        _c2c_in_place(sfft.fft, spec[:, :, band], 0)
+        xruns, _, band = self._box_runs if box else self._whole
+        spec = np.fft.rfft(data, axis=2, out=None if box else out)
+        view = spec[:, :, band]
+        np.fft.fft(view, axis=0, out=view)
         for rows, _ in xruns:
-            _c2c_in_place(sfft.fft, spec[rows, :, band], 1)
-        return self.cut_box(spec, out)
+            view = spec[rows, :, band]
+            np.fft.fft(view, axis=1, out=view)
+        return self.cut_box(spec, out) if box else spec
+
+    @cached_property
+    def _whole(self) -> tuple:
+        """``_box_runs`` for the whole spectrum: one run per axis, every kz plane."""
+        run = ((slice(None), slice(None)),)
+        return run, run, slice(None)
+
+    @property
+    def _split(self) -> bool:
+        """Whether stacks on this grid split over the FFT lanes: up to
+        ``fft_serial_max_points`` points two lanes were slower than one."""
+        return self.n[0] * self.n[1] * self.n[2] > _SERIAL_MAX_POINTS
 
     @cached_property
     def _half_shape(self) -> tuple[int, int, int]:
@@ -284,38 +295,41 @@ class Grid3:
 
     @cached_property
     def _inv_points(self) -> float:
-        """1/(nx*ny*nz) rounded from long double, as ``irfftn`` scales."""
+        """1/(nx*ny*nz), rounded once from long double."""
         return float(np.longdouble(1) / np.prod(self.n, dtype=np.longdouble))
 
     def irfft(self, spec: np.ndarray) -> np.ndarray:
         """Inverse of ``rfft``; a spectrum of ``box_shape`` is a box spectrum.
 
-        A box is scattered into a zeroed rfft-layout buffer; the x
-        transform then runs on the kept ky columns of the kz band only, the
-        y transform on the band, and the real transform along every z line,
-        with one 1/N scale at the end, as ``irfftn`` scales. The result
-        equals ``irfftn`` of the zero-filled spectrum bit for bit. Full
-        spectra go to ``irfftn``. A stack of spectra, shape (k, ...), gives
-        the stack of their inverses, split over the FFT lanes as in ``rfft``.
+        The x transform runs first, then the y transform and the real
+        transform along every z line, unscaled, with one 1/N scale at the
+        end. A box is scattered into a zeroed rfft-layout buffer, and the x
+        transform then runs on its kept ky columns of the kz band only and
+        the y transform on the band, so the result equals the inverse of
+        the zero-filled spectrum bit for bit. A stack of spectra, shape
+        (k, ...), gives the stack of their inverses, split over the FFT
+        lanes as in ``rfft``.
         """
         if spec.ndim == 3:
             return self._irfft(spec)
-        return _LANES.stack(self._irfft, spec, self.n, float)
+        return _LANES.stack(self._irfft, spec, self.n, float, self._split)
 
     def _irfft(self, spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        import scipy.fft as sfft
-
-        if spec.shape != self.box_shape:
-            return _into(sfft.irfftn(spec, s=self.n), out)
-        _, yruns, band = self._box_runs
-        full = np.zeros(self._half_shape, dtype=complex)
-        for f, b in self._box_blocks:
-            full[f] = spec[b]
-        for cols, _ in yruns:
-            _c2c_in_place(sfft.ifft, full[:, cols, band], 0, norm="forward")
-        _c2c_in_place(sfft.ifft, full[:, :, band], 1, norm="forward")
-        r = sfft.irfft(full, n=self.n[2], axis=2, norm="forward", overwrite_x=True)
-        return np.multiply(r, self._inv_points, out=r if out is None else out)
+        if spec.shape == self.box_shape:
+            _, yruns, band = self._box_runs
+            full = np.zeros(self._half_shape, dtype=complex)
+            for f, b in self._box_blocks:
+                full[f] = spec[b]
+            for cols, _ in yruns:
+                view = full[:, cols, band]
+                np.fft.ifft(view, axis=0, norm="forward", out=view)
+        else:
+            band = slice(None)
+            full = np.fft.ifft(spec, axis=0, norm="forward")
+        view = full[:, :, band]
+        np.fft.ifft(view, axis=1, norm="forward", out=view)
+        r = np.fft.irfft(full, n=self.n[2], axis=2, norm="forward", out=out)
+        return np.multiply(r, self._inv_points, out=r)
 
     def shift(self, data: np.ndarray, axis: int, delta: np.ndarray) -> np.ndarray:
         """A vector field's components at points displaced by -delta along ``axis``.
@@ -326,45 +340,23 @@ class Grid3:
         part of the phased Nyquist coefficient, as the real part of a complex
         transform's shift does.
         """
-        import scipy.fft as sfft
-
         m = self.n[axis]
         k = np.abs(self._k1d[axis][: m // 2 + 1])
         shape = [1, 1, 1]
         shape[axis] = k.size
-        spec = sfft.rfft(data, axis=axis + 1)
+        spec = np.fft.rfft(data, axis=axis + 1)
         spec *= np.exp(-1j * k.reshape(shape) * delta)
-        return sfft.irfft(spec, n=m, axis=axis + 1, overwrite_x=True)
-
-
-def _c2c_in_place(transform, view: np.ndarray, axis: int, **kwargs) -> None:
-    """Leave ``transform(view, **kwargs)`` along ``axis`` in ``view``.
-
-    scipy writes into an overwritable complex input without promising to;
-    the result is copied back unless it already occupies ``view``.
-    """
-    out = transform(view, axis=axis, overwrite_x=True, **kwargs)
-    if out.ctypes.data != view.ctypes.data or out.strides != view.strides:
-        view[...] = out
-
-
-def _into(result: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """``result``, copied into ``out`` when one is given."""
-    if out is None:
-        return result
-    out[...] = result
-    return out
+        return np.fft.irfft(spec, n=m, axis=axis + 1)
 
 
 class _Lanes:
     """The FFT lanes: the calling thread plus a persistent pool of
     ``config.fft_workers() - 1`` threads, made on first use.
 
-    scipy's transforms release the interpreter lock, so one transform per
-    lane runs on its own core. pocketfft's own ``workers`` splits each
-    transform finely and made the stepper slower; whole components per lane
-    do not. Every component is computed by the same single-component code
-    whichever lane runs it, so results do not depend on the lane count.
+    numpy's transforms release the interpreter lock, so one transform per
+    lane runs on its own core. Every component is computed by the same
+    single-component code whichever lane runs it, so results do not depend
+    on the lane count.
     """
 
     def __init__(self):
@@ -385,12 +377,12 @@ class _Lanes:
                 self._size = size
             return self._pool
 
-    def run(self, count: int, fn) -> None:
-        """Call ``fn(i)`` once for every i in range(count), each lane
-        claiming the next unclaimed i until none is left, so a lane that
-        another process slows down takes fewer. Returns, or raises a lane's
-        error (the calling lane's first), once every lane is done."""
-        size = config.fft_workers()
+    def run(self, count: int, fn, size: int) -> None:
+        """Call ``fn(i)`` once for every i in range(count) on up to ``size``
+        lanes, each lane claiming the next unclaimed i until none is left,
+        so a lane that another process slows down takes fewer. Returns, or
+        raises a lane's error (the calling lane's first), once every lane is
+        done."""
         lanes = min(size, count)
         indices = iter(range(count))
         claim = threading.Lock()
@@ -416,11 +408,12 @@ class _Lanes:
         for f in futures:
             f.result()
 
-    def stack(self, one, data: np.ndarray, shape: tuple, dtype) -> np.ndarray:
+    def stack(self, one, data: np.ndarray, shape: tuple, dtype, split: bool) -> np.ndarray:
         """The stack of ``one(data[i], out[i])`` over the leading axis of
-        ``data``, each lane writing its own slices of one new array ``out``."""
+        ``data``, each lane writing its own slices of one new array ``out``;
+        on the calling thread alone unless ``split``."""
         out = np.empty((len(data),) + tuple(shape), dtype=dtype)
-        self.run(len(data), lambda i: one(data[i], out[i]))
+        self.run(len(data), lambda i: one(data[i], out[i]), config.fft_workers() if split else 1)
         return out
 
 
@@ -512,8 +505,9 @@ class VectorField:
 
     @cached_property
     def spec(self) -> tuple:
-        """The three rfft spectra of the components, read-only."""
-        return tuple(_read_only(self.grid.rfft(c)) for c in self.data)
+        """The three rfft spectra of the components, read-only views of one
+        stacked transform."""
+        return tuple(_read_only(self.grid.rfft(self.data)))
 
     def maxnorm(self) -> float:
         """Maximum pointwise Euclidean magnitude."""
@@ -590,8 +584,10 @@ def grad(s: ScalarField) -> VectorField:
     """Spectral gradient; exact for band-limited fields."""
     g = s.grid
     spec = g.rfft(s.data)
-    comps = np.stack([g.irfft(ik * spec) for ik in g.ik])
-    return VectorField(g, comps)
+    parts = np.empty((3,) + spec.shape, dtype=complex)
+    for ik, p in zip(g.ik, parts):
+        np.multiply(ik, spec, out=p)
+    return VectorField(g, g.irfft(parts))
 
 
 def div(v: VectorField) -> ScalarField:
@@ -607,23 +603,14 @@ def div(v: VectorField) -> ScalarField:
 def curl(v: VectorField) -> VectorField:
     """Spectral curl; div(curl v) vanishes to roundoff.
 
-    To hold at most four spectra, each component's spectrum is folded into
-    the curl spectra (iky sz - ikz sy, ikz sx - ikx sz, ikx sy - iky sx, the
-    same sums bit for bit) and each of those is dropped once transformed.
+    One stacked forward transform of the components, ik x their spectra in
+    one preallocated stack, and one stacked inverse.
     """
     g = v.grid
-    ikx, iky, ikz = g.ik
-    s = g.rfft(v.data[0])
-    cy, cz = ikz * s, -(iky * s)
-    s = g.rfft(v.data[1])
-    cx = -(ikz * s)
-    cz += ikx * s
-    s = g.rfft(v.data[2])
-    cx += iky * s
-    cy -= ikx * s
-    specs = [cx, cy, cz]
-    del s, cx, cy, cz
-    return VectorField(g, np.stack([g.irfft(specs.pop(0)) for _ in range(3)]))
+    s = g.rfft(v.data)
+    c = cross_parts(g.ik, s, out=np.empty_like(s))
+    del s
+    return VectorField(g, g.irfft(c))
 
 
 def require_potential(w: VectorField) -> None:
@@ -645,11 +632,13 @@ def inverse_curl(w: VectorField) -> VectorField:
     The harmonic (constant) part is set to zero, which fixes the gauge
     deterministically and makes helicity values reproducible. ``w`` must
     pass ``require_potential``, whose errors this raises. U is solved from
-    ``w.spec``, so a gated field costs three inverse transforms.
+    ``w.spec``, so a gated field costs one stacked inverse of three components.
     """
     require_potential(w)
     g = w.grid
-    return VectorField(g, np.stack([g.irfft(c * g.inv_k2) for c in cross_parts(g.ik, w.spec)]))
+    c = cross_parts(g.ik, w.spec, out=np.empty((3,) + w.spec[0].shape, dtype=complex))
+    c *= g.inv_k2
+    return VectorField(g, g.irfft(c))
 
 
 def integrate(s: ScalarField) -> float:
@@ -680,9 +669,10 @@ def project_solenoidal(g: Grid3, specs) -> VectorField:
     ``inv_k2`` treats as degenerate keep their values.
     """
     kdots = sum(ik * s for ik, s in zip(g.ik, specs))
-    return VectorField(
-        g, np.stack([g.irfft(s + ik * kdots * g.inv_k2) for ik, s in zip(g.ik, specs)])
-    )
+    out = np.empty((3,) + kdots.shape, dtype=complex)
+    for ik, s, o in zip(g.ik, specs, out):
+        np.add(s, ik * kdots * g.inv_k2, out=o)
+    return VectorField(g, g.irfft(out))
 
 
 def spectral_tail_fraction(v: VectorField) -> float:

@@ -562,7 +562,7 @@ def gen_linked_rings(
     # exact solenoidal projection: the sampled profile is only divergence
     # free to its smoothness, the projected field is so to roundoff. The
     # Nyquist planes are dropped so curl(inverse_curl(W)) = W holds exactly.
-    W = project_solenoidal(grid, [grid.non_nyquist_mask * grid.rfft(c) for c in W.data])
+    W = project_solenoidal(grid, grid.non_nyquist_mask * grid.rfft(W.data))
     W = _snap_zero_mean(W, tol=0.05)
     A = inverse_curl(W)
     lk_raw = linkref.gauss_linking(p1, p2)

@@ -2,7 +2,14 @@
 
 import numpy as np
 
+from wring import fieldcore
 from wring.fieldcore import VectorField, project_solenoidal, random_band_limited_scalar
+
+
+def split_every_stack(monkeypatch):
+    """Let stacked transforms split over the FFT lanes on every grid, so the
+    small grids of the tests run the worker lanes too."""
+    monkeypatch.setattr(fieldcore, "_SERIAL_MAX_POINTS", 0)
 
 
 def random_band_limited_vector(grid, kmax, seed, *, div_free=False):

@@ -24,7 +24,7 @@ from wring.fieldcore import (
 )
 from wring.fieldcore import cross, curl
 
-from helpers import random_band_limited_vector, two_thirds
+from helpers import random_band_limited_vector, split_every_stack, two_thirds
 
 TWO_PI = 2.0 * np.pi
 
@@ -374,6 +374,10 @@ def test_cfl_timestep_helper(sheared32):
 class TestLanes:
     """The stepper's stacked transforms split over the FFT lanes without
     changing a bit, a thread or an error."""
+
+    @pytest.fixture(autouse=True)
+    def split_small_grids(self, monkeypatch):
+        split_every_stack(monkeypatch)
 
     @staticmethod
     def outputs(bundle):

@@ -41,27 +41,34 @@ HOPF_RINGS_BUDGET = 17
 SHIFTS_PER_SHEAR = 2
 
 
-@pytest.fixture
-def transforms(monkeypatch):
-    """``transforms(fn, *args)`` calls fn and returns the spectrum shapes of
-    the Grid3.rfft and Grid3.irfft calls it made, in order; a stacked call
-    of k components counts as k transforms of one component's shape."""
-    shapes = []
+def count_components(monkeypatch, calls: list) -> None:
+    """Wrap Grid3.rfft and Grid3.irfft so that each call appends (name,
+    spectrum shape) to ``calls``; a stacked call of k components appends k
+    entries of one component's shape."""
     for name in ("rfft", "irfft"):
         original = getattr(Grid3, name)
 
         def counted(self, data, *args, _original=original, _name=name, **kwargs):
             out = _original(self, data, *args, **kwargs)
             spec = out if _name == "rfft" else data
-            shapes.extend([spec.shape[-3:]] * (spec.shape[0] if spec.ndim == 4 else 1))
+            calls.extend([(_name, spec.shape[-3:])] * (spec.shape[0] if spec.ndim == 4 else 1))
             return out
 
         monkeypatch.setattr(Grid3, name, counted)
 
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """``transforms(fn, *args)`` calls fn and returns the spectrum shapes of
+    the Grid3.rfft and Grid3.irfft calls it made, in order, counted by
+    components as ``count_components`` counts them."""
+    calls = []
+    count_components(monkeypatch, calls)
+
     def run(fn, *args, **kwargs):
-        start = len(shapes)
+        start = len(calls)
         fn(*args, **kwargs)
-        return shapes[start:]
+        return [shape for _, shape in calls[start:]]
 
     return run
 
@@ -151,18 +158,11 @@ def test_inverse_curl_budget(transforms, sheared32):
 
 def test_gated_bundle_solves_for_velocity_with_three_inverses(monkeypatch, uncached32):
     # the gate leaves W's spectra and residuals cached, so the solve makes
-    # three c2r and no r2c: it neither transforms W again nor recomputes
-    # the gate's divergence
+    # three c2r components and no r2c: it neither transforms W again nor
+    # recomputes the gate's divergence
     uncached32.gate()
     calls = []
-    for name in ("rfft", "irfft"):
-        original = getattr(Grid3, name)
-
-        def counted(self, data, *args, _original=original, _name=name, **kwargs):
-            calls.append((_name, data.shape))
-            return _original(self, data, *args, **kwargs)
-
-        monkeypatch.setattr(Grid3, name, counted)
+    count_components(monkeypatch, calls)
     uncached32.U
     assert calls == [("irfft", (32, 32, 17))] * 3
 

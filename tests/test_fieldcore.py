@@ -6,7 +6,6 @@ import threading
 
 import numpy as np
 import pytest
-import scipy.fft as sfft
 
 from wring import config, fieldcore
 from wring.errors import InvalidGrid, NonFiniteData, NonZeroMeanVorticity, NotDivergenceFree
@@ -26,7 +25,7 @@ from wring.fieldcore import (
     spectral_tail_fraction,
 )
 
-from helpers import random_band_limited_vector, two_thirds
+from helpers import random_band_limited_vector, split_every_stack, two_thirds
 
 TWO_PI = 2.0 * np.pi
 # 8^3 is the smallest grid: n//3 = 2 keeps five of eight indices per axis
@@ -100,6 +99,7 @@ class TestGrid3:
     def test_stacked_transforms_equal_per_component(self, monkeypatch, n, box, lanes):
         # seven components split unevenly over the lanes; each result is the
         # single-component transform, bit for bit, at any lane count
+        split_every_stack(monkeypatch)
         monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], lanes)
         g = Grid3(n, (TWO_PI, 3.0, 5.0))
         data = np.random.default_rng(7).standard_normal((7,) + n)
@@ -168,22 +168,35 @@ class TestGrid3:
                 assert spectral_tail_fraction(tail) > 0.99, (L, n)
                 assert spectral_tail_fraction(below) < 1e-20, (L, n)
 
-    @pytest.mark.parametrize("writes_in_place", [True, False])
-    def test_c2c_result_lands_in_view(self, writes_in_place):
-        parts = np.random.default_rng(6).standard_normal((2, 8, 6, 5))
-        spec = parts[0] + 1j * parts[1]
-        expected = spec.copy()
-        expected[:, :, :3] = sfft.fft(spec[:, :, :3], axis=0)
-        returned = []
+    @pytest.mark.parametrize("n", BOX_GRIDS)
+    def test_single_modes_land_at_their_index(self, n):
+        # cos(k x) puts N/2 at the mode index m and, on a complex axis, at -m;
+        # sin(k x) puts -i N/2 at m and i N/2 at -m. Along z only m is stored
+        g = Grid3(n, (TWO_PI, 3.0, 5.0))
+        points = n[0] * n[1] * n[2]
+        for axis in range(3):
+            coord = g.mesh()[axis]
+            for m in (1, n[axis] // 2 - 1):
+                k = TWO_PI * m / g.box[axis]
+                for wave, coef in ((np.cos, 0.5), (np.sin, -0.5j)):
+                    expected = np.zeros((n[0], n[1], n[2] // 2 + 1), dtype=complex)
+                    index = [0, 0, 0]
+                    index[axis] = m
+                    expected[tuple(index)] = coef * points
+                    if axis < 2:
+                        index[axis] = n[axis] - m
+                        expected[tuple(index)] = np.conj(coef) * points
+                    data = np.broadcast_to(wave(k * coord), n)
+                    assert np.max(np.abs(g.rfft(data) - expected)) < 1e-14 * points, (axis, m, wave)
 
-        def transform(x, **kwargs):
-            kwargs["overwrite_x"] = writes_in_place
-            returned.append(sfft.fft(x, **kwargs))
-            return returned[-1]
-
-        fieldcore._c2c_in_place(transform, spec[:, :, :3], 0)
-        assert np.shares_memory(returned[0], spec) == writes_in_place
-        assert np.array_equal(spec, expected)
+    @pytest.mark.parametrize("n", BOX_GRIDS)
+    def test_transforms_are_the_dft_and_its_inverse(self, n):
+        g = Grid3(n, (TWO_PI, 3.0, 5.0))
+        data = np.random.default_rng(6).standard_normal(n)
+        spec = g.rfft(data)
+        reference = np.fft.rfftn(data)
+        assert np.max(np.abs(spec - reference)) < 1e-14 * np.max(np.abs(reference))
+        assert np.max(np.abs(g.irfft(spec) - data)) < 1e-15 * np.max(np.abs(data))
 
     def test_non_finite_rejected(self):
         g = cube(8)
@@ -208,9 +221,33 @@ def test_fft_workers_default_and_fallback(monkeypatch, raw, lanes):
     assert config.fft_workers() == min(lanes, os.cpu_count() or 1)
 
 
+@pytest.mark.parametrize("n, split", [((32, 32, 32), False), ((32, 32, 34), True)])
+def test_stacks_split_only_above_the_serial_size(monkeypatch, n, split):
+    # a stack reaches a worker lane only on a grid of more than
+    # fft_serial_max_points (32^3) points
+    monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], "2")
+    if config.fft_workers() < 2:
+        pytest.skip("one CPU: no worker lane")
+    threads = set()
+    original = Grid3._rfft
+
+    def recorded(self, *args):
+        threads.add(threading.current_thread())
+        return original(self, *args)
+
+    monkeypatch.setattr(Grid3, "_rfft", recorded)
+    g = Grid3(n, (TWO_PI, 3.0, 5.0))
+    for _ in range(50):  # until the worker lane claims a component
+        g.rfft(np.ones((6,) + n))
+        if len(threads) > 1:
+            break
+    assert (threads != {threading.current_thread()}) == split
+
+
 def test_concurrent_callers_share_the_lanes(monkeypatch):
     # more callers than cores, switching threads often: every caller's
     # stacked transforms still equal the serial per-component ones
+    split_every_stack(monkeypatch)
     monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], "2")
     g = Grid3((16, 24, 32), (TWO_PI, 3.0, 5.0))
     data = np.random.default_rng(9).standard_normal((6, 16, 24, 32))

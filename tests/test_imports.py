@@ -1,20 +1,22 @@
 """Tooling checks: every name a module of the package imports is used in it,
 no module imports an underscore name from another module of the package,
-no module calls numpy's FFT, so every transform runs on scipy.fft, no
-module writes into a field's array, and only fieldcore starts threads:
-no other module imports threading or concurrent.futures, and no scipy.fft
-call is given a worker count, so the FFT lanes are the only parallelism.
-No module imports scipy or concurrent.futures at module level, so a cold
-process loads them only for a command that transforms or stacks
-transforms; a fresh interpreter shows it. ``import wring`` loads no module
-of the package, ``wring.selftest`` loads only for ``wring selftest``, and
-every function the benchmark's tracer wraps is there after
-``import wring.cli``."""
+no module imports scipy, so every transform runs on numpy.fft, and the
+declared dependencies are exactly the third-party imports (numpy). No
+module writes into a field's array, and only fieldcore starts threads: no
+other module imports threading or concurrent.futures, and no FFT call is
+given a worker count, so the FFT lanes are the only parallelism. No module
+imports concurrent.futures at module level; a fresh interpreter shows that
+a command loads numpy.fft only if it transforms, the lane pool only if it
+splits a stack over lanes, and no scipy module at all. ``import wring``
+loads no module of the package, ``wring.selftest`` loads only for
+``wring selftest``, and every function the benchmark's tracer wraps is
+there after ``import wring.cli``."""
 
 import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -49,29 +51,56 @@ def test_check_finds_an_unused_name():
     assert unused_imports(source) == [(1, "cross")]
 
 
-def numpy_fft_lines(source: str) -> list:
-    """Lines that name np.fft or numpy.fft, or import numpy's fft module."""
-    lines = []
+def top_level_imports(source: str) -> list:
+    """(line, top-level package) of every absolute import, function bodies included."""
+    found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr == "fft" and getattr(node.value, "id", None) in ("np", "numpy"):
-            lines.append(node.lineno)
-        elif isinstance(node, ast.Import) and any(a.name.startswith("numpy.fft") for a in node.names):
-            lines.append(node.lineno)
-        elif isinstance(node, ast.ImportFrom) and (
-            node.module == "numpy.fft" or node.module == "numpy" and any(a.name == "fft" for a in node.names)
-        ):
-            lines.append(node.lineno)
-    return sorted(lines)
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module.split(".")[0]))
+    return sorted(found)
+
+
+def scipy_lines(source: str) -> list:
+    """Lines that import scipy, a module of it or a name from it."""
+    return [line for line, name in top_level_imports(source) if name == "scipy"]
 
 
 @pytest.mark.parametrize("path", sorted(pathlib.Path(wring.__file__).parent.glob("*.py")), ids=lambda p: p.name)
-def test_no_numpy_fft(path):
-    assert numpy_fft_lines(path.read_text()) == []
+def test_no_scipy(path):
+    assert scipy_lines(path.read_text()) == []
 
 
-def test_check_finds_numpy_fft():
-    source = "import numpy as np\nimport numpy.fft\nfrom numpy import fft\n\ny = np.fft.rfft(np.ones(4))\n"
-    assert numpy_fft_lines(source) == [2, 3, 5]
+def test_check_finds_scipy():
+    source = (
+        "import numpy as np\n"
+        "import scipy.fft as sfft\n"
+        "from scipy import special\n"
+        "def transform(x):\n"
+        "    from scipy.fft import rfftn\n"
+        "    import os, scipy\n"
+        "    from . import scipy_like\n"
+    )
+    assert scipy_lines(source) == [2, 3, 5, 6]
+
+
+PYPROJECT = pathlib.Path(wring.__file__).parent.parent.parent / "pyproject.toml"
+
+
+def test_dependencies_are_the_third_party_imports():
+    tomllib = pytest.importorskip("tomllib")
+    if not PYPROJECT.is_file():
+        pytest.skip("no pyproject.toml next to this checkout")
+    declared = tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
+    imported = {
+        name
+        for path in MODULES
+        for _, name in top_level_imports(path.read_text())
+        if name not in sys.stdlib_module_names and name not in ("__future__", "wring")
+    }
+    assert {re.split(r"[<>=!~; \[]", d, maxsplit=1)[0] for d in declared} == imported
+    assert declared == ["numpy>=2.0"]
 
 
 def private_imports(source: str) -> list:
@@ -165,7 +194,7 @@ def thread_imports(source: str) -> list:
 
 
 def fft_worker_lines(source: str) -> list:
-    """Lines of calls that pass ``workers=`` or call scipy.fft's ``set_workers``."""
+    """Lines of calls that pass ``workers=`` or call a ``set_workers``."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
@@ -260,10 +289,11 @@ def run(argv):
             return exc.code
 
 codes = [run(argv) for argv in json.loads(sys.argv[1])]
-loaded = [m for m in ("scipy", "scipy.fft", "concurrent.futures") if m in sys.modules]
+loaded = [m for m in ("numpy.fft", "concurrent.futures") if m in sys.modules]
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 pool = sys.modules["wring.fieldcore"]._LANES._pool is not None
 selftest = "wring.selftest" in sys.modules
-print(json.dumps({"codes": codes, "loaded": loaded, "pool": pool, "selftest": selftest}))
+print(json.dumps({"codes": codes, "loaded": loaded, "scipy": scipy, "pool": pool, "selftest": selftest}))
 """
 
 
@@ -279,9 +309,9 @@ def fresh(*args) -> str:
 
 def cold_run(*argvs) -> dict:
     """Run ``cli.main`` on each argument list in one fresh interpreter; the
-    exit codes, which of scipy, scipy.fft and concurrent.futures it loaded,
-    whether it built the FFT lanes' thread pool and whether it loaded
-    ``wring.selftest``."""
+    exit codes, which of numpy.fft and concurrent.futures it loaded, the
+    scipy modules it loaded, whether it built the FFT lanes' thread pool and
+    whether it loaded ``wring.selftest``."""
     return json.loads(fresh("-c", COLD_START, json.dumps(argvs)))
 
 
@@ -297,17 +327,27 @@ def test_cold_start_loads_no_fft_backend_or_pool():
         ["--help"],
         ["link", "--samples", "many"],
     )
-    assert result == {"codes": [0, 0, 0, 2], "loaded": [], "pool": False, "selftest": False}
+    assert result == {"codes": [0, 0, 0, 2], "loaded": [], "scipy": [], "pool": False, "selftest": False}
 
 
 def test_generate_loads_the_fft_backend_but_builds_no_pool(tmp_path):
     result = cold_run(["generate", "--family", "clebsch", "--n", "16", "--out", str(tmp_path / "g.wrg")])
     assert result["codes"] == [0]
-    assert "scipy.fft" in result["loaded"]
-    # concurrent.futures comes with scipy.fft itself (through numpy.testing), but only stacked
-    # transforms, which the stepper alone makes, build the pool
+    assert result["loaded"] == ["numpy.fft"]
+    assert result["scipy"] == []
     assert not result["pool"]
     assert not result["selftest"]
+
+
+def test_transforming_commands_load_no_scipy(tmp_path):
+    field = str(tmp_path / "g.wrg")
+    result = cold_run(
+        ["generate", "--family", "clebsch", "--n", "16", "--shear", "x,z,0.3,1", "--out", field],
+        ["analyze", field, "--bound", "--json", str(tmp_path / "report.json")],
+        ["evolve", field, "--steps", "1", "--out", str(tmp_path / "e.wrg")],
+    )
+    assert result["codes"] == [0, 0, 0]
+    assert result["scipy"] == []
 
 
 def test_selftest_loads_only_for_its_command():
