@@ -155,10 +155,18 @@ def _cmd_evolve(args) -> int:
         dt = args.dt
     else:
         dt = dynamics.cfl_timestep(bundle, args.cfl)
+        if dt == 0.0:
+            raise ValueError(f"--cfl {args.cfl:g} gives a zero time step; raise --cfl or give --dt")
     if args.steps is not None:
         steps = args.steps
     else:
-        steps = max(1, int(np.ceil(args.time / abs(dt))))
+        count = args.time / abs(dt)
+        if not math.isfinite(count):
+            raise ValueError(
+                f"--time {args.time:g} at the step {abs(dt):g} is not a finite step count; "
+                "lower --time or raise the step (--dt or --cfl)"
+            )
+        steps = max(1, math.ceil(count))
         dt = math.copysign(args.time / steps, dt)
     state = dynamics.EvolutionState(bundle, dt=dt)
     state, series = dynamics.track_invariants(state, steps, record_every=args.record_every)

@@ -152,7 +152,7 @@ def step(state: EvolutionState) -> EvolutionState:
     cfl = abs(state.dt) * b.U.maxnorm() / min(g.spacing)
     if cfl >= _DYN["cfl_limit"]:
         raise CflViolation(
-            f"CFL number {cfl:.3f} in the step from t={state.t:g} with dt={state.dt:g} "
+            f"CFL number {cfl:.3g} in the step from t={state.t:g} with dt={state.dt:g} "
             f"exceeds {_DYN['cfl_limit']}"
         )
     # the full spectra of (W, A), from the fields' caches: a stepped bundle

@@ -52,6 +52,7 @@ from .fieldcore import (
     ScalarField,
     VectorField,
     cross,
+    cross_parts,
     curl_drift,
     dot,
     grad,
@@ -130,14 +131,9 @@ class FieldBundle:
             raise PreconditionError(f"{path}: bundle file lacks field {exc}") from exc
         if not (isinstance(A, VectorField) and isinstance(W, VectorField)):
             raise FormatError(f"{path}: bundle fields 'A' and 'W' must be vectors")
-        low, high = _VALUES["min_nonzero_abs"], _VALUES["max_abs"]
-        for name, field in (("A", A), ("W", W)):
-            peak = field.maxabs()
-            if peak > high or 0.0 < peak < low:
-                raise FormatError(
-                    f"{path}: field {name!r} has max|component| {peak:g}; a bundle field "
-                    f"must be zero or have it within [{low:g}, {high:g}]"
-                )
+        problem = _out_of_range(A, W)
+        if problem:
+            raise FormatError(f"{path}: {problem}")
         claims = meta.get("claims", {})
         if not isinstance(claims, dict) or not isinstance(meta.get("diffeo", []), list):
             raise FormatError(f"{path}: metadata 'claims' must be an object and 'diffeo' a list")
@@ -146,6 +142,34 @@ class FieldBundle:
             if key in ("helicity", "gv") and not number:
                 raise FormatError(f"{path}: claim {key!r} must be a float64 number or null, got {value!r}")
         return cls(grid, A, W, meta)
+
+
+def _out_of_range(A: VectorField, W: VectorField) -> str | None:
+    """What is wrong with the first of A and W that is neither zero nor has
+    its largest |component| within ``bundle_values`` (defaults.json), or None."""
+    low, high = _VALUES["min_nonzero_abs"], _VALUES["max_abs"]
+    for name, field in (("A", A), ("W", W)):
+        peak = field.maxabs()
+        if peak > high or 0.0 < peak < low:
+            return (
+                f"field {name!r} has max|component| {peak:g}; a bundle field "
+                f"must be zero or have it within [{low:g}, {high:g}]"
+            )
+    return None
+
+
+def _verified(grid: Grid3, A: VectorField, W: VectorField, meta: dict) -> FieldBundle:
+    """The bundle of A and W with its ``verify`` residuals in ``meta["residuals"]``.
+
+    A and W must pass the value range that ``FieldBundle.load`` checks
+    (ValueError otherwise), so no command writes a bundle it cannot read.
+    """
+    problem = _out_of_range(A, W)
+    if problem:
+        raise ValueError(problem)
+    bundle = FieldBundle(grid, A, W, meta)
+    meta["residuals"] = bundle.verify()
+    return bundle
 
 
 def integrability_residual(bundle: FieldBundle) -> float:
@@ -165,6 +189,17 @@ def _json_safe(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return obj
+
+
+def _offsets(grid: Grid3, center) -> list[np.ndarray]:
+    """The periodic offsets x - c, y - c, z - c of the mesh from ``center``,
+    each wrapped into [-L/2, L/2] and broadcastable like ``grid.mesh()``."""
+    out = []
+    for x, c, L in zip(grid.mesh(), center, grid.box):
+        d = x - c
+        d -= L * np.round(d / L)
+        out.append(d)
+    return out
 
 
 def _snap_zero_mean(v: VectorField, *, tol: float = 1e-3) -> VectorField:
@@ -331,28 +366,20 @@ def gen_clebsch(
     del fs, dg
     if spectral_tail_fraction(A) > _TOL["spectral_tail_fraction"]:
         raise NonPeriodic("potential has O(1) energy at the grid Nyquist scale")
-    W = _snap_zero_mean(W)
-    bundle = FieldBundle(
-        grid,
-        A,
-        W,
-        meta={
-            "family": name,
-            "params": {
-                "f": f if isinstance(f, str) else "<callable>",
-                "g": g if (g is None or isinstance(g, str)) else "<callable>",
-                "g_linear": list(g_linear) if g_linear is not None else None,
-            },
-            "claims": {
-                "integrable": True,
-                "first_integral": True,
-                "gv": 0.0,
-                "helicity": 0.0,
-            },
+    return _verified(grid, A, _snap_zero_mean(W), {
+        "family": name,
+        "params": {
+            "f": f if isinstance(f, str) else "<callable>",
+            "g": g if (g is None or isinstance(g, str)) else "<callable>",
+            "g_linear": list(g_linear) if g_linear is not None else None,
         },
-    )
-    bundle.meta["residuals"] = bundle.verify()
-    return bundle
+        "claims": {
+            "integrable": True,
+            "first_integral": True,
+            "gv": 0.0,
+            "helicity": 0.0,
+        },
+    })
 
 
 def gen_morse(grid: Grid3) -> FieldBundle:
@@ -410,34 +437,23 @@ def gen_kupka_tube(
         raise ValueError(f"profile power must be an integer >= 2, got {power!r}")
     chi, dchi = default_kupka_profile(r0, power)
     cx, cy = 0.5 * Lx, 0.5 * Ly
-    x, y, _ = grid.mesh()
-    dx = x - cx
-    dx -= Lx * np.round(dx / Lx)
-    dy = y - cy
-    dy -= Ly * np.round(dy / Ly)
+    dx, dy, _ = _offsets(grid, (cx, cy, 0.0))
     r = np.sqrt(dx**2 + dy**2)
     c = chi(r)
     A = VectorField.from_components(grid, -dy * c, dx * c, 0.0)
     wz = 2.0 * c + r * dchi(r)
     W = _snap_zero_mean(VectorField.from_components(grid, 0.0, 0.0, wz))
-    bundle = FieldBundle(
-        grid,
-        A,
-        W,
-        meta={
-            "family": "kupka",
-            "params": {"r0": float(r0), "power": int(power), "center": [cx, cy]},
-            "claims": {
-                "integrable": True,
-                "gv": 0.0,
-                "gv_eps_independent": True,
-                "helicity": 0.0,
-                "zero_line": {"axis": "z", "through": [cx, cy]},
-            },
+    return _verified(grid, A, W, {
+        "family": "kupka",
+        "params": {"r0": float(r0), "power": int(power), "center": [cx, cy]},
+        "claims": {
+            "integrable": True,
+            "gv": 0.0,
+            "gv_eps_independent": True,
+            "helicity": 0.0,
+            "zero_line": {"axis": "z", "through": [cx, cy]},
         },
-    )
-    bundle.meta["residuals"] = bundle.verify()
-    return bundle
+    })
 
 
 def gen_beltrami_abc(grid: Grid3, a: float = 1.0, b: float = 1.0, c: float = 1.0) -> FieldBundle:
@@ -461,22 +477,15 @@ def gen_beltrami_abc(grid: Grid3, a: float = 1.0, b: float = 1.0, c: float = 1.0
     )
     W = VectorField(grid, kappa * U.data)
     helicity = kappa * (a**2 + b**2 + c**2) * grid.volume
-    bundle = FieldBundle(
-        grid,
-        U,
-        W,
-        meta={
-            "family": "beltrami",
-            "params": {"a": a, "b": b, "c": c},
-            "claims": {
-                "integrable": False,
-                "helicity": float(helicity),
-                "beltrami_eigenvalue": float(kappa),
-            },
+    return _verified(grid, U, W, {
+        "family": "beltrami",
+        "params": {"a": a, "b": b, "c": c},
+        "claims": {
+            "integrable": False,
+            "helicity": float(helicity),
+            "beltrami_eigenvalue": float(kappa),
         },
-    )
-    bundle.meta["residuals"] = bundle.verify()
-    return bundle
+    })
 
 
 # -- vortex rings ------------------------------------------------------------
@@ -492,31 +501,23 @@ class Ring:
 
 
 def _tube_vorticity(grid: Grid3, ring: Ring, flux: float, core: float, power: int) -> np.ndarray:
-    """Sampled solenoidal tube field: flux-normalized profile along the centreline."""
-    x, y, z = grid.mesh()
+    """Sampled solenoidal tube field: flux-normalized profile along the centreline.
+
+    With d the offset from the ring's centre and n its unit normal, the
+    tangent n x d has the distance from the ring's axis as its length, so
+    the field is n x d times profile / length. Within 1e-12 of the axis,
+    where the tangent has no direction, the length is taken as infinite
+    and the field is zero.
+    """
     n = linkref.circle_frame(ring.normal)[2]
-    cx, cy, cz = ring.center
-    dx = x - cx
-    dy = y - cy
-    dz = z - cz
-    for d, L in zip((dx, dy, dz), grid.box):
-        d -= L * np.round(d / L)
-    zeta = dx * n[0] + dy * n[1] + dz * n[2]
-    px = dx - zeta * n[0]
-    py = dy - zeta * n[1]
-    pz = dz - zeta * n[2]
-    r_pl = np.sqrt(px**2 + py**2 + pz**2)
-    s2 = (r_pl - ring.radius) ** 2 + zeta**2
-    u2 = np.clip(s2 / core**2, 0.0, 1.0)
+    d = _offsets(grid, ring.center)
+    out = cross_parts(n, d, out=np.empty((3,) + grid.shape))
+    zeta = d[0] * n[0] + d[1] * n[1] + d[2] * n[2]
+    rho = np.sqrt(out[0] ** 2 + out[1] ** 2 + out[2] ** 2)
+    u2 = np.clip(((rho - ring.radius) ** 2 + zeta**2) / core**2, 0.0, 1.0)
     prof = flux * (power + 1) / (np.pi * core**2) * (1.0 - u2) ** power
-    safe = np.where(r_pl > 1e-12, r_pl, 1.0)
-    tx = (n[1] * pz - n[2] * py) / safe
-    ty = (n[2] * px - n[0] * pz) / safe
-    tz = (n[0] * py - n[1] * px) / safe
-    near_axis = r_pl <= 1e-12
-    out = np.stack((prof * tx, prof * ty, prof * tz))
-    if np.any(near_axis):
-        out[:, near_axis] = 0.0
+    rho[rho <= 1e-12] = np.inf
+    out *= prof / rho
     return out
 
 
@@ -567,28 +568,21 @@ def gen_linked_rings(
     A = inverse_curl(W)
     lk_raw = linkref.gauss_linking(p1, p2)
     lk = int(np.rint(lk_raw))
-    bundle = FieldBundle(
-        grid,
-        A,
-        W,
-        meta={
-            "family": "rings",
-            "params": {
-                "ring1": dataclasses.asdict(ring1),
-                "ring2": dataclasses.asdict(ring2),
-                "core_radius": float(core_radius),
-                "fluxes": list(map(float, fluxes)),
-            },
-            "claims": {
-                "integrable": False,
-                "helicity": float(2.0 * fluxes[0] * fluxes[1] * lk),
-                "linking_number": lk,
-                "linking_quadrature": float(lk_raw),
-            },
+    return _verified(grid, A, W, {
+        "family": "rings",
+        "params": {
+            "ring1": dataclasses.asdict(ring1),
+            "ring2": dataclasses.asdict(ring2),
+            "core_radius": float(core_radius),
+            "fluxes": list(map(float, fluxes)),
         },
-    )
-    bundle.meta["residuals"] = bundle.verify()
-    return bundle
+        "claims": {
+            "integrable": False,
+            "helicity": float(2.0 * fluxes[0] * fluxes[1] * lk),
+            "linking_number": lk,
+            "linking_quadrature": float(lk_raw),
+        },
+    })
 
 
 def hopf_rings(
@@ -704,22 +698,14 @@ def apply_diffeo(
         A[b] -= slope * A[a]
         # vector law: component along the sheared axis picks up +g' W_b
         W[a] += slope * W[b]
-    out = FieldBundle(
-        g,
-        VectorField(g, A),
-        VectorField(g, W),
-        meta={
-            **{k: v for k, v in bundle.meta.items() if k != "residuals"},
-            "diffeo": bundle.meta.get("diffeo", [])
-            + [dataclasses.asdict(p) for p in dmap.primitives],
-        },
-    )
-    residuals = out.verify()
-    out.meta["residuals"] = residuals
-    if residuals["curl_consistency"] > consistency_tol:
+    out = _verified(g, VectorField(g, A), VectorField(g, W), {
+        **{k: v for k, v in bundle.meta.items() if k != "residuals"},
+        "diffeo": bundle.meta.get("diffeo", []) + [dataclasses.asdict(p) for p in dmap.primitives],
+    })
+    drift = out.meta["residuals"]["curl_consistency"]
+    if drift > consistency_tol:
         raise ConsistencyLoss(
-            f"curl(A)-W residual {residuals['curl_consistency']:g} exceeds "
-            f"{consistency_tol:g}; raise the resolution or lower the shear"
+            f"curl(A)-W residual {drift:g} exceeds {consistency_tol:g}; raise the resolution or lower the shear"
         )
     return out
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wring import cli
-from wring.fieldzoo import FAMILY_PARAMS
+from wring.fieldzoo import FAMILY_PARAMS, FieldBundle
 
 from helpers import curves_doc
 
@@ -142,7 +142,6 @@ class TestGenerateAnalyze:
         from wring import dynamics
         from wring.errors import MaskTooSmall
         from wring.fieldcore import Grid3, VectorField
-        from wring.fieldzoo import FieldBundle
 
         g = Grid3((16, 16, 16), (2 * np.pi,) * 3)
         x, y, _ = g.mesh()
@@ -484,6 +483,36 @@ class TestEvolveAndDiffeo:
         err = capsys.readouterr().err
         assert bad[0] in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "bad, flag",
+        [
+            (["--time", "1e308"], "--time"),
+            (["--cfl", "1e-310"], "--time"),
+            (["--time", "1e300", "--dt", "1e-300"], "--time"),
+            (["--cfl", "5e-324"], "--cfl"),
+            (["--cfl", "5e-324", "--steps", "3"], "--cfl"),
+        ],
+    )
+    def test_unusable_step_exit_2(self, tmp_path, capsys, bad, flag):
+        # a CFL step that underflows to zero, or a step count past float64,
+        # is refused before any step, naming the option and the step
+        field = tmp_path / "f.wrg"
+        run(["generate", "--family", "clebsch", "--n", "16", "--shear", "x,z,0.3,1", "--out", str(field)])
+        capsys.readouterr()
+        series = tmp_path / "s.csv"
+        assert run(["evolve", str(field), *bad, "--series", str(series)]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "step" in err and "Traceback" not in err
+        assert not series.exists()
+
+    def test_cfl_refusal_prints_a_short_number(self, tmp_path, capsys):
+        field = tmp_path / "f.wrg"
+        run(["generate", "--family", "clebsch", "--n", "16", "--shear", "x,z,0.3,1", "--out", str(field)])
+        capsys.readouterr()
+        assert run(["evolve", str(field), "--dt", "1e307", "--steps", "1"]) == 4
+        err = capsys.readouterr().err
+        assert "CFL number 2.52e+307 in the step" in err and len(err) < 120
+
     def test_time_with_steps_exit_2(self, tmp_path, capsys):
         # --steps fixes the step count at the step dt, so a --time beside it
         # would be ignored; the pair is refused before the input is read
@@ -521,13 +550,30 @@ class TestEvolveAndDiffeo:
         assert "exceeds 1e-30" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_diffeo_output_outside_the_load_range_exit_2(self, tmp_path, capsys):
+        # a shear of a bundle at the top of the load range pushes A past it;
+        # diffeo refuses to write what load would refuse
+        from wring import wrg1
+        from wring.fieldcore import Grid3, VectorField
+        from wring.fieldzoo import gen_clebsch
+
+        g = Grid3((16, 16, 16), (2 * np.pi,) * 3)
+        b = gen_clebsch(g)
+        scale = 1e100 / b.A.maxabs()
+        src, out = tmp_path / "top.wrg", tmp_path / "g.wrg"
+        fields = {name: VectorField(g, f.data * scale) for name, f in (("A", b.A), ("W", b.W))}
+        wrg1.write_fields(src, g, fields, {"family": "clebsch"})
+        FieldBundle.load(src)
+        assert run(["diffeo", str(src), "--shear", "x,z,0.3,1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: field 'A' has max|component| " in err and "[1e-100, 1e+100]" in err
+        assert not out.exists()
+
     def test_diffeo_round_trip_file(self, tmp_path):
         src = tmp_path / "f.wrg"
         out = tmp_path / "g.wrg"
         run(["generate", "--family", "clebsch", "--n", "16", "--out", str(src)])
         assert run(["diffeo", str(src), "--shear", "x,y,0.2,1", "--out", str(out)]) == 0
-        from wring.fieldzoo import FieldBundle
-
         b = FieldBundle.load(out)
         assert b.meta["diffeo"][0]["amplitude"] == 0.2
 
@@ -602,31 +648,74 @@ class TestGenerateParams:
         assert time.perf_counter() - start < 1.0
         assert "bad scalar expression" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "family, params, field",
+        [
+            ("beltrami", {"a": 1e100, "b": 1e100, "c": 1e100}, "A"),
+            ("rings", {"fluxes": [1e100, 1e100]}, "A"),
+            ("rings", {"core_radius": 1e-100}, "A"),
+        ],
+        ids=["beltrami-1e100", "rings-flux-1e100", "rings-core-1e-100"],
+    )
+    def test_bundle_outside_the_load_range_exit_2(self, tmp_path, capsys, family, params, field):
+        # in-range parameters can still make a field that load would refuse;
+        # generate refuses it instead of writing it
+        out = tmp_path / "x.wrg"
+        args = ["generate", "--family", family, "--n", "8", "--params", json.dumps(params), "--out", str(out)]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert f"error: field {field!r} has max|component| " in err
+        assert "[1e-100, 1e+100]" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_explicit_ring_pair(self, tmp_path):
         out = str(tmp_path / "x.wrg")
         ring2 = {"center": [4.1, 3.1, 3.1], "radius": 1.0, "normal": [0.0, 1.0, 0.0]}
         params = json.dumps({"ring1": RING, "ring2": ring2, "fluxes": [1, 2]})
         assert run(["generate", "--family", "rings", "--n", "16", "--params", params, "--out", out]) == 0
 
+    # the edges of the parameter range, as in test_cli_fuzz.SCALES
+    EDGES = [sign * v for v in (1e-100, 1e-60, 1e60, 1e100) for sign in (1, -1)]
     JSON = st.recursive(
         st.none()
         | st.booleans()
         | st.integers(-(10**6), 10**6)
         | st.floats(-1e6, 1e6, allow_nan=False)
+        | st.sampled_from(EDGES)
         | st.text(max_size=8),
         lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
         max_leaves=6,
     )
 
-    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    # numbers a family accepts, and the edges, so that the generators, not
+    # only the schema check, see the edges of the number range
+    NUMBER = st.sampled_from([0.3, 1.0, 2.0, -1.0] + EDGES)
+
+    @classmethod
+    def typed(cls, kind):
+        """Values of a ``FAMILY_PARAMS`` kind."""
+        if isinstance(kind, dict):
+            return st.fixed_dictionaries({key: cls.typed(sub) for key, sub in kind.items()})
+        if isinstance(kind, int):
+            return st.lists(cls.NUMBER, min_size=kind, max_size=kind)
+        return {"number": cls.NUMBER, "integer": st.integers(-10, 40), "string": st.text(max_size=8)}[kind]
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(data=st.data())
     def test_any_params_give_a_documented_exit_code(self, tmp_path_factory, data):
         family = data.draw(st.sampled_from(sorted(FAMILY_PARAMS)))
-        keys = list(FAMILY_PARAMS[family]) + ["not_a_parameter"]
-        params = data.draw(st.fixed_dictionaries({}, optional={key: self.JSON for key in keys}))
+        if data.draw(st.booleans()):
+            keys = list(FAMILY_PARAMS[family]) + ["not_a_parameter"]
+            optional = {key: self.JSON for key in keys}
+        else:
+            optional = {key: self.typed(kind) for key, kind in FAMILY_PARAMS[family].items()}
+        params = data.draw(st.fixed_dictionaries({}, optional=optional))
         out = str(tmp_path_factory.mktemp("params") / "x.wrg")
         args = ["generate", "--family", family, "--n", "8", "--params", json.dumps(params), "--out", out]
-        assert run(args) in {0, 2, 3, 4, 5}
+        code = run(args)
+        assert code in {0, 2, 3, 4, 5}
+        if code == 0:
+            FieldBundle.load(out)
 
 
 class TestReference:

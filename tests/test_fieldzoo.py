@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wring import fieldzoo as fz
+from wring import linkref
 from wring.errors import (
     ConsistencyLoss,
     MapNotInvertible,
@@ -175,6 +176,68 @@ class TestRings:
                 0.3,
                 (1.0, 1.0),
             )
+
+
+class TestTubeKernel:
+    """``_tube_vorticity`` against its closed form: flux (p + 1) / (pi a^2)
+    times the unit tangent on the centreline, zero outside the core (a) and
+    on the ring's axis."""
+
+    G = cube(32)  # spacing pi/16; the box centre (pi, pi, pi) is a grid point
+    H = TWO_PI / 32
+    C = (16, 16, 16)
+
+    CENTER = tuple(float(ax[i]) for ax, i in zip(G.axes, C))
+
+    def kernel(self, normal, radius, core, flux=1.5, power=3):
+        return fz._tube_vorticity(self.G, fz.Ring(self.CENTER, radius, normal), flux, core, power)
+
+    @pytest.mark.parametrize(
+        "normal, offset, tangent",
+        [
+            ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+            ((0, 0, -1), (1, 0, 0), (0, -1, 0)),
+            ((0, 0, 1), (0, -1, 0), (1, 0, 0)),
+            ((0, 1, 0), (1, 0, 0), (0, 0, -1)),
+            ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ],
+    )
+    def test_centreline_value(self, normal, offset, tangent):
+        # the tangent is normal x offset, the right-hand sense about the normal
+        w = self.kernel(normal, 8 * self.H, 0.3, flux=1.5, power=3)
+        point = tuple(c + 8 * o for c, o in zip(self.C, offset))
+        expected = 1.5 * 4 / (np.pi * 0.3**2) * np.array(tangent, float)
+        assert np.allclose(w[(slice(None), *point)], expected, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("normal", [(0, 0, 1), (0, 0, -1), (0, 1, 0), (1, 0, 0)])
+    def test_runs_as_circle_points_traverses(self, normal):
+        # the orientation the linking number is measured with
+        w = self.kernel(normal, 8 * self.H, 0.3)
+        p0, p1 = linkref.circle_points(self.CENTER, 8 * self.H, normal, 64)[:2]
+        point = tuple(np.rint(p0 / self.H).astype(int))
+        assert np.dot(w[(slice(None), *point)], p1 - p0) > 0.0
+
+    def test_zero_outside_the_core(self):
+        core = 0.3
+        w = self.kernel((0, 0, 1), 8 * self.H, core)
+        x, y, z = (m - ax[i] for m, ax, i in zip(self.G.mesh(), self.G.axes, self.C))
+        s = np.sqrt((np.sqrt(x**2 + y**2) - 8 * self.H) ** 2 + z**2)
+        s = np.broadcast_to(s, self.G.shape)
+        norm = np.sqrt(np.sum(w**2, axis=0))
+        assert np.all(norm[s >= core * (1 + 1e-12)] == 0.0)
+        assert np.all(norm[s <= core * (1 - 1e-12)] > 0.0)
+
+    @pytest.mark.parametrize("normal", [(0, 0, 1), (0, 1, 0), (1, 0, 0)])
+    def test_zero_on_the_axis(self, normal):
+        # a core wider than the ring puts the axis inside the tube, where the
+        # profile is nonzero but the tangent has no direction
+        w = self.kernel(normal, 2 * self.H, 0.5)
+        for k in range(-2, 3):
+            point = tuple(c + k * n for c, n in zip(self.C, normal))
+            assert np.array_equal(w[(slice(None), *point)], np.zeros(3))
+        off_axis = tuple(c + (n == 0) for c, n in zip(self.C, normal))
+        assert np.linalg.norm(w[(slice(None), *off_axis)]) > 0.0
+        assert np.all(np.isfinite(w))
 
 
 class TestDiffeo:

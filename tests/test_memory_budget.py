@@ -1,0 +1,40 @@
+"""Memory budgets: upper bounds on the tracemalloc peak of one call.
+
+A peak counts every array the call allocates through numpy while it runs,
+on every FFT lane, and repeats to within a few KB at a fixed lane count, so
+it is gated like a transform count. Each budget is the measured peak in MiB
+(2**20 bytes) plus a margin under 2%. A change that lowers a peak may lower
+its budget; one that raises a budget says so in CHANGES.md.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from wring import config
+from wring import fieldzoo as fz
+from wring.fieldcore import Grid3
+
+# hopf_rings on a fresh n=64 grid, its caches built inside the call:
+# 34.99 MiB measured at both lane counts
+HOPF_RINGS_64_BUDGET = {"1": 35.6, "2": 35.6}
+
+
+def peak_mib(fn) -> float:
+    """The tracemalloc peak of ``fn()`` in MiB, measured after a first call
+    that loads numpy.fft and builds the lane pool, so neither is counted."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("lanes", sorted(HOPF_RINGS_64_BUDGET))
+def test_hopf_rings_peak(monkeypatch, lanes):
+    monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], lanes)
+    peak = peak_mib(lambda: fz.hopf_rings(Grid3((64, 64, 64), (2 * np.pi,) * 3)))
+    assert peak <= HOPF_RINGS_64_BUDGET[lanes]
