@@ -22,7 +22,8 @@ def fft_workers() -> int:
 
     A stacked ``Grid3.rfft``/``irfft`` call on a grid of more than
     ``fft_serial_max_points`` points splits its components over this many
-    threads, the caller included; every other transform runs serially.
+    threads, the caller included, and a ``fieldcore.pointwise`` kernel of
+    that size its x-slabs; every other transform runs serially.
     Defaults to 2 and is clamped to the machine's CPU count; a value that is
     not an integer counts as 1, the serial path. The lane count changes no
     output bit.

@@ -13,10 +13,18 @@ Conventions fixed here and relied on elsewhere:
   results stay real-symmetric;
 * the inverse-curl fixes the gauge by returning the unique divergence-free
   field with zero mean (harmonic part set to zero).
+
+The FFT lanes (``_Lanes``) are this module's only parallelism. They run
+the components of a stacked transform and the x-slabs of a ``pointwise``
+kernel: the products, squared magnitudes and finite checks here, and the
+engine's masked quotients. Both split only above
+``fft_serial_max_points`` points a component, and neither changes a bit
+of any result.
 """
 
 from __future__ import annotations
 
+import contextvars
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -353,16 +361,20 @@ class _Lanes:
     """The FFT lanes: the calling thread plus a persistent pool of
     ``config.fft_workers() - 1`` threads, made on first use.
 
-    numpy's transforms release the interpreter lock, so one transform per
-    lane runs on its own core. Every component is computed by the same
-    single-component code whichever lane runs it, so results do not depend
-    on the lane count.
+    They run the components of a stacked transform and the x-slabs of a
+    ``pointwise`` kernel. numpy's transforms and elementwise loops release
+    the interpreter lock, so one piece of work per lane runs on its own
+    core. Every piece is computed by the same code whichever lane runs it,
+    so results do not depend on the lane count. Work handed out from
+    inside a lane runs on that lane alone, so lanes never wait on each
+    other.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._pool = None
         self._size = 0
+        self._inside = threading.local()
 
     def _workers(self, size: int):
         """The pool of ``size`` threads, built on first use; a pool of
@@ -380,26 +392,34 @@ class _Lanes:
     def run(self, count: int, fn, size: int) -> None:
         """Call ``fn(i)`` once for every i in range(count) on up to ``size``
         lanes, each lane claiming the next unclaimed i until none is left,
-        so a lane that another process slows down takes fewer. Returns, or
-        raises a lane's error (the calling lane's first), once every lane is
-        done."""
-        lanes = min(size, count)
+        so a lane that another process slows down takes fewer. A worker lane
+        runs in a copy of the caller's context, so numpy's error state
+        (``np.errstate``) holds there too. Called from inside a lane, every
+        ``fn(i)`` runs on that lane. Returns, or raises a lane's error (the
+        calling lane's first), once every lane is done."""
+        inside = self._inside
+        lanes = 1 if getattr(inside, "busy", False) else min(size, count)
         indices = iter(range(count))
         claim = threading.Lock()
 
         def lane():
-            while True:
-                with claim:
-                    i = next(indices, None)
-                if i is None:
-                    return
-                fn(i)
+            outer = getattr(inside, "busy", False)
+            inside.busy = True
+            try:
+                while True:
+                    with claim:
+                        i = next(indices, None)
+                    if i is None:
+                        return
+                    fn(i)
+            finally:
+                inside.busy = outer
 
         if lanes < 2:
             lane()
             return
         pool = self._workers(size - 1)
-        futures = [pool.submit(lane) for _ in range(lanes - 1)]
+        futures = [pool.submit(contextvars.copy_context().run, lane) for _ in range(lanes - 1)]
         try:
             lane()
         finally:
@@ -425,9 +445,41 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def pointwise(kernel, *arrays) -> None:
+    """Call ``kernel`` on matching x-slabs of ``arrays``: rows of their grid
+    x axis, the third from last, with every leading axis kept. An array of
+    fewer than three axes, or whose x axis has length 1, broadcasts and is
+    passed whole.
+
+    The first array sets the slabs. When one of its components has more
+    than ``fft_serial_max_points`` points (defaults.json), the rule stacked
+    transforms split by, it is cut into slabs of at most that many points
+    per component, handed out on the FFT lanes; otherwise ``kernel`` runs
+    once on the whole arrays. ``kernel`` writes its results into outputs
+    among ``arrays`` and may raise, as a lane's error is raised. Elementwise
+    arithmetic rounds every entry alone, so what it writes does not depend
+    on the slabs or the lane count; reductions belong to the caller, on
+    the whole array.
+    """
+    nx, ny, nz = arrays[0].shape[-3:]
+    if nx * ny * nz <= _SERIAL_MAX_POINTS:
+        kernel(*arrays)
+        return
+    rows = max(1, _SERIAL_MAX_POINTS // (ny * nz))
+
+    def slab(i):
+        cut = (..., slice(i * rows, (i + 1) * rows), slice(None), slice(None))
+        kernel(*(a[cut] if np.ndim(a) >= 3 and a.shape[-3] > 1 else a for a in arrays))
+
+    _LANES.run(-(-nx // rows), slab, config.fft_workers())
+
+
 def _check_finite(data: np.ndarray, what: str):
-    if not np.all(np.isfinite(data)):
-        raise NonFiniteData(f"{what} contains non-finite entries")
+    def check(d):
+        if not np.all(np.isfinite(d)):
+            raise NonFiniteData(f"{what} contains non-finite entries")
+
+    pointwise(check, data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -545,35 +597,48 @@ class VectorField:
 
 
 def dot(a: VectorField, b: VectorField) -> ScalarField:
-    return ScalarField(a.grid, np.einsum("i...,i...->...", a.data, b.data))
+    out = np.empty(a.grid.shape)
+    pointwise(lambda o, x, y: np.einsum("i...,i...->...", x, y, out=o), out, a.data, b.data)
+    return ScalarField(a.grid, out)
 
 
 def cross_parts(a, b, out=None):
     """Components of a x b for two sequences of three component arrays.
 
     With ``out``, a stack of three arrays, they are written into it (with
-    the same roundings) and ``out`` is returned.
+    the same roundings), x-slab by x-slab (``pointwise``), and ``out`` is
+    returned.
     """
     ax, ay, az = a
     bx, by, bz = b
     if out is None:
         return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
-    tmp = np.empty_like(out[0])
-    for o, (p, q, r, s) in zip(out, ((ay, bz, az, by), (az, bx, ax, bz), (ax, by, ay, bx))):
-        np.multiply(p, q, out=o)
-        o -= np.multiply(r, s, out=tmp)
+
+    def kernel(o, ax, ay, az, bx, by, bz):
+        tmp = np.empty_like(o[0])
+        for oc, (p, q, r, s) in zip(o, ((ay, bz, az, by), (az, bx, ax, bz), (ax, by, ay, bx))):
+            np.multiply(p, q, out=oc)
+            oc -= np.multiply(r, s, out=tmp)
+
+    pointwise(kernel, out, ax, ay, az, bx, by, bz)
     return out
 
 
 def cross(a: VectorField, b: VectorField) -> VectorField:
-    return VectorField(a.grid, np.stack(cross_parts(a.data, b.data)))
+    return VectorField(a.grid, cross_parts(a.data, b.data, out=np.empty((3,) + a.grid.shape)))
 
 
 def magnitude2(a: VectorField) -> ScalarField:
-    # (x^2 + y^2) + z^2, as np.sum(a.data**2, axis=0) sums, without its 3-component temporary
-    out = a.x**2
-    out += a.y**2
-    out += a.z**2
+    """x^2 + y^2 + z^2, summed in that order as np.sum(a.data**2, axis=0) sums."""
+
+    def kernel(o, v):
+        np.square(v[0], out=o)
+        tmp = np.square(v[1])
+        o += tmp
+        o += np.square(v[2], out=tmp)
+
+    out = np.empty(a.grid.shape)
+    pointwise(kernel, out, a.data)
     return ScalarField(a.grid, out)
 
 

@@ -152,7 +152,7 @@ def _out_of_range(A: VectorField, W: VectorField) -> str | None:
         peak = field.maxabs()
         if peak > high or 0.0 < peak < low:
             return (
-                f"field {name!r} has max|component| {peak:g}; a bundle field "
+                f"field {name!r} has max|component| {peak:.17g}; a bundle field "
                 f"must be zero or have it within [{low:g}, {high:g}]"
             )
     return None
@@ -533,7 +533,9 @@ def gen_linked_rings(
     The vortex lines inside each tube are parallel circles (no internal
     linking), so the analytic helicity target is 2 Phi1 Phi2 Lk(1,2), with
     the linking number measured from the centrelines. A is the zero-mean
-    inverse curl of W; no integrability is claimed.
+    inverse curl of W; no integrability is claimed. A ``core_radius`` below
+    the largest grid spacing raises ValueError: the samples could miss the
+    cores and leave a zero field that still claims the helicity.
     """
     if core_radius is None:
         core_radius = config.DEFAULTS["rings"]["default_core_radius"]
@@ -550,6 +552,12 @@ def gen_linked_rings(
                 f"ring of radius {ring.radius:g} plus core {core_radius:g} "
                 f"does not fit in half the box {half:g}"
             )
+    spacing = max(grid.spacing)
+    if core_radius < spacing:
+        raise ValueError(
+            f"core_radius {core_radius:g} is below the grid spacing {spacing:g}, so the grid "
+            "cannot sample the tube cores; raise n or core_radius"
+        )
     p1, p2 = (linkref.circle_points(r.center, r.radius, r.normal, 512) for r in (ring1, ring2))
     dmin = np.min(np.linalg.norm(p1[:, None, :] - p2[None, :, :], axis=-1))
     if dmin <= 2.0 * core_radius:

@@ -567,6 +567,8 @@ class TestEvolveAndDiffeo:
         assert run(["diffeo", str(src), "--shear", "x,z,0.3,1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "error: field 'A' has max|component| " in err and "[1e-100, 1e+100]" in err
+        # the value is printed in full, never rounded into the range it is refused by
+        assert float(err.split("max|component| ")[1].split(";")[0]) > 1e100
         assert not out.exists()
 
     def test_diffeo_round_trip_file(self, tmp_path):
@@ -653,15 +655,15 @@ class TestGenerateParams:
         [
             ("beltrami", {"a": 1e100, "b": 1e100, "c": 1e100}, "A"),
             ("rings", {"fluxes": [1e100, 1e100]}, "A"),
-            ("rings", {"core_radius": 1e-100}, "A"),
         ],
-        ids=["beltrami-1e100", "rings-flux-1e100", "rings-core-1e-100"],
+        ids=["beltrami-1e100", "rings-flux-1e100"],
     )
     def test_bundle_outside_the_load_range_exit_2(self, tmp_path, capsys, family, params, field):
         # in-range parameters can still make a field that load would refuse;
-        # generate refuses it instead of writing it
+        # generate refuses it instead of writing it. n=32 resolves the
+        # default ring core.
         out = tmp_path / "x.wrg"
-        args = ["generate", "--family", family, "--n", "8", "--params", json.dumps(params), "--out", str(out)]
+        args = ["generate", "--family", family, "--n", "32", "--params", json.dumps(params), "--out", str(out)]
         assert run(args) == 2
         err = capsys.readouterr().err
         assert f"error: field {field!r} has max|component| " in err
@@ -672,7 +674,23 @@ class TestGenerateParams:
         out = str(tmp_path / "x.wrg")
         ring2 = {"center": [4.1, 3.1, 3.1], "radius": 1.0, "normal": [0.0, 1.0, 0.0]}
         params = json.dumps({"ring1": RING, "ring2": ring2, "fluxes": [1, 2]})
-        assert run(["generate", "--family", "rings", "--n", "16", "--params", params, "--out", out]) == 0
+        assert run(["generate", "--family", "rings", "--n", "32", "--params", params, "--out", out]) == 0
+
+    @pytest.mark.parametrize(
+        "n, core",
+        [(16, 1e-60), (8, 1e-100), (16, 0.3), (32, 0.19)],
+        ids=["1e-60", "1e-100", "default-at-16", "just-below-at-32"],
+    )
+    def test_core_thinner_than_the_grid_exit_2(self, tmp_path, capsys, n, core):
+        # a core the grid cannot sample would leave W = A = 0 claiming
+        # helicity 2; the generator refuses it, naming radius and spacing
+        out = tmp_path / "x.wrg"
+        params = json.dumps({"ring1": RING, "ring2": {**RING, "center": [4.1, 3.1, 3.1],
+                                                      "normal": [0.0, 1.0, 0.0]}, "core_radius": core})
+        assert run(["generate", "--family", "rings", "--n", str(n), "--params", params, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"core_radius {core:g} is below the grid spacing {2 * np.pi / n:g}" in err
+        assert not out.exists()
 
     # the edges of the parameter range, as in test_cli_fuzz.SCALES
     EDGES = [sign * v for v in (1e-100, 1e-60, 1e60, 1e100) for sign in (1, -1)]

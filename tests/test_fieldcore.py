@@ -3,11 +3,12 @@
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from wring import config, fieldcore
+from wring import config, fieldcore, gv
 from wring.errors import InvalidGrid, NonFiniteData, NonZeroMeanVorticity, NotDivergenceFree
 from wring.fieldcore import (
     Grid3,
@@ -272,6 +273,137 @@ def test_concurrent_callers_share_the_lanes(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [expected] * 40
+
+
+def masked_quotient_reference(num, q, mask, power):
+    """The masked quotient as one numpy expression, q**power by numpy's power."""
+    return np.where(mask, num / np.where(mask, q, 1.0) ** power, 0.0)
+
+
+def pointwise_cases(g, rng):
+    """name -> (the engine's result, the plain numpy expression it replaces)
+    for every kernel that runs through ``pointwise``, on random data of ``g``."""
+    a, b = (VectorField(g, rng.standard_normal((3,) + g.shape)) for _ in range(2))
+    num = rng.standard_normal(g.shape)
+    q = rng.standard_normal(g.shape)
+    mask = np.abs(q) > 0.2
+    s = g.rfft(a.data)
+    cases = {
+        "dot": (lambda: dot(a, b).data, lambda: np.einsum("i...,i...->...", a.data, b.data)),
+        "cross": (lambda: cross(a, b).data, lambda: np.stack(fieldcore.cross_parts(a.data, b.data))),
+        "cross_parts ik": (
+            lambda: fieldcore.cross_parts(g.ik, s, out=np.empty_like(s)),
+            lambda: np.stack(fieldcore.cross_parts(g.ik, s)),
+        ),
+        "magnitude2": (lambda: magnitude2(a).data, lambda: a.x**2 + a.y**2 + a.z**2),
+    }
+    for power in (1, 2):
+        cases[f"masked quotient {power}"] = (
+            lambda p=power: gv._masked_quotient(num, q, mask, p),
+            lambda p=power: masked_quotient_reference(num, q, mask, p),
+        )
+    cases["masked quotient of a stack"] = (
+        lambda: gv._masked_quotient(a.data, q, mask, 1),
+        lambda: masked_quotient_reference(a.data, q, mask, 1),
+    )
+    return cases
+
+
+class TestPointwise:
+    """The kernels that ``fieldcore.pointwise`` splits into x-slabs give the
+    bytes of the whole-array numpy expressions they replace, at one and two
+    lanes (q**4 excepted: two squarings, within 2 ulp of pow)."""
+
+    GRIDS = [(48, 48, 48), (40, 48, 64)]
+
+    def results(self, monkeypatch, lanes, g):
+        monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], lanes)
+        cases = pointwise_cases(g, np.random.default_rng(11))
+        return {name: (engine(), plain()) for name, (engine, plain) in cases.items()}
+
+    @pytest.mark.parametrize("n", GRIDS, ids=lambda n: "x".join(map(str, n)))
+    def test_equal_to_numpy_at_one_and_two_lanes(self, monkeypatch, n):
+        g = Grid3(n, (TWO_PI, 3.0, 5.0))
+        one, two = (self.results(monkeypatch, lanes, g) for lanes in ("1", "2"))
+        for name, (engine, plain) in one.items():
+            assert np.array_equal(engine, plain), name
+            assert np.array_equal(two[name][0], engine), name
+
+    def test_box_spectrum_cross(self, monkeypatch):
+        # 43 x 43 x 22 modes at n = 64: more than fft_serial_max_points
+        g = cube(64)
+        box = g.rfft(np.random.default_rng(12).standard_normal((3,) + g.shape), box=True)
+        plain = np.stack(fieldcore.cross_parts(g.box_ik, box))
+        for lanes in ("1", "2"):
+            monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], lanes)
+            assert np.array_equal(fieldcore.cross_parts(g.box_ik, box, out=np.empty_like(box)), plain)
+
+    @pytest.mark.parametrize("lanes", ["1", "2"])
+    def test_fourth_power_within_roundoff_and_even(self, monkeypatch, lanes):
+        monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], lanes)
+        rng = np.random.default_rng(13)
+        num, q = rng.standard_normal((2, 48, 48, 48))
+        mask = np.abs(q) > 0.2
+        out = gv._masked_quotient(num, q, mask, 4)
+        np.testing.assert_allclose(out, masked_quotient_reference(num, q, mask, 4), rtol=1e-15, atol=0.0)
+        assert np.array_equal(gv._masked_quotient(num, -q, mask, 4), out)
+        assert np.all(out[~mask] == 0.0)
+
+    @pytest.mark.parametrize("lanes", ["1", "2"])
+    @pytest.mark.parametrize("shape", [(48, 48, 48), (3, 40, 48, 64)], ids=["scalar", "vector"])
+    def test_nan_in_the_last_slab_raises(self, monkeypatch, lanes, shape):
+        monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], lanes)
+        data = np.zeros(shape)
+        data[..., -1, -1, -1] = np.nan
+        field = ScalarField if len(shape) == 3 else VectorField
+        with pytest.raises(NonFiniteData):
+            field(Grid3(shape[-3:], (TWO_PI, 3.0, 5.0)), data)
+
+    def test_worker_lanes_keep_the_error_state(self, monkeypatch):
+        # np.errstate is per context: a worker lane runs in a copy of the caller's
+        monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], "2")
+        if config.fft_workers() < 2:
+            pytest.skip("one CPU: no worker lane")
+        seen = set()
+
+        def kernel(o):
+            seen.add((threading.current_thread(), np.geterr()["over"]))
+            time.sleep(0.001)  # lets the worker lane claim a slab
+
+        out = np.empty((48, 48, 48))
+        with np.errstate(over="raise"):
+            for _ in range(50):  # until a worker lane claims a slab
+                fieldcore.pointwise(kernel, out)
+                if len({t for t, _ in seen}) > 1:
+                    break
+        assert len({t for t, _ in seen}) > 1
+        assert {state for _, state in seen} == {"raise"}
+
+    def test_a_kernel_inside_a_lane_runs_on_that_lane(self, monkeypatch):
+        monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], "2")
+        inner = np.empty((48, 48, 48))
+        mismatched = []
+
+        def outer(o):
+            lane = threading.current_thread()
+            fieldcore.pointwise(lambda i: mismatched.append(threading.current_thread() is not lane), inner)
+
+        done = threading.Thread(target=fieldcore.pointwise, args=(outer, np.empty((48, 48, 48))))
+        done.start()
+        done.join(timeout=60)
+        assert not done.is_alive()
+        assert mismatched and not any(mismatched)
+
+    @pytest.mark.parametrize("n, slabs", [((32, 32, 32), 1), ((32, 32, 34), 2), ((64, 64, 64), 8), ((96, 96, 96), 32)])
+    def test_slabs_of_at_most_the_serial_size(self, n, slabs):
+        # one call up to fft_serial_max_points points a component, above it
+        # slabs of at most that many: 8 rows at n = 64, 3 at n = 96
+        sizes = []
+        fieldcore.pointwise(lambda o: sizes.append(o.shape), np.empty((3,) + n))
+        assert len(sizes) == slabs
+        assert sum(s[1] for s in sizes) == n[0]
+        limit = config.DEFAULTS["fft_serial_max_points"]
+        assert all(s[0] == 3 and s[1] * s[2] * s[3] <= limit for s in sizes)
 
 
 class TestGrad:

@@ -257,6 +257,49 @@ class TestMaskedDensityValue:
         assert np.all(res.density.data[~self.slab(g, 1.0)] == 0.0)
 
 
+class TestBoundValues:
+    """The printed ``--bound`` fields against closed forms. The ABC(1, 1, 1)
+    bundle at n=32 has G = W = U = curl G; with q = 2 + sin x on the whole
+    torus, the mean of |G|^2 over y and z is 3 at every grid x, so
+    C = 3 (2 pi)^2 int dx/(2 + sin x)^4 = 3 (2 pi)^2 22 pi / (27 sqrt 3).
+    With V = (2 pi)^3, E = 3V/2, the rate is 3V and lambda_min = 1."""
+
+    C = 3.0 * TWO_PI**2 * 22.0 * np.pi / (27.0 * np.sqrt(3.0))
+    V = TWO_PI**3
+
+    @pytest.fixture(scope="class")
+    def abc32(self):
+        return fz.gen_beltrami_abc(cube(32))
+
+    def bound(self, b, sign):
+        g = b.grid
+        q = sign * np.ascontiguousarray(np.broadcast_to(2.0 + np.sin(g.mesh()[0]), g.shape))
+        return gv._bound(b, 0.0, gv.GvResult(g, b.W, q, [np.ones(g.shape, dtype=bool)]))
+
+    def test_C(self, abc32):
+        report = self.bound(abc32, 1.0)
+        assert self.C == pytest.approx(175.03671472651580, rel=1e-15)
+        assert report.C == pytest.approx(self.C, rel=1e-13, abs=0.0)
+        assert report.enstrophy_rate == pytest.approx(3.0 * self.V, rel=1e-13, abs=0.0)
+
+    def test_negative_q_gives_the_same_C(self, abc32):
+        # q^4 of a negative base: the same squarings as of its magnitude
+        assert self.bound(abc32, -1.0).C == self.bound(abc32, 1.0).C
+
+    def test_delta_measure_and_approx_rhs(self, abc32):
+        # max|q - 2E/V| V/E = max|sin x - 1| / (3/2), at the grid point x = 3 pi/2;
+        # V^2 / sqrt(lambda_min) / (4 E^2) * rate = V/3
+        report = self.bound(abc32, 1.0)
+        assert report.E == pytest.approx(1.5 * self.V, rel=1e-13, abs=0.0)
+        assert report.lambda_min == 1.0
+        assert report.delta_measure == pytest.approx(4.0 / 3.0, rel=1e-13, abs=0.0)
+        assert report.approx_bound_rhs == pytest.approx(self.V / 3.0, rel=1e-13, abs=0.0)
+
+    def test_lambda_min_from_the_longest_side(self):
+        b = fz.gen_clebsch(Grid3((16, 24, 32), (TWO_PI, 5.0, 7.0)))
+        assert gv.obstruction_bound(b).lambda_min == (TWO_PI / 7.0) ** 2
+
+
 class TestGaugeShift:
     def test_specific_gauge_field(self, clebsch64):
         g = clebsch64.grid

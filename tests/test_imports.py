@@ -331,8 +331,16 @@ def test_cold_start_loads_no_fft_backend_or_pool():
 
 
 def test_generate_loads_the_fft_backend_but_builds_no_pool(tmp_path):
-    result = cold_run(["generate", "--family", "clebsch", "--n", "16", "--out", str(tmp_path / "g.wrg")])
-    assert result["codes"] == [0]
+    # the benchmark's cold commands at n=32: no transform stack and no
+    # pointwise kernel has more than fft_serial_max_points points a component
+    g, gd = str(tmp_path / "g.wrg"), str(tmp_path / "gd.wrg")
+    result = cold_run(
+        ["generate", "--family", "clebsch", "--n", "32", "--shear", "x,z,0.3,1", "--out", g],
+        ["analyze", g, "--bound", "--json", str(tmp_path / "report.json")],
+        ["diffeo", g, "--shear", "x,z,0.3,1", "--out", gd],
+        ["evolve", gd, "--steps", "2", "--series", str(tmp_path / "s.csv"), "--out", str(tmp_path / "e.wrg")],
+    )
+    assert result["codes"] == [0, 0, 0, 0]
     assert result["loaded"] == ["numpy.fft"]
     assert result["scipy"] == []
     assert not result["pool"]
