@@ -25,6 +25,8 @@ from .errors import FormatError, PreconditionError, ToleranceError, WringError
 from .fieldcore import Grid3
 
 _D = config.DEFAULTS
+# past 2**53 steps of one size, t + dt rounds back to t in float64
+_MAX_STEPS = 2**53
 
 
 def _check_writable(*paths) -> None:
@@ -158,16 +160,18 @@ def _cmd_evolve(args) -> int:
         if dt == 0.0:
             raise ValueError(f"--cfl {args.cfl:g} gives a zero time step; raise --cfl or give --dt")
     if args.steps is not None:
-        steps = args.steps
+        steps, remedy = args.steps, "lower --steps"
     else:
         count = args.time / abs(dt)
+        remedy = "lower --time or raise the step (--dt or --cfl)"
         if not math.isfinite(count):
             raise ValueError(
-                f"--time {args.time:g} at the step {abs(dt):g} is not a finite step count; "
-                "lower --time or raise the step (--dt or --cfl)"
+                f"--time {args.time:g} at the step {abs(dt):g} is not a finite step count; {remedy}"
             )
         steps = max(1, math.ceil(count))
         dt = math.copysign(args.time / steps, dt)
+    if steps > _MAX_STEPS:
+        raise ValueError(f"{steps:g} steps is past 2**53, where t + dt no longer advances a float64 t; {remedy}")
     state = dynamics.EvolutionState(bundle, dt=dt)
     state, series = dynamics.track_invariants(state, steps, record_every=args.record_every)
     if args.series:

@@ -43,8 +43,9 @@ stacked call that the FFT lanes share.
 On top of the stepper, the local conservation law for the invariant
 density c = H . curl(H): (d/dt + U.grad) c = div(k W) with
 k = H^2 + (U.A)^{-1} H . grad(Pi), whose residual is measured by centred
-time differences of stepped states. The steady-flow obstruction bound
-lives in ``gv`` and is re-exported here.
+time differences of stepped states. Its divisions by the denominator U.A
+are ``gv.masked_quotient``, the engine's one masked quotient. The
+steady-flow obstruction bound lives in ``gv`` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -294,20 +295,14 @@ def conservation_residual(state: EvolutionState) -> tuple[ScalarField, ScalarFie
     (G0, q0, N0, m0), (_, qp, Np, mp), (_, qm, Nm, mm) = ((e.G, e.q, e.numerator, e.masks[0]) for e in levels)
     mask = m0 & mp & mm
     dt = state.dt
-    Ndot = (Np - Nm) / (2.0 * dt)
-    qdot = (qp - qm) / (2.0 * dt)
-    q_safe = np.where(mask, q0, 1.0)
-    pi = bernoulli_head(b0)
-    M = ScalarField(g, magnitude2(G0).data + dot(G0, grad(pi)).data)
     U, W = b0.U, b0.W
+    M = magnitude2(G0).data + dot(G0, grad(bernoulli_head(b0))).data
     gradq = grad(ScalarField(g, q0))
-    u_dot_gradN = dot(U, grad(ScalarField(g, N0))).data
-    u_dot_gradq = dot(U, gradq).data
-    w_dot_gradM = dot(W, grad(M)).data
-    w_dot_gradq = dot(W, gradq).data
-    dct = Ndot / q_safe**2 - 2.0 * N0 * qdot / q_safe**3
-    adv = u_dot_gradN / q_safe**2 - 2.0 * N0 * u_dot_gradq / q_safe**3
-    divkw = w_dot_gradM / q_safe**2 - 2.0 * M.data * w_dot_gradq / q_safe**3
-    residual = np.where(mask, dct + adv - divkw, 0.0)
-    k_field = np.where(mask, M.data / q_safe**2, 0.0)
-    return ScalarField(g, residual), ScalarField(g, k_field)
+    # c = N/q^2 and k = M/q^2, so with div W = 0 the law's residual is
+    # (a - 2 b/q)/q^2, where a and b collect the q^-2 and q^-3 terms of
+    # dc/dt + U.grad(c) - W.grad(k)
+    a = (Np - Nm) / (2.0 * dt) + dot(U, grad(ScalarField(g, N0))).data
+    a -= dot(W, grad(ScalarField(g, M))).data
+    b = N0 * ((qp - qm) / (2.0 * dt) + dot(U, gradq).data) - M * dot(W, gradq).data
+    residual = gv.masked_quotient(a - 2.0 * gv.masked_quotient(b, q0, mask, 1), q0, mask, 2)
+    return ScalarField(g, residual), ScalarField(g, gv.masked_quotient(M, q0, mask, 2))

@@ -23,7 +23,8 @@ masked (discontinuous, near-singular) H. Writing H = G/q with G smooth
 H . curl(H) = G . curl(G) / q^2 holds pointwise because the gradient-of-q
 term is perpendicular to G. Spectral derivatives only ever see the smooth
 G, and the division happens pointwise on the masked set, so the mask
-introduces no Gibbs artefacts.
+introduces no Gibbs artefacts. Every division by q, here and in the
+conservation law of ``dynamics``, is ``masked_quotient``.
 
 One type, ``GvResult``, holds an evaluation: G, q and the masks of
 ``eta_parts``. ``gv_invariant`` returns it with curl(G), the masked density
@@ -42,6 +43,7 @@ pairing that holds exactly for the discrete sums as well.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -64,7 +66,6 @@ from .fieldcore import (
     cross_parts,
     curl,
     dot,
-    grad,
     integrate,
     magnitude2,
     pointwise,
@@ -185,11 +186,12 @@ def _uncovered(bundle: FieldBundle, mask: np.ndarray) -> float:
     return float((significant & ~mask).sum()) / n_sig if n_sig else 0.0
 
 
-def _masked_quotient(num: np.ndarray, q: np.ndarray, mask: np.ndarray, power: int) -> np.ndarray:
+def masked_quotient(num: np.ndarray, q: np.ndarray, mask: np.ndarray, power: int) -> np.ndarray:
     """num / q**power on the mask, zero outside it, never dividing by q off it;
-    ``power`` is 1, 2 or 4, formed by repeated squaring, x-slab by x-slab
-    (``pointwise``). q**4 as (q^2)^2 is within 2 ulp of libm's pow, which
-    is scalar and slow for negative q, and even in q bit for bit."""
+    the package's one division by a dual-field denominator. ``power`` is 1,
+    2 or 4, formed by repeated squaring, x-slab by x-slab (``pointwise``).
+    q**4 as (q^2)^2 is within 2 ulp of libm's pow, which is scalar and slow
+    for negative q, and even in q bit for bit."""
 
     def kernel(o, n, d, m):
         den = np.where(m, d, 1.0)
@@ -247,8 +249,8 @@ class GvResult:
         del self.numerator
         cell = self.grid.cell_volume
         with _overflow(_DENSITY, "G", self.G):
-            halves = [float(np.sum(_masked_quotient(num, self.q, m, 2))) * cell for m in self.masks[1:]]
-            density = _masked_quotient(num, self.q, self.masks[0], 2)
+            halves = [float(np.sum(masked_quotient(num, self.q, m, 2))) * cell for m in self.masks[1:]]
+            density = masked_quotient(num, self.q, self.masks[0], 2)
             value = float(np.sum(density)) * cell
             if not np.all(np.isfinite([value, *halves])):
                 raise FloatingPointError("non-finite integral")
@@ -276,7 +278,7 @@ class GvResult:
     @cached_property
     def H(self) -> VectorField:
         """The dual field G/q, zero off the mask: A x H = W where mask = 1."""
-        return VectorField(self.grid, _masked_quotient(self.G.data, self.q, self.masks[0], 1))
+        return VectorField(self.grid, masked_quotient(self.G.data, self.q, self.masks[0], 1))
 
 
 def gv_invariant(
@@ -361,7 +363,7 @@ def _bound(bundle: FieldBundle, eps: float, evaluation: GvResult) -> BoundReport
         )
     slack_tol = _TOL["bound_slack_rel"]
     with _overflow("the bound constant C", "G", G):
-        C = float(np.sum(_masked_quotient(magnitude2(G).data, q, mask, 4))) * bundle.grid.cell_volume
+        C = float(np.sum(masked_quotient(magnitude2(G).data, q, mask, 4))) * bundle.grid.cell_volume
     with _overflow("the enstrophy rate", "G", G):
         rate = integrate(magnitude2(evaluation.curlG))
     slack = C * rate - evaluation.value**2
@@ -374,7 +376,7 @@ def _bound(bundle: FieldBundle, eps: float, evaluation: GvResult) -> BoundReport
         E = 0.5 * integrate(magnitude2(bundle.U))
     V = bundle.grid.volume
     lam = (2.0 * np.pi / max(bundle.grid.box)) ** 2
-    L7 = V**2 / np.sqrt(lam)
+    L7 = V**2 / math.sqrt(lam)
     delta = q - 2.0 * E / V
     return BoundReport(
         gv=evaluation.value,
@@ -390,45 +392,6 @@ def _bound(bundle: FieldBundle, eps: float, evaluation: GvResult) -> BoundReport
         uncovered_vorticity_fraction=uncovered,
         eps=eps,
     )
-
-
-def helical_compression(bundle: FieldBundle, eps: float | None = None) -> ScalarField:
-    """Compression-twist density of the leaf normal field, on the |A| mask.
-
-    N = A/|A| is the unit normal to the surfaces the vorticity is tangent
-    to; h = (N . grad) N points along the local compression of those
-    surfaces, and h . curl(h) measures how that compression twists from
-    leaf to leaf. h is a valid dual-field choice for curl(N) up to gauge,
-    so this integrand is the same kind of quantity as the invariant
-    density but in a different gauge; it is reported as a diagnostic only.
-
-    Derivatives are taken of the smooth combinations (A . grad)A, |A|^2
-    and (A . grad)|A|^2; divisions happen pointwise on the mask.
-    """
-    if eps is None:
-        eps = _ETA["default_eps"]
-    g = bundle.grid
-    A = bundle.A
-    _, a2, (mask,) = eta_parts(bundle, "canonical", eps)
-    Q = ScalarField(g, a2)
-    # P_i = A . grad(A_i) = (A . grad) A
-    P = VectorField(g, np.stack([dot(A, grad(ScalarField(g, c))).data for c in A.data]))
-    gradQ = grad(Q)
-    R = dot(A, gradQ)
-    gradR = grad(R)
-    curlP = curl(P)
-    q = np.where(mask, Q.data, 1.0)
-    r = R.data
-    # h = P/Q - (R / 2Q^2) A
-    h = P.data / q - (r / (2.0 * q**2)) * A.data
-    # curl(P/Q) = curl(P)/Q - (gradQ x P)/Q^2
-    curl_PQ = curlP.data / q - cross(gradQ, P).data / q**2
-    # s = R/(2Q^2); curl(sA) = grad(s) x A + s W
-    grad_s = gradR.data / (2.0 * q**2) - (r / q**3) * gradQ.data
-    sxA = np.stack(cross_parts(grad_s, A.data))
-    curl_h = curl_PQ - sxA - (r / (2.0 * q**2)) * bundle.W.data
-    dens = np.where(mask, np.einsum("i...,i...->...", h, curl_h), 0.0)
-    return ScalarField(g, dens)
 
 
 # -- the orchestrated report ---------------------------------------------------

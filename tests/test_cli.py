@@ -491,11 +491,15 @@ class TestEvolveAndDiffeo:
             (["--time", "1e300", "--dt", "1e-300"], "--time"),
             (["--cfl", "5e-324"], "--cfl"),
             (["--cfl", "5e-324", "--steps", "3"], "--cfl"),
+            (["--time", "1e300"], "--time"),
+            (["--time", "1e17", "--dt", "1"], "--time"),
+            (["--steps", str(2**53 + 1)], "--steps"),
         ],
     )
     def test_unusable_step_exit_2(self, tmp_path, capsys, bad, flag):
-        # a CFL step that underflows to zero, or a step count past float64,
-        # is refused before any step, naming the option and the step
+        # a CFL step that underflows to zero, or a step count past float64
+        # or past 2**53 (where t + dt stops advancing t), is refused before
+        # any step, naming the option and the step
         field = tmp_path / "f.wrg"
         run(["generate", "--family", "clebsch", "--n", "16", "--shear", "x,z,0.3,1", "--out", str(field)])
         capsys.readouterr()

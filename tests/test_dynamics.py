@@ -371,6 +371,27 @@ def test_cfl_timestep_helper(sheared32):
     assert dt * umax / min(sheared32.grid.spacing) == pytest.approx(0.4)
 
 
+class TestNonCubicCfl:
+    """On a 16 x 24 x 32 box of sides 2 pi, 5 and 7 the spacings are
+    2 pi/16, 5/24 and 7/32: the CFL number is set by the smallest, 5/24."""
+
+    H_MIN = 5.0 / 24.0
+
+    @pytest.fixture(scope="class")
+    def box(self):
+        return fz.gen_clebsch(Grid3((16, 24, 32), (TWO_PI, 5.0, 7.0)))
+
+    def test_cfl_timestep_from_the_smallest_spacing(self, box):
+        umax = box.U.maxnorm()
+        assert dyn.cfl_timestep(box, 0.4) == pytest.approx(0.4 * self.H_MIN / umax, rel=1e-15, abs=0.0)
+
+    def test_step_refuses_a_dt_within_the_largest_spacing_only(self, box):
+        limit = config.DEFAULTS["dynamics"]["cfl_limit"]
+        dt = limit * 0.5 * (self.H_MIN + TWO_PI / 16.0) / box.U.maxnorm()
+        with pytest.raises(CflViolation, match="CFL number"):
+            dyn.step(dyn.EvolutionState(box, dt=dt))
+
+
 class TestLanes:
     """The stepper's stacked transforms split over the FFT lanes without
     changing a bit, a thread or an error."""

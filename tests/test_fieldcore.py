@@ -299,11 +299,11 @@ def pointwise_cases(g, rng):
     }
     for power in (1, 2):
         cases[f"masked quotient {power}"] = (
-            lambda p=power: gv._masked_quotient(num, q, mask, p),
+            lambda p=power: gv.masked_quotient(num, q, mask, p),
             lambda p=power: masked_quotient_reference(num, q, mask, p),
         )
     cases["masked quotient of a stack"] = (
-        lambda: gv._masked_quotient(a.data, q, mask, 1),
+        lambda: gv.masked_quotient(a.data, q, mask, 1),
         lambda: masked_quotient_reference(a.data, q, mask, 1),
     )
     return cases
@@ -344,9 +344,9 @@ class TestPointwise:
         rng = np.random.default_rng(13)
         num, q = rng.standard_normal((2, 48, 48, 48))
         mask = np.abs(q) > 0.2
-        out = gv._masked_quotient(num, q, mask, 4)
+        out = gv.masked_quotient(num, q, mask, 4)
         np.testing.assert_allclose(out, masked_quotient_reference(num, q, mask, 4), rtol=1e-15, atol=0.0)
-        assert np.array_equal(gv._masked_quotient(num, -q, mask, 4), out)
+        assert np.array_equal(gv.masked_quotient(num, -q, mask, 4), out)
         assert np.all(out[~mask] == 0.0)
 
     @pytest.mark.parametrize("lanes", ["1", "2"])
@@ -577,6 +577,17 @@ class TestOperatorProperties:
         weights[-1] = 1.0
         spectral = float(np.sum(np.abs(spec) ** 2 * weights[None, None, :])) * g.volume
         assert abs(phys - spectral) / abs(phys) < 1e-12
+
+    def test_parseval_with_nyquist_content(self):
+        # (-1)^(i+j+k) is the corner mode on the kz = n/2 plane, which the rfft
+        # layout holds once; the smooth term fills the kz = 0 and interior planes
+        g = Grid3((16, 24, 32), (TWO_PI, 5.0, 7.0))
+        x, y, z = g.mesh()
+        i, j, k = np.indices(g.shape)
+        f = (-1.0) ** (i + j + k) + np.sin(x) * np.cos(TWO_PI * y / 5.0) + np.cos(2.0 * TWO_PI * z / 7.0) + 0.5
+        spec = g.rfft(f)
+        physical = float(np.sum(f * f)) * g.cell_volume
+        assert g.parseval(spec.real**2 + spec.imag**2) == pytest.approx(physical, rel=1e-13, abs=0.0)
 
     def test_cross_and_dot_are_pointwise(self):
         g = cube(8)
