@@ -727,19 +727,6 @@ def curl_drift(g: Grid3, a, w) -> float:
     return float(np.sqrt(num / den if den > 0.0 else num * g._mode_volume))
 
 
-def project_solenoidal(g: Grid3, specs) -> VectorField:
-    """Divergence-free part of the field with rfft spectra ``specs``.
-
-    Removes the gradient part, s <- s + ik (ik.s)/|k|^2; modes that
-    ``inv_k2`` treats as degenerate keep their values.
-    """
-    kdots = sum(ik * s for ik, s in zip(g.ik, specs))
-    out = np.empty((3,) + kdots.shape, dtype=complex)
-    for ik, s, o in zip(g.ik, specs, out):
-        np.add(s, ik * kdots * g.inv_k2, out=o)
-    return VectorField(g, g.irfft(out))
-
-
 def spectral_tail_fraction(v: VectorField) -> float:
     """Fraction of spectral energy in the modes with |index| >= 3n/8 on some axis.
 

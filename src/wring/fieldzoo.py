@@ -57,7 +57,6 @@ from .fieldcore import (
     dot,
     grad,
     inverse_curl,
-    project_solenoidal,
     require_potential,
     spectral_tail_fraction,
 )
@@ -532,10 +531,12 @@ def gen_linked_rings(
 
     The vortex lines inside each tube are parallel circles (no internal
     linking), so the analytic helicity target is 2 Phi1 Phi2 Lk(1,2), with
-    the linking number measured from the centrelines. A is the zero-mean
-    inverse curl of W; no integrability is claimed. A ``core_radius`` below
-    the largest grid spacing raises ValueError: the samples could miss the
-    cores and leave a zero field that still claims the helicity.
+    the linking number measured from the centrelines. W is the solenoidal
+    part of the sampled tubes and A its zero-mean inverse curl; no
+    integrability is claimed. ``core_radius`` defaults to defaults.json's
+    ``rings.default_core_radius``; one below the largest grid spacing raises
+    ValueError: the samples could miss the cores and leave a zero field that
+    still claims the helicity.
     """
     if core_radius is None:
         core_radius = config.DEFAULTS["rings"]["default_core_radius"]
@@ -566,14 +567,19 @@ def gen_linked_rings(
         )
     w = _tube_vorticity(grid, ring1, fluxes[0], core_radius, power)
     w += _tube_vorticity(grid, ring2, fluxes[1], core_radius, power)
-    W = _snap_zero_mean(VectorField(grid, w), tol=0.05)
+    spec = grid.rfft(_snap_zero_mean(VectorField(grid, w), tol=0.05).data)
     del w
-    # exact solenoidal projection: the sampled profile is only divergence
-    # free to its smoothness, the projected field is so to roundoff. The
-    # Nyquist planes are dropped so curl(inverse_curl(W)) = W holds exactly.
-    W = project_solenoidal(grid, grid.non_nyquist_mask * grid.rfft(W.data))
-    W = _snap_zero_mean(W, tol=0.05)
-    A = inverse_curl(W)
+    # from the samples' spectra W0^ less the Nyquist planes, A^ = ik x W0^ / |k|^2 and
+    # W^ = ik x A^, W0^'s solenoidal part, are inverted together: curl A = W to roundoff
+    spec *= grid.non_nyquist_mask
+    pair = np.empty((6,) + spec.shape[1:], dtype=complex)
+    cross_parts(grid.ik, spec, out=pair[:3])
+    del spec
+    pair[:3] *= grid.inv_k2
+    cross_parts(grid.ik, pair[:3], out=pair[3:])
+    aw = grid.irfft(pair)
+    del pair
+    A, W = VectorField(grid, aw[:3]), VectorField(grid, aw[3:])
     lk_raw = linkref.gauss_linking(p1, p2)
     lk = int(np.rint(lk_raw))
     return _verified(grid, A, W, {
@@ -597,7 +603,7 @@ def hopf_rings(
     grid: Grid3,
     fluxes: tuple[float, float] = (1.0, 1.0),
     radius: float = 1.0,
-    core_radius: float = 0.3,
+    core_radius: float | None = None,
 ) -> FieldBundle:
     """Pair of singly linked rings centred in the box."""
     cx, cy, cz = (L / 2 for L in grid.box)
@@ -610,7 +616,7 @@ def unlinked_rings(
     grid: Grid3,
     fluxes: tuple[float, float] = (1.0, 1.0),
     radius: float = 1.0,
-    core_radius: float = 0.3,
+    core_radius: float | None = None,
 ) -> FieldBundle:
     """Coaxial parallel rings 2.2 apart, linking number zero."""
     cx, cy, cz = (L / 2 for L in grid.box)

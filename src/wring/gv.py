@@ -151,12 +151,11 @@ def eta_parts(bundle: FieldBundle, variant: str, *eps: float):
     DenominatorVanishesEverywhere.
     """
     A = bundle.A
-    a2 = magnitude2(A).data
-    a_scale = float(np.sqrt(a2.max()))
+    a_scale = A.maxnorm()
     if a_scale < _TOL["underflow"]:
         raise DegenerateField("potential magnitude below underflow threshold")
     if variant == "canonical":
-        G, q = cross(bundle.W, A), a2
+        G, q = cross(bundle.W, A), magnitude2(A).data
         mag, top = np.sqrt(q), a_scale
     else:
         U = bundle.U
@@ -177,10 +176,10 @@ def _uncovered(bundle: FieldBundle, mask: np.ndarray) -> float:
     exclude vorticity (a tube cut around the zero set of the potential is
     how the invariant is defined for singular potentials); the bound gates
     on this fraction."""
-    wmag = np.sqrt(magnitude2(bundle.W).data)
-    w_scale = float(wmag.max())
+    w_scale = bundle.W.maxnorm()
     if w_scale <= _TOL["underflow"]:
         return 0.0
+    wmag = np.sqrt(magnitude2(bundle.W).data)
     significant = wmag > _ETA["vorticity_floor_rel"] * w_scale
     n_sig = int(significant.sum())
     return float((significant & ~mask).sum()) / n_sig if n_sig else 0.0

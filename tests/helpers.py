@@ -3,7 +3,7 @@
 import numpy as np
 
 from wring import fieldcore
-from wring.fieldcore import VectorField, project_solenoidal, random_band_limited_scalar
+from wring.fieldcore import VectorField, curl, random_band_limited_scalar
 
 
 def split_every_stack(monkeypatch):
@@ -13,13 +13,11 @@ def split_every_stack(monkeypatch):
 
 
 def random_band_limited_vector(grid, kmax, seed, *, div_free=False):
-    """Deterministic band-limited vector field, optionally solenoidal with zero mean."""
+    """Deterministic band-limited vector field; with ``div_free``, the curl of
+    one, which is solenoidal with zero mean and band-limited alike."""
     comps = [random_band_limited_scalar(grid, kmax, seed + 7 * i).data for i in range(3)]
     v = VectorField(grid, np.stack(comps))
-    if not div_free:
-        return v
-    proj = project_solenoidal(grid, v.spec)
-    return VectorField(grid, proj.data - np.array(proj.component_means())[:, None, None, None])
+    return curl(v) if div_free else v
 
 
 def two_thirds(grid):

@@ -307,6 +307,19 @@ class TestTrackInvariants:
             assert abs(series.column("energy")[0] - energy) <= 1e-13 * energy
             assert abs(series.column("enstrophy")[0] - enstrophy) <= 1e-13 * enstrophy
 
+    def test_energy_leaves_out_the_pure_nyquist_modes(self):
+        # (-1)^(i+j) z-hat lives on a mode that first derivatives annihilate:
+        # it counts in the enstrophy but carries no velocity
+        g = cube(16)
+        x, y, z = g.mesh()
+        i = np.arange(16)
+        checker = (-1.0) ** (i[:, None, None] + i[None, :, None])
+        W = VectorField.from_components(g, np.sin(y), np.sin(z), np.sin(x) + checker)
+        U = inverse_curl(W)
+        energy, enstrophy = dyn._energy_enstrophy(fz.FieldBundle(g, U, W))
+        assert energy == pytest.approx(0.5 * integrate(magnitude2(U)), rel=1e-12, abs=0.0)
+        assert enstrophy == pytest.approx(integrate(magnitude2(W)), rel=1e-12, abs=0.0)
+
     def test_helicity_conserved_at_the_integrator_order(self):
         # the sheared beltrami bundle has helicity 3 (2 pi)^3, not 0: the
         # truncated equations conserve it exactly, so its drift measures the

@@ -34,9 +34,10 @@ VERIFY_UNCACHED_BUDGET = 7
 # counts Grid3.rfft/irfft only: the one-axis real transforms of the shear
 # shifts (Grid3.shift) are not among them
 APPLY_DIFFEO_BUDGET = 7
-# the generators, verify included: A and W are each transformed once
+# the generators, verify included: A and W are each transformed once; the
+# rings also transform their tube samples once and invert A and W together
 GEN_CLEBSCH_BUDGET = 11
-HOPF_RINGS_BUDGET = 17
+HOPF_RINGS_BUDGET = 16
 # Grid3.shift calls per shear primitive of apply_diffeo: one for A, one for W
 SHIFTS_PER_SHEAR = 2
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wring import config
 from wring import fieldzoo as fz
 from wring import linkref
 from wring.errors import (
@@ -147,6 +148,28 @@ class TestRings:
         res = b.verify()
         assert res["div_w"] < 1e-12
         assert res["curl_consistency"] < 1e-10
+
+    @pytest.mark.parametrize("family", ["rings", "unlinked-rings"])
+    def test_presets_read_the_default_core_radius(self, monkeypatch, family):
+        monkeypatch.setitem(config.DEFAULTS["rings"], "default_core_radius", 0.4)
+        assert fz.make_family(cube(32), family).meta["params"]["core_radius"] == 0.4
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["hopf", "ring1-ring2"])
+    def test_pair_has_no_nyquist_content(self, explicit):
+        # A^ and W^ are formed from the tube spectra less their Nyquist planes
+        g = cube(32)
+        if explicit:
+            c = tuple(L / 2 for L in g.box)
+            b = fz.gen_linked_rings(
+                g,
+                fz.Ring(c, 1.0, (0.0, 0.6, 0.8)),
+                fz.Ring((c[0] + 1.0, c[1], c[2]), 0.9, (0.0, 0.8, -0.6)),
+            )
+        else:
+            b = fz.hopf_rings(g)
+        for field in (b.A, b.W):
+            mags = np.abs(np.stack(field.spec))
+            assert mags[:, ~g.non_nyquist_mask].max() <= 1e-14 * mags.max()
 
     def test_unlinked_claim(self):
         b = fz.unlinked_rings(cube(48))

@@ -402,6 +402,17 @@ class TestAnalyzeBound:
         assert report.gv_richardson is not None
         assert numerators.count(True) == 1
 
+    def test_velocity_evaluation_never_squares_A(self, seeded_sheared32, monkeypatch):
+        # the scale of |A| is the field's cached maximum; only the canonical
+        # q is |A|^2
+        b = seeded_sheared32
+        b.A.maxnorm()
+        squared = []
+        magnitude2 = gv.magnitude2
+        monkeypatch.setattr(gv, "magnitude2", lambda v: squared.append(v) or magnitude2(v))
+        gv.eta_parts(b, "velocity", 0.05)
+        assert all(v is not b.A for v in squared)
+
     def test_no_bound_unless_asked(self, seeded_sheared32):
         report = gv.analyze(seeded_sheared32)
         assert report.bound is None and report.to_json_dict()["bound"] is None

@@ -17,7 +17,7 @@ from wring import fieldzoo as fz
 from wring.fieldcore import Grid3
 
 # hopf_rings on a fresh n=64 grid, its caches built inside the call:
-# 34.99 MiB measured at both lane counts
+# 34.93 MiB measured at both lane counts
 HOPF_RINGS_64_BUDGET = {"1": 35.6, "2": 35.6}
 
 

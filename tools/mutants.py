@@ -84,6 +84,13 @@ MUTANTS = [
      "np.flatnonzero(idx <= m // 3)", "np.flatnonzero(idx < m // 3)"),
     ("inv_k2 one on degenerate modes", "fieldcore.py",
      "out = np.zeros_like(k2)", "out = np.ones_like(k2)"),
+    # the ring pair's spectral construction
+    ("ring pair keeps the Nyquist planes", "fieldzoo.py",
+     "spec *= grid.non_nyquist_mask", "spec *= 1.0"),
+    ("ring potential without 1/|k|^2", "fieldzoo.py",
+     "pair[:3] *= grid.inv_k2", "pair[:3] *= 1.0"),
+    ("ring vorticity as A^ x ik", "fieldzoo.py",
+     "cross_parts(grid.ik, pair[:3], out=pair[3:])", "cross_parts(pair[:3], grid.ik, out=pair[3:])"),
     # the Gauss linking normalization
     ("Gauss 2 pi", "linkref.py",
      "np.sum(terms) / (4.0 * np.pi)", "np.sum(terms) / (2.0 * np.pi)"),
