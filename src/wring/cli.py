@@ -172,14 +172,13 @@ def _cmd_evolve(args) -> int:
         dt = math.copysign(args.time / steps, dt)
     if steps > _MAX_STEPS:
         raise ValueError(f"{steps:g} steps is past 2**53, where t + dt no longer advances a float64 t; {remedy}")
-    state = dynamics.EvolutionState(bundle, dt=dt)
-    state, series = dynamics.track_invariants(state, steps, record_every=args.record_every)
+    bundle, t, series = dynamics.track_invariants(bundle, dt, steps, record_every=args.record_every)
     if args.series:
         series.write_csv(args.series)
         print(f"wrote {args.series} ({len(series.rows)} samples)")
     if args.out:
-        state.bundle.save(args.out)
-        print(f"wrote {args.out} at t={state.t:.6g}")
+        bundle.save(args.out)
+        print(f"wrote {args.out} at t={t:.6g}")
     return 0
 
 

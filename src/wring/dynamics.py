@@ -15,6 +15,10 @@ never from W. (The gradient term has no curl, and curl(U x curl A) matches
 the vorticity tendency, so the drift stays at roundoff for a consistent
 pair.)
 
+The stepper is plain functions of the bundle: ``step(bundle, dt, t)``
+returns the stepped bundle and that drift, ``t`` labelling its errors only,
+and ``track_invariants(bundle, dt, steps)`` steps from t = 0 by ``t += dt``.
+
 The stages hold their spectra on the 2/3-rule box only: the modes with
 |index| <= n//3 on every axis, (2*(n_x//3) + 1) x (2*(n_y//3) + 1) x
 (n_z//3 + 1) of them, 43 x 43 x 22 at n = 64 instead of the 64 x 64 x 33
@@ -50,7 +54,6 @@ steady-flow obstruction bound lives in ``gv`` and is re-exported here.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,16 +90,6 @@ def bernoulli_head(bundle: FieldBundle) -> ScalarField:
 
 
 # -- time stepping -------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class EvolutionState:
-    """Evolving (bundle, t) with a fixed time step."""
-
-    bundle: FieldBundle
-    t: float = 0.0
-    dt: float = 0.01
-    curl_drift: float = 0.0
 
 
 def cfl_timestep(bundle: FieldBundle, cfl: float) -> float:
@@ -140,20 +133,19 @@ def _rhs(g, y):
     return np.concatenate((rhs_w, [qi - ik * q[3] for qi, ik in zip(q, g.box_ik)]))
 
 
-def step(state: EvolutionState) -> EvolutionState:
-    """One RK4 step of the joint (W, A) transport.
+def step(b: FieldBundle, dt: float, t: float) -> tuple[FieldBundle, float]:
+    """One RK4 step of the joint (W, A) transport: the stepped bundle and its drift.
 
     Preconditions: the advective CFL number |dt| max|U| / min(h) must stay
     below the configured limit. After the step the curl(A) - W residual is
     measured; DriftExceeded is raised if it passes ``dynamics.drift_limit``
-    (defaults.json). Both errors name the step's start time and dt.
+    (defaults.json). Both errors name dt and the step's start time ``t``.
     """
-    b = state.bundle
     g = b.grid
-    cfl = abs(state.dt) * b.U.maxnorm() / min(g.spacing)
+    cfl = abs(dt) * b.U.maxnorm() / min(g.spacing)
     if cfl >= _DYN["cfl_limit"]:
         raise CflViolation(
-            f"CFL number {cfl:.3g} in the step from t={state.t:g} with dt={state.dt:g} "
+            f"CFL number {cfl:.3g} in the step from t={t:g} with dt={dt:g} "
             f"exceeds {_DYN['cfl_limit']}"
         )
     # the full spectra of (W, A), from the fields' caches: a stepped bundle
@@ -161,7 +153,6 @@ def step(state: EvolutionState) -> EvolutionState:
     # them in place, so every mode outside the box passes through unchanged
     s = np.stack(b.W.spec + b.A.spec)
     y0 = g.cut_box(s)
-    dt = state.dt
     # k1 + 2 k2 + 2 k3 + k4 is summed in that order as the stages finish,
     # so one stage's right-hand side is held at a time
     k = total = _rhs(g, y0)
@@ -176,8 +167,8 @@ def step(state: EvolutionState) -> EvolutionState:
     drift = curl_drift(g, a1, w1)
     if drift > _DYN["drift_limit"]:
         raise DriftExceeded(
-            f"curl(A) - W drift {drift:g} in the step from t={state.t:g} with "
-            f"dt={state.dt:g} exceeds {_DYN['drift_limit']:g} (refine the step)"
+            f"curl(A) - W drift {drift:g} in the step from t={t:g} with "
+            f"dt={dt:g} exceeds {_DYN['drift_limit']:g} (refine the step)"
         )
     phys = g.irfft(s)
     # W1 and A1 keep views of s as their spectra, so the next step and the
@@ -185,10 +176,7 @@ def step(state: EvolutionState) -> EvolutionState:
     W1 = VectorField(g, phys[:3], spec=w1)
     A1 = VectorField(g, phys[3:], spec=a1)
     meta = {k: v for k, v in b.meta.items() if k != "residuals"}
-    new_bundle = FieldBundle(g, A1, W1, meta)
-    return dataclasses.replace(
-        state, bundle=new_bundle, t=state.t + state.dt, curl_drift=drift
-    )
+    return FieldBundle(g, A1, W1, meta), drift
 
 
 # -- invariant tracking ---------------------------------------------------------
@@ -237,40 +225,40 @@ def _energy_enstrophy(bundle: FieldBundle) -> tuple[float, float]:
     return 0.5 * g.parseval(u2), g.parseval(w2)
 
 
-def _sample(state: EvolutionState) -> tuple:
-    b = state.bundle
+def _sample(b: FieldBundle, t: float, drift: float) -> tuple:
     hel = gv.helicity(b)
     res = gv.integrability_residual(b)
     gv_val = gv.gv_invariant(b).value
     energy, enstrophy = _energy_enstrophy(b)
-    return (state.t, hel, gv_val, energy, enstrophy, res, state.curl_drift)
+    return (t, hel, gv_val, energy, enstrophy, res, drift)
 
 
 def track_invariants(
-    state: EvolutionState,
-    steps: int,
-    record_every: int = 1,
-) -> tuple[EvolutionState, InvariantSeries]:
-    """Advance ``steps`` steps, sampling conserved quantities as a series.
+    b: FieldBundle, dt: float, steps: int, record_every: int = 1
+) -> tuple[FieldBundle, float, InvariantSeries]:
+    """``steps`` steps of ``dt`` from t = 0, sampled as a series whose drift
+    is what ``step`` returned: the last bundle, its time and the series.
 
     A CflViolation or DriftExceeded from a step is raised again as the same
     type, its message prefixed with ``step i of N:``.
     """
-    rows = [_sample(state)]
+    t, drift = 0.0, 0.0
+    rows = [_sample(b, t, drift)]
     for i in range(steps):
         try:
-            state = step(state)
+            b, drift = step(b, dt, t)
         except (CflViolation, DriftExceeded) as exc:
             raise type(exc)(f"step {i + 1} of {steps}: {exc}") from exc
+        t += dt
         if (i + 1) % record_every == 0 or i == steps - 1:
-            rows.append(_sample(state))
-    return state, InvariantSeries(rows)
+            rows.append(_sample(b, t, drift))
+    return b, t, InvariantSeries(rows)
 
 
 # -- local conservation law ------------------------------------------------------
 
 
-def conservation_residual(state: EvolutionState) -> tuple[ScalarField, ScalarField]:
+def conservation_residual(b0: FieldBundle, dt: float) -> tuple[ScalarField, ScalarField]:
     """Residual of the transported-density law, and the flux coefficient k.
 
     With the velocity construction H = (W x U)/(U.A), the density
@@ -285,16 +273,14 @@ def conservation_residual(state: EvolutionState) -> tuple[ScalarField, ScalarFie
     denominator at all three time levels.
     """
     threshold = _DYN["conservation_mask_margin"] * config.DEFAULTS["eta"]["default_eps"]
-    g = state.bundle.grid
-    b0 = state.bundle
-    fwd = step(state).bundle
-    bwd = step(dataclasses.replace(state, dt=-state.dt)).bundle
+    g = b0.grid
+    fwd, _ = step(b0, dt, 0.0)
+    bwd, _ = step(b0, -dt, 0.0)
 
     # one evaluation per time level, each dropped (with its curl(G)) once read
     levels = (gv.GvResult(g, *gv.eta_parts(b, "velocity", threshold)) for b in (b0, fwd, bwd))
     (G0, q0, N0, m0), (_, qp, Np, mp), (_, qm, Nm, mm) = ((e.G, e.q, e.numerator, e.masks[0]) for e in levels)
     mask = m0 & mp & mm
-    dt = state.dt
     U, W = b0.U, b0.W
     M = magnitude2(G0).data + dot(G0, grad(bernoulli_head(b0))).data
     gradq = grad(ScalarField(g, q0))

@@ -168,7 +168,7 @@ class Grid3:
     @cached_property
     def _mode_volume(self) -> float:
         """cell volume / N: the volume one unit of Parseval power stands for."""
-        return self.cell_volume / np.prod(self.n)
+        return self.cell_volume / (self.n[0] * self.n[1] * self.n[2])
 
     def parseval(self, power: np.ndarray) -> float:
         """The volume integral of f g from ``power``, the real rfft-layout
@@ -358,8 +358,9 @@ class Grid3:
 
 
 class _Lanes:
-    """The FFT lanes: the calling thread plus a persistent pool of
-    ``config.fft_workers() - 1`` threads, made on first use.
+    """The FFT lanes: the calling thread plus a pool of
+    ``config.fft_workers() - 1`` threads, built once per process at its
+    first split and kept.
 
     They run the components of a stacked transform and the x-slabs of a
     ``pointwise`` kernel. numpy's transforms and elementwise loops release
@@ -373,20 +374,15 @@ class _Lanes:
     def __init__(self):
         self._lock = threading.Lock()
         self._pool = None
-        self._size = 0
         self._inside = threading.local()
 
     def _workers(self, size: int):
-        """The pool of ``size`` threads, built on first use; a pool of
-        another size is shut down."""
+        """The pool, built with ``size`` threads on first use and kept."""
         with self._lock:
-            if self._size != size:
+            if self._pool is None:
                 from concurrent.futures import ThreadPoolExecutor
 
-                if self._pool is not None:
-                    self._pool.shutdown(wait=False)
                 self._pool = ThreadPoolExecutor(size, thread_name_prefix="wring-fft-lane")
-                self._size = size
             return self._pool
 
     def run(self, count: int, fn, size: int) -> None:

@@ -127,7 +127,7 @@ class FieldBundle:
         try:
             A, W = fields["A"], fields["W"]
         except KeyError as exc:
-            raise PreconditionError(f"{path}: bundle file lacks field {exc}") from exc
+            raise FormatError(f"{path}: bundle file lacks field {exc}") from exc
         if not (isinstance(A, VectorField) and isinstance(W, VectorField)):
             raise FormatError(f"{path}: bundle fields 'A' and 'W' must be vectors")
         problem = _out_of_range(A, W)

@@ -280,8 +280,7 @@ def criterion_9(suite: _Suite) -> CriterionResult:
     dt = dynamics.cfl_timestep(bundle, 0.4)
     steps = int(np.ceil(0.5 / dt))
     dt = 0.5 / steps
-    state = dynamics.EvolutionState(bundle, dt=dt)
-    _, series = dynamics.track_invariants(state, steps)
+    _, _, series = dynamics.track_invariants(bundle, dt, steps)
     h = series.column("helicity")
     e = series.column("energy")
     g_ = series.column("gv")
@@ -298,7 +297,7 @@ def criterion_10(suite: _Suite) -> CriterionResult:
     res = CriterionResult(10, "local conservation law, second-order residual")
     base = fieldzoo.apply_diffeo(suite.clebsch(32), _shear(SHEAR_MAIN))
     dts = (0.02, 0.01, 0.005)
-    fields = [dynamics.conservation_residual(dynamics.EvolutionState(base, dt=dt)) for dt in dts]
+    fields = [dynamics.conservation_residual(base, dt) for dt in dts]
     maxima = [R.maxabs() for R, _ in fields]
     k = fields[0][1]  # the flux coefficient at dt = 0.02
     order = float(np.log2(maxima[0] / maxima[2]) / 2.0)

@@ -289,6 +289,18 @@ class TestHostileWrg1:
         self._exit_3(tmp_path, capsys, command, message, **header)
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_file_without_a_or_w(self, tmp_path, capsys, command):
+        # analyze's density output holds neither A nor W; a bundle needs both
+        field, dens = tmp_path / "f.wrg", tmp_path / "d.wrg"
+        assert run(["generate", "--family", "clebsch", "--n", "16", "--out", str(field)]) == 0
+        assert run(["analyze", str(field), "--density-out", str(dens)]) == 0
+        capsys.readouterr()
+        assert run(self.COMMANDS[command](str(dens), str(tmp_path / "o.wrg"))) == 3
+        assert "bundle file lacks field 'A'" in capsys.readouterr().err
+        only_a = '[{"name": "A", "kind": "vector"}]'
+        self._exit_3(tmp_path, capsys, command, "lacks field 'W'", fields=only_a, data=np.zeros(3 * 16**3).tobytes())
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
     @pytest.mark.parametrize("field, scale", [("A", 1e160), ("W", 1e160), ("W", 1e-160)])
     def test_field_values_out_of_range(self, tmp_path, capsys, command, field, scale):
         # a valid bundle scaled out of [1e-100, 1e100] is refused on load,

@@ -1,6 +1,5 @@
 """Evolution, bounds and the local conservation law."""
 
-import dataclasses
 import threading
 
 import numpy as np
@@ -188,26 +187,24 @@ class TestObstructionBound:
 
 class TestStep:
     def test_cfl_violation(self, sheared32):
-        state = dyn.EvolutionState(sheared32, dt=10.0)
         with pytest.raises(CflViolation):
-            dyn.step(state)
+            dyn.step(sheared32, 10.0, 0.0)
 
     def test_beltrami_flow_is_fixed_point(self):
         b = fz.gen_beltrami_abc(cube(32))
-        state = dyn.EvolutionState(b, dt=0.02)
-        out = dyn.step(state)
-        assert np.max(np.abs(out.bundle.W.data - b.W.data)) < 1e-10
-        assert np.max(np.abs(out.bundle.U.data - b.U.data)) < 1e-10
+        out, _ = dyn.step(b, 0.02, 0.0)
+        assert np.max(np.abs(out.W.data - b.W.data)) < 1e-10
+        assert np.max(np.abs(out.U.data - b.U.data)) < 1e-10
         # the potential may pick up a gradient piece; curl consistency is
         # what must survive
-        assert out.bundle.verify()["curl_consistency"] < 1e-10
+        assert out.verify()["curl_consistency"] < 1e-10
 
     def test_time_reversal_fourth_order(self, sheared32):
         def round_trip(dt):
-            s1 = dyn.step(dyn.EvolutionState(sheared32, dt=dt))
-            s2 = dyn.step(dataclasses.replace(s1, dt=-dt))
+            b1, _ = dyn.step(sheared32, dt, 0.0)
+            b2, _ = dyn.step(b1, -dt, dt)
             num = integrate(
-                magnitude2(VectorField(sheared32.grid, s2.bundle.W.data - sheared32.W.data))
+                magnitude2(VectorField(sheared32.grid, b2.W.data - sheared32.W.data))
             )
             return float(np.sqrt(num))
 
@@ -218,7 +215,7 @@ class TestStep:
 
     def test_modes_outside_dealias_mask_pass_through(self, rough32):
         g = rough32.grid
-        out = dyn.step(dyn.EvolutionState(rough32, dt=0.01)).bundle
+        out, _ = dyn.step(rough32, 0.01, 0.0)
         outside = ~two_thirds(g)
         before = np.stack([g.rfft(c)[outside] for c in rough32.W.data])
         after = np.stack([g.rfft(c)[outside] for c in out.W.data])
@@ -231,9 +228,8 @@ class TestStep:
         rng = np.random.default_rng(3)
         bad_a = sheared32.A.data + 1e-3 * rng.standard_normal((3,) + g.shape)
         bad = fz.FieldBundle(g, VectorField(g, bad_a), sheared32.W, dict(sheared32.meta))
-        state = dyn.EvolutionState(bad, dt=0.02)
         with pytest.raises(DriftExceeded):
-            dyn.step(state)
+            dyn.step(bad, 0.02, 0.0)
 
     def test_tracked_errors_name_the_step(self, sheared32, monkeypatch):
         monkeypatch.setitem(config.DEFAULTS["dynamics"], "drift_limit", 1e-6)
@@ -241,12 +237,11 @@ class TestStep:
         rng = np.random.default_rng(3)
         bad_a = sheared32.A.data + 1e-3 * rng.standard_normal((3,) + g.shape)
         bad = fz.FieldBundle(g, VectorField(g, bad_a), sheared32.W, dict(sheared32.meta))
-        state = dyn.EvolutionState(bad, dt=0.02)
         with pytest.raises(DriftExceeded, match=r"^step 1 of 3: curl\(A\) - W drift") as exc:
-            dyn.track_invariants(state, 3)
+            dyn.track_invariants(bad, 0.02, 3)
         assert isinstance(exc.value.__cause__, DriftExceeded)
         with pytest.raises(CflViolation, match=r"^step 1 of 2: CFL number") as exc:
-            dyn.track_invariants(dyn.EvolutionState(sheared32, dt=10.0), 2)
+            dyn.track_invariants(sheared32, 10.0, 2)
         assert isinstance(exc.value.__cause__, CflViolation)
 
 
@@ -254,7 +249,7 @@ class TestStep:
     def test_stepped_bundle_carries_its_spectra(self, request, name):
         # W1 and A1 hold read-only views of the step's own spectra, which
         # their samples are the inverse of
-        b = dyn.step(dyn.EvolutionState(request.getfixturevalue(name), dt=0.01)).bundle
+        b, _ = dyn.step(request.getfixturevalue(name), 0.01, 0.0)
         g = b.grid
         for f in (b.W, b.A):
             for s, c in zip(f.spec, f.data):
@@ -289,8 +284,7 @@ class TestCoState:
 class TestTrackInvariants:
     def test_steady_series_constant(self):
         b = fz.gen_clebsch(cube(32))
-        state = dyn.EvolutionState(b, dt=0.02)
-        _, series = dyn.track_invariants(state, steps=3)
+        _, _, series = dyn.track_invariants(b, 0.02, steps=3)
         for name in ("helicity", "gv", "energy", "enstrophy"):
             col = series.column(name)
             assert np.max(np.abs(col - col[0])) < 1e-9 * (1.0 + abs(col[0]))
@@ -300,8 +294,8 @@ class TestTrackInvariants:
         # energy and enstrophy are Parseval sums on W's spectra, for the
         # loaded-like bundle and for a stepped one that carries its spectra
         b0 = request.getfixturevalue(name)
-        for b in (b0, dyn.step(dyn.EvolutionState(b0, dt=0.01)).bundle):
-            _, series = dyn.track_invariants(dyn.EvolutionState(b), 0)
+        for b in (b0, dyn.step(b0, 0.01, 0.0)[0]):
+            _, _, series = dyn.track_invariants(b, 0.01, 0)
             energy = 0.5 * integrate(magnitude2(b.U))
             enstrophy = integrate(magnitude2(b.W))
             assert abs(series.column("energy")[0] - energy) <= 1e-13 * energy
@@ -328,16 +322,33 @@ class TestTrackInvariants:
         b = fz.apply_diffeo(fz.gen_beltrami_abc(cube(32)), shear)
         drifts = []
         for steps in (16, 32):
-            _, series = dyn.track_invariants(dyn.EvolutionState(b, dt=0.4 / steps), steps)
+            _, _, series = dyn.track_invariants(b, 0.4 / steps, steps)
             h = series.column("helicity")
             assert h[0] == pytest.approx(3.0 * TWO_PI**3, rel=1e-12, abs=0.0)
             drifts.append(float(np.max(np.abs(h - h[0]))) / h[0])
         assert max(drifts) <= 1e-10
         assert drifts[0] >= 8.0 * drifts[1]
 
+    def test_rows_carry_the_time_and_drift_of_their_step(self, sheared32):
+        # t advances by t += dt, so the rows hold that float sequence bit for
+        # bit, and a row's drift is the one step returned for its step; every
+        # entry is a Python float, never a numpy scalar
+        dt = 0.02
+        b, t, series = dyn.track_invariants(sheared32, dt, 3, record_every=2)
+        stepped, drifts = sheared32, []
+        for i in range(3):
+            stepped, drift = dyn.step(stepped, dt, i * dt)
+            drifts.append(drift)
+        assert min(drifts) > 0.0
+        assert series.column("t").tolist() == [0.0, dt + dt, dt + dt + dt]
+        assert t == series.rows[-1][0]
+        assert series.column("curl_drift").tolist() == [0.0, drifts[1], drifts[2]]
+        assert b.W.data.tobytes() == stepped.W.data.tobytes()
+        for row in series.rows:
+            assert [type(v) for v in row] == [float] * len(row), row
+
     def test_csv_format(self, tmp_path, sheared32):
-        state = dyn.EvolutionState(sheared32, dt=0.02)
-        _, series = dyn.track_invariants(state, steps=2)
+        _, _, series = dyn.track_invariants(sheared32, 0.02, steps=2)
         path = tmp_path / "series.csv"
         series.write_csv(path)
         lines = path.read_text().splitlines()
@@ -351,30 +362,26 @@ class TestTrackInvariants:
 class TestConservationLaw:
     def test_steady_residual_vanishes(self):
         b = fz.gen_clebsch(cube(32))
-        state = dyn.EvolutionState(b, dt=0.01)
-        R, k = dyn.conservation_residual(state)
+        R, k = dyn.conservation_residual(b, 0.01)
         assert R.maxabs() < 1e-9
 
     def test_second_order_in_dt(self, sheared32):
         maxima = []
         for dt in (0.02, 0.01, 0.005):
-            state = dyn.EvolutionState(sheared32, dt=dt)
-            R, _ = dyn.conservation_residual(state)
+            R, _ = dyn.conservation_residual(sheared32, dt)
             maxima.append(R.maxabs())
         order = np.log2(maxima[0] / maxima[2]) / 2.0
         assert 1.8 <= order <= 2.2
 
     def test_divergence_theorem(self, sheared32):
-        state = dyn.EvolutionState(sheared32, dt=0.01)
-        _, k = dyn.conservation_residual(state)
+        _, k = dyn.conservation_residual(sheared32, 0.01)
         kw = VectorField(sheared32.grid, k.data * sheared32.W.data)
         total = integrate(div(kw))
         scale = 1.0 + float(np.abs(div(kw).data).sum()) * sheared32.grid.cell_volume
         assert abs(total) / scale < 1e-12
 
     def test_k_field_masked_and_finite(self, sheared32):
-        state = dyn.EvolutionState(sheared32, dt=0.01)
-        R, k = dyn.conservation_residual(state)
+        R, k = dyn.conservation_residual(sheared32, 0.01)
         assert np.all(np.isfinite(R.data)) and np.all(np.isfinite(k.data))
 
 
@@ -402,7 +409,7 @@ class TestNonCubicCfl:
         limit = config.DEFAULTS["dynamics"]["cfl_limit"]
         dt = limit * 0.5 * (self.H_MIN + TWO_PI / 16.0) / box.U.maxnorm()
         with pytest.raises(CflViolation, match="CFL number"):
-            dyn.step(dyn.EvolutionState(box, dt=dt))
+            dyn.step(box, dt, 0.0)
 
 
 class TestLanes:
@@ -415,11 +422,11 @@ class TestLanes:
 
     @staticmethod
     def outputs(bundle):
-        st = dyn.step(dyn.EvolutionState(bundle, dt=0.01))
-        _, series = dyn.track_invariants(dyn.EvolutionState(bundle, dt=0.01), 2)
+        st, drift = dyn.step(bundle, 0.01, 0.0)
+        _, _, series = dyn.track_invariants(bundle, 0.01, 2)
         arrays = (
-            st.bundle.W.data, st.bundle.A.data, st.bundle.U.data, *st.bundle.W.spec,
-            np.array([st.curl_drift]), rate(bundle).data,
+            st.W.data, st.A.data, st.U.data, *st.W.spec,
+            np.array([drift]), rate(bundle).data,
             dyn.bernoulli_head(bundle).data, np.array(series.rows),
         )
         return [a.tobytes() for a in arrays]
@@ -437,8 +444,7 @@ class TestLanes:
         monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], "2")
         if config.fft_workers() < 2:
             pytest.skip("one CPU: no worker lane")
-        state = dyn.EvolutionState(sheared32, dt=0.01)
-        expected = dyn.step(state).bundle.W.data.tobytes()
+        expected = dyn.step(sheared32, 0.01, 0.0)[0].W.data.tobytes()
         original = Grid3._irfft
         claimed = threading.Event()
 
@@ -453,15 +459,15 @@ class TestLanes:
 
         monkeypatch.setattr(Grid3, "_irfft", failing)
         with pytest.raises(RuntimeError, match="lane failure"):
-            dyn.step(state)
+            dyn.step(sheared32, 0.01, 0.0)
         monkeypatch.setattr(Grid3, "_irfft", original)
-        assert dyn.step(state).bundle.W.data.tobytes() == expected
+        assert dyn.step(sheared32, 0.01, 0.0)[0].W.data.tobytes() == expected
 
     def test_threads_bounded_by_lanes(self, monkeypatch, sheared32):
         monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], "2")
         lanes = config.fft_workers()
         before = threading.active_count()
-        state = dyn.EvolutionState(sheared32, dt=0.01)
-        for _ in range(5):
-            state = dyn.step(state)
+        b = sheared32
+        for i in range(5):
+            b, _ = dyn.step(b, 0.01, i * 0.01)
         assert threading.active_count() - before <= lanes - 1

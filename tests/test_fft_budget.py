@@ -121,8 +121,7 @@ LANES = ("1", "2")
 def test_rk4_step_budget(transforms, sheared32_file, monkeypatch):
     for lanes in LANES:
         monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], lanes)
-        state = dyn.EvolutionState(loaded(sheared32_file), dt=0.02)
-        assert len(transforms(dyn.step, state)) <= STEP_BUDGET
+        assert len(transforms(dyn.step, loaded(sheared32_file), 0.02, 0.0)) <= STEP_BUDGET
 
 
 def test_rk4_step_transforms_split(transforms, sheared32_file, monkeypatch):
@@ -133,13 +132,13 @@ def test_rk4_step_transforms_split(transforms, sheared32_file, monkeypatch):
     for lanes in LANES:
         monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], lanes)
         b = loaded(sheared32_file)
-        shapes = transforms(dyn.step, dyn.EvolutionState(b, dt=0.02))
+        shapes = transforms(dyn.step, b, 0.02, 0.0)
         assert Counter(shapes) == {b.grid.box_shape: 76, (32, 32, 17): 9}
 
 
 def test_second_step_makes_no_forward_full_transform(monkeypatch, sheared32_file):
     # a step starts from the spectra the previous one handed over
-    state = dyn.step(dyn.EvolutionState(loaded(sheared32_file), dt=0.02))
+    b, _ = dyn.step(loaded(sheared32_file), 0.02, 0.0)
     full = []
     original = Grid3.rfft
 
@@ -149,7 +148,7 @@ def test_second_step_makes_no_forward_full_transform(monkeypatch, sheared32_file
         return original(self, data, box)
 
     monkeypatch.setattr(Grid3, "rfft", counted)
-    dyn.step(state)
+    dyn.step(b, 0.02, 0.02)
     assert full == []
 
 
@@ -202,14 +201,13 @@ def test_obstruction_bound_budget(transforms, sheared32):
 def test_track_invariants_one_step_budget(transforms, sheared32_file, monkeypatch):
     for lanes in LANES:
         monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], lanes)
-        state = dyn.EvolutionState(loaded(sheared32_file), dt=0.02)
-        assert len(transforms(dyn.track_invariants, state, 1)) <= TRACK_ONE_STEP_BUDGET
+        assert len(transforms(dyn.track_invariants, loaded(sheared32_file), 0.02, 1)) <= TRACK_ONE_STEP_BUDGET
 
 
 def test_track_invariants_never_forms_the_final_velocity(sheared32_file):
     # the samples need no velocity: energy is a Parseval sum on W's spectra
-    state, _ = dyn.track_invariants(dyn.EvolutionState(loaded(sheared32_file), dt=0.02), 1)
-    assert "U" not in vars(state.bundle)
+    b, _, _ = dyn.track_invariants(loaded(sheared32_file), 0.02, 1)
+    assert "U" not in vars(b)
 
 
 def test_helicity_budget(transforms, sheared32, uncached32):

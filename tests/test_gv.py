@@ -336,6 +336,15 @@ class TestAnalyze:
         json.dumps(doc)  # must be serializable as-is
         assert doc["schema"] == "wring-report/1"
 
+    def test_every_float_field_is_a_python_float(self, seeded_sheared32):
+        # numpy scalars would print as np.float64(...) in a report's repr
+        report = gv.analyze(seeded_sheared32, richardson=True)
+        for f in dataclasses.fields(report):
+            if "float" in str(f.type):
+                value = getattr(report, f.name)
+                values = value if isinstance(value, tuple) else (value,)
+                assert all(type(v) is float for v in values), f.name
+
     def test_beltrami_refused(self):
         report = gv.analyze(fz.gen_beltrami_abc(cube(32)))
         assert not report.integrable

@@ -79,6 +79,9 @@ MUTANTS = [
      "g.add_box(s, dt / 6.0 * total)", "g.add_box(s, dt / 5.0 * total)"),
     ("RK4 third stage at dt", "dynamics.py",
      "for c in (dt / 2, dt / 2):", "for c in (dt / 2, dt):"),
+    # the series' drift column
+    ("series drift dropped", "dynamics.py",
+     "b, drift = step(b, dt, t)", "b, _ = step(b, dt, t)"),
     # the spectral layer
     ("2/3 box without its edge", "fieldcore.py",
      "np.flatnonzero(idx <= m // 3)", "np.flatnonzero(idx < m // 3)"),
