@@ -35,14 +35,18 @@ spectra. A stepped bundle's U is formed, with the gate, only when a caller
 asks for it (the next step's CFL check). The sampled energy and enstrophy
 are ``Grid3.parseval`` sums on W's spectra, so the series forms no velocity.
 
-One spectral kernel, ``_wxu_spec``, forms the dealiased product W x U, with
-U taken from the truncated W. It serves the stepper's right-hand side
-(``_rhs``) and the Bernoulli head (periodic pressure solve in spectral
-space); the latter starts, as a step does, from W's cached spectra cut to
-the box. It reads the box
-multipliers ``Grid3.box_ik`` and ``box_inv_k2``, and holds spectra as
-stacks, (W^, A^) as one (6, ...) array, so each group of transforms is one
-stacked call that the FFT lanes share.
+One spectral kernel, ``_products``, forms the dealiased products from one
+stack of box spectra: W x U, with U taken from the truncated W, and for
+the co-state U x curl(A) and U.A. A stage stacks (W^, A^, U^, curl A^),
+inverts the twelve components in one call, overwrites the physical stack
+with the seven products x-slab by x-slab on the FFT lanes
+(``fieldcore.pointwise``), and transforms them in one call: one inverse
+and one forward per stage. ``step`` writes each stage input into the
+stack's first six slots. The Bernoulli head (periodic pressure solve in
+spectral space) runs the same kernel on (W^, U^): six components in, the
+three of W x U out. It starts, as a step does, from W's cached spectra
+cut to the box. The kernel reads the box multipliers ``Grid3.box_ik`` and
+``box_inv_k2``.
 
 On top of the stepper, the local conservation law for the invariant
 density c = H . curl(H): (d/dt + U.grad) c = div(k W) with
@@ -68,6 +72,7 @@ from .fieldcore import (
     dot,
     grad,
     magnitude2,
+    pointwise,
 )
 from .fieldzoo import FieldBundle
 
@@ -84,7 +89,10 @@ def bernoulli_head(bundle: FieldBundle) -> ScalarField:
     dealiased product. U is the velocity of W.
     """
     g = bundle.grid
-    ps, _ = _wxu_spec(g, np.stack([g.cut_box(s) for s in bundle.W.spec]))
+    stack = np.empty((6,) + g.box_shape, dtype=complex)
+    for s, w in zip(bundle.W.spec, stack):
+        g.cut_box(s, out=w)
+    ps = _products(g, stack)
     ikx, iky, ikz = g.box_ik
     return ScalarField(g, g.irfft((ikx * ps[0] + iky * ps[1] + ikz * ps[2]) * g.box_inv_k2))
 
@@ -100,37 +108,51 @@ def cfl_timestep(bundle: FieldBundle, cfl: float) -> float:
     return cfl * min(bundle.grid.spacing) / umax
 
 
-def _wxu_spec(g, w):
-    """Box spectra of the truncated W x U, with U the velocity of W: the kernel.
+def _products(g, stack):
+    """The kernel: box spectra of the truncated products of a box stack.
 
-    ``w`` is the stack of W's three box spectra; W and U are one
-    six-component inverse. Returns (spectra, U), with U a new physical
-    stack that holds no reference to W's samples, for the co-state.
+    ``stack`` holds six box spectra, (W^, U^), or twelve, (W^, A^, U^,
+    curl A^). The caller writes W^ and A^; U^ = (ik x W^)/|k|^2 and
+    curl A^ = ik x A^ are written here. One inverse of the stack gives the
+    physical fields, which ``pointwise`` overwrites x-slab by x-slab with
+    the products, each slab copying only its W and U first: W x U, and with
+    A, U x curl(A) and U.A. One forward transform of the three or seven
+    products returns their spectra.
     """
-    wu = g.irfft(np.concatenate((w, [c * g.box_inv_k2 for c in cross_parts(g.box_ik, w)])))
-    ps = g.rfft(cross_parts(wu[:3], wu[3:], out=np.empty_like(wu[:3])), box=True)
-    return ps, wu[3:].copy()
+    u = len(stack) // 2
+    cross_parts(g.box_ik, stack[:3], out=stack[u:u + 3])
+    stack[u:u + 3] *= g.box_inv_k2
+    costate = u == 6
+    if costate:
+        cross_parts(g.box_ik, stack[3:6], out=stack[9:])
+
+    def kernel(p):
+        w, U = p[:3].copy(), p[u:u + 3].copy()
+        if costate:
+            A = p[3:6]
+            # U.A into U's first slot, then U x curl(A) over A
+            ua = np.multiply(U[0], A[0], out=p[6])
+            ua += U[1] * A[1]
+            ua += U[2] * A[2]
+            cross_parts(U, p[9:], out=p[3:6])
+        cross_parts(w, U, out=p[:3])
+
+    phys = g.irfft(stack)
+    pointwise(kernel, phys)
+    return g.rfft(phys[:7 if costate else 3], box=True)
 
 
-def _rhs(g, y):
-    """Box spectra of the right-hand side (dW/dt, dA/dt) at the stack y = (W^, A^)."""
-    ps, U = _wxu_spec(g, y[:3])
-    # A and curl(A) as one six-component inverse
-    ac = g.irfft(np.concatenate((y[3:], cross_parts(g.box_ik, y[3:]))))
-    A, curlA = ac[:3], ac[3:]
-    # co-state: dA/dt = -L_U A = U x curl(A) - grad(U.A), from the
-    # products (U x curl(A), U.A) transformed as one stack
-    prods = np.empty((4,) + g.shape)
-    cross_parts(U, curlA, out=prods[:3])
-    ua = np.multiply(U[0], A[0], out=prods[3])
-    ua += U[1] * A[1]
-    ua += U[2] * A[2]
-    # the samples are dropped before the transform's buffers are made
-    del ac, A, curlA, U, ua
-    q = g.rfft(prods, box=True)
+def _rhs(g, stack):
+    """Box spectra of the right-hand side (dW/dt, dA/dt) at the stage
+    input (W^, A^) in the first six slots of the twelve-slot ``stack``."""
+    q = _products(g, stack)
+    rhs = np.empty((6,) + g.box_shape, dtype=complex)
     # vorticity: dW/dt = -curl(W x U)
-    rhs_w = [-c for c in cross_parts(g.box_ik, ps)]
-    return np.concatenate((rhs_w, [qi - ik * q[3] for qi, ik in zip(q, g.box_ik)]))
+    np.negative(cross_parts(g.box_ik, q[:3], out=rhs[:3]), out=rhs[:3])
+    # co-state: dA/dt = -L_U A = U x curl(A) - grad(U.A)
+    for r, qi, ik in zip(rhs[3:], q[3:6], g.box_ik):
+        np.subtract(qi, np.multiply(ik, q[6], out=r), out=r)
+    return rhs
 
 
 def step(b: FieldBundle, dt: float, t: float) -> tuple[FieldBundle, float]:
@@ -153,13 +175,20 @@ def step(b: FieldBundle, dt: float, t: float) -> tuple[FieldBundle, float]:
     # them in place, so every mode outside the box passes through unchanged
     s = np.stack(b.W.spec + b.A.spec)
     y0 = g.cut_box(s)
-    # k1 + 2 k2 + 2 k3 + k4 is summed in that order as the stages finish,
-    # so one stage's right-hand side is held at a time
-    k = total = _rhs(g, y0)
-    for c in (dt / 2, dt / 2):
-        k = _rhs(g, y0 + c * k)
-        total = total + 2 * k
-    total += _rhs(g, y0 + dt * k)
+    stack = np.empty((12,) + g.box_shape, dtype=complex)
+    y = stack[:6]
+    y[...] = y0
+    # k1 + 2 k2 + 2 k3 + k4 is summed in that order as the stages finish.
+    # Each stage input y0 + c k is written into the stack's first six slots
+    # y as c k + y0 (the same bits), and k is dropped before the stage runs,
+    # so only the sum is held beside it
+    k = total = _rhs(g, stack)
+    for i, c in enumerate((dt / 2, dt / 2, dt)):
+        np.multiply(c, k, out=y)
+        y += y0
+        del k
+        k = _rhs(g, stack)
+        total += 2 * k if i < 2 else k
     g.add_box(s, dt / 6.0 * total)
     w1, a1 = s[:3], s[3:]
     # curl(A1) comes from the transported A, never from W, so the drift

@@ -16,8 +16,8 @@ Conventions fixed here and relied on elsewhere:
 
 The FFT lanes (``_Lanes``) are this module's only parallelism. They run
 the components of a stacked transform and the x-slabs of a ``pointwise``
-kernel: the products, squared magnitudes and finite checks here, and the
-engine's masked quotients. Both split only above
+kernel: the products, squared magnitudes and finite checks here, the
+engine's masked quotients and the stepper's stage products. Both split only above
 ``fft_serial_max_points`` points a component, and neither changes a bit
 of any result.
 """
@@ -306,37 +306,40 @@ class Grid3:
         """1/(nx*ny*nz), rounded once from long double."""
         return float(np.longdouble(1) / np.prod(self.n, dtype=np.longdouble))
 
-    def irfft(self, spec: np.ndarray) -> np.ndarray:
+    def irfft(self, spec: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
         """Inverse of ``rfft``; a spectrum of ``box_shape`` is a box spectrum.
 
         The x transform runs first, then the y transform and the real
         transform along every z line, unscaled, with one 1/N scale at the
-        end. A box is scattered into a zeroed rfft-layout buffer, and the x
-        transform then runs on its kept ky columns of the kz band only and
-        the y transform on the band, so the result equals the inverse of
-        the zero-filled spectrum bit for bit. A stack of spectra, shape
-        (k, ...), gives the stack of their inverses, split over the FFT
-        lanes as in ``rfft``.
+        end. A box is scattered into a zeroed (nx, ny, nz//3 + 1) buffer of
+        its kz band only; the x transform runs on the band's kept ky
+        columns and the y transform on the whole band, and the z transform
+        of length nz pads the missing planes with zeros, so the result
+        equals the inverse of the zero-filled spectrum bit for bit. A stack
+        of spectra, shape (k, ...), gives the stack of their inverses,
+        split over the FFT lanes as in ``rfft``.
+
+        A full spectrum is never written unless ``overwrite`` is true: then
+        its x and y transforms run in place in ``spec``, which the caller
+        hands over as a temporary and must not read again. A box spectrum
+        is never written.
         """
         if spec.ndim == 3:
-            return self._irfft(spec)
-        return _LANES.stack(self._irfft, spec, self.n, float, self._split)
+            return self._irfft(spec, overwrite=overwrite)
+        return _LANES.stack(lambda s, out: self._irfft(s, out, overwrite), spec, self.n, float, self._split)
 
-    def _irfft(self, spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def _irfft(self, spec: np.ndarray, out: np.ndarray | None = None, overwrite: bool = False) -> np.ndarray:
         if spec.shape == self.box_shape:
-            _, yruns, band = self._box_runs
-            full = np.zeros(self._half_shape, dtype=complex)
+            buf = np.zeros(self.n[:2] + self.box_shape[2:], dtype=complex)
             for f, b in self._box_blocks:
-                full[f] = spec[b]
-            for cols, _ in yruns:
-                view = full[:, cols, band]
+                buf[f] = spec[b]
+            for cols, _ in self._box_runs[1]:
+                view = buf[:, cols]
                 np.fft.ifft(view, axis=0, norm="forward", out=view)
         else:
-            band = slice(None)
-            full = np.fft.ifft(spec, axis=0, norm="forward")
-        view = full[:, :, band]
-        np.fft.ifft(view, axis=1, norm="forward", out=view)
-        r = np.fft.irfft(full, n=self.n[2], axis=2, norm="forward", out=out)
+            buf = np.fft.ifft(spec, axis=0, norm="forward", out=spec if overwrite else None)
+        np.fft.ifft(buf, axis=1, norm="forward", out=buf)
+        r = np.fft.irfft(buf, n=self.n[2], axis=2, norm="forward", out=out)
         return np.multiply(r, self._inv_points, out=r)
 
     def shift(self, data: np.ndarray, axis: int, delta: np.ndarray) -> np.ndarray:
@@ -648,7 +651,7 @@ def grad(s: ScalarField) -> VectorField:
     parts = np.empty((3,) + spec.shape, dtype=complex)
     for ik, p in zip(g.ik, parts):
         np.multiply(ik, spec, out=p)
-    return VectorField(g, g.irfft(parts))
+    return VectorField(g, g.irfft(parts, overwrite=True))
 
 
 def div(v: VectorField) -> ScalarField:
@@ -658,20 +661,20 @@ def div(v: VectorField) -> ScalarField:
     acc = ikx * sx
     acc += iky * sy
     acc += ikz * sz
-    return ScalarField(g, g.irfft(acc))
+    return ScalarField(g, g.irfft(acc, overwrite=True))
 
 
 def curl(v: VectorField) -> VectorField:
     """Spectral curl; div(curl v) vanishes to roundoff.
 
     One stacked forward transform of the components, ik x their spectra in
-    one preallocated stack, and one stacked inverse.
+    one preallocated stack, and one stacked inverse in place in it.
     """
     g = v.grid
     s = g.rfft(v.data)
     c = cross_parts(g.ik, s, out=np.empty_like(s))
     del s
-    return VectorField(g, g.irfft(c))
+    return VectorField(g, g.irfft(c, overwrite=True))
 
 
 def require_potential(w: VectorField) -> None:
@@ -699,7 +702,7 @@ def inverse_curl(w: VectorField) -> VectorField:
     g = w.grid
     c = cross_parts(g.ik, w.spec, out=np.empty((3,) + w.spec[0].shape, dtype=complex))
     c *= g.inv_k2
-    return VectorField(g, g.irfft(c))
+    return VectorField(g, g.irfft(c, overwrite=True))
 
 
 def integrate(s: ScalarField) -> float:
@@ -753,7 +756,7 @@ def random_band_limited_scalar(grid: Grid3, kmax: int, seed: int) -> ScalarField
     spec = grid.rfft(data)
     spec = np.where(grid.mode_mask(lambda idx, m: idx <= kmax), spec, 0.0)
     spec[0, 0, 0] = 0.0
-    out = grid.irfft(spec)
+    out = grid.irfft(spec, overwrite=True)
     peak = np.max(np.abs(out))
     if peak > 0:
         out = out / peak

@@ -577,7 +577,7 @@ def gen_linked_rings(
     del spec
     pair[:3] *= grid.inv_k2
     cross_parts(grid.ik, pair[:3], out=pair[3:])
-    aw = grid.irfft(pair)
+    aw = grid.irfft(pair, overwrite=True)
     del pair
     A, W = VectorField(grid, aw[:3]), VectorField(grid, aw[3:])
     lk_raw = linkref.gauss_linking(p1, p2)

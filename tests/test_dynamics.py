@@ -266,7 +266,10 @@ class TestCoState:
         W = random_band_limited_vector(g, 5, 11, div_free=True)
         A = random_band_limited_vector(g, 5, 23)
         U = inverse_curl(W)
-        rhs_a = dyn._rhs(g, g.rfft(np.concatenate((W.data, A.data)), box=True))[3:]
+        # the stage input (W^, A^) fills the first six of the stage's twelve slots
+        stack = np.empty((12,) + g.box_shape, dtype=complex)
+        stack[:6] = g.rfft(np.concatenate((W.data, A.data)), box=True)
+        rhs_a = dyn._rhs(g, stack)[3:]
         got = g.irfft(rhs_a)
         # dA[i][j] = d_j A_i, dU[i][j] = d_j U_i
         dA = [grad(ScalarField(g, c)).data for c in A.data]

@@ -42,20 +42,25 @@ HOPF_RINGS_BUDGET = 16
 SHIFTS_PER_SHEAR = 2
 
 
-def count_components(monkeypatch, calls: list) -> None:
-    """Wrap Grid3.rfft and Grid3.irfft so that each call appends (name,
-    spectrum shape) to ``calls``; a stacked call of k components appends k
-    entries of one component's shape."""
+def wrap_transforms(monkeypatch, record) -> None:
+    """Wrap Grid3.rfft and Grid3.irfft so that each call runs ``record(name,
+    component count, one component's spectrum shape)``."""
     for name in ("rfft", "irfft"):
         original = getattr(Grid3, name)
 
         def counted(self, data, *args, _original=original, _name=name, **kwargs):
             out = _original(self, data, *args, **kwargs)
             spec = out if _name == "rfft" else data
-            calls.extend([(_name, spec.shape[-3:])] * (spec.shape[0] if spec.ndim == 4 else 1))
+            record(_name, spec.shape[0] if spec.ndim == 4 else 1, spec.shape[-3:])
             return out
 
         monkeypatch.setattr(Grid3, name, counted)
+
+
+def count_components(monkeypatch, calls: list) -> None:
+    """``wrap_transforms`` appending (name, spectrum shape) to ``calls``; a
+    stacked call of k components appends k entries of one component's shape."""
+    wrap_transforms(monkeypatch, lambda name, k, shape: calls.extend([(name, shape)] * k))
 
 
 @pytest.fixture
@@ -134,6 +139,25 @@ def test_rk4_step_transforms_split(transforms, sheared32_file, monkeypatch):
         b = loaded(sheared32_file)
         shapes = transforms(dyn.step, b, 0.02, 0.0)
         assert Counter(shapes) == {b.grid.box_shape: 76, (32, 32, 17): 9}
+
+
+def test_each_stage_makes_one_stacked_inverse_and_one_forward(monkeypatch, sheared32_file):
+    # a stage inverts (W, A, U, curl A) in one call and transforms the
+    # products (W x U, U x curl A, U.A) in one; the Bernoulli head runs the
+    # same kernel on (W, U) and W x U, then inverts its head
+    calls = []
+    wrap_transforms(monkeypatch, lambda *call: calls.append(call))
+    for lanes in LANES:
+        monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], lanes)
+        b = loaded(sheared32_file)
+        box, full = b.grid.box_shape, (32, 32, 17)
+        calls.clear()
+        dyn.step(b, 0.02, 0.0)
+        stage = [("irfft", 12, box), ("rfft", 7, box)]
+        assert calls == [("rfft", 3, full)] + 4 * stage + [("irfft", 6, full)]
+        calls.clear()
+        dyn.bernoulli_head(b)
+        assert calls == [("irfft", 6, box), ("rfft", 3, box), ("irfft", 1, box)]
 
 
 def test_second_step_makes_no_forward_full_transform(monkeypatch, sheared32_file):

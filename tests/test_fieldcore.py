@@ -109,6 +109,23 @@ class TestGrid3:
         assert spec.tobytes() == np.stack([g.rfft(c, box=box) for c in data]).tobytes()
         assert g.irfft(spec).tobytes() == np.stack([g.irfft(s) for s in spec]).tobytes()
 
+    @pytest.mark.parametrize("lanes", ["1", "2"])
+    def test_irfft_overwrites_only_when_asked(self, monkeypatch, lanes):
+        # the default leaves a writeable full stack as it was, byte for
+        # byte; with overwrite, a stack or one spectrum handed over gives
+        # the same inverse bit for bit
+        split_every_stack(monkeypatch)
+        monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], lanes)
+        g = Grid3((16, 24, 32), (TWO_PI, 3.0, 5.0))
+        spec = g.rfft(np.random.default_rng(6).standard_normal((5,) + g.shape))
+        before = spec.tobytes()
+        expected = g.irfft(spec.copy()).tobytes()
+        assert spec.flags.writeable
+        assert g.irfft(spec).tobytes() == expected
+        assert spec.tobytes() == before
+        assert g.irfft(spec[0].copy(), overwrite=True).tobytes() == g.irfft(spec[0]).tobytes()
+        assert g.irfft(spec, overwrite=True).tobytes() == expected
+
     def test_cut_and_add_box_keep_leading_axes(self):
         g = Grid3((16, 24, 32), (TWO_PI, 3.0, 5.0))
         rng = np.random.default_rng(8)

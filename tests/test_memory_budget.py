@@ -13,12 +13,18 @@ import numpy as np
 import pytest
 
 from wring import config
+from wring import dynamics as dyn
 from wring import fieldzoo as fz
 from wring.fieldcore import Grid3
 
 # hopf_rings on a fresh n=64 grid, its caches built inside the call:
 # 34.93 MiB measured at both lane counts
 HOPF_RINGS_64_BUDGET = {"1": 35.6, "2": 35.6}
+# one later step of the sheared n=64 Clebsch bundle, from the spectra the
+# step before handed over: 57.69 MiB measured at 1 lane and 59.75 at 2.
+# With two stacked calls a stage holds the physical stack of twelve
+# components; at 2e2e2d7, with four calls a stage, it was 57.14 at both
+STEP_64_BUDGET = {"1": 58.8, "2": 60.9}
 
 
 def peak_mib(fn) -> float:
@@ -38,3 +44,17 @@ def test_hopf_rings_peak(monkeypatch, lanes):
     monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], lanes)
     peak = peak_mib(lambda: fz.hopf_rings(Grid3((64, 64, 64), (2 * np.pi,) * 3)))
     assert peak <= HOPF_RINGS_64_BUDGET[lanes]
+
+
+@pytest.fixture(scope="module")
+def stepped64():
+    g = Grid3((64, 64, 64), (2 * np.pi,) * 3)
+    b = fz.apply_diffeo(fz.gen_clebsch(g), fz.DiffeoMap((fz.Shear.from_names("x", "z", 0.3, 1),)))
+    return dyn.step(b, 0.005, 0.0)[0]
+
+
+@pytest.mark.parametrize("lanes", sorted(STEP_64_BUDGET))
+def test_step_peak(monkeypatch, stepped64, lanes):
+    monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], lanes)
+    peak = peak_mib(lambda: dyn.step(stepped64, 0.005, 0.005))
+    assert peak <= STEP_64_BUDGET[lanes]
