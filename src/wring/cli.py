@@ -129,8 +129,7 @@ def _cmd_analyze(args) -> int:
     _check_writable(args.json, args.density_out)
     bundle = fieldzoo.FieldBundle.load(args.input)
     bundle.gate()
-    choice = gv.EtaChoice(args.eta, args.eps)
-    report = gv.analyze(bundle, choice, richardson=args.richardson, bound=args.bound)
+    report = gv.analyze(bundle, args.eta, args.eps, richardson=args.richardson, bound=args.bound)
     if args.density_out and report.gv_density is not None:
         wrg1.write_fields(
             args.density_out,

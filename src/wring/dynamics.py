@@ -68,6 +68,7 @@ from .fieldcore import (
     ScalarField,
     VectorField,
     cross_parts,
+    curl,
     curl_drift,
     dot,
     grad,
@@ -174,18 +175,17 @@ def step(b: FieldBundle, dt: float, t: float) -> tuple[FieldBundle, float]:
     # carries the previous step's; the RK4 sum adds the box increment to
     # them in place, so every mode outside the box passes through unchanged
     s = np.stack(b.W.spec + b.A.spec)
-    y0 = g.cut_box(s)
     stack = np.empty((12,) + g.box_shape, dtype=complex)
     y = stack[:6]
-    y[...] = y0
+    g.cut_box(s, out=y)
     # k1 + 2 k2 + 2 k3 + k4 is summed in that order as the stages finish.
-    # Each stage input y0 + c k is written into the stack's first six slots
-    # y as c k + y0 (the same bits), and k is dropped before the stage runs,
-    # so only the sum is held beside it
+    # Each stage input y0 + c k is cut from s, whose box modes stay y0 until
+    # the sum is added, into the stack's first six slots y, and k is dropped
+    # before the stage runs, so only the sum is held beside it
     k = total = _rhs(g, stack)
     for i, c in enumerate((dt / 2, dt / 2, dt)):
-        np.multiply(c, k, out=y)
-        y += y0
+        g.cut_box(s, out=y)
+        y += c * k
         del k
         k = _rhs(g, stack)
         total += 2 * k if i < 2 else k
@@ -306,9 +306,12 @@ def conservation_residual(b0: FieldBundle, dt: float) -> tuple[ScalarField, Scal
     fwd, _ = step(b0, dt, 0.0)
     bwd, _ = step(b0, -dt, 0.0)
 
-    # one evaluation per time level, each dropped (with its curl(G)) once read
-    levels = (gv.GvResult(g, *gv.eta_parts(b, "velocity", threshold)) for b in (b0, fwd, bwd))
-    (G0, q0, N0, m0), (_, qp, Np, mp), (_, qm, Nm, mm) = ((e.G, e.q, e.numerator, e.masks[0]) for e in levels)
+    def level(b):
+        # G, q, the unmasked N = G . curl(G) and the mask at one time level
+        G, q, (m,) = gv.eta_parts(b, "velocity", threshold)
+        return G, q, dot(G, curl(G)).data, m
+
+    (G0, q0, N0, m0), (_, qp, Np, mp), (_, qm, Nm, mm) = map(level, (b0, fwd, bwd))
     mask = m0 & mp & mm
     U, W = b0.U, b0.W
     M = magnitude2(G0).data + dot(G0, grad(bernoulli_head(b0))).data

@@ -27,13 +27,18 @@ introduces no Gibbs artefacts. Every division by q, here and in the
 conservation law of ``dynamics``, is ``masked_quotient``.
 
 One type, ``GvResult``, holds an evaluation: G, q and the masks of
-``eta_parts``. ``gv_invariant`` returns it with curl(G), the masked density
-array, the value and the Richardson value formed, from one G . curl(G)
-that is then dropped; the ``density`` field and the dual field ``H`` are
-formed only when read. The velocity bound reuses G, q, the first mask,
-curl(G) and the value, so under the velocity choice ``analyze`` forms them
-once for both. A float64 overflow in the density, C, the enstrophy rate
-or E raises NonFiniteData naming it and its field scale.
+``eta_parts``. Its constructor forms curl(G), the masked density array, the
+value and the Richardson value from one G . curl(G) that is then dropped;
+the ``density`` field and the dual field ``H`` are formed only when read.
+The velocity bound reuses G, q, the first mask, curl(G) and the value, so
+under the velocity choice ``analyze`` forms them once for both. A float64
+overflow in the density, C, the enstrophy rate or E raises NonFiniteData
+naming it and its field scale.
+
+The variant and eps are checked in one place, ``_check_eta``: by
+``eta_parts``, which every evaluation and the bound pass through, and by
+``analyze`` before anything is measured, so a bad eps is refused on a
+non-integrable bundle too.
 
 The steady-flow obstruction bound uses the velocity construction: the
 squared invariant is bounded by C * integral((dW/dt)^2) with
@@ -76,31 +81,15 @@ _TOL = config.TOL
 _ETA = config.DEFAULTS["eta"]
 
 
-@dataclass(frozen=True)
-class EtaChoice:
-    """Which dual-field construction to use, and its exclusion threshold.
-
-    ``eps`` is relative: points where the denominator magnitude (|A| for
-    the canonical choice, |U.A| for the velocity choice) falls below eps
-    times its maximum are excluded from the mask.
-    """
-
-    variant: str
-    eps: float = _ETA["default_eps"]
-
-    def __post_init__(self):
-        if self.variant not in ("canonical", "velocity"):
-            raise ValueError(f"unknown eta variant {self.variant!r}")
-        if not (0.0 <= self.eps < 1.0):
-            raise ValueError("eps must lie in [0, 1)")
-
-    @classmethod
-    def canonical(cls, eps: float = _ETA["default_eps"]) -> "EtaChoice":
-        return cls("canonical", eps)
-
-    @classmethod
-    def velocity(cls, eps: float = _ETA["default_eps"]) -> "EtaChoice":
-        return cls("velocity", eps)
+def _check_eta(variant: str, *eps: float) -> None:
+    """Refuse an unknown dual-field variant or a relative threshold outside
+    [0, 1): points where the denominator magnitude (|A| for the canonical
+    choice, |U.A| for the velocity choice) falls below eps times its maximum
+    are excluded from the mask."""
+    if variant not in ("canonical", "velocity"):
+        raise ValueError(f"unknown eta variant {variant!r}")
+    if not all(0.0 <= e < 1.0 for e in eps):
+        raise ValueError("eps must lie in [0, 1)")
 
 
 def flux_check(bundle: FieldBundle) -> tuple[float, float, float]:
@@ -148,8 +137,10 @@ def eta_parts(bundle: FieldBundle, variant: str, *eps: float):
 
     What is NOT allowed is a denominator that is small everywhere (the
     construction then never makes sense), which raises
-    DenominatorVanishesEverywhere.
+    DenominatorVanishesEverywhere. An unknown variant or a threshold outside
+    [0, 1) raises ValueError.
     """
+    _check_eta(variant, *eps)
     A = bundle.A
     a_scale = A.maxnorm()
     if a_scale < _TOL["underflow"]:
@@ -175,14 +166,21 @@ def _uncovered(bundle: FieldBundle, mask: np.ndarray) -> float:
     """Fraction of the significant vorticity outside the mask. The mask may
     exclude vorticity (a tube cut around the zero set of the potential is
     how the invariant is defined for singular potentials); the bound gates
-    on this fraction."""
+    on this fraction and raises MaskTooSmall past its limit."""
     w_scale = bundle.W.maxnorm()
     if w_scale <= _TOL["underflow"]:
         return 0.0
     wmag = np.sqrt(magnitude2(bundle.W).data)
     significant = wmag > _ETA["vorticity_floor_rel"] * w_scale
     n_sig = int(significant.sum())
-    return float((significant & ~mask).sum()) / n_sig if n_sig else 0.0
+    uncovered = float((significant & ~mask).sum()) / n_sig if n_sig else 0.0
+    max_uncovered = _ETA["max_uncovered_vorticity_fraction"]
+    if uncovered > max_uncovered:
+        raise MaskTooSmall(
+            f"U.A mask misses {uncovered:.1%} of the vorticity support "
+            f"(limit {max_uncovered:.0%}); the bound constant C is undefined here"
+        )
+    return uncovered
 
 
 def masked_quotient(num: np.ndarray, q: np.ndarray, mask: np.ndarray, power: int) -> np.ndarray:
@@ -223,46 +221,23 @@ _DENSITY = "the invariant density G . curl(G) / q^2"
 
 class GvResult:
     """The masked invariant of H = G/q from the grid and what ``eta_parts``
-    returns: G, q and the masks at eps and, for Richardson, at eps/2. Each
-    quantity is formed on first read (see the module note)."""
+    returns: G, q and the masks at eps and, for Richardson, at eps/2. The
+    constructor forms curl(G), the masked density array, ``value`` and
+    ``richardson_value``, 2 I(eps/2) - I(eps) given a second mask, from one
+    G . curl(G) for every mask (see the module note)."""
 
     def __init__(self, grid, G: VectorField, q: np.ndarray, masks):
         self.grid, self.G, self.q, self.masks = grid, G, q, masks
-
-    @cached_property
-    def curlG(self) -> VectorField:
-        return curl(self.G)
-
-    @cached_property
-    def numerator(self) -> np.ndarray:
-        """G . curl(G), unmasked."""
-        with _overflow(_DENSITY, "G", self.G):
-            return dot(self.G, self.curlG).data
-
-    @cached_property
-    def _integrals(self) -> tuple:
-        """The masked density on the first mask, its integral, and the
-        Richardson value (None with one mask). Every mask shares one
-        G . curl(G), dropped once they are formed: nothing reads it after."""
-        num = self.numerator
-        del self.numerator
-        cell = self.grid.cell_volume
-        with _overflow(_DENSITY, "G", self.G):
-            halves = [float(np.sum(masked_quotient(num, self.q, m, 2))) * cell for m in self.masks[1:]]
-            density = masked_quotient(num, self.q, self.masks[0], 2)
-            value = float(np.sum(density)) * cell
-            if not np.all(np.isfinite([value, *halves])):
+        self.curlG = curl(G)
+        cell = grid.cell_volume
+        with _overflow(_DENSITY, "G", G):
+            num = dot(G, self.curlG).data
+            halves = [float(np.sum(masked_quotient(num, q, m, 2))) * cell for m in masks[1:]]
+            self._density = masked_quotient(num, q, masks[0], 2)
+            self.value = float(np.sum(self._density)) * cell
+            if not np.all(np.isfinite([self.value, *halves])):
                 raise FloatingPointError("non-finite integral")
-        return density, value, (2.0 * halves[0] - value if halves else None)
-
-    @property
-    def value(self) -> float:
-        return self._integrals[1]
-
-    @property
-    def richardson_value(self) -> float | None:
-        """2 I(eps/2) - I(eps), the eps -> 0 estimate, given a second mask."""
-        return self._integrals[2]
+        self.richardson_value = 2.0 * halves[0] - self.value if halves else None
 
     @property
     def excluded_volume_fraction(self) -> float:
@@ -272,7 +247,7 @@ class GvResult:
     def density(self) -> ScalarField:
         """G . curl(G)/q^2 on the mask, zero off it: for the velocity choice,
         the local obstruction to steady flow."""
-        return ScalarField(self.grid, self._integrals[0])
+        return ScalarField(self.grid, self._density)
 
     @cached_property
     def H(self) -> VectorField:
@@ -282,11 +257,13 @@ class GvResult:
 
 def gv_invariant(
     bundle: FieldBundle,
-    choice: EtaChoice | None = None,
+    variant: str = "canonical",
+    eps: float = _ETA["default_eps"],
     *,
     richardson: bool = False,
 ) -> GvResult:
-    """Masked integral of H . curl(H), with ``value`` formed before return.
+    """Masked integral of H . curl(H) under the dual-field ``variant`` at the
+    relative threshold ``eps``.
 
     The density is formed as G . curl(G) / q^2 (see the module note), so
     the result's ``density`` is also meaningful pointwise: for the velocity
@@ -296,13 +273,8 @@ def gv_invariant(
     ``richardson_value``, the eps -> 0 estimate. Only the mask depends on
     eps, so both integrals share G, q, curl(G) and G . curl(G).
     """
-    if choice is None:
-        choice = EtaChoice.canonical()
-    eps = choice.eps
     levels = (eps, 0.5 * eps) if richardson and eps > 0.0 else (eps,)
-    result = GvResult(bundle.grid, *eta_parts(bundle, choice.variant, *levels))
-    result.value  # formed inside the call
-    return result
+    return GvResult(bundle.grid, *eta_parts(bundle, variant, *levels))
 
 
 # -- obstruction bound ---------------------------------------------------------
@@ -329,7 +301,7 @@ class BoundReport:
         return {**asdict(self), "schema": "wring-bound/1"}
 
 
-def obstruction_bound(bundle: FieldBundle, eps: float | None = None) -> BoundReport:
+def obstruction_bound(bundle: FieldBundle, eps: float = _ETA["default_eps"]) -> BoundReport:
     """Evaluate gv^2 <= C * integral((dW/dt)^2) on the velocity mask.
 
     Both sides are formed from the same smooth product G = W x U: the
@@ -341,25 +313,20 @@ def obstruction_bound(bundle: FieldBundle, eps: float | None = None) -> BoundRep
     support (the constant C is then undefined; it is reported, never
     regularized silently).
     """
-    if eps is None:
-        eps = _ETA["default_eps"]
     try:
-        return _bound(bundle, eps, GvResult(bundle.grid, *eta_parts(bundle, "velocity", eps)))
+        G, q, masks = eta_parts(bundle, "velocity", eps)
     except DenominatorVanishesEverywhere as exc:
         raise MaskTooSmall(str(exc)) from exc
+    # the coverage gate refuses before curl(G) is formed
+    uncovered = _uncovered(bundle, masks[0])
+    return _bound(bundle, eps, GvResult(bundle.grid, G, q, masks), uncovered)
 
 
-def _bound(bundle: FieldBundle, eps: float, evaluation: GvResult) -> BoundReport:
-    """The bound from the velocity evaluation at ``eps``: its G, q, mask,
-    curl(G) and value. It reads neither ``density`` nor ``H``."""
+def _bound(bundle: FieldBundle, eps: float, evaluation: GvResult, uncovered: float) -> BoundReport:
+    """The bound from the velocity evaluation at ``eps``, whose first mask
+    passed the coverage gate with ``uncovered``: its G, q, mask, curl(G) and
+    value. It reads neither ``density`` nor ``H``."""
     G, q, mask = evaluation.G, evaluation.q, evaluation.masks[0]
-    uncovered = _uncovered(bundle, mask)
-    max_uncovered = _ETA["max_uncovered_vorticity_fraction"]
-    if uncovered > max_uncovered:
-        raise MaskTooSmall(
-            f"U.A mask misses {uncovered:.1%} of the vorticity support "
-            f"(limit {max_uncovered:.0%}); the bound constant C is undefined here"
-        )
     slack_tol = _TOL["bound_slack_rel"]
     with _overflow("the bound constant C", "G", G):
         C = float(np.sum(masked_quotient(magnitude2(G).data, q, mask, 4))) * bundle.grid.cell_volume
@@ -442,7 +409,8 @@ class AnalysisReport:
 
 def analyze(
     bundle: FieldBundle,
-    choice: EtaChoice | None = None,
+    variant: str = "canonical",
+    eps: float = _ETA["default_eps"],
     *,
     richardson: bool = False,
     bound: bool = False,
@@ -453,11 +421,11 @@ def analyze(
     below tolerance; otherwise the report flags the failure and leaves gv
     unset (it is undefined without an integrable potential). Helicity is
     reported either way, gated by the flux check. With ``bound=True`` the
-    report carries the obstruction bound at the choice's eps either way;
-    under the velocity choice it reuses the invariant's evaluation.
+    report carries the obstruction bound at ``eps`` either way; under the
+    velocity choice it reuses the invariant's evaluation. An unknown variant
+    or an eps outside [0, 1) raises ValueError before anything is measured.
     """
-    if choice is None:
-        choice = EtaChoice.canonical()
+    _check_eta(variant, eps)
     integrability_tol = _TOL["integrability_rel"]
     residual = integrability_residual(bundle)
     fluxes = flux_check(bundle)
@@ -467,8 +435,8 @@ def analyze(
         family=bundle.meta.get("family"),
         grid_n=bundle.grid.n,
         grid_box=bundle.grid.box,
-        eta_variant=choice.variant,
-        eta_eps=choice.eps,
+        eta_variant=variant,
+        eta_eps=eps,
         integrability_residual=residual,
         integrable=integrable,
         helicity=hel,
@@ -477,21 +445,21 @@ def analyze(
         tolerances={
             "integrability_rel": integrability_tol,
             "flux_rel": _TOL["flux_rel"],
-            "eps": choice.eps,
+            "eps": eps,
         },
     )
     evaluation = None
     if integrable:
-        evaluation = gv_invariant(bundle, choice, richardson=richardson)
+        evaluation = gv_invariant(bundle, variant, eps, richardson=richardson)
         report.gv = evaluation.value
         report.gv_richardson = evaluation.richardson_value
         report.gv_density = evaluation.density
         report.excluded_volume_fraction = evaluation.excluded_volume_fraction
-    if bound and choice.variant == "velocity" and evaluation is not None:
-        report.bound = _bound(bundle, choice.eps, evaluation)
+    if bound and variant == "velocity" and evaluation is not None:
+        report.bound = _bound(bundle, eps, evaluation, _uncovered(bundle, evaluation.masks[0]))
     elif bound:
         evaluation = None  # free the canonical construction before the bound forms its own
-        report.bound = obstruction_bound(bundle, choice.eps)
+        report.bound = obstruction_bound(bundle, eps)
     claims = report.claims
     if claims.get("helicity") is not None:
         report.deviations["helicity"] = hel - float(claims["helicity"])

@@ -140,7 +140,7 @@ def criterion_2(suite: _Suite) -> CriterionResult:
     res = CriterionResult(2, "gv = 0 for first-integral fields at n=64")
     for name, bundle in (("clebsch", suite.clebsch(64)), ("morse", suite.morse(64))):
         for variant in ("canonical", "velocity"):
-            value = gv.gv_invariant(bundle, gv.EtaChoice(variant)).value
+            value = gv.gv_invariant(bundle, variant).value
             res.check(f"{name}/{variant} |gv|", abs(value), 1e-6)
     return res
 
@@ -150,7 +150,7 @@ def criterion_3(suite: _Suite) -> CriterionResult:
     kup = suite.kupka(64)
     values = []
     for eps in (0.02, 0.05, 0.1, 0.2):
-        value = gv.gv_invariant(kup, gv.EtaChoice.canonical(eps)).value
+        value = gv.gv_invariant(kup, eps=eps).value
         values.append(value)
         res.check(f"|gv| at eps={eps}", abs(value), 1e-6)
     res.check("eps variation", max(values) - min(values), 1e-7)
@@ -163,7 +163,7 @@ def criterion_4(suite: _Suite) -> CriterionResult:
     g = bundle.grid
     # the canonical mask covers the whole torus here, so H is smooth and
     # integral(H . curl(H)) is taken on H itself, before and after H -> H + f A
-    H = gv.GvResult(g, *gv.eta_parts(bundle, "canonical", gv.EtaChoice.canonical().eps)).H
+    H = gv.gv_invariant(bundle).H
     base = integrate(dot(H, curl(H)))
     worst = 0.0
     for seed in range(GAUGE_SEEDS):
@@ -181,8 +181,8 @@ def criterion_5(suite: _Suite) -> CriterionResult:
         lambda: fieldzoo.gen_clebsch(_grid(64), f=PHASED_CLEBSCH_F),
     )
     eps = ETA_AGREEMENT_EPS
-    can = gv.gv_invariant(bundle, gv.EtaChoice.canonical(eps))
-    vel = gv.gv_invariant(bundle, gv.EtaChoice.velocity(eps))
+    can = gv.gv_invariant(bundle, "canonical", eps)
+    vel = gv.gv_invariant(bundle, "velocity", eps)
     res.check("canonical coverage", 1.0 - can.excluded_volume_fraction, 0.99, op=">=")
     res.check("velocity coverage", 1.0 - vel.excluded_volume_fraction, 0.99, op=">=")
     res.check(

@@ -82,6 +82,17 @@ class TestGenerateAnalyze:
         assert run(["analyze", str(field), "--bound", "--json", str(tmp_path / "r.json")]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("eps", ["1.5", "nan", "-0.1"])
+    @pytest.mark.parametrize("family", ["clebsch", "beltrami"])
+    def test_eps_outside_unit_interval_exit_2(self, tmp_path, capsys, family, eps):
+        # the beltrami file is not integrable: eps is refused before its exit 4
+        field, report = tmp_path / "f.wrg", tmp_path / "r.json"
+        assert run(["generate", "--family", family, "--n", "16", "--out", str(field)]) == 0
+        capsys.readouterr()
+        assert run(["analyze", str(field), "--eps", eps, "--json", str(report)]) == 2
+        assert "error: eps must lie in [0, 1)" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_density_output(self, tmp_path):
         field = tmp_path / "f.wrg"
         dens = tmp_path / "d.wrg"

@@ -195,9 +195,9 @@ def test_bernoulli_head_budget(transforms, sheared32):
     assert len(transforms(dyn.bernoulli_head, sheared32)) <= BERNOULLI_HEAD_BUDGET
 
 
-@pytest.mark.parametrize("choice", [gv.EtaChoice.canonical(), gv.EtaChoice.velocity()])
-def test_gv_invariant_budget(transforms, sheared32, choice):
-    assert len(transforms(gv.gv_invariant, sheared32, choice)) <= GV_INVARIANT_BUDGET
+@pytest.mark.parametrize("variant", ["canonical", "velocity"])
+def test_gv_invariant_budget(transforms, sheared32, variant):
+    assert len(transforms(gv.gv_invariant, sheared32, variant)) <= GV_INVARIANT_BUDGET
 
 
 def test_analyze_budget(transforms, sheared32):
@@ -207,15 +207,12 @@ def test_analyze_budget(transforms, sheared32):
 
 
 @pytest.mark.parametrize(
-    "choice, budget",
-    [
-        (gv.EtaChoice.velocity(), ANALYZE_BOUND_VELOCITY_BUDGET),
-        (gv.EtaChoice.canonical(), ANALYZE_BOUND_CANONICAL_BUDGET),
-    ],
+    "variant, budget",
+    [("velocity", ANALYZE_BOUND_VELOCITY_BUDGET), ("canonical", ANALYZE_BOUND_CANONICAL_BUDGET)],
     ids=["velocity", "canonical"],
 )
-def test_analyze_bound_budget(transforms, sheared32, choice, budget):
-    assert len(transforms(gv.analyze, sheared32, choice, bound=True)) <= budget
+def test_analyze_bound_budget(transforms, sheared32, variant, budget):
+    assert len(transforms(gv.analyze, sheared32, variant, bound=True)) <= budget
 
 
 def test_obstruction_bound_budget(transforms, sheared32):

@@ -2,10 +2,13 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
+from wring import cli, config, wrg1
+from wring import dynamics as dyn
 from wring import fieldzoo as fz
 from wring import gv
 from wring.errors import DegenerateField, FluxObstruction, MaskTooSmall
@@ -22,6 +25,8 @@ from wring.fieldcore import (
     random_band_limited_scalar,
 )
 
+from helpers import split_every_stack
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -29,10 +34,10 @@ def cube(n):
     return Grid3((n, n, n), (TWO_PI, TWO_PI, TWO_PI))
 
 
-def canonical(bundle, eps=gv.EtaChoice.canonical().eps):
+def canonical(bundle, eps=config.DEFAULTS["eta"]["default_eps"]):
     """The canonical evaluation at ``eps``, read for its dual field H and its
     mask ``masks[0]``."""
-    return gv.GvResult(bundle.grid, *gv.eta_parts(bundle, "canonical", eps))
+    return gv.gv_invariant(bundle, "canonical", eps)
 
 
 def gv_of_field(H):
@@ -188,30 +193,30 @@ class TestSolveEta:
 class TestGvInvariant:
     def test_first_integral_families_vanish(self, clebsch64):
         for variant in ("canonical", "velocity"):
-            assert abs(gv.gv_invariant(clebsch64, gv.EtaChoice(variant)).value) < 1e-6
+            assert abs(gv.gv_invariant(clebsch64, variant).value) < 1e-6
 
     def test_morse_vanishes(self):
         b = fz.gen_morse(cube(64))
         for variant in ("canonical", "velocity"):
-            assert abs(gv.gv_invariant(b, gv.EtaChoice(variant)).value) < 1e-6
+            assert abs(gv.gv_invariant(b, variant).value) < 1e-6
 
     def test_kupka_eps_independent(self, kupka64):
         values = [
-            gv.gv_invariant(kupka64, gv.EtaChoice.canonical(eps)).value
+            gv.gv_invariant(kupka64, eps=eps).value
             for eps in (0.02, 0.05, 0.1, 0.2)
         ]
         assert all(abs(v) < 1e-6 for v in values)
         assert max(values) - min(values) < 1e-7
 
     def test_density_shape_and_mask(self, kupka64):
-        res = gv.gv_invariant(kupka64, gv.EtaChoice.canonical(0.05))
+        res = gv.gv_invariant(kupka64, eps=0.05)
         assert res.density.data.shape == kupka64.grid.shape
         assert 0.0 <= res.excluded_volume_fraction < 1.0
         outside = res.density.data[~res.masks[0]]
         assert np.all(outside == 0.0)
 
     def test_richardson_report(self, kupka64):
-        res = gv.gv_invariant(kupka64, gv.EtaChoice.canonical(0.1), richardson=True)
+        res = gv.gv_invariant(kupka64, eps=0.1, richardson=True)
         assert res.richardson_value is not None
         assert abs(res.richardson_value) < 1e-6
 
@@ -222,15 +227,18 @@ class TestMaskedDensityValue:
     every grid x, so the invariant is the 1-D sum of 12 pi^2 / q(x)^2 dx over
     the mask, and over the whole torus 16 pi^3 / sqrt(3)."""
 
-    @pytest.fixture(scope="class")
-    def abc32(self):
-        g = cube(32)
+    @staticmethod
+    def manufactured(g):
         x, y, z = g.mesh()
         G = VectorField.from_components(
             g, np.sin(z) + np.cos(y), np.sin(x) + np.cos(z), np.sin(y) + np.cos(x)
         )
         q = np.ascontiguousarray(np.broadcast_to(2.0 + np.sin(x), g.shape))
         return g, G, q
+
+    @pytest.fixture(scope="class")
+    def abc32(self):
+        return self.manufactured(cube(32))
 
     def slab(self, g, half_width):
         x = g.mesh()[0]
@@ -247,6 +255,13 @@ class TestMaskedDensityValue:
         assert res.value == pytest.approx(16.0 * np.pi**3 / np.sqrt(3.0), rel=1e-13, abs=0.0)
         assert res.richardson_value is None
         assert res.excluded_volume_fraction == 0.0
+
+    def test_whole_box_value(self):
+        # on a 2 pi x 4 pi x 4 pi box the y-z sum is 48 pi^2, four times the
+        # cube's, so the cell volume must take each axis's spacing
+        g, G, q = self.manufactured(Grid3((32, 32, 32), (TWO_PI, 2.0 * TWO_PI, 2.0 * TWO_PI)))
+        res = gv.GvResult(g, G, q, [np.ones(g.shape, dtype=bool)])
+        assert res.value == pytest.approx(64.0 * np.pi**3 / np.sqrt(3.0), rel=1e-13, abs=0.0)
 
     def test_nested_slabs_and_richardson(self, abc32):
         g, G, q = abc32
@@ -274,7 +289,7 @@ class TestBoundValues:
     def bound(self, b, sign):
         g = b.grid
         q = sign * np.ascontiguousarray(np.broadcast_to(2.0 + np.sin(g.mesh()[0]), g.shape))
-        return gv._bound(b, 0.0, gv.GvResult(g, b.W, q, [np.ones(g.shape, dtype=bool)]))
+        return gv._bound(b, 0.0, gv.GvResult(g, b.W, q, [np.ones(g.shape, dtype=bool)]), 0.0)
 
     def test_C(self, abc32):
         report = self.bound(abc32, 1.0)
@@ -354,17 +369,106 @@ class TestAnalyze:
     def test_eta_agreement_on_high_coverage_bundle(self):
         b = fz.gen_clebsch(cube(64), f="2 + sin(2*pi*x/Lx + 1)*cos(2*pi*y/Ly + 1)")
         eps = 5e-4
-        can = gv.gv_invariant(b, gv.EtaChoice.canonical(eps))
-        vel = gv.gv_invariant(b, gv.EtaChoice.velocity(eps))
+        can = gv.gv_invariant(b, "canonical", eps)
+        vel = gv.gv_invariant(b, "velocity", eps)
         assert 1.0 - can.excluded_volume_fraction > 0.99
         assert 1.0 - vel.excluded_volume_fraction > 0.99
         assert abs(can.value - vel.value) < 1e-5
 
     def test_eta_choice_validation(self):
-        with pytest.raises(ValueError):
-            gv.EtaChoice("magic")
-        with pytest.raises(ValueError):
-            gv.EtaChoice("canonical", eps=1.5)
+        # refused before anything is measured, on a non-integrable bundle too
+        b = fz.gen_beltrami_abc(cube(16))
+        with pytest.raises(ValueError, match="unknown eta variant 'magic'"):
+            gv.analyze(b, "magic")
+        for eps in EPS_OUTSIDE:
+            with pytest.raises(ValueError, match=EPS_MESSAGE):
+                gv.analyze(b, "velocity", eps, bound=True)
+
+
+EPS_OUTSIDE = (-0.1, 1.5, float("nan"))
+EPS_MESSAGE = re.escape("eps must lie in [0, 1)")
+
+
+class TestEtaValidation:
+    """The variant and eps are checked once, in ``eta_parts``, which every
+    evaluation and the bound pass through."""
+
+    @pytest.fixture(scope="class")
+    def clebsch16(self):
+        return fz.gen_clebsch(cube(16))
+
+    @pytest.mark.parametrize("eps", EPS_OUTSIDE, ids=["negative", "above-one", "nan"])
+    @pytest.mark.parametrize("bound", [gv.obstruction_bound, dyn.obstruction_bound], ids=["gv", "dynamics"])
+    def test_bound_refuses_eps_outside_unit_interval(self, clebsch16, bound, eps):
+        with pytest.raises(ValueError, match=EPS_MESSAGE):
+            bound(clebsch16, eps)
+
+    @pytest.mark.parametrize("eps", EPS_OUTSIDE, ids=["negative", "above-one", "nan"])
+    def test_gv_invariant_refuses_eps_outside_unit_interval(self, clebsch16, eps):
+        with pytest.raises(ValueError, match=EPS_MESSAGE):
+            gv.gv_invariant(clebsch16, "canonical", eps, richardson=True)
+
+    @pytest.mark.parametrize("parts", [gv.eta_parts, gv.gv_invariant], ids=["eta_parts", "gv_invariant"])
+    def test_unknown_variant_refused(self, clebsch16, parts):
+        with pytest.raises(ValueError, match="unknown eta variant 'magic'"):
+            parts(clebsch16, "magic", 0.05)
+
+
+class TestDensityValue:
+    """A Clebsch pair whose density is nonzero: f = 2 + sin(kx x) cos(ky y)
+    and g = 0.5 sin(kx x) + z, with kx = 2 pi/Lx and ky = 2 pi/Ly. The
+    canonical dual field is H = h grad(g) - grad(f)/f with
+    h = (grad f . grad g)/(f |grad g|^2), so curl(H) = grad(h) x grad(g) and
+    the density is -(grad f/f) . (grad(h) x grad(g)), here in closed form.
+    Its integral vanishes by Stokes: eta ^ d eta = d(-log f dh ^ dg)."""
+
+    F = "2 + sin(2*pi*x/Lx)*cos(2*pi*y/Ly)"
+    G = "0.5*sin(2*pi*x/Lx)"
+    BOXES = {"cube": (TWO_PI,) * 3, "box": (TWO_PI, 2.0 * TWO_PI, 1.5 * TWO_PI)}
+
+    def bundle(self, grid):
+        return fz.gen_clebsch(grid, f=self.F, g=self.G, g_linear=(0.0, 0.0, 1.0))
+
+    @staticmethod
+    def closed_form(grid):
+        Lx, Ly, _ = grid.box
+        kx, ky = TWO_PI / Lx, TWO_PI / Ly
+        x, y, _ = grid.mesh()
+        s, c, sy, cy = np.sin(kx * x), np.cos(kx * x), np.sin(ky * y), np.cos(ky * y)
+        f = 2.0 + s * cy
+        fx, fy = kx * c * cy, -ky * s * sy
+        gx = 0.5 * kx * c  # grad g = (gx, 0, 1)
+        g2 = gx**2 + 1.0
+        # h = P/Q with P = grad f . grad g and Q = f |grad g|^2
+        P, Px, Py = fx * gx, -(kx**3) * c * s * cy, -0.5 * kx**2 * c**2 * ky * sy
+        Q, Qx, Qy = f * g2, fx * g2 - 0.5 * kx**3 * c * s * f, fy * g2
+        hx, hy = (Px * Q - P * Qx) / Q**2, (Py * Q - P * Qy) / Q**2
+        # grad h x grad g = (hy, -hx, -hy gx), and grad f has no z part
+        return np.broadcast_to(-(fx * hy - fy * hx) / f, grid.shape)
+
+    @pytest.mark.parametrize("box", sorted(BOXES))
+    def test_canonical_density_matches_closed_form(self, monkeypatch, box):
+        split_every_stack(monkeypatch)
+        grid = Grid3((48, 48, 48), self.BOXES[box])
+        exact = self.closed_form(grid)
+        scale = float(np.max(np.abs(exact)))
+        assert scale > 0.05
+        for lanes in ("1", "2"):
+            monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], lanes)
+            res = gv.gv_invariant(self.bundle(grid), eps=0.0)
+            assert res.excluded_volume_fraction == 0.0
+            assert np.max(np.abs(res.density.data - exact)) < 1e-10 * scale
+            assert abs(res.value) < 1e-12
+
+    def test_density_out_matches_closed_form(self, tmp_path):
+        grid = Grid3((48, 48, 48), self.BOXES["box"])
+        field, dens = tmp_path / "f.wrg", tmp_path / "d.wrg"
+        self.bundle(grid).save(field)
+        args = ["analyze", str(field), "--eps", "0", "--density-out", str(dens), "--json", str(tmp_path / "r.json")]
+        assert cli.main(args) == 0
+        _, fields, _ = wrg1.read_fields(dens)
+        exact = self.closed_form(grid)
+        assert np.max(np.abs(fields["gv_density"].data - exact)) < 1e-10 * np.max(np.abs(exact))
 
 
 @pytest.fixture(scope="module")
@@ -383,7 +487,7 @@ class TestAnalyzeBound:
     @pytest.mark.parametrize("variant", ["canonical", "velocity"])
     def test_matches_obstruction_bound(self, seeded_sheared32, variant, eps, richardson):
         b = seeded_sheared32
-        report = gv.analyze(b, gv.EtaChoice(variant, eps), richardson=richardson, bound=True)
+        report = gv.analyze(b, variant, eps, richardson=richardson, bound=True)
         assert dataclasses.asdict(report.bound) == dataclasses.asdict(gv.obstruction_bound(b, eps))
         if variant == "velocity":
             assert report.bound.gv == report.gv
@@ -407,7 +511,7 @@ class TestAnalyzeBound:
         curl, dot = gv.curl, gv.dot
         monkeypatch.setattr(gv, "curl", lambda v: curls.append(curl(v)) or curls[-1])
         monkeypatch.setattr(gv, "dot", lambda a, b: numerators.append(b in curls) or dot(a, b))
-        report = gv.analyze(seeded_sheared32, gv.EtaChoice("velocity"), richardson=True, bound=True)
+        report = gv.analyze(seeded_sheared32, "velocity", richardson=True, bound=True)
         assert report.gv_richardson is not None
         assert numerators.count(True) == 1
 
@@ -433,4 +537,4 @@ class TestAnalyzeBound:
     @pytest.mark.parametrize("variant", ["canonical", "velocity"])
     def test_kupka_mask_too_small(self, variant):
         with pytest.raises(MaskTooSmall, match="U.A mask misses"):
-            gv.analyze(fz.gen_kupka_tube(cube(32)), gv.EtaChoice(variant), bound=True)
+            gv.analyze(fz.gen_kupka_tube(cube(32)), variant, bound=True)

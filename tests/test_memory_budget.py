@@ -21,10 +21,12 @@ from wring.fieldcore import Grid3
 # 34.93 MiB measured at both lane counts
 HOPF_RINGS_64_BUDGET = {"1": 35.6, "2": 35.6}
 # one later step of the sheared n=64 Clebsch bundle, from the spectra the
-# step before handed over: 57.69 MiB measured at 1 lane and 59.75 at 2.
+# step before handed over: 53.96 MiB measured at 1 lane and 56.03 at 2.
 # With two stacked calls a stage holds the physical stack of twelve
-# components; at 2e2e2d7, with four calls a stage, it was 57.14 at both
-STEP_64_BUDGET = {"1": 58.8, "2": 60.9}
+# components. Each stage input is cut from the step's full spectra, so no
+# copy of the starting box spectra (3.9 MiB) is held through the step; with
+# that copy it was 57.69 and 59.75
+STEP_64_BUDGET = {"1": 55.0, "2": 57.1}
 
 
 def peak_mib(fn) -> float:

@@ -15,7 +15,7 @@ anything. The copy has no ``.git``, so the tests that need git skip, and
 
 Every source text must occur exactly once in its file (the tier-1 test
 ``tests/test_mutants.py`` checks it), so the list cannot silently stop
-applying. One run of the full list (28 mutants) took about 9 minutes on
+applying. One run of the full list (29 mutants) took about 9 minutes on
 2 vCPUs: the suite runs once per mutant, to the end for a survivor.
 
 Exit codes: 0 when every mutant is killed, 1 when one survives, 2 when an
@@ -62,7 +62,9 @@ MUTANTS = [
      "return cfl * min(bundle.grid.spacing) / umax", "return cfl * max(bundle.grid.spacing) / umax"),
     # the Richardson weights and the helicity prefactor
     ("Richardson weights swapped", "gv.py",
-     "2.0 * halves[0] - value if halves", "2.0 * value - halves[0] if halves"),
+     "2.0 * halves[0] - self.value if halves", "2.0 * self.value - halves[0] if halves"),
+    ("GV cell volume from the x spacing", "gv.py",
+     "cell = grid.cell_volume", "cell = grid.spacing[0] ** 3"),
     ("helicity without its 2", "gv.py",
      "return 2.0 * g.parseval(kab * g.inv_k2)", "return g.parseval(kab * g.inv_k2)"),
     # each sign of the stepper's right-hand side
