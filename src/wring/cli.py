@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: generate, analyze, evolve, diffeo, thurston, link, selftest.
-All numeric defaults live in defaults.json next to this module; reports are
-JSON with sorted keys and arrays are written in the WRG1 container, so
-identical inputs give byte-identical outputs.
+The options' numeric defaults live in defaults.json next to this module,
+except the 0.5 of ``evolve --time``; reports are JSON with sorted keys and
+arrays are written in the WRG1 container, so identical inputs give
+byte-identical outputs.
 
 Exit codes: 0 success, 2 bad arguments, 3 input format error, 4 numerical
 precondition failed, 5 internal tolerance breach or failed selftest.
@@ -22,7 +23,7 @@ import numpy as np
 # perfbench/spans.py wraps them in sys.modules right after ``import wring.cli``
 from . import config, dynamics, fieldzoo, gv, linkref, wrg1
 from .errors import FormatError, PreconditionError, ToleranceError, WringError
-from .fieldcore import Grid3
+from .fieldcore import Grid3, ScalarField, require_potential
 
 _D = config.DEFAULTS
 # past 2**53 steps of one size, t + dt rounds back to t in float64
@@ -128,13 +129,13 @@ def _cmd_generate(args) -> int:
 def _cmd_analyze(args) -> int:
     _check_writable(args.json, args.density_out)
     bundle = fieldzoo.FieldBundle.load(args.input)
-    bundle.gate()
+    require_potential(bundle.W)
     report = gv.analyze(bundle, args.eta, args.eps, richardson=args.richardson, bound=args.bound)
     if args.density_out and report.gv_density is not None:
         wrg1.write_fields(
             args.density_out,
             bundle.grid,
-            {"gv_density": report.gv_density},
+            {"gv_density": ScalarField(bundle.grid, report.gv_density)},
             meta={"family": report.family, "eta": args.eta, "eps": args.eps},
         )
     _json_dump(report.to_json_dict(), args.json)
@@ -151,7 +152,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_evolve(args) -> int:
     _check_writable(args.series, args.out)
     bundle = fieldzoo.FieldBundle.load(args.input)
-    bundle.gate()
+    require_potential(bundle.W)
     if args.dt is not None:
         dt = args.dt
     else:

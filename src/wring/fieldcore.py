@@ -542,18 +542,6 @@ class VectorField:
             out[i] = np.broadcast_to(np.asarray(comp, dtype=np.float64), grid.shape)
         return cls(grid, out)
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.data[0]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.data[1]
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.data[2]
-
     @cached_property
     def spec(self) -> tuple:
         """The three rfft spectra of the components, read-only views of one

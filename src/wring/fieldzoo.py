@@ -57,7 +57,6 @@ from .fieldcore import (
     dot,
     grad,
     inverse_curl,
-    require_potential,
     spectral_tail_fraction,
 )
 
@@ -83,10 +82,6 @@ class FieldBundle:
     A: VectorField
     W: VectorField
     meta: dict = dataclasses.field(default_factory=dict)
-
-    def gate(self) -> None:
-        """Raise unless W has a periodic velocity potential (``require_potential``)."""
-        require_potential(self.W)
 
     @cached_property
     def U(self) -> VectorField:
@@ -390,7 +385,7 @@ def gen_morse(grid: Grid3) -> FieldBundle:
     return gen_clebsch(grid, f=MORSE_F, g=MORSE_G, g_linear=None, name="morse")
 
 
-def default_kupka_profile(r0: float, power: int = 8):
+def default_kupka_profile(r0: float, power: int):
     """C^(power-1) polynomial bump chi(r) = (1 - (r/r0)^2)^power, chi(0) = 1.
 
     Returns (chi, dchi) callables vanishing identically for r >= r0 when

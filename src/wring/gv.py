@@ -27,9 +27,9 @@ introduces no Gibbs artefacts. Every division by q, here and in the
 conservation law of ``dynamics``, is ``masked_quotient``.
 
 One type, ``GvResult``, holds an evaluation: G, q and the masks of
-``eta_parts``. Its constructor forms curl(G), the masked density array, the
-value and the Richardson value from one G . curl(G) that is then dropped;
-the ``density`` field and the dual field ``H`` are formed only when read.
+``eta_parts``; the grid is G's. Its constructor forms curl(G), the masked
+``density`` array, the value and the Richardson value from one G . curl(G)
+that is then dropped; the dual field ``H`` is formed only when read.
 The velocity bound reuses G, q, the first mask, curl(G) and the value, so
 under the velocity choice ``analyze`` forms them once for both. A float64
 overflow in the density, C, the enstrophy rate or E raises NonFiniteData
@@ -65,7 +65,6 @@ from .errors import (
     ToleranceBreach,
 )
 from .fieldcore import (
-    ScalarField,
     VectorField,
     cross,
     cross_parts,
@@ -220,21 +219,24 @@ _DENSITY = "the invariant density G . curl(G) / q^2"
 
 
 class GvResult:
-    """The masked invariant of H = G/q from the grid and what ``eta_parts``
-    returns: G, q and the masks at eps and, for Richardson, at eps/2. The
-    constructor forms curl(G), the masked density array, ``value`` and
+    """The masked invariant of H = G/q from what ``eta_parts`` returns: G, q
+    and the masks at eps and, for Richardson, at eps/2; the grid is G's. The
+    constructor forms curl(G), ``density``, ``value`` and
     ``richardson_value``, 2 I(eps/2) - I(eps) given a second mask, from one
-    G . curl(G) for every mask (see the module note)."""
+    G . curl(G) for every mask (see the module note). ``density`` is the
+    array G . curl(G)/q^2 on the first mask, zero off it: for the velocity
+    choice, the local obstruction to steady flow."""
 
-    def __init__(self, grid, G: VectorField, q: np.ndarray, masks):
-        self.grid, self.G, self.q, self.masks = grid, G, q, masks
+    def __init__(self, G: VectorField, q: np.ndarray, masks):
+        self.G, self.q, self.masks = G, q, masks
         self.curlG = curl(G)
+        grid = G.grid
         cell = grid.cell_volume
         with _overflow(_DENSITY, "G", G):
             num = dot(G, self.curlG).data
             halves = [float(np.sum(masked_quotient(num, q, m, 2))) * cell for m in masks[1:]]
-            self._density = masked_quotient(num, q, masks[0], 2)
-            self.value = float(np.sum(self._density)) * cell
+            self.density = masked_quotient(num, q, masks[0], 2)
+            self.value = float(np.sum(self.density)) * cell
             if not np.all(np.isfinite([self.value, *halves])):
                 raise FloatingPointError("non-finite integral")
         self.richardson_value = 2.0 * halves[0] - self.value if halves else None
@@ -244,15 +246,9 @@ class GvResult:
         return 1.0 - float(self.masks[0].mean())
 
     @cached_property
-    def density(self) -> ScalarField:
-        """G . curl(G)/q^2 on the mask, zero off it: for the velocity choice,
-        the local obstruction to steady flow."""
-        return ScalarField(self.grid, self._density)
-
-    @cached_property
     def H(self) -> VectorField:
         """The dual field G/q, zero off the mask: A x H = W where mask = 1."""
-        return VectorField(self.grid, masked_quotient(self.G.data, self.q, self.masks[0], 1))
+        return VectorField(self.G.grid, masked_quotient(self.G.data, self.q, self.masks[0], 1))
 
 
 def gv_invariant(
@@ -274,7 +270,7 @@ def gv_invariant(
     eps, so both integrals share G, q, curl(G) and G . curl(G).
     """
     levels = (eps, 0.5 * eps) if richardson and eps > 0.0 else (eps,)
-    return GvResult(bundle.grid, *eta_parts(bundle, variant, *levels))
+    return GvResult(*eta_parts(bundle, variant, *levels))
 
 
 # -- obstruction bound ---------------------------------------------------------
@@ -319,7 +315,7 @@ def obstruction_bound(bundle: FieldBundle, eps: float = _ETA["default_eps"]) -> 
         raise MaskTooSmall(str(exc)) from exc
     # the coverage gate refuses before curl(G) is formed
     uncovered = _uncovered(bundle, masks[0])
-    return _bound(bundle, eps, GvResult(bundle.grid, G, q, masks), uncovered)
+    return _bound(bundle, eps, GvResult(G, q, masks), uncovered)
 
 
 def _bound(bundle: FieldBundle, eps: float, evaluation: GvResult, uncovered: float) -> BoundReport:
@@ -378,7 +374,7 @@ class AnalysisReport:
     flux_residuals: tuple[float, float, float]
     gv: float | None = None
     gv_richardson: float | None = None
-    gv_density: ScalarField | None = None
+    gv_density: np.ndarray | None = None
     excluded_volume_fraction: float | None = None
     claims: dict = field(default_factory=dict)
     deviations: dict = field(default_factory=dict)
@@ -386,7 +382,7 @@ class AnalysisReport:
     bound: BoundReport | None = None
 
     def to_json_dict(self) -> dict:
-        # gv_density is a full 3-D field; it travels as a WRG1 file, never
+        # gv_density is a full 3-D array; it travels as a WRG1 file, never
         # inside the JSON document
         return {
             "schema": "wring-report/1",

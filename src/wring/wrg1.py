@@ -11,8 +11,9 @@ Layout, all little-endian:
                   array, a "vector" entry is three of them (x, y, z)
 
 The metadata block records grid dims, box lengths, the ordered field
-declarations, and free-form provenance (family name, creation parameters,
-claims), as strict JSON: no NaN, Infinity or number that overflows float64.
+declarations (each name at most once), and free-form provenance (family
+name, creation parameters, claims), as strict JSON: no NaN, Infinity or
+number that overflows float64.
 The data size it declares is checked against the file size before any array
 is read. Round-trips are bit-exact: arrays are written from their own
 buffers and read with frombuffer(), as read-only arrays on the file bytes.
@@ -101,6 +102,7 @@ def read_fields(path) -> tuple[Grid3, dict, dict]:
         meta = header.get("meta", {})
         if not isinstance(meta, dict):
             raise FormatError(f"{path}: metadata 'meta' must be an object, got {meta!r}")
+        names = set()
         for i, entry in enumerate(declared):
             if not (
                 isinstance(entry, dict)
@@ -111,6 +113,9 @@ def read_fields(path) -> tuple[Grid3, dict, dict]:
                     f"{path}: field entry {i} needs a string 'name' and a 'kind' of "
                     f"'scalar' or 'vector', got {entry!r}"
                 )
+            if entry["name"] in names:
+                raise FormatError(f"{path}: field {entry['name']!r} is declared twice")
+            names.add(entry["name"])
         npts = grid.n[0] * grid.n[1] * grid.n[2]
         # the sizes are compared before any read, so a header that declares
         # more data than the file holds never allocates it

@@ -293,8 +293,11 @@ class TestHostileWrg1:
             ({"box": "[1e300, 1.0, 1.0]"}, "box lengths must lie in"),
             ({"fields": '[{"name": "A", "kind": "scalar"}, {"name": "W", "kind": "vector"}]',
               "data": np.zeros(4 * 16**3).tobytes()}, "must be vectors"),
+            ({"fields": '[{"name": "A", "kind": "vector"}, {"name": "W", "kind": "vector"}, '
+                        '{"name": "A", "kind": "vector"}]',
+              "data": np.zeros(9 * 16**3).tobytes()}, "bad.wrg: field 'A' is declared twice"),
         ],
-        ids=["nan-meta", "overflow-meta", "overflow-claim", "deep-meta", "huge-box", "scalar-A"],
+        ids=["nan-meta", "overflow-meta", "overflow-claim", "deep-meta", "huge-box", "scalar-A", "duplicate-A"],
     )
     def test_header_outside_schema(self, tmp_path, capsys, command, header, message):
         self._exit_3(tmp_path, capsys, command, message, **header)

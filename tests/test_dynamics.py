@@ -143,13 +143,8 @@ class TestObstructionBound:
         rep = dyn.obstruction_bound(sheared32)
         # independent quadrature of the same masked integrand
         b = sheared32
-        G = np.stack(
-            (
-                b.W.y * b.U.z - b.W.z * b.U.y,
-                b.W.z * b.U.x - b.W.x * b.U.z,
-                b.W.x * b.U.y - b.W.y * b.U.x,
-            )
-        )
+        (wx, wy, wz), (ux, uy, uz) = b.W.data, b.U.data
+        G = np.stack((wy * uz - wz * uy, wz * ux - wx * uz, wx * uy - wy * ux))
         q = np.einsum("i...,i...->...", b.U.data, b.A.data)
         mask = np.abs(q) > rep.eps * np.max(np.abs(q))
         integrand = np.where(mask, np.sum(G**2, axis=0) / np.where(mask, q, 1.0) ** 4, 0.0)

@@ -312,7 +312,7 @@ def pointwise_cases(g, rng):
             lambda: fieldcore.cross_parts(g.ik, s, out=np.empty_like(s)),
             lambda: np.stack(fieldcore.cross_parts(g.ik, s)),
         ),
-        "magnitude2": (lambda: magnitude2(a).data, lambda: a.x**2 + a.y**2 + a.z**2),
+        "magnitude2": (lambda: magnitude2(a).data, lambda: a.data[0] ** 2 + a.data[1] ** 2 + a.data[2] ** 2),
     }
     for power in (1, 2):
         cases[f"masked quotient {power}"] = (
@@ -436,7 +436,7 @@ class TestGrad:
         out = grad(s)
         x, _, _ = g.mesh()
         exact = kx * np.cos(kx * x)
-        assert np.max(np.abs(out.x - exact)) < 1e-12
+        assert np.max(np.abs(out.data[0] - exact)) < 1e-12
         assert np.max(np.abs(out.data[1:])) < 1e-12
 
     def test_two_mode(self):
@@ -444,9 +444,9 @@ class TestGrad:
         s = ScalarField.sample(g, lambda x, y, z: np.sin(x) + np.cos(y) + 0 * z)
         out = grad(s)
         x, y, _ = g.mesh()
-        assert np.max(np.abs(out.x - np.cos(x))) < 1e-12
-        assert np.max(np.abs(out.y - (-np.sin(y)))) < 1e-12
-        assert np.max(np.abs(out.z)) < 1e-13
+        assert np.max(np.abs(out.data[0] - np.cos(x))) < 1e-12
+        assert np.max(np.abs(out.data[1] - (-np.sin(y)))) < 1e-12
+        assert np.max(np.abs(out.data[2])) < 1e-13
 
 
 class TestCurlDiv:
@@ -484,9 +484,9 @@ class TestCurlDiv:
         dx, dy = x - np.pi, y - np.pi
         r = np.sqrt(dx**2 + dy**2)
         v = VectorField.from_components(g, -dy * chi(r), dx * chi(r), 0.0)
-        w = curl(v)
+        wx, wy, wz = curl(v).data
         exact = 2.0 * chi(r) + r * dchi(r)
-        num = integrate(magnitude2(VectorField.from_components(g, w.x, w.y, w.z - exact)))
+        num = integrate(magnitude2(VectorField.from_components(g, wx, wy, wz - exact)))
         den = integrate(ScalarField(g, np.broadcast_to(exact, g.shape) ** 2))
         assert np.sqrt(num / den) < 1e-6
 

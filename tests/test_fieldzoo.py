@@ -60,13 +60,13 @@ class TestClebsch:
         b = fz.gen_clebsch(g)
         x, y, _ = g.mesh()
         f = 2.0 + np.sin(x) * np.cos(y)
-        assert np.max(np.abs(b.A.z - np.broadcast_to(f, g.shape))) < 1e-12
-        assert np.max(np.abs(b.A.x)) < 1e-13 and np.max(np.abs(b.A.y)) < 1e-13
+        assert np.max(np.abs(b.A.data[2] - np.broadcast_to(f, g.shape))) < 1e-12
+        assert np.max(np.abs(b.A.data[0])) < 1e-13 and np.max(np.abs(b.A.data[1])) < 1e-13
         fy = -np.sin(x) * np.sin(y)
         fx = np.cos(x) * np.cos(y)
-        assert np.max(np.abs(b.W.x - np.broadcast_to(fy, g.shape))) < 1e-11
-        assert np.max(np.abs(b.W.y - np.broadcast_to(-fx, g.shape))) < 1e-11
-        assert np.max(np.abs(b.W.z)) < 1e-12
+        assert np.max(np.abs(b.W.data[0] - np.broadcast_to(fy, g.shape))) < 1e-11
+        assert np.max(np.abs(b.W.data[1] - np.broadcast_to(-fx, g.shape))) < 1e-11
+        assert np.max(np.abs(b.W.data[2])) < 1e-12
 
     def test_pointwise_orthogonality(self):
         b = fz.gen_clebsch(cube(32))
@@ -107,12 +107,12 @@ class TestKupka:
         i = j = 16  # box centre is a grid point
         amag = np.sqrt(np.sum(b.A.data[:, i, j, :] ** 2, axis=0))
         assert np.max(amag) < 1e-14
-        assert np.min(b.W.z[i, j, :]) > 1.9  # 2 chi(0) with chi(0) = 1
+        assert np.min(b.W.data[2][i, j, :]) > 1.9  # 2 chi(0) with chi(0) = 1
         assert np.max(np.abs(dot(b.A, b.W).data)) < 1e-14
 
     def test_zero_net_flux(self):
         b = fz.gen_kupka_tube(cube(32))
-        assert abs(float(np.mean(b.W.z))) < 1e-16
+        assert abs(float(np.mean(b.W.data[2]))) < 1e-16
 
     def test_support_too_large(self):
         with pytest.raises(SupportTooLarge):

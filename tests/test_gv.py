@@ -154,9 +154,9 @@ class TestSolveEta:
         f = 2.0 + np.sin(x) * np.cos(y)
         hx = -np.cos(x) * np.cos(y) / f
         hy = np.sin(x) * np.sin(y) / f
-        assert np.max(np.abs(sol.H.x - np.broadcast_to(hx, g.shape))) < 1e-8
-        assert np.max(np.abs(sol.H.y - np.broadcast_to(hy, g.shape))) < 1e-8
-        assert np.max(np.abs(sol.H.z)) < 1e-10
+        assert np.max(np.abs(sol.H.data[0] - np.broadcast_to(hx, g.shape))) < 1e-8
+        assert np.max(np.abs(sol.H.data[1] - np.broadcast_to(hy, g.shape))) < 1e-8
+        assert np.max(np.abs(sol.H.data[2])) < 1e-10
 
     def test_identity_a_cross_h_equals_w(self, clebsch64, kupka64):
         for bundle, eps in ((clebsch64, 0.05), (kupka64, 0.05)):
@@ -180,7 +180,7 @@ class TestSolveEta:
         h_rad = -wz / (safe_r * safe_chi)
         exact_x = np.broadcast_to(h_rad * dx / safe_r, g.shape)
         scale = np.max(np.abs(sol.H.data))
-        err = np.max(np.abs((sol.H.x - exact_x) * mask)) / scale
+        err = np.max(np.abs((sol.H.data[0] - exact_x) * mask)) / scale
         assert err < 1e-6
 
     def test_irrotational_field_admits_zero_h(self):
@@ -210,10 +210,15 @@ class TestGvInvariant:
 
     def test_density_shape_and_mask(self, kupka64):
         res = gv.gv_invariant(kupka64, eps=0.05)
-        assert res.density.data.shape == kupka64.grid.shape
+        assert res.density.shape == kupka64.grid.shape
         assert 0.0 <= res.excluded_volume_fraction < 1.0
-        outside = res.density.data[~res.masks[0]]
+        outside = res.density[~res.masks[0]]
         assert np.all(outside == 0.0)
+
+    def test_analyze_density_is_an_array(self, kupka64):
+        report = gv.analyze(kupka64, eps=0.05)
+        assert type(report.gv_density) is np.ndarray
+        assert report.gv_density.shape == kupka64.grid.shape
 
     def test_richardson_report(self, kupka64):
         res = gv.gv_invariant(kupka64, eps=0.1, richardson=True)
@@ -251,7 +256,7 @@ class TestMaskedDensityValue:
 
     def test_whole_torus_value(self, abc32):
         g, G, q = abc32
-        res = gv.GvResult(g, G, q, [np.ones(g.shape, dtype=bool)])
+        res = gv.GvResult(G, q, [np.ones(g.shape, dtype=bool)])
         assert res.value == pytest.approx(16.0 * np.pi**3 / np.sqrt(3.0), rel=1e-13, abs=0.0)
         assert res.richardson_value is None
         assert res.excluded_volume_fraction == 0.0
@@ -260,16 +265,16 @@ class TestMaskedDensityValue:
         # on a 2 pi x 4 pi x 4 pi box the y-z sum is 48 pi^2, four times the
         # cube's, so the cell volume must take each axis's spacing
         g, G, q = self.manufactured(Grid3((32, 32, 32), (TWO_PI, 2.0 * TWO_PI, 2.0 * TWO_PI)))
-        res = gv.GvResult(g, G, q, [np.ones(g.shape, dtype=bool)])
+        res = gv.GvResult(G, q, [np.ones(g.shape, dtype=bool)])
         assert res.value == pytest.approx(64.0 * np.pi**3 / np.sqrt(3.0), rel=1e-13, abs=0.0)
 
     def test_nested_slabs_and_richardson(self, abc32):
         g, G, q = abc32
-        res = gv.GvResult(g, G, q, [self.slab(g, 1.0), self.slab(g, 2.0)])
+        res = gv.GvResult(G, q, [self.slab(g, 1.0), self.slab(g, 2.0)])
         inner, outer = self.slab_sum(g, 1.0), self.slab_sum(g, 2.0)
         assert res.value == pytest.approx(inner, rel=1e-13, abs=0.0)
         assert res.richardson_value == pytest.approx(2.0 * outer - inner, rel=1e-13, abs=0.0)
-        assert np.all(res.density.data[~self.slab(g, 1.0)] == 0.0)
+        assert np.all(res.density[~self.slab(g, 1.0)] == 0.0)
 
 
 class TestBoundValues:
@@ -289,7 +294,7 @@ class TestBoundValues:
     def bound(self, b, sign):
         g = b.grid
         q = sign * np.ascontiguousarray(np.broadcast_to(2.0 + np.sin(g.mesh()[0]), g.shape))
-        return gv._bound(b, 0.0, gv.GvResult(g, b.W, q, [np.ones(g.shape, dtype=bool)]), 0.0)
+        return gv._bound(b, 0.0, gv.GvResult(b.W, q, [np.ones(g.shape, dtype=bool)]), 0.0)
 
     def test_C(self, abc32):
         report = self.bound(abc32, 1.0)
@@ -457,7 +462,7 @@ class TestDensityValue:
             monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], lanes)
             res = gv.gv_invariant(self.bundle(grid), eps=0.0)
             assert res.excluded_volume_fraction == 0.0
-            assert np.max(np.abs(res.density.data - exact)) < 1e-10 * scale
+            assert np.max(np.abs(res.density - exact)) < 1e-10 * scale
             assert abs(res.value) < 1e-12
 
     def test_density_out_matches_closed_form(self, tmp_path):
@@ -496,11 +501,10 @@ class TestAnalyzeBound:
 
     def test_bound_forms_no_density_or_mask(self, seeded_sheared32, monkeypatch):
         # the bound reads the evaluation's value and first mask, never its
-        # full-size fields
+        # dual field H
         def refuse(self):
             raise AssertionError("full-size field formed for the bound")
 
-        monkeypatch.setattr(gv.GvResult, "density", property(refuse))
         monkeypatch.setattr(gv.GvResult, "H", property(refuse))
         report = gv.obstruction_bound(seeded_sheared32)
         assert report.to_json_dict()["schema"] == "wring-bound/1"

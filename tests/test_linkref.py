@@ -211,6 +211,14 @@ class TestLinkingHelicities:
         per, total = helicities(cs)
         assert per == [0.0, 0.0, 0.0, 0.0] and total == 0.0
 
+    def test_quad_preset_declares_its_matrix(self, monkeypatch):
+        calls = []
+        gauss = linkref.gauss_linking
+        monkeypatch.setattr(linkref, "gauss_linking", lambda a, b: calls.append(1) or gauss(a, b))
+        cs = linkref.zero_helicity_quad(64)
+        assert calls == []
+        assert cs.linking.tolist() == [[0, 1, -1, 0], [1, 0, 0, -1], [-1, 0, 0, 1], [0, -1, 1, 0]]
+
     def test_quad_matrix_validated_by_quadrature(self):
         cs = linkref.zero_helicity_quad(256)
         declared = cs.linking

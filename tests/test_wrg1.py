@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
@@ -130,6 +131,14 @@ def test_bad_field_entry_rejected(tmp_path, grid, entry):
     path = tmp_path / "e.wrg"
     _write_raw(path, list(grid.n), [entry], np.zeros(grid.shape).tobytes())
     with pytest.raises(FormatError):
+        wrg1.read_fields(path)
+
+
+def test_field_declared_twice_rejected(tmp_path, grid):
+    path = tmp_path / "d.wrg"
+    entries = [{"name": "v", "kind": "vector"}, {"name": "s", "kind": "scalar"}, {"name": "v", "kind": "vector"}]
+    _write_raw(path, list(grid.n), entries, np.zeros((7,) + grid.shape).tobytes())
+    with pytest.raises(FormatError, match=re.escape(f"{path}: field 'v' is declared twice")):
         wrg1.read_fields(path)
 
 

@@ -16,8 +16,9 @@ The command list covers every family generated with and without a shear,
 ``diffeo``, ``analyze`` with ``--bound --richardson --density-out`` and with
 ``--eta velocity --bound``, the n=64/96 inputs of the benchmark's
 ``analyze`` rotation, ``evolve --steps 3 --series --out`` at n=32 and n=64,
-a non-cubic box, ``link``, ``thurston`` and ``selftest --json``. ``--quick``
-runs a cut-down list at n=16 in a few seconds.
+a non-cubic box, ``link`` on the hopf and quad presets, ``thurston`` and
+``selftest --json``. ``--quick`` runs a cut-down list at n=16 in a few
+seconds.
 
 Exit codes: 0 when nothing differs, 1 when something does, 2 when REV
 cannot be checked out.
@@ -96,6 +97,7 @@ FULL = (
         _analyze("d64-full", "d64", "--bound", "--density-out", "d64-density.wrg"),
         ["evolve", "d64.wrg", "--steps", "3", "--series", "e64.csv", "--out", "e64.wrg"],
         ["link", "--preset", "hopf", "--json", "link.json"],
+        ["link", "--preset", "quad", "--json", "link-quad.json"],
         ["thurston", "--fluxes", "1,1,1", "--slopes", "2,3,5", "--json", "thurston.json"],
         ["selftest", "--json", "selftest.json"],
     ]

@@ -15,7 +15,7 @@ anything. The copy has no ``.git``, so the tests that need git skip, and
 
 Every source text must occur exactly once in its file (the tier-1 test
 ``tests/test_mutants.py`` checks it), so the list cannot silently stop
-applying. One run of the full list (29 mutants) took about 9 minutes on
+applying. One run of the full list (30 mutants) took about 9 minutes on
 2 vCPUs: the suite runs once per mutant, to the end for a survivor.
 
 Exit codes: 0 when every mutant is killed, 1 when one survives, 2 when an
@@ -100,6 +100,9 @@ MUTANTS = [
      "pair[:3] *= grid.inv_k2", "pair[:3] *= 1.0"),
     ("ring vorticity as A^ x ik", "fieldzoo.py",
      "cross_parts(grid.ik, pair[:3], out=pair[3:])", "cross_parts(pair[:3], grid.ik, out=pair[3:])"),
+    # the WRG1 header's one entry per field name
+    ("duplicate WRG1 field accepted", "wrg1.py",
+     'if entry["name"] in names:', 'if entry["name"] in ():'),
     # the Gauss linking normalization
     ("Gauss 2 pi", "linkref.py",
      "np.sum(terms) / (4.0 * np.pi)", "np.sum(terms) / (2.0 * np.pi)"),
