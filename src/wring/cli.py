@@ -13,6 +13,7 @@ precondition failed, 5 internal tolerance breach or failed selftest.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -31,12 +32,15 @@ _MAX_STEPS = 2**53
 
 
 def _check_writable(*paths) -> None:
-    """Validate output locations up front, before any compute happens."""
+    """Validate output locations up front, before any compute happens: each
+    must name a file, not a directory, in a directory that exists."""
     import os
 
     for path in paths:
         if path is None or path == "-":
             continue
+        if os.path.isdir(path):
+            raise ValueError(f"output path is a directory: {path}")
         parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
             raise ValueError(f"output directory does not exist: {parent}")
@@ -134,7 +138,6 @@ def _cmd_analyze(args) -> int:
     if args.density_out and report.gv_density is not None:
         wrg1.write_fields(
             args.density_out,
-            bundle.grid,
             {"gv_density": ScalarField(bundle.grid, report.gv_density)},
             meta={"family": report.family, "eta": args.eta, "eps": args.eps},
         )
@@ -186,10 +189,7 @@ def _cmd_diffeo(args) -> int:
     _check_writable(args.out)
     bundle = fieldzoo.FieldBundle.load(args.input)
     dmap = fieldzoo.DiffeoMap(tuple(_parse_shear(s) for s in args.shear))
-    kwargs = {}
-    if args.consistency_tol is not None:
-        kwargs["consistency_tol"] = args.consistency_tol
-    out = fieldzoo.apply_diffeo(bundle, dmap, **kwargs)
+    out = fieldzoo.apply_diffeo(bundle, dmap, consistency_tol=args.consistency_tol)
     out.save(args.out)
     res = out.meta["residuals"]["curl_consistency"]
     print(f"wrote {args.out} (curl consistency {res:.3e})")
@@ -197,6 +197,7 @@ def _cmd_diffeo(args) -> int:
 
 
 def _cmd_thurston(args) -> int:
+    _check_writable(args.json)
     doc = {}
     if args.slopes:
         sd = linkref.SlopeData(tuple(float(v) for v in args.slopes.split(",")))
@@ -216,14 +217,15 @@ def _cmd_thurston(args) -> int:
 
 
 _PRESETS = {
-    "hopf": lambda samples: linkref.hopf_pair(samples),
-    "hopf-reversed": lambda samples: linkref.hopf_pair(samples, reverse_second=True),
-    "distant": lambda samples: linkref.distant_pair(samples),
-    "quad": lambda samples: linkref.zero_helicity_quad(samples),
+    "hopf": linkref.hopf_pair,
+    "hopf-reversed": functools.partial(linkref.hopf_pair, reverse_second=True),
+    "distant": linkref.distant_pair,
+    "quad": linkref.zero_helicity_quad,
 }
 
 
 def _cmd_link(args) -> int:
+    _check_writable(args.json)
     if args.curves:
         with open(args.curves) as fh:
             try:
@@ -253,6 +255,7 @@ def _cmd_link(args) -> int:
 def _cmd_selftest(args) -> int:
     from . import selftest
 
+    _check_writable(args.json)
     ids = None
     if args.criteria:
         ids = {int(v) for v in args.criteria.split(",")}

@@ -91,8 +91,7 @@ def bernoulli_head(bundle: FieldBundle) -> ScalarField:
     """
     g = bundle.grid
     stack = np.empty((6,) + g.box_shape, dtype=complex)
-    for s, w in zip(bundle.W.spec, stack):
-        g.cut_box(s, out=w)
+    g.cut_box(bundle.W.spec, out=stack[:3])
     ps = _products(g, stack)
     ikx, iky, ikz = g.box_ik
     return ScalarField(g, g.irfft((ikx * ps[0] + iky * ps[1] + ikz * ps[2]) * g.box_inv_k2))
@@ -103,7 +102,7 @@ def bernoulli_head(bundle: FieldBundle) -> ScalarField:
 
 def cfl_timestep(bundle: FieldBundle, cfl: float) -> float:
     """Time step for a target advective CFL number."""
-    umax = bundle.U.maxnorm()
+    umax = bundle.U.maxnorm
     if umax == 0.0:
         return 1.0
     return cfl * min(bundle.grid.spacing) / umax
@@ -165,7 +164,7 @@ def step(b: FieldBundle, dt: float, t: float) -> tuple[FieldBundle, float]:
     (defaults.json). Both errors name dt and the step's start time ``t``.
     """
     g = b.grid
-    cfl = abs(dt) * b.U.maxnorm() / min(g.spacing)
+    cfl = abs(dt) * b.U.maxnorm / min(g.spacing)
     if cfl >= _DYN["cfl_limit"]:
         raise CflViolation(
             f"CFL number {cfl:.3g} in the step from t={t:g} with dt={dt:g} "
@@ -174,7 +173,7 @@ def step(b: FieldBundle, dt: float, t: float) -> tuple[FieldBundle, float]:
     # the full spectra of (W, A), from the fields' caches: a stepped bundle
     # carries the previous step's; the RK4 sum adds the box increment to
     # them in place, so every mode outside the box passes through unchanged
-    s = np.stack(b.W.spec + b.A.spec)
+    s = np.concatenate((b.W.spec, b.A.spec))
     stack = np.empty((12,) + g.box_shape, dtype=complex)
     y = stack[:6]
     g.cut_box(s, out=y)
@@ -205,7 +204,7 @@ def step(b: FieldBundle, dt: float, t: float) -> tuple[FieldBundle, float]:
     W1 = VectorField(g, phys[:3], spec=w1)
     A1 = VectorField(g, phys[3:], spec=a1)
     meta = {k: v for k, v in b.meta.items() if k != "residuals"}
-    return FieldBundle(g, A1, W1, meta), drift
+    return FieldBundle(A1, W1, meta), drift
 
 
 # -- invariant tracking ---------------------------------------------------------

@@ -504,6 +504,7 @@ class ScalarField:
         values = np.broadcast_to(np.asarray(fn(x, y, z), dtype=np.float64), grid.shape)
         return cls(grid, np.ascontiguousarray(values))
 
+    @property
     def maxabs(self) -> float:
         return float(np.max(np.abs(self.data)))
 
@@ -513,11 +514,11 @@ class VectorField:
     """Real vector samples on a Grid3, components stacked along axis 0.
 
     The array is read-only from construction, so the field caches what it
-    derives from it: ``spec``, its three read-only rfft spectra, the values
-    of ``maxnorm``, ``maxabs`` and ``component_means``, and the inverse-curl
-    gate's ``potential_residuals``. ``step``
-    seeds the stepped W's and A's ``spec`` with the spectra it inverted to
-    get them, equal to their rfft to roundoff.
+    derives from it: ``spec``, its read-only stacked rfft spectrum of shape
+    (3, nx, ny, nz//2 + 1), ``maxnorm``, ``maxabs``, ``component_means``
+    and the inverse-curl gate's ``potential_residuals``. ``step`` seeds
+    the stepped W's and A's ``spec`` with the spectra it inverted to get
+    them, equal to their rfft to roundoff.
     """
 
     grid: Grid3
@@ -533,7 +534,7 @@ class VectorField:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "data", _read_only(data))
         if spec is not None:
-            self.__dict__["spec"] = tuple(map(_read_only, spec))
+            self.__dict__["spec"] = _read_only(spec)
 
     @classmethod
     def from_components(cls, grid: Grid3, cx, cy, cz) -> "VectorField":
@@ -543,41 +544,23 @@ class VectorField:
         return cls(grid, out)
 
     @cached_property
-    def spec(self) -> tuple:
-        """The three rfft spectra of the components, read-only views of one
-        stacked transform."""
-        return tuple(_read_only(self.grid.rfft(self.data)))
+    def spec(self) -> np.ndarray:
+        """The rfft spectra of the components, one read-only stacked transform."""
+        return _read_only(self.grid.rfft(self.data))
 
-    def maxnorm(self) -> float:
-        """Maximum pointwise Euclidean magnitude."""
-        return self._maxnorm
-
-    def maxabs(self) -> float:
-        return self._maxabs
-
-    def component_means(self) -> tuple[float, float, float]:
-        return self._means
-
-    @cached_property
-    def _maxnorm(self) -> float:
-        return float(np.sqrt(np.max(magnitude2(self).data)))
-
-    @cached_property
-    def _maxabs(self) -> float:
-        # max(max x, -min x) is max|x| exactly, without an |x| temporary
-        return float(max(self.data.max(), -self.data.min()))
-
-    @cached_property
-    def _means(self) -> tuple:
-        return tuple(float(np.mean(c)) for c in self.data)
+    # the maximum pointwise Euclidean magnitude
+    maxnorm = cached_property(lambda self: float(np.sqrt(np.max(magnitude2(self).data))))
+    # max(max x, -min x) is max|x| exactly, without an |x| temporary
+    maxabs = cached_property(lambda self: float(max(self.data.max(), -self.data.min())))
+    component_means = cached_property(lambda self: tuple(float(np.mean(c)) for c in self.data))
 
     @cached_property
     def potential_residuals(self) -> tuple[float, float]:
         """What the inverse-curl gate measures, from ``spec``: (div_w, mean_w) =
         (max|div w| min(h), max|component mean|) / max|w|."""
-        scale = max(self.maxabs(), config.TOL["underflow"])
-        div_w = div(self).maxabs() * min(self.grid.spacing) / scale
-        return div_w, max(abs(m) for m in self.component_means()) / scale
+        scale = max(self.maxabs, config.TOL["underflow"])
+        div_w = div(self).maxabs * min(self.grid.spacing) / scale
+        return div_w, max(abs(m) for m in self.component_means) / scale
 
 
 # -- pointwise algebra -------------------------------------------------------
@@ -589,17 +572,11 @@ def dot(a: VectorField, b: VectorField) -> ScalarField:
     return ScalarField(a.grid, out)
 
 
-def cross_parts(a, b, out=None):
-    """Components of a x b for two sequences of three component arrays.
-
-    With ``out``, a stack of three arrays, they are written into it (with
-    the same roundings), x-slab by x-slab (``pointwise``), and ``out`` is
-    returned.
+def cross_parts(a, b, out: np.ndarray) -> np.ndarray:
+    """Components of a x b, for two sequences of three component arrays,
+    written into the stack of three ``out`` x-slab by x-slab (``pointwise``);
+    returns ``out``. Each entry is rounded as ``a*b - c*d`` rounds it.
     """
-    ax, ay, az = a
-    bx, by, bz = b
-    if out is None:
-        return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
 
     def kernel(o, ax, ay, az, bx, by, bz):
         tmp = np.empty_like(o[0])
@@ -607,7 +584,7 @@ def cross_parts(a, b, out=None):
             np.multiply(p, q, out=oc)
             oc -= np.multiply(r, s, out=tmp)
 
-    pointwise(kernel, out, ax, ay, az, bx, by, bz)
+    pointwise(kernel, out, *a, *b)
     return out
 
 
@@ -688,7 +665,7 @@ def inverse_curl(w: VectorField) -> VectorField:
     """
     require_potential(w)
     g = w.grid
-    c = cross_parts(g.ik, w.spec, out=np.empty((3,) + w.spec[0].shape, dtype=complex))
+    c = cross_parts(g.ik, w.spec, out=np.empty_like(w.spec))
     c *= g.inv_k2
     return VectorField(g, g.irfft(c, overwrite=True))
 
@@ -705,7 +682,7 @@ def curl_drift(g: Grid3, a, w) -> float:
     """L2 norm of curl(A) - W relative to that of W (absolute when W vanishes),
     from the rfft spectra ``a`` of A and ``w`` of W: a Parseval sum, with
     curl(A) formed in one preallocated stack and W subtracted in place."""
-    d = cross_parts(g.ik, a, out=np.empty((3,) + a[0].shape, dtype=complex))
+    d = cross_parts(g.ik, a, out=np.empty_like(a))
     num = den = 0.0
     for dc, wc in zip(d, w):
         dc -= wc

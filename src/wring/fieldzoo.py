@@ -2,10 +2,10 @@
 
 Every generator returns a FieldBundle: a consistent pair of the potential
 dual A (so the potential 1-form is A's metric dual) and the vorticity W with
-curl A = W, and provenance metadata recording the family, its parameters,
-and any analytic claims (integrability, expected helicity, expected
-invariant values) that downstream analysis can check. The velocity is
-always derived from W.
+curl A = W on one grid, which the bundle takes from A, and provenance
+metadata recording the family, its parameters, and any analytic claims
+(integrability, expected helicity, expected invariant values) that
+downstream analysis can check. The velocity is always derived from W.
 
 Families:
 
@@ -17,9 +17,9 @@ Families:
                      vortex line).
 * ``gen_beltrami_abc`` the ABC eigenfield of curl: NOT integrable, nonzero
                      helicity; used as the negative control.
-* ``gen_linked_rings`` two solenoidal vortex tubes with declared fluxes and
-                     zero internal twist; helicity target from the linking
-                     number.
+* ``gen_linked_rings`` two solenoidal vortex tubes inside the box, with
+                     declared fluxes and zero internal twist; helicity
+                     target from the linking number.
 
 Volume-preserving maps are built from shear primitives; they are periodic,
 unit-Jacobian, closed under composition, and are applied to sampled fields
@@ -40,6 +40,7 @@ from .errors import (
     ConsistencyLoss,
     DegenerateField,
     FormatError,
+    InvalidGrid,
     MapNotInvertible,
     NonPeriodic,
     PreconditionError,
@@ -72,16 +73,24 @@ _VALUES = config.DEFAULTS["bundle_values"]
 class FieldBundle:
     """Consistent (potential dual A, vorticity W) pair; U is derived from W.
 
-    A and W are read-only fields, each caching its own spectra and W its
-    gate residuals, so U, the inverse curl of W, is cached here too.
-    ``meta`` carries family name, creation parameters, claims and measured
+    A and W are read-only fields on one grid, the bundle's ``grid`` (a W on
+    another raises InvalidGrid), each caching its own spectra and W its gate
+    residuals, so U, the inverse curl of W, is cached here too. ``meta``
+    carries family name, creation parameters, claims and measured
     generation residuals; analysis code treats the claims as oracles.
     """
 
-    grid: Grid3
     A: VectorField
     W: VectorField
     meta: dict = dataclasses.field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.W.grid != self.A.grid:
+            raise InvalidGrid(f"a bundle's A and W share one grid: A is on {self.A.grid}, W on {self.W.grid}")
+
+    @property
+    def grid(self) -> Grid3:
+        return self.A.grid
 
     @cached_property
     def U(self) -> VectorField:
@@ -108,7 +117,7 @@ class FieldBundle:
         return out
 
     def save(self, path) -> None:
-        wrg1.write_fields(path, self.grid, {"A": self.A, "W": self.W}, meta=_json_safe(self.meta))
+        wrg1.write_fields(path, {"A": self.A, "W": self.W}, meta=_json_safe(self.meta))
 
     @classmethod
     def load(cls, path) -> "FieldBundle":
@@ -118,7 +127,7 @@ class FieldBundle:
         ``bundle_values`` (defaults.json); outside it, FormatError names the
         file and the field, before any product of the samples can overflow.
         """
-        grid, fields, meta = wrg1.read_fields(path)
+        _, fields, meta = wrg1.read_fields(path)
         try:
             A, W = fields["A"], fields["W"]
         except KeyError as exc:
@@ -135,7 +144,7 @@ class FieldBundle:
             number = value is None or type(value) in (int, float) and abs(value) <= _MAX_FLOAT
             if key in ("helicity", "gv") and not number:
                 raise FormatError(f"{path}: claim {key!r} must be a float64 number or null, got {value!r}")
-        return cls(grid, A, W, meta)
+        return cls(A, W, meta)
 
 
 def _out_of_range(A: VectorField, W: VectorField) -> str | None:
@@ -143,7 +152,7 @@ def _out_of_range(A: VectorField, W: VectorField) -> str | None:
     its largest |component| within ``bundle_values`` (defaults.json), or None."""
     low, high = _VALUES["min_nonzero_abs"], _VALUES["max_abs"]
     for name, field in (("A", A), ("W", W)):
-        peak = field.maxabs()
+        peak = field.maxabs
         if peak > high or 0.0 < peak < low:
             return (
                 f"field {name!r} has max|component| {peak:.17g}; a bundle field "
@@ -152,7 +161,7 @@ def _out_of_range(A: VectorField, W: VectorField) -> str | None:
     return None
 
 
-def _verified(grid: Grid3, A: VectorField, W: VectorField, meta: dict) -> FieldBundle:
+def _verified(A: VectorField, W: VectorField, meta: dict) -> FieldBundle:
     """The bundle of A and W with its ``verify`` residuals in ``meta["residuals"]``.
 
     A and W must pass the value range that ``FieldBundle.load`` checks
@@ -161,15 +170,15 @@ def _verified(grid: Grid3, A: VectorField, W: VectorField, meta: dict) -> FieldB
     problem = _out_of_range(A, W)
     if problem:
         raise ValueError(problem)
-    bundle = FieldBundle(grid, A, W, meta)
+    bundle = FieldBundle(A, W, meta)
     meta["residuals"] = bundle.verify()
     return bundle
 
 
 def integrability_residual(bundle: FieldBundle) -> float:
     """max|A.W| / (max|A| max|W|), Euclidean maxima; zero means the potential is integrable."""
-    a_scale = bundle.A.maxnorm()
-    w_scale = bundle.W.maxnorm()
+    a_scale = bundle.A.maxnorm
+    w_scale = bundle.W.maxnorm
     if a_scale < _TOL["underflow"] or w_scale < _TOL["underflow"]:
         raise DegenerateField("A or W magnitude below underflow threshold")
     return float(np.max(np.abs(dot(bundle.A, bundle.W).data))) / (a_scale * w_scale)
@@ -203,14 +212,14 @@ def _snap_zero_mean(v: VectorField, *, tol: float = 1e-3) -> VectorField:
     ``tol`` relative to the field scale signals input that is not periodic
     or that the grid does not resolve.
     """
-    scale = max(v.maxabs(), _TOL["underflow"])
-    for i, m in enumerate(v.component_means()):
+    scale = max(v.maxabs, _TOL["underflow"])
+    for i, m in enumerate(v.component_means):
         if abs(m) > tol * scale:
             raise NonPeriodic(
                 f"component {i} mean {m:g} exceeds {tol:g} of max|component| {scale:g}: "
                 "the field is either not periodic or not resolved by the grid (raise n)"
             )
-    return VectorField(v.grid, v.data - np.array(v.component_means())[:, None, None, None])
+    return VectorField(v.grid, v.data - np.array(v.component_means)[:, None, None, None])
 
 
 # -- scalar specs ------------------------------------------------------------
@@ -348,7 +357,7 @@ def gen_clebsch(
     if g is None and g_linear is None:
         g_linear = (0.0, 0.0, 1.0)
     fs = _as_scalar(grid, f)
-    f_scale = fs.maxabs()
+    f_scale = fs.maxabs
     if float(np.min(np.abs(fs.data))) < _TOL["zero_f_rel"] * max(f_scale, 1e-300):
         raise ZeroF("f passes too close to zero; the potential would degenerate")
     dg = grad(_as_scalar(grid, g)).data if g is not None else np.zeros((3,) + grid.shape)
@@ -360,7 +369,7 @@ def gen_clebsch(
     del fs, dg
     if spectral_tail_fraction(A) > _TOL["spectral_tail_fraction"]:
         raise NonPeriodic("potential has O(1) energy at the grid Nyquist scale")
-    return _verified(grid, A, _snap_zero_mean(W), {
+    return _verified(A, _snap_zero_mean(W), {
         "family": name,
         "params": {
             "f": f if isinstance(f, str) else "<callable>",
@@ -437,7 +446,7 @@ def gen_kupka_tube(
     A = VectorField.from_components(grid, -dy * c, dx * c, 0.0)
     wz = 2.0 * c + r * dchi(r)
     W = _snap_zero_mean(VectorField.from_components(grid, 0.0, 0.0, wz))
-    return _verified(grid, A, W, {
+    return _verified(A, W, {
         "family": "kupka",
         "params": {"r0": float(r0), "power": int(power), "center": [cx, cy]},
         "claims": {
@@ -471,7 +480,7 @@ def gen_beltrami_abc(grid: Grid3, a: float = 1.0, b: float = 1.0, c: float = 1.0
     )
     W = VectorField(grid, kappa * U.data)
     helicity = kappa * (a**2 + b**2 + c**2) * grid.volume
-    return _verified(grid, U, W, {
+    return _verified(U, W, {
         "family": "beltrami",
         "params": {"a": a, "b": b, "c": c},
         "claims": {
@@ -531,23 +540,25 @@ def gen_linked_rings(
     integrability is claimed. ``core_radius`` defaults to defaults.json's
     ``rings.default_core_radius``; one below the largest grid spacing raises
     ValueError: the samples could miss the cores and leave a zero field that
-    still claims the helicity.
+    still claims the helicity. The linking number and the overlap check use
+    the centrelines in R^3, not the periodic samples, so every ring's centre
+    +- (radius + core_radius) must lie inside (0, L) on every axis, or
+    SupportTooLarge names the ring and the axis.
     """
     if core_radius is None:
         core_radius = config.DEFAULTS["rings"]["default_core_radius"]
     power = config.DEFAULTS["rings"]["profile_power"]
-    half = 0.5 * min(grid.box)
-    for ring in (ring1, ring2):
+    for name, ring in (("ring1", ring1), ("ring2", ring2)):
         if not (ring.radius > 0.0 and core_radius > 0.0 and any(ring.normal)):
             raise ValueError(
                 f"core_radius {core_radius:g} and ring radius {ring.radius:g} must be "
                 "positive, and the ring normal nonzero"
             )
-        if ring.radius + core_radius >= half:
-            raise SupportTooLarge(
-                f"ring of radius {ring.radius:g} plus core {core_radius:g} "
-                f"does not fit in half the box {half:g}"
-            )
+        reach = ring.radius + core_radius
+        for axis, c, L in zip("xyz", ring.center, grid.box):
+            if not (c - reach > 0.0 and c + reach < L):
+                raise SupportTooLarge(f"{name} centre {axis} = {c:g} +- radius {ring.radius:g} + core "
+                                      f"{core_radius:g} leaves (0, {L:g}); each ring must lie inside the box")
     spacing = max(grid.spacing)
     if core_radius < spacing:
         raise ValueError(
@@ -577,7 +588,7 @@ def gen_linked_rings(
     A, W = VectorField(grid, aw[:3]), VectorField(grid, aw[3:])
     lk_raw = linkref.gauss_linking(p1, p2)
     lk = int(np.rint(lk_raw))
-    return _verified(grid, A, W, {
+    return _verified(A, W, {
         "family": "rings",
         "params": {
             "ring1": dataclasses.asdict(ring1),
@@ -707,7 +718,7 @@ def apply_diffeo(
         A[b] -= slope * A[a]
         # vector law: component along the sheared axis picks up +g' W_b
         W[a] += slope * W[b]
-    out = _verified(g, VectorField(g, A), VectorField(g, W), {
+    out = _verified(VectorField(g, A), VectorField(g, W), {
         **{k: v for k, v in bundle.meta.items() if k != "residuals"},
         "diffeo": bundle.meta.get("diffeo", []) + [dataclasses.asdict(p) for p in dmap.primitives],
     })

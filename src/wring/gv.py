@@ -99,7 +99,7 @@ def flux_check(bundle: FieldBundle) -> tuple[float, float, float]:
     area. All three must vanish for helicity to be gauge invariant.
     """
     Lx, Ly, Lz = bundle.grid.box
-    mx, my, mz = bundle.W.component_means()
+    mx, my, mz = bundle.W.component_means
     return (mx * Ly * Lz, my * Lx * Lz, mz * Lx * Ly)
 
 
@@ -116,7 +116,7 @@ def helicity(bundle: FieldBundle) -> float:
     flux_tol = _TOL["flux_rel"]
     fluxes = flux_check(bundle)
     Lx, Ly, Lz = bundle.grid.box
-    scale = max(bundle.W.maxabs(), _TOL["underflow"]) * max(Ly * Lz, Lx * Lz, Lx * Ly)
+    scale = max(bundle.W.maxabs, _TOL["underflow"]) * max(Ly * Lz, Lx * Lz, Lx * Ly)
     worst = max(abs(f) for f in fluxes)
     if worst > flux_tol * scale:
         raise FluxObstruction(
@@ -124,7 +124,7 @@ def helicity(bundle: FieldBundle) -> float:
         )
     g = bundle.grid
     spec = bundle.W.spec
-    axb = cross_parts([s.real for s in spec], [s.imag for s in spec])
+    axb = cross_parts(spec.real, spec.imag, out=np.empty(spec.shape))
     kab = sum(ik.imag * c for ik, c in zip(g.ik, axb))
     return 2.0 * g.parseval(kab * g.inv_k2)
 
@@ -141,7 +141,7 @@ def eta_parts(bundle: FieldBundle, variant: str, *eps: float):
     """
     _check_eta(variant, *eps)
     A = bundle.A
-    a_scale = A.maxnorm()
+    a_scale = A.maxnorm
     if a_scale < _TOL["underflow"]:
         raise DegenerateField("potential magnitude below underflow threshold")
     if variant == "canonical":
@@ -152,7 +152,7 @@ def eta_parts(bundle: FieldBundle, variant: str, *eps: float):
         q = dot(U, A).data
         mag = np.abs(q)
         top = float(mag.max())
-        if top < 1e-10 * U.maxnorm() * a_scale:
+        if top < 1e-10 * U.maxnorm * a_scale:
             raise DenominatorVanishesEverywhere(
                 "U.A is at roundoff level everywhere; the velocity "
                 "construction is unusable for this field"
@@ -166,7 +166,7 @@ def _uncovered(bundle: FieldBundle, mask: np.ndarray) -> float:
     exclude vorticity (a tube cut around the zero set of the potential is
     how the invariant is defined for singular potentials); the bound gates
     on this fraction and raises MaskTooSmall past its limit."""
-    w_scale = bundle.W.maxnorm()
+    w_scale = bundle.W.maxnorm
     if w_scale <= _TOL["underflow"]:
         return 0.0
     wmag = np.sqrt(magnitude2(bundle.W).data)
@@ -211,7 +211,7 @@ def _overflow(what: str, name: str, source: VectorField):
             yield
     except (FloatingPointError, NonFiniteData) as exc:
         raise NonFiniteData(
-            f"{what} overflows float64 at field scale max|{name}| = {source.maxabs():.3g}"
+            f"{what} overflows float64 at field scale max|{name}| = {source.maxabs:.3g}"
         ) from exc
 
 

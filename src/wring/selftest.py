@@ -298,7 +298,7 @@ def criterion_10(suite: _Suite) -> CriterionResult:
     base = fieldzoo.apply_diffeo(suite.clebsch(32), _shear(SHEAR_MAIN))
     dts = (0.02, 0.01, 0.005)
     fields = [dynamics.conservation_residual(base, dt) for dt in dts]
-    maxima = [R.maxabs() for R, _ in fields]
+    maxima = [R.maxabs for R, _ in fields]
     k = fields[0][1]  # the flux coefficient at dt = 0.02
     order = float(np.log2(maxima[0] / maxima[2]) / 2.0)
     res.check("observed temporal order (lo)", order, 1.8, op=">=")

@@ -10,7 +10,8 @@ Layout, all little-endian:
                   metadata["fields"]; a "scalar" entry is one nx*ny*nz
                   array, a "vector" entry is three of them (x, y, z)
 
-The metadata block records grid dims, box lengths, the ordered field
+The metadata block records grid dims and box lengths, taken from the
+fields written (which must share one grid), the ordered field
 declarations (each name at most once), and free-form provenance (family
 name, creation parameters, claims), as strict JSON: no NaN, Infinity or
 number that overflows float64.
@@ -27,7 +28,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InvalidGrid
 from .fieldcore import Grid3, ScalarField, VectorField
 
 MAGIC = b"WRG1\x00\x00\x00\x00"
@@ -45,12 +46,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def write_fields(path, grid: Grid3, fields: dict, meta: dict | None = None) -> None:
+def write_fields(path, fields: dict, meta: dict | None = None) -> None:
     """Write named scalar/vector fields to a WRG1 file.
 
     ``fields`` maps name -> ScalarField | VectorField; insertion order is the
-    storage order.
+    storage order. The header grid is the fields' own: an empty mapping
+    raises ValueError, and a field on another grid than the first
+    InvalidGrid naming it, before the file is opened.
     """
+    grid = None
     declared = []
     arrays: list[np.ndarray] = []
     for name, f in fields.items():
@@ -62,6 +66,11 @@ def write_fields(path, grid: Grid3, fields: dict, meta: dict | None = None) -> N
             arrays.extend(f.data)
         else:
             raise TypeError(f"unsupported field type for {name!r}: {type(f)}")
+        grid = grid or f.grid
+        if f.grid != grid:
+            raise InvalidGrid(f"{path}: field {name!r} is on {f.grid}, the first field on {grid}")
+    if grid is None:
+        raise ValueError(f"{path}: no fields to write; the header grid is taken from them")
     header_meta = {
         "grid": {"n": list(grid.n), "box": list(grid.box)},
         "fields": declared,

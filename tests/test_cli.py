@@ -156,7 +156,7 @@ class TestGenerateAnalyze:
 
         g = Grid3((16, 16, 16), (2 * np.pi,) * 3)
         x, y, _ = g.mesh()
-        bundle = FieldBundle(g, VectorField.from_components(g, 2.0 + np.sin(y), 0.0, 0.0),
+        bundle = FieldBundle(VectorField.from_components(g, 2.0 + np.sin(y), 0.0, 0.0),
                              VectorField.from_components(g, 0.0, 0.0, np.sin(x)))
         path = tmp_path / "b.wrg"
         bundle.save(path)
@@ -328,7 +328,7 @@ class TestHostileWrg1:
         fields = {"A": b.A, "W": b.W}
         fields[field] = VectorField(g, fields[field].data * scale)
         src = tmp_path / "scaled.wrg"
-        wrg1.write_fields(src, g, fields, {"family": "clebsch"})
+        wrg1.write_fields(src, fields, {"family": "clebsch"})
         assert run(self.COMMANDS[command](str(src), str(tmp_path / "o.wrg"))) == 3
         captured = capsys.readouterr()
         assert f"{src}: field '{field}' has max|component|" in captured.err
@@ -350,7 +350,7 @@ class TestOverflowingScale:
         b = gen_clebsch(g)
         src = tmp_path / "scaled.wrg"
         fields = {name: VectorField(g, f.data * scale) for name, f in (("A", b.A), ("W", b.W))}
-        wrg1.write_fields(src, g, fields, {"family": "clebsch"})
+        wrg1.write_fields(src, fields, {"family": "clebsch"})
         return str(src)
 
     @pytest.mark.parametrize(
@@ -385,7 +385,7 @@ class TestStoredVelocity:
         from wring import wrg1
 
         grid, fields, meta = wrg1.read_fields(src)
-        wrg1.write_fields(dst, grid, {"A": fields["A"], "W": fields["W"], "U": U}, meta)
+        wrg1.write_fields(dst, {"A": fields["A"], "W": fields["W"], "U": U}, meta)
 
     def test_stored_velocity_is_ignored(self, tmp_path):
         from wring.fieldcore import Grid3, VectorField
@@ -409,7 +409,7 @@ class TestStoredVelocity:
         g = Grid3((16, 16, 16), (2 * np.pi,) * 3)
         W = grad(random_band_limited_scalar(g, 3, seed=4))
         path = tmp_path / "divergent.wrg"
-        wrg1.write_fields(path, g, {"A": W, "W": W, "U": W}, {"family": "test"})
+        wrg1.write_fields(path, {"A": W, "W": W, "U": W}, {"family": "test"})
         report = tmp_path / "r.json"
         capsys.readouterr()
         assert run(["analyze", str(path), "--json", str(report)]) == 4
@@ -589,10 +589,10 @@ class TestEvolveAndDiffeo:
 
         g = Grid3((16, 16, 16), (2 * np.pi,) * 3)
         b = gen_clebsch(g)
-        scale = 1e100 / b.A.maxabs()
+        scale = 1e100 / b.A.maxabs
         src, out = tmp_path / "top.wrg", tmp_path / "g.wrg"
         fields = {name: VectorField(g, f.data * scale) for name, f in (("A", b.A), ("W", b.W))}
-        wrg1.write_fields(src, g, fields, {"family": "clebsch"})
+        wrg1.write_fields(src, fields, {"family": "clebsch"})
         FieldBundle.load(src)
         assert run(["diffeo", str(src), "--shear", "x,z,0.3,1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -633,6 +633,48 @@ class TestEvolveAndDiffeo:
 RING = {"center": [3.1, 3.1, 3.1], "radius": 1.0, "normal": [0.0, 0.0, 1.0]}
 
 
+class TestOutputPaths:
+    """Every output path is checked before any work: a missing directory or
+    a path that is a directory exits 2 and prints nothing to stdout."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["link", "--preset", "hopf", "--json"],
+            ["thurston", "--fluxes", "1,1,1", "--json"],
+            ["selftest", "--criteria", "11", "--json"],
+        ],
+        ids=["link", "thurston", "selftest"],
+    )
+    def test_json_in_missing_directory_exit_2(self, tmp_path, capsys, argv):
+        assert run(argv + [str(tmp_path / "missing" / "x.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "output directory does not exist" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{field}", "--json"],
+            ["analyze", "{field}", "--density-out"],
+            ["generate", "--family", "clebsch", "--n", "16", "--out"],
+            ["link", "--preset", "hopf", "--json"],
+            ["thurston", "--fluxes", "1,1,1", "--json"],
+            ["selftest", "--criteria", "11", "--json"],
+        ],
+        ids=["analyze-json", "analyze-density", "generate", "link", "thurston", "selftest"],
+    )
+    def test_directory_output_exit_2(self, tmp_path, capsys, argv):
+        field = tmp_path / "f.wrg"
+        run(["generate", "--family", "clebsch", "--n", "16", "--out", str(field)])
+        capsys.readouterr()
+        argv = [a.format(field=field) for a in argv]
+        assert run(argv + [str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"output path is a directory: {tmp_path}" in captured.err
+
+
 class TestGenerateParams:
     @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize(
@@ -667,6 +709,29 @@ class TestGenerateParams:
         args = ["generate", "--family", family, "--n", str(n), "--params", json.dumps(params)]
         assert run(args + ["--out", str(out)]) == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "params, ring, axis",
+        [
+            # linked across the x face: the R^3 centrelines give Lk 0, the torus helicity 2
+            ({"ring1": {**RING, "center": [3, 3, 3]},
+              "ring2": {"center": [4 + 2 * np.pi, 3, 3], "radius": 1.0, "normal": [0, 1, 0]}}, "ring2", "x"),
+            # ring2 is ring1's periodic image: the tubes coincide on the torus
+            ({"ring1": {**RING, "center": [3, 3, 3]},
+              "ring2": {**RING, "center": [3 + 2 * np.pi, 3, 3]}}, "ring2", "x"),
+            # the hopf preset's second ring crosses x = 2 pi
+            ({"radius": 2.0}, "ring2", "x"),
+        ],
+        ids=["linked-across-a-face", "periodic-image", "hopf-radius-2"],
+    )
+    def test_ring_outside_the_box_exit_4(self, tmp_path, capsys, params, ring, axis):
+        out = tmp_path / "x.wrg"
+        args = ["generate", "--family", "rings", "--n", "32", "--params", json.dumps(params), "--out", str(out)]
+        assert run(args) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{ring} centre {axis} = " in captured.err and "each ring must lie inside the box" in captured.err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -69,8 +69,8 @@ def test_wrg1_changes_per_field_and_header(tool, tmp_path):
     b = a.copy()
     b[2, 7, 7, 7] += 1.0
     paths = [str(tmp_path / f"{name}.wrg") for name in "abc"]
-    write_fields(paths[0], grid, {"W": VectorField(grid, a), "q": ScalarField(grid, a[0])}, {"gv": 1.0})
-    write_fields(paths[1], grid, {"W": VectorField(grid, b), "q": ScalarField(grid, a[0])}, {"gv": 1.25})
+    write_fields(paths[0], {"W": VectorField(grid, a), "q": ScalarField(grid, a[0])}, {"gv": 1.0})
+    write_fields(paths[1], {"W": VectorField(grid, b), "q": ScalarField(grid, a[0])}, {"gv": 1.25})
     (tmp_path / "c.wrg").write_bytes(b"not a bundle")
     assert tool.wrg1_changes(paths[0], paths[0]) == {}
     assert tool.wrg1_changes(paths[0], paths[1]) == {

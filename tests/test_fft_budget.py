@@ -115,7 +115,7 @@ def uncached32(sheared32):
     """New fields of the same samples in a new bundle: nothing cached."""
     g = sheared32.grid
     A, W = (VectorField(g, v.data.copy()) for v in (sheared32.A, sheared32.W))
-    return fz.FieldBundle(g, A, W, meta=dict(sheared32.meta))
+    return fz.FieldBundle(A, W, meta=dict(sheared32.meta))
 
 
 # the stepper's stacked transforms split over the FFT lanes; the counts do

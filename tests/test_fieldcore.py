@@ -292,6 +292,12 @@ def test_concurrent_callers_share_the_lanes(monkeypatch):
     assert results == [expected] * 40
 
 
+def cross_reference(a, b):
+    """a x b as one numpy expression per component, for sequences of three arrays."""
+    (ax, ay, az), (bx, by, bz) = a, b
+    return np.stack((ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx))
+
+
 def masked_quotient_reference(num, q, mask, power):
     """The masked quotient as one numpy expression, q**power by numpy's power."""
     return np.where(mask, num / np.where(mask, q, 1.0) ** power, 0.0)
@@ -307,10 +313,10 @@ def pointwise_cases(g, rng):
     s = g.rfft(a.data)
     cases = {
         "dot": (lambda: dot(a, b).data, lambda: np.einsum("i...,i...->...", a.data, b.data)),
-        "cross": (lambda: cross(a, b).data, lambda: np.stack(fieldcore.cross_parts(a.data, b.data))),
+        "cross": (lambda: cross(a, b).data, lambda: cross_reference(a.data, b.data)),
         "cross_parts ik": (
             lambda: fieldcore.cross_parts(g.ik, s, out=np.empty_like(s)),
-            lambda: np.stack(fieldcore.cross_parts(g.ik, s)),
+            lambda: cross_reference(g.ik, s),
         ),
         "magnitude2": (lambda: magnitude2(a).data, lambda: a.data[0] ** 2 + a.data[1] ** 2 + a.data[2] ** 2),
     }
@@ -350,7 +356,7 @@ class TestPointwise:
         # 43 x 43 x 22 modes at n = 64: more than fft_serial_max_points
         g = cube(64)
         box = g.rfft(np.random.default_rng(12).standard_normal((3,) + g.shape), box=True)
-        plain = np.stack(fieldcore.cross_parts(g.box_ik, box))
+        plain = cross_reference(g.box_ik, box)
         for lanes in ("1", "2"):
             monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], lanes)
             assert np.array_equal(fieldcore.cross_parts(g.box_ik, box, out=np.empty_like(box)), plain)
@@ -427,7 +433,7 @@ class TestGrad:
     def test_constant(self):
         g = cube(16)
         out = grad(ScalarField.sample(g, lambda x, y, z: 3.0 + 0 * x))
-        assert out.maxabs() == pytest.approx(0.0, abs=1e-14)
+        assert out.maxabs == pytest.approx(0.0, abs=1e-14)
 
     def test_single_mode_noncubic_box(self):
         g = Grid3((32, 32, 32), (3.0, TWO_PI, 1.0))
@@ -466,7 +472,7 @@ class TestCurlDiv:
     def test_curl_of_gradient_vanishes(self):
         g = cube(32)
         s = random_band_limited_scalar(g, 6, seed=1)
-        assert curl(grad(s)).maxabs() < 1e-11
+        assert curl(grad(s)).maxabs < 1e-11
 
     def test_abc_is_curl_eigenfield(self):
         g = cube(32)
@@ -493,7 +499,7 @@ class TestCurlDiv:
     def test_div_of_curl_vanishes(self):
         g = cube(32)
         v = random_band_limited_vector(g, 6, seed=2)
-        assert div(curl(v)).maxabs() < 1e-11
+        assert div(curl(v)).maxabs < 1e-11
 
     def test_div_analytic(self):
         g = cube(32)
@@ -516,13 +522,13 @@ class TestCurlDiv:
 class TestInverseCurl:
     def test_zero_maps_to_zero(self):
         g = cube(16)
-        assert inverse_curl(VectorField(g, np.zeros((3,) + g.shape))).maxabs() == 0.0
+        assert inverse_curl(VectorField(g, np.zeros((3,) + g.shape))).maxabs == 0.0
 
     def test_abc_eigenfield_recovered(self):
         g = cube(32)
         v = abc_velocity(g)
         u = inverse_curl(v)
-        rel = np.max(np.abs(u.data - v.data)) / v.maxabs()
+        rel = np.max(np.abs(u.data - v.data)) / v.maxabs
         assert rel < 1e-10
 
     def test_round_trip_on_divfree(self):
@@ -569,8 +575,16 @@ def test_maxnorm_is_cached(monkeypatch):
     expected = float(np.sqrt(np.max(magnitude2(v).data)))
     calls = []
     monkeypatch.setattr(fieldcore, "magnitude2", lambda a: calls.append(a) or magnitude2(a))
-    assert v.maxnorm() == expected and v.maxnorm() == expected
+    assert v.maxnorm == expected and v.maxnorm == expected
     assert len(calls) == 1
+
+
+def test_spec_is_one_read_only_stacked_transform():
+    g = Grid3((16, 8, 12), (TWO_PI, 3.0, 5.0))
+    v = random_band_limited_vector(g, 3, seed=4)
+    assert type(v.spec) is np.ndarray and v.spec.shape == (3, 16, 8, 7)
+    assert not v.spec.flags.writeable
+    assert np.array_equal(v.spec, g.rfft(v.data))
 
 
 class TestOperatorProperties:

@@ -1,5 +1,7 @@
 """Field families: analytic structure, claims, and the shear transforms."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from wring import fieldzoo as fz
 from wring import linkref
 from wring.errors import (
     ConsistencyLoss,
+    InvalidGrid,
     MapNotInvertible,
     NonPeriodic,
     SupportTooLarge,
@@ -54,6 +57,15 @@ def test_generated_bundles_pass_invariants(builder):
             assert residuals[key] < tol, (key, residuals[key])
 
 
+def test_bundle_takes_its_grid_from_its_fields():
+    b = fz.gen_clebsch(cube(16))
+    assert b.grid is b.A.grid
+    other = Grid3((16, 16, 16), (1.0, 1.0, 1.0))
+    W = VectorField(other, b.W.data)
+    with pytest.raises(InvalidGrid, match=f"A is on {re.escape(repr(b.grid))}, W on {re.escape(repr(other))}"):
+        fz.FieldBundle(b.A, W)
+
+
 class TestClebsch:
     def test_vertical_structure(self):
         g = cube(32)
@@ -74,7 +86,7 @@ class TestClebsch:
 
     def test_constant_f_linear_g_is_irrotational(self):
         b = fz.gen_clebsch(cube(16), f="1 + 0*x")
-        assert b.W.maxabs() < 1e-13
+        assert b.W.maxabs < 1e-13
 
     def test_morse_vorticity_vanishes_at_critical_points(self):
         g = cube(32)
@@ -85,7 +97,7 @@ class TestClebsch:
             for j in (0, 16):
                 for k in (0, 16):
                     assert wmag[i, j, k] < 1e-12
-        assert b.W.maxnorm() > 0.1
+        assert b.W.maxnorm > 0.1
 
     def test_zero_f_rejected(self):
         with pytest.raises(ZeroF):
@@ -136,7 +148,7 @@ class TestBeltrami:
     def test_not_integrable(self):
         b = fz.gen_beltrami_abc(cube(32))
         num = np.max(np.abs(dot(b.A, b.W).data))
-        assert num / (b.A.maxnorm() * b.W.maxnorm()) > 0.1
+        assert num / (b.A.maxnorm * b.W.maxnorm) > 0.1
 
 
 class TestRings:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from wring import wrg1
-from wring.errors import FormatError
+from wring.errors import FormatError, InvalidGrid
 from wring.fieldcore import Grid3, ScalarField, VectorField
 from wring.fieldzoo import FieldBundle
 
@@ -27,7 +27,7 @@ def test_round_trip_bit_exact(tmp_path, grid):
     v = VectorField(grid, rng.standard_normal((3,) + grid.shape))
     path = tmp_path / "fields.wrg"
     meta = {"family": "test", "params": {"alpha": 0.25}}
-    wrg1.write_fields(path, grid, {"s": s, "v": v}, meta)
+    wrg1.write_fields(path, {"s": s, "v": v}, meta)
     grid2, fields, meta2 = wrg1.read_fields(path)
     assert grid2 == grid
     assert meta2 == meta
@@ -39,9 +39,9 @@ def test_write_read_write_identical_bytes(tmp_path, grid):
     v = random_band_limited_vector(grid, 3, seed=5)
     p1 = tmp_path / "a.wrg"
     p2 = tmp_path / "b.wrg"
-    wrg1.write_fields(p1, grid, {"v": v}, {"k": 1})
+    wrg1.write_fields(p1, {"v": v}, {"k": 1})
     grid2, fields, meta = wrg1.read_fields(p1)
-    wrg1.write_fields(p2, grid2, {"v": fields["v"]}, meta)
+    wrg1.write_fields(p2, {"v": fields["v"]}, meta)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -52,7 +52,7 @@ def test_bytes_match_a_tobytes_oracle(tmp_path, grid):
     v = VectorField(grid, rng.standard_normal((3,) + grid.shape))
     meta = {"k": [1, 2.5]}
     path = tmp_path / "f.wrg"
-    wrg1.write_fields(path, grid, {"s": s, "v": v}, meta)
+    wrg1.write_fields(path, {"s": s, "v": v}, meta)
     header = {
         "grid": {"n": list(grid.n), "box": list(grid.box)},
         "fields": [{"name": "s", "kind": "scalar"}, {"name": "v", "kind": "vector"}],
@@ -72,9 +72,26 @@ def test_fixed_bundle_hash(tmp_path):
     A = VectorField(g, ramp / 7.0)
     W = VectorField(g, (ramp % 11 - 5) / 3.0)
     path = tmp_path / "fixed.wrg"
-    FieldBundle(g, A, W, {"family": "fixed", "params": {"k": 1}}).save(path)
+    FieldBundle(A, W, {"family": "fixed", "params": {"k": 1}}).save(path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "5f229968440f05e0f0f31efef3cc45b856f3c2987c40c8034e552bee056b80e8"
+
+
+def test_field_on_another_grid_rejected(tmp_path, grid):
+    # the header grid is the fields' own, so every field must be on it
+    other = Grid3(grid.n, (1.0, 2.5, 3.0))
+    path = tmp_path / "g.wrg"
+    fields = {"v": VectorField(grid, np.zeros((3,) + grid.shape)), "s": ScalarField(other, np.zeros(grid.shape))}
+    with pytest.raises(InvalidGrid, match=re.escape(f"field 's' is on {other}, the first field on {grid}")):
+        wrg1.write_fields(path, fields)
+    assert not path.exists()
+
+
+def test_empty_mapping_rejected(tmp_path):
+    path = tmp_path / "e.wrg"
+    with pytest.raises(ValueError, match="no fields to write"):
+        wrg1.write_fields(path, {})
+    assert not path.exists()
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -87,7 +104,7 @@ def test_bad_magic_rejected(tmp_path):
 def test_truncated_data_rejected(tmp_path, grid):
     v = random_band_limited_vector(grid, 3, seed=6)
     path = tmp_path / "t.wrg"
-    wrg1.write_fields(path, grid, {"v": v})
+    wrg1.write_fields(path, {"v": v})
     raw = path.read_bytes()
     path.write_bytes(raw[:-64])
     with pytest.raises(FormatError):
@@ -97,7 +114,7 @@ def test_truncated_data_rejected(tmp_path, grid):
 def test_trailing_bytes_rejected(tmp_path, grid):
     v = random_band_limited_vector(grid, 3, seed=7)
     path = tmp_path / "t.wrg"
-    wrg1.write_fields(path, grid, {"v": v})
+    wrg1.write_fields(path, {"v": v})
     with open(path, "ab") as fh:
         fh.write(b"\x00")
     with pytest.raises(FormatError):
@@ -106,7 +123,7 @@ def test_trailing_bytes_rejected(tmp_path, grid):
 
 def test_header_is_16_bytes_plus_json(tmp_path, grid):
     path = tmp_path / "h.wrg"
-    wrg1.write_fields(path, grid, {}, {"note": "header check"})
+    wrg1.write_fields(path, {"s": ScalarField(grid, np.zeros(grid.shape))}, {"note": "header check"})
     raw = path.read_bytes()
     assert raw[:8] == b"WRG1\x00\x00\x00\x00"
     version = int.from_bytes(raw[8:12], "little")
@@ -166,6 +183,6 @@ def test_bundle_meta_of_wrong_type_rejected(tmp_path, grid, meta):
 
     path = tmp_path / "b.wrg"
     zeros = VectorField(grid, np.zeros((3,) + grid.shape))
-    wrg1.write_fields(path, grid, {"A": zeros, "W": zeros}, meta)
+    wrg1.write_fields(path, {"A": zeros, "W": zeros}, meta)
     with pytest.raises(FormatError):
         FieldBundle.load(path)

@@ -14,7 +14,8 @@ checkout's ``wring.wrg1.read_fields``.
 
 The command list covers every family generated with and without a shear,
 ``diffeo``, ``analyze`` with ``--bound --richardson --density-out`` and with
-``--eta velocity --bound``, the n=64/96 inputs of the benchmark's
+``--eta velocity --bound``, an explicit ``ring1``/``ring2`` pair and its
+``analyze``, the n=64/96 inputs of the benchmark's
 ``analyze`` rotation, ``evolve --steps 3 --series --out`` at n=32 and n=64,
 a non-cubic box, ``link`` on the hopf and quad presets, ``thurston`` and
 ``selftest --json``. ``--quick`` runs a cut-down list at n=16 in a few
@@ -48,6 +49,11 @@ from wring.wrg1 import read_fields  # noqa: E402
 LANES = ("1", "2")
 SHEAR = "x,z,0.3,1"
 FAMILIES = ("clebsch", "morse", "kupka", "beltrami", "rings", "unlinked-rings")
+# an accepted explicit ring pair with tilted normals, inside the 2 pi box
+EXPLICIT_RINGS = json.dumps({
+    "ring1": {"center": [3.1, 3.1, 3.1], "radius": 1.0, "normal": [0.0, 0.6, 0.8]},
+    "ring2": {"center": [4.1, 3.1, 3.1], "radius": 0.9, "normal": [0.0, 0.8, -0.6]},
+})
 
 
 def _generate(name, family, n, *extra):
@@ -76,6 +82,8 @@ FULL = (
         _analyze("clebsch32-shear-full", "clebsch32-shear", "--bound", "--richardson",
                  "--density-out", "clebsch32-shear-density.wrg"),
         _analyze("clebsch32-shear-velocity", "clebsch32-shear", "--eta", "velocity", "--bound"),
+        _generate("rings32-explicit", "rings", 32, "--params", EXPLICIT_RINGS),
+        _analyze("rings32-explicit", "rings32-explicit"),
         _generate("box32", "clebsch", 32, "--box", "6.283185307179586,4,9"),
         _analyze("box32-full", "box32", "--bound", "--richardson"),
         ["evolve", "box32.wrg", "--steps", "3", "--series", "box32-evolve.csv", "--out", "box32-evolve.wrg"],
