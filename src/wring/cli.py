@@ -39,6 +39,8 @@ def _check_writable(*paths) -> None:
     for path in paths:
         if path is None or path == "-":
             continue
+        if path == "":
+            raise ValueError("output path is empty")
         if os.path.isdir(path):
             raise ValueError(f"output path is a directory: {path}")
         parent = os.path.dirname(os.path.abspath(path))

@@ -33,7 +33,7 @@ samples of a stepped bundle and none round-trips its own spectra through
 physical space; the stepped W and A are the inverse transform of those
 spectra. A stepped bundle's U is formed, with the gate, only when a caller
 asks for it (the next step's CFL check). The sampled energy and enstrophy
-are ``Grid3.parseval`` sums on W's spectra, so the series forms no velocity.
+are ``gv.energy_enstrophy``'s Parseval sums on W's spectra: no velocity.
 
 One spectral kernel, ``_products``, forms the dealiased products from one
 stack of box spectra: W x U, with U taken from the truncated W, and for
@@ -236,28 +236,11 @@ class InvariantSeries:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _energy_enstrophy(bundle: FieldBundle) -> tuple[float, float]:
-    """0.5 * integral of |U|^2 and integral of |W|^2, as ``Grid3.parseval``
-    sums on the cached rfft spectra W^ of W (``W.spec``).
-
-    No velocity is formed. U^ = (ik x W^)/|k|^2 with the Nyquist-zeroed
-    real k, so Lagrange's identity gives
-    |U^|^2 = (|k|^2 |W^|^2 - |k . W^|^2)/|k|^4 = (|W^|^2 - |k . W^|^2/|k|^2)/|k|^2,
-    zero on the modes ``inv_k2`` treats as degenerate.
-    """
-    g, spec = bundle.grid, bundle.W.spec
-    kx, ky, kz = (ik.imag for ik in g.ik)
-    kw = kx * spec[0] + ky * spec[1] + kz * spec[2]
-    w2 = sum(s.real**2 + s.imag**2 for s in spec)
-    u2 = (w2 - (kw.real**2 + kw.imag**2) * g.inv_k2) * g.inv_k2
-    return 0.5 * g.parseval(u2), g.parseval(w2)
-
-
 def _sample(b: FieldBundle, t: float, drift: float) -> tuple:
     hel = gv.helicity(b)
     res = gv.integrability_residual(b)
     gv_val = gv.gv_invariant(b).value
-    energy, enstrophy = _energy_enstrophy(b)
+    energy, enstrophy = gv.energy_enstrophy(b)
     return (t, hel, gv_val, energy, enstrophy, res, drift)
 
 
@@ -308,18 +291,18 @@ def conservation_residual(b0: FieldBundle, dt: float) -> tuple[ScalarField, Scal
     def level(b):
         # G, q, the unmasked N = G . curl(G) and the mask at one time level
         G, q, (m,) = gv.eta_parts(b, "velocity", threshold)
-        return G, q, dot(G, curl(G)).data, m
+        return G, q, dot(G, curl(G)), m
 
     (G0, q0, N0, m0), (_, qp, Np, mp), (_, qm, Nm, mm) = map(level, (b0, fwd, bwd))
     mask = m0 & mp & mm
     U, W = b0.U, b0.W
-    M = magnitude2(G0).data + dot(G0, grad(bernoulli_head(b0))).data
+    M = magnitude2(G0) + dot(G0, grad(bernoulli_head(b0)))
     gradq = grad(ScalarField(g, q0))
     # c = N/q^2 and k = M/q^2, so with div W = 0 the law's residual is
     # (a - 2 b/q)/q^2, where a and b collect the q^-2 and q^-3 terms of
     # dc/dt + U.grad(c) - W.grad(k)
-    a = (Np - Nm) / (2.0 * dt) + dot(U, grad(ScalarField(g, N0))).data
-    a -= dot(W, grad(ScalarField(g, M))).data
-    b = N0 * ((qp - qm) / (2.0 * dt) + dot(U, gradq).data) - M * dot(W, gradq).data
+    a = (Np - Nm) / (2.0 * dt) + dot(U, grad(ScalarField(g, N0)))
+    a -= dot(W, grad(ScalarField(g, M)))
+    b = N0 * ((qp - qm) / (2.0 * dt) + dot(U, gradq)) - M * dot(W, gradq)
     residual = gv.masked_quotient(a - 2.0 * gv.masked_quotient(b, q0, mask, 1), q0, mask, 2)
     return ScalarField(g, residual), ScalarField(g, gv.masked_quotient(M, q0, mask, 2))

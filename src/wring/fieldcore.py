@@ -16,7 +16,7 @@ Conventions fixed here and relied on elsewhere:
 
 The FFT lanes (``_Lanes``) are this module's only parallelism. They run
 the components of a stacked transform and the x-slabs of a ``pointwise``
-kernel: the products, squared magnitudes and finite checks here, the
+kernel: the product arrays and the finite checks of fields here, the
 engine's masked quotients and the stepper's stage products. Both split only above
 ``fft_serial_max_points`` points a component, and neither changes a bit
 of any result.
@@ -169,6 +169,11 @@ class Grid3:
     def _mode_volume(self) -> float:
         """cell volume / N: the volume one unit of Parseval power stands for."""
         return self.cell_volume / (self.n[0] * self.n[1] * self.n[2])
+
+    def integral(self, values: np.ndarray) -> float:
+        """The volume integral of the samples ``values``: their sum times the
+        cell volume, spectrally accurate on a periodic grid."""
+        return float(np.sum(values)) * self.cell_volume
 
     def parseval(self, power: np.ndarray) -> float:
         """The volume integral of f g from ``power``, the real rfft-layout
@@ -549,7 +554,7 @@ class VectorField:
         return _read_only(self.grid.rfft(self.data))
 
     # the maximum pointwise Euclidean magnitude
-    maxnorm = cached_property(lambda self: float(np.sqrt(np.max(magnitude2(self).data))))
+    maxnorm = cached_property(lambda self: float(np.sqrt(np.max(magnitude2(self)))))
     # max(max x, -min x) is max|x| exactly, without an |x| temporary
     maxabs = cached_property(lambda self: float(max(self.data.max(), -self.data.min())))
     component_means = cached_property(lambda self: tuple(float(np.mean(c)) for c in self.data))
@@ -566,10 +571,20 @@ class VectorField:
 # -- pointwise algebra -------------------------------------------------------
 
 
-def dot(a: VectorField, b: VectorField) -> ScalarField:
+def dot(a: VectorField, b: VectorField) -> np.ndarray:
+    """The array ax*bx + ay*by + az*bz + 0.0 in that order, by ufuncs that honour
+    ``np.errstate``; the + 0.0 turns a -0.0 sum into +0.0. Unchecked."""
+
+    def kernel(o, x, y):
+        np.multiply(x[0], y[0], out=o)
+        tmp = np.multiply(x[1], y[1])
+        o += tmp
+        o += np.multiply(x[2], y[2], out=tmp)
+        o += 0.0
+
     out = np.empty(a.grid.shape)
-    pointwise(lambda o, x, y: np.einsum("i...,i...->...", x, y, out=o), out, a.data, b.data)
-    return ScalarField(a.grid, out)
+    pointwise(kernel, out, a.data, b.data)
+    return out
 
 
 def cross_parts(a, b, out: np.ndarray) -> np.ndarray:
@@ -592,18 +607,9 @@ def cross(a: VectorField, b: VectorField) -> VectorField:
     return VectorField(a.grid, cross_parts(a.data, b.data, out=np.empty((3,) + a.grid.shape)))
 
 
-def magnitude2(a: VectorField) -> ScalarField:
-    """x^2 + y^2 + z^2, summed in that order as np.sum(a.data**2, axis=0) sums."""
-
-    def kernel(o, v):
-        np.square(v[0], out=o)
-        tmp = np.square(v[1])
-        o += tmp
-        o += np.square(v[2], out=tmp)
-
-    out = np.empty(a.grid.shape)
-    pointwise(kernel, out, a.data)
-    return ScalarField(a.grid, out)
+def magnitude2(a: VectorField) -> np.ndarray:
+    """The array x^2 + y^2 + z^2 as ``dot(a, a)``: np.sum(a.data**2, axis=0) bit for bit."""
+    return dot(a, a)
 
 
 # -- spectral calculus -------------------------------------------------------
@@ -668,14 +674,6 @@ def inverse_curl(w: VectorField) -> VectorField:
     c = cross_parts(g.ik, w.spec, out=np.empty_like(w.spec))
     c *= g.inv_k2
     return VectorField(g, g.irfft(c, overwrite=True))
-
-
-def integrate(s: ScalarField) -> float:
-    """Volume integral: sum of samples times cell volume.
-
-    On a periodic grid this trapezoidal sum is spectrally accurate.
-    """
-    return float(np.sum(s.data)) * s.grid.cell_volume
 
 
 def curl_drift(g: Grid3, a, w) -> float:

@@ -181,7 +181,7 @@ def integrability_residual(bundle: FieldBundle) -> float:
     w_scale = bundle.W.maxnorm
     if a_scale < _TOL["underflow"] or w_scale < _TOL["underflow"]:
         raise DegenerateField("A or W magnitude below underflow threshold")
-    return float(np.max(np.abs(dot(bundle.A, bundle.W).data))) / (a_scale * w_scale)
+    return float(np.max(np.abs(dot(bundle.A, bundle.W)))) / (a_scale * w_scale)
 
 
 def _json_safe(obj):
@@ -542,8 +542,10 @@ def gen_linked_rings(
     ValueError: the samples could miss the cores and leave a zero field that
     still claims the helicity. The linking number and the overlap check use
     the centrelines in R^3, not the periodic samples, so every ring's centre
-    +- (radius + core_radius) must lie inside (0, L) on every axis, or
-    SupportTooLarge names the ring and the axis.
+    +- its reach must lie inside (0, L) on every axis, or SupportTooLarge
+    names the ring and the axis. The reach along an axis is
+    radius * sqrt(1 - n_i^2) + core_radius, for the unit normal's component
+    n_i: a ring reaches only its core along its normal.
     """
     if core_radius is None:
         core_radius = config.DEFAULTS["rings"]["default_core_radius"]
@@ -554,11 +556,11 @@ def gen_linked_rings(
                 f"core_radius {core_radius:g} and ring radius {ring.radius:g} must be "
                 "positive, and the ring normal nonzero"
             )
-        reach = ring.radius + core_radius
-        for axis, c, L in zip("xyz", ring.center, grid.box):
+        reaches = ring.radius * np.sqrt(1.0 - linkref.circle_frame(ring.normal)[2] ** 2) + core_radius
+        for axis, c, L, reach in zip("xyz", ring.center, grid.box, reaches):
             if not (c - reach > 0.0 and c + reach < L):
-                raise SupportTooLarge(f"{name} centre {axis} = {c:g} +- radius {ring.radius:g} + core "
-                                      f"{core_radius:g} leaves (0, {L:g}); each ring must lie inside the box")
+                raise SupportTooLarge(f"{name} centre {axis} = {c:g} +- reach {reach:g} (radius {ring.radius:g}, "
+                                      f"core {core_radius:g}) leaves (0, {L:g}); each ring must lie inside the box")
     spacing = max(grid.spacing)
     if core_radius < spacing:
         raise ValueError(

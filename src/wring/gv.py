@@ -32,8 +32,8 @@ One type, ``GvResult``, holds an evaluation: G, q and the masks of
 that is then dropped; the dual field ``H`` is formed only when read.
 The velocity bound reuses G, q, the first mask, curl(G) and the value, so
 under the velocity choice ``analyze`` forms them once for both. A float64
-overflow in the density, C, the enstrophy rate or E raises NonFiniteData
-naming it and its field scale.
+overflow in the density, C or the enstrophy rate raises NonFiniteData
+naming it and its field scale; the bound's E is ``energy_enstrophy``'s.
 
 The variant and eps are checked in one place, ``_check_eta``: by
 ``eta_parts``, which every evaluation and the bound pass through, and by
@@ -70,7 +70,6 @@ from .fieldcore import (
     cross_parts,
     curl,
     dot,
-    integrate,
     magnitude2,
     pointwise,
 )
@@ -129,6 +128,24 @@ def helicity(bundle: FieldBundle) -> float:
     return 2.0 * g.parseval(kab * g.inv_k2)
 
 
+def energy_enstrophy(bundle: FieldBundle) -> tuple[float, float]:
+    """The kinetic energy 0.5 * integral of |U|^2 and the enstrophy integral
+    of |W|^2, as ``Grid3.parseval`` sums on the cached rfft spectra W^ of W
+    (``W.spec``); the package's one energy formula.
+
+    No velocity is formed. U^ = (ik x W^)/|k|^2 with the Nyquist-zeroed
+    real k, so Lagrange's identity gives
+    |U^|^2 = (|k|^2 |W^|^2 - |k . W^|^2)/|k|^4 = (|W^|^2 - |k . W^|^2/|k|^2)/|k|^2,
+    zero on the modes ``inv_k2`` treats as degenerate.
+    """
+    g, spec = bundle.grid, bundle.W.spec
+    # |k . W^|^2 from the real and the imaginary part of k . W^ in turn
+    kw2 = sum(sum(ik.imag * c for ik, c in zip(g.ik, part)) ** 2 for part in (spec.real, spec.imag))
+    w2 = sum(s.real**2 + s.imag**2 for s in spec)
+    u2 = (w2 - kw2 * g.inv_k2) * g.inv_k2
+    return 0.5 * g.parseval(u2), g.parseval(w2)
+
+
 def eta_parts(bundle: FieldBundle, variant: str, *eps: float):
     """Smooth numerator G, signed denominator q, and one mask per relative
     threshold in ``eps``: where the denominator magnitude (|A| or |U.A|)
@@ -145,11 +162,11 @@ def eta_parts(bundle: FieldBundle, variant: str, *eps: float):
     if a_scale < _TOL["underflow"]:
         raise DegenerateField("potential magnitude below underflow threshold")
     if variant == "canonical":
-        G, q = cross(bundle.W, A), magnitude2(A).data
+        G, q = cross(bundle.W, A), magnitude2(A)
         mag, top = np.sqrt(q), a_scale
     else:
         U = bundle.U
-        q = dot(U, A).data
+        q = dot(U, A)
         mag = np.abs(q)
         top = float(mag.max())
         if top < 1e-10 * U.maxnorm * a_scale:
@@ -169,7 +186,7 @@ def _uncovered(bundle: FieldBundle, mask: np.ndarray) -> float:
     w_scale = bundle.W.maxnorm
     if w_scale <= _TOL["underflow"]:
         return 0.0
-    wmag = np.sqrt(magnitude2(bundle.W).data)
+    wmag = np.sqrt(magnitude2(bundle.W))
     significant = wmag > _ETA["vorticity_floor_rel"] * w_scale
     n_sig = int(significant.sum())
     uncovered = float((significant & ~mask).sum()) / n_sig if n_sig else 0.0
@@ -204,12 +221,12 @@ def masked_quotient(num: np.ndarray, q: np.ndarray, mask: np.ndarray, power: int
 @contextmanager
 def _overflow(what: str, name: str, source: VectorField):
     """Raise NonFiniteData naming ``what`` and the scale of ``source`` (the field
-    whose products form it) when float64 overflows in the block, in place of a
-    numpy RuntimeWarning and a wrong number. In-range values are unchanged."""
+    whose products form it) when float64 overflows in the block's ufuncs (the
+    products are unchecked arrays), in place of a RuntimeWarning and a wrong number."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             yield
-    except (FloatingPointError, NonFiniteData) as exc:
+    except FloatingPointError as exc:
         raise NonFiniteData(
             f"{what} overflows float64 at field scale max|{name}| = {source.maxabs:.3g}"
         ) from exc
@@ -231,12 +248,11 @@ class GvResult:
         self.G, self.q, self.masks = G, q, masks
         self.curlG = curl(G)
         grid = G.grid
-        cell = grid.cell_volume
         with _overflow(_DENSITY, "G", G):
-            num = dot(G, self.curlG).data
-            halves = [float(np.sum(masked_quotient(num, q, m, 2))) * cell for m in masks[1:]]
+            num = dot(G, self.curlG)
+            halves = [grid.integral(masked_quotient(num, q, m, 2)) for m in masks[1:]]
             self.density = masked_quotient(num, q, masks[0], 2)
-            self.value = float(np.sum(self.density)) * cell
+            self.value = grid.integral(self.density)
             if not np.all(np.isfinite([self.value, *halves])):
                 raise FloatingPointError("non-finite integral")
         self.richardson_value = 2.0 * halves[0] - self.value if halves else None
@@ -323,21 +339,21 @@ def _bound(bundle: FieldBundle, eps: float, evaluation: GvResult, uncovered: flo
     passed the coverage gate with ``uncovered``: its G, q, mask, curl(G) and
     value. It reads neither ``density`` nor ``H``."""
     G, q, mask = evaluation.G, evaluation.q, evaluation.masks[0]
+    g = bundle.grid
     slack_tol = _TOL["bound_slack_rel"]
     with _overflow("the bound constant C", "G", G):
-        C = float(np.sum(masked_quotient(magnitude2(G).data, q, mask, 4))) * bundle.grid.cell_volume
+        C = g.integral(masked_quotient(magnitude2(G), q, mask, 4))
     with _overflow("the enstrophy rate", "G", G):
-        rate = integrate(magnitude2(evaluation.curlG))
+        rate = g.integral(magnitude2(evaluation.curlG))
     slack = C * rate - evaluation.value**2
     if slack < -slack_tol * C * rate:
         raise ToleranceBreach(
             f"bound slack {slack:g} below -{slack_tol:g} * C * rate; "
             "this should be impossible for consistent inputs"
         )
-    with _overflow("the energy E", "U", bundle.U):
-        E = 0.5 * integrate(magnitude2(bundle.U))
-    V = bundle.grid.volume
-    lam = (2.0 * np.pi / max(bundle.grid.box)) ** 2
+    E = energy_enstrophy(bundle)[0]
+    V = g.volume
+    lam = (2.0 * np.pi / max(g.box)) ** 2
     L7 = V**2 / math.sqrt(lam)
     delta = q - 2.0 * E / V
     return BoundReport(

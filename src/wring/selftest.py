@@ -22,7 +22,6 @@ from .fieldcore import (
     curl,
     div,
     dot,
-    integrate,
     random_band_limited_scalar,
 )
 
@@ -164,12 +163,12 @@ def criterion_4(suite: _Suite) -> CriterionResult:
     # the canonical mask covers the whole torus here, so H is smooth and
     # integral(H . curl(H)) is taken on H itself, before and after H -> H + f A
     H = gv.gv_invariant(bundle).H
-    base = integrate(dot(H, curl(H)))
+    base = g.integral(dot(H, curl(H)))
     worst = 0.0
     for seed in range(GAUGE_SEEDS):
         f = random_band_limited_scalar(g, 8, 1000 + seed)
         shifted = VectorField(g, H.data + f.data * bundle.A.data)
-        worst = max(worst, abs(integrate(dot(shifted, curl(shifted))) - base))
+        worst = max(worst, abs(g.integral(dot(shifted, curl(shifted))) - base))
     res.check(f"max drift over {GAUGE_SEEDS} gauge fields", worst, 1e-6)
     return res
 
@@ -304,9 +303,9 @@ def criterion_10(suite: _Suite) -> CriterionResult:
     res.check("observed temporal order (lo)", order, 1.8, op=">=")
     res.check("observed temporal order (hi)", order, 2.2)
     kw = VectorField(base.grid, k.data * base.W.data)
-    divkw = div(kw)
-    total = integrate(divkw)
-    scale = 1.0 + float(np.abs(divkw.data).sum()) * base.grid.cell_volume
+    divkw = div(kw).data
+    total = base.grid.integral(divkw)
+    scale = 1.0 + base.grid.integral(np.abs(divkw))
     res.check("integral of div(k W), scaled", abs(total) / scale, 1e-12)
     res.notes.append("max|R|: " + ", ".join(f"{m:.3e}@dt={d}" for m, d in zip(maxima, dts)))
     return res

@@ -674,6 +674,25 @@ class TestOutputPaths:
         assert captured.out == ""
         assert f"output path is a directory: {tmp_path}" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{field}", "--json"],
+            ["thurston", "--fluxes", "1,1,1", "--json"],
+            ["link", "--preset", "hopf", "--json"],
+            ["generate", "--family", "clebsch", "--n", "16", "--out"],
+        ],
+        ids=["analyze-json", "thurston", "link", "generate"],
+    )
+    def test_empty_output_path_exit_2(self, tmp_path, capsys, argv):
+        field = tmp_path / "f.wrg"
+        run(["generate", "--family", "clebsch", "--n", "16", "--out", str(field)])
+        capsys.readouterr()
+        assert run([a.format(field=field) for a in argv] + [""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "output path is empty" in captured.err
+
 
 class TestGenerateParams:
     @pytest.mark.parametrize("n", [8, 16])
@@ -733,6 +752,17 @@ class TestGenerateParams:
         assert captured.out == ""
         assert f"{ring} centre {axis} = " in captured.err and "each ring must lie inside the box" in captured.err
         assert not out.exists()
+
+    def test_ring_reach_along_the_normal_is_its_core(self, tmp_path, capsys):
+        # coaxial rings of radius 1.8 at z = pi -+ 1.1 reach only their cores along z
+        out = tmp_path / "x.wrg"
+        args = ["generate", "--family", "unlinked-rings", "--n", "32", "--params", '{"radius": 1.8}']
+        assert run(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        run(["analyze", str(out)])
+        report = json.loads(capsys.readouterr().out)
+        assert report["claims"]["helicity"] == 0.0
+        assert abs(report["deviations"]["helicity"]) < 1e-12
 
     @pytest.mark.parametrize(
         "expr",

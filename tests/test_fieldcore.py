@@ -19,7 +19,6 @@ from wring.fieldcore import (
     div,
     dot,
     grad,
-    integrate,
     inverse_curl,
     magnitude2,
     random_band_limited_scalar,
@@ -312,13 +311,13 @@ def pointwise_cases(g, rng):
     mask = np.abs(q) > 0.2
     s = g.rfft(a.data)
     cases = {
-        "dot": (lambda: dot(a, b).data, lambda: np.einsum("i...,i...->...", a.data, b.data)),
+        "dot": (lambda: dot(a, b), lambda: np.einsum("i...,i...->...", a.data, b.data)),
         "cross": (lambda: cross(a, b).data, lambda: cross_reference(a.data, b.data)),
         "cross_parts ik": (
             lambda: fieldcore.cross_parts(g.ik, s, out=np.empty_like(s)),
             lambda: cross_reference(g.ik, s),
         ),
-        "magnitude2": (lambda: magnitude2(a).data, lambda: a.data[0] ** 2 + a.data[1] ** 2 + a.data[2] ** 2),
+        "magnitude2": (lambda: magnitude2(a), lambda: a.data[0] ** 2 + a.data[1] ** 2 + a.data[2] ** 2),
     }
     for power in (1, 2):
         cases[f"masked quotient {power}"] = (
@@ -349,6 +348,7 @@ class TestPointwise:
         g = Grid3(n, (TWO_PI, 3.0, 5.0))
         one, two = (self.results(monkeypatch, lanes, g) for lanes in ("1", "2"))
         for name, (engine, plain) in one.items():
+            assert type(engine) is np.ndarray, name
             assert np.array_equal(engine, plain), name
             assert np.array_equal(two[name][0], engine), name
 
@@ -467,7 +467,7 @@ class TestCurlDiv:
             [g.irfft(iky * sz - ikz * sy), g.irfft(ikz * sx - ikx * sz), g.irfft(ikx * sy - iky * sx)]
         )
         assert curl(v).data.tobytes() == direct.tobytes()
-        assert magnitude2(v).data.tobytes() == np.sum(v.data**2, axis=0).tobytes()
+        assert magnitude2(v).tobytes() == np.sum(v.data**2, axis=0).tobytes()
 
     def test_curl_of_gradient_vanishes(self):
         g = cube(32)
@@ -492,8 +492,8 @@ class TestCurlDiv:
         v = VectorField.from_components(g, -dy * chi(r), dx * chi(r), 0.0)
         wx, wy, wz = curl(v).data
         exact = 2.0 * chi(r) + r * dchi(r)
-        num = integrate(magnitude2(VectorField.from_components(g, wx, wy, wz - exact)))
-        den = integrate(ScalarField(g, np.broadcast_to(exact, g.shape) ** 2))
+        num = g.integral(magnitude2(VectorField.from_components(g, wx, wy, wz - exact)))
+        den = g.integral(np.broadcast_to(exact, g.shape) ** 2)
         assert np.sqrt(num / den) < 1e-6
 
     def test_div_of_curl_vanishes(self):
@@ -535,7 +535,7 @@ class TestInverseCurl:
         g = cube(32)
         v = random_band_limited_vector(g, 7, seed=5, div_free=True)
         u = inverse_curl(curl(v))
-        rel = np.sqrt(integrate(magnitude2(VectorField(g, u.data - v.data))) / integrate(magnitude2(v)))
+        rel = np.sqrt(g.integral(magnitude2(VectorField(g, u.data - v.data))) / g.integral(magnitude2(v)))
         assert rel < 1e-10
 
     def test_rejects_mean_flow(self):
@@ -556,23 +556,33 @@ class TestIntegrate:
     def test_constant(self):
         g = cube(16)
         one = ScalarField.sample(g, lambda x, y, z: 1.0 + 0 * x)
-        assert integrate(one) == pytest.approx(TWO_PI**3)
+        assert g.integral(one.data) == pytest.approx(TWO_PI**3)
 
     def test_odd_mode_integrates_to_zero(self):
         g = cube(16)
         s = ScalarField.sample(g, lambda x, y, z: np.sin(x) + 0 * y + 0 * z)
-        assert abs(integrate(s)) < 1e-12
+        assert abs(g.integral(s.data)) < 1e-12
 
     def test_abc_energy_closed_form(self):
         g = cube(32)
         v = abc_velocity(g)
-        value = integrate(magnitude2(v))
+        value = g.integral(magnitude2(v))
         assert abs(value - 3.0 * TWO_PI**3) / (3.0 * TWO_PI**3) < 1e-9
+
+
+@pytest.mark.parametrize("lanes", ["1", "2"])
+def test_dot_overflow_raises_under_errstate(monkeypatch, lanes):
+    # dot's ufuncs honour np.errstate on every lane, as einsum did not
+    monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], lanes)
+    g = cube(64)
+    a = VectorField(g, np.full((3,) + g.shape, 1e200))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        dot(a, a)
 
 
 def test_maxnorm_is_cached(monkeypatch):
     v = abc_velocity(cube(16))
-    expected = float(np.sqrt(np.max(magnitude2(v).data)))
+    expected = float(np.sqrt(np.max(magnitude2(v))))
     calls = []
     monkeypatch.setattr(fieldcore, "magnitude2", lambda a: calls.append(a) or magnitude2(a))
     assert v.maxnorm == expected and v.maxnorm == expected
@@ -593,15 +603,15 @@ class TestOperatorProperties:
         v = random_band_limited_vector(g, 5, seed=11)
         for seed in (12, 13):
             s = random_band_limited_scalar(g, 5, seed=seed)
-            lhs = integrate(ScalarField(g, div(v).data * s.data))
-            rhs = -integrate(dot(v, grad(s)))
+            lhs = g.integral(div(v).data * s.data)
+            rhs = -g.integral(dot(v, grad(s)))
             scale = max(abs(lhs), abs(rhs), 1.0)
             assert abs(lhs - rhs) / scale < 1e-10
 
     def test_parseval(self):
         g = cube(32)
         s = random_band_limited_scalar(g, 9, seed=21)
-        phys = integrate(ScalarField(g, s.data**2))
+        phys = g.integral(s.data**2)
         spec = g.rfft(s.data) / (g.n[0] * g.n[1] * g.n[2])
         weights = np.full(g.n[2] // 2 + 1, 2.0)
         weights[0] = 1.0
@@ -627,4 +637,4 @@ class TestOperatorProperties:
         c = cross(a, b)
         assert np.max(np.abs(np.einsum("i...,i...->...", a.data, c.data))) < 1e-13
         assert np.max(np.abs(np.einsum("i...,i...->...", b.data, c.data))) < 1e-13
-        assert dot(a, a).data == pytest.approx(np.sum(a.data**2, axis=0))
+        assert dot(a, a) == pytest.approx(np.sum(a.data**2, axis=0))

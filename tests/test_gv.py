@@ -19,7 +19,6 @@ from wring.fieldcore import (
     cross,
     curl,
     dot,
-    integrate,
     inverse_curl,
     magnitude2,
     random_band_limited_scalar,
@@ -42,7 +41,7 @@ def canonical(bundle, eps=config.DEFAULTS["eta"]["default_eps"]):
 
 def gv_of_field(H):
     """Integral of H . curl(H) for a field smooth on the whole torus."""
-    return integrate(dot(H, curl(H)))
+    return H.grid.integral(dot(H, curl(H)))
 
 
 def gauge_shift(H, bundle, f):
@@ -136,9 +135,9 @@ class TestHelicity:
         assert "U" not in vars(b)  # the sum forms no velocity
         # oracle: the physical quadrature of U . W, with U solved from W
         U = inverse_curl(b.W)
-        physical = integrate(dot(U, b.W))
+        physical = b.grid.integral(dot(U, b.W))
         # Cauchy-Schwarz bound on |integral U . W|, the scale of the sum
-        scale = np.sqrt(integrate(magnitude2(U)) * integrate(magnitude2(b.W)))
+        scale = np.sqrt(b.grid.integral(magnitude2(U)) * b.grid.integral(magnitude2(b.W)))
         assert abs(hel - physical) <= 1e-12 * max(abs(physical), scale)
 
     def test_hopf_pair_matches_linking_target(self):
@@ -529,6 +528,16 @@ class TestAnalyzeBound:
         monkeypatch.setattr(gv, "magnitude2", lambda v: squared.append(v) or magnitude2(v))
         gv.eta_parts(b, "velocity", 0.05)
         assert all(v is not b.A for v in squared)
+
+    def test_bound_never_squares_U(self, seeded_sheared32, monkeypatch):
+        # the bound's E is the Parseval energy on W's spectra
+        b = seeded_sheared32
+        squared = []
+        magnitude2 = gv.magnitude2
+        monkeypatch.setattr(gv, "magnitude2", lambda v: squared.append(v) or magnitude2(v))
+        report = gv.analyze(b, "velocity", bound=True)
+        assert all(v is not b.U for v in squared)
+        assert report.bound.E == gv.energy_enstrophy(b)[0]
 
     def test_no_bound_unless_asked(self, seeded_sheared32):
         report = gv.analyze(seeded_sheared32)

@@ -14,8 +14,8 @@ checkout's ``wring.wrg1.read_fields``.
 
 The command list covers every family generated with and without a shear,
 ``diffeo``, ``analyze`` with ``--bound --richardson --density-out`` and with
-``--eta velocity --bound``, an explicit ``ring1``/``ring2`` pair and its
-``analyze``, the n=64/96 inputs of the benchmark's
+``--eta velocity --bound``, an explicit ``ring1``/``ring2`` pair, the
+``unlinked-rings`` pair at radius 1.8 and their ``analyze``, the n=64/96 inputs of the benchmark's
 ``analyze`` rotation, ``evolve --steps 3 --series --out`` at n=32 and n=64,
 a non-cubic box, ``link`` on the hopf and quad presets, ``thurston`` and
 ``selftest --json``. ``--quick`` runs a cut-down list at n=16 in a few
@@ -84,6 +84,8 @@ FULL = (
         _analyze("clebsch32-shear-velocity", "clebsch32-shear", "--eta", "velocity", "--bound"),
         _generate("rings32-explicit", "rings", 32, "--params", EXPLICIT_RINGS),
         _analyze("rings32-explicit", "rings32-explicit"),
+        _generate("unlinked32-wide", "unlinked-rings", 32, "--params", '{"radius": 1.8}'),
+        _analyze("unlinked32-wide", "unlinked32-wide"),
         _generate("box32", "clebsch", 32, "--box", "6.283185307179586,4,9"),
         _analyze("box32-full", "box32", "--bound", "--richardson"),
         ["evolve", "box32.wrg", "--steps", "3", "--series", "box32-evolve.csv", "--out", "box32-evolve.wrg"],
