@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="build a named field family and write a WRG1 file")
-    p.add_argument("--family", required=True, choices=fieldzoo.FAMILIES)
+    p.add_argument("--family", required=True, choices=fieldzoo.FAMILY_PARAMS)
     p.add_argument(
         "--n",
         type=int,

@@ -18,6 +18,8 @@ pair.)
 The stepper is plain functions of the bundle: ``step(bundle, dt, t)``
 returns the stepped bundle and that drift, ``t`` labelling its errors only,
 and ``track_invariants(bundle, dt, steps)`` steps from t = 0 by ``t += dt``.
+A drift past ``drift_limit`` raises ConsistencyLoss, the type
+``fieldzoo.apply_diffeo`` raises for the same curl(A) - W residual.
 
 The stages hold their spectra on the 2/3-rule box only: the modes with
 |index| <= n//3 on every axis, (2*(n_x//3) + 1) x (2*(n_y//3) + 1) x
@@ -63,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config, gv
-from .errors import CflViolation, DriftExceeded
+from .errors import CflViolation, ConsistencyLoss
 from .fieldcore import (
     ScalarField,
     VectorField,
@@ -160,7 +162,7 @@ def step(b: FieldBundle, dt: float, t: float) -> tuple[FieldBundle, float]:
 
     Preconditions: the advective CFL number |dt| max|U| / min(h) must stay
     below the configured limit. After the step the curl(A) - W residual is
-    measured; DriftExceeded is raised if it passes ``dynamics.drift_limit``
+    measured; ConsistencyLoss is raised if it passes ``dynamics.drift_limit``
     (defaults.json). Both errors name dt and the step's start time ``t``.
     """
     g = b.grid
@@ -194,7 +196,7 @@ def step(b: FieldBundle, dt: float, t: float) -> tuple[FieldBundle, float]:
     # stays an independent measure of integration quality
     drift = curl_drift(g, a1, w1)
     if drift > _DYN["drift_limit"]:
-        raise DriftExceeded(
+        raise ConsistencyLoss(
             f"curl(A) - W drift {drift:g} in the step from t={t:g} with "
             f"dt={dt:g} exceeds {_DYN['drift_limit']:g} (refine the step)"
         )
@@ -250,7 +252,7 @@ def track_invariants(
     """``steps`` steps of ``dt`` from t = 0, sampled as a series whose drift
     is what ``step`` returned: the last bundle, its time and the series.
 
-    A CflViolation or DriftExceeded from a step is raised again as the same
+    A CflViolation or ConsistencyLoss from a step is raised again as the same
     type, its message prefixed with ``step i of N:``.
     """
     t, drift = 0.0, 0.0
@@ -258,7 +260,7 @@ def track_invariants(
     for i in range(steps):
         try:
             b, drift = step(b, dt, t)
-        except (CflViolation, DriftExceeded) as exc:
+        except (CflViolation, ConsistencyLoss) as exc:
             raise type(exc)(f"step {i + 1} of {steps}: {exc}") from exc
         t += dt
         if (i + 1) % record_every == 0 or i == steps - 1:

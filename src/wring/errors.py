@@ -32,7 +32,8 @@ class NonFiniteData(PreconditionError):
 
 
 class NonZeroMeanVorticity(PreconditionError):
-    """A vorticity component carries net flux through the torus."""
+    """A vorticity component carries net flux through a fundamental torus:
+    W has no periodic potential, and helicity is not gauge-invariant."""
 
 
 class NotDivergenceFree(PreconditionError):
@@ -63,16 +64,9 @@ class DegenerateField(PreconditionError):
     """Field magnitude below the underflow threshold."""
 
 
-class FluxObstruction(PreconditionError):
-    """Nonzero flux through a fundamental torus; helicity not gauge-invariant."""
-
-
-class DenominatorVanishesEverywhere(PreconditionError):
-    """The chosen dual-field denominator vanishes on too much of the vorticity support."""
-
-
 class MaskTooSmall(PreconditionError):
-    """Bound constant undefined: denominator vanishes over too much vorticity."""
+    """The dual-field denominator vanishes over too much of the vorticity:
+    at roundoff everywhere, or off the bound's mask on too much support."""
 
 
 class CflViolation(PreconditionError):
@@ -96,11 +90,7 @@ class CurvesIntersect(PreconditionError):
 
 
 class ConsistencyLoss(ToleranceError):
-    """curl(A) and W disagree beyond tolerance after a transform."""
-
-
-class DriftExceeded(ToleranceError):
-    """Potential/vorticity consistency drifted beyond the configured bound."""
+    """curl(A) and W disagree beyond their limit after a shear or a time step."""
 
 
 class ToleranceBreach(ToleranceError):

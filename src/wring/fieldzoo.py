@@ -807,6 +807,3 @@ def make_family(grid: Grid3, family: str, params: dict | None = None) -> FieldBu
         "unlinked-rings": unlinked_rings,
     }
     return generators[family](grid, **p)
-
-
-FAMILIES = tuple(FAMILY_PARAMS)

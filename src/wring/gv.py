@@ -35,6 +35,11 @@ under the velocity choice ``analyze`` forms them once for both. A float64
 overflow in the density, C or the enstrophy rate raises NonFiniteData
 naming it and its field scale; the bound's E is ``energy_enstrophy``'s.
 
+Each refusal has one type. Net flux through a fundamental torus, where
+helicity depends on the gauge, is NonZeroMeanVorticity, as in
+``fieldcore.require_potential``; a denominator at roundoff everywhere, or a
+bound mask that misses too much of the vorticity, is MaskTooSmall.
+
 The variant and eps are checked in one place, ``_check_eta``: by
 ``eta_parts``, which every evaluation and the bound pass through, and by
 ``analyze`` before anything is measured, so a bad eps is refused on a
@@ -50,7 +55,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -58,10 +63,9 @@ import numpy as np
 from . import config
 from .errors import (
     DegenerateField,
-    DenominatorVanishesEverywhere,
-    FluxObstruction,
     MaskTooSmall,
     NonFiniteData,
+    NonZeroMeanVorticity,
     ToleranceBreach,
 )
 from .fieldcore import (
@@ -109,7 +113,7 @@ def helicity(bundle: FieldBundle) -> float:
     the cached rfft spectra W^ = a + ib of W (``W.spec``), with
     Re(U^ . conj W^) = 2 k.(a x b)/|k|^2 for the Nyquist-zeroed k.
 
-    Raises FluxObstruction if the vorticity carries net flux through a
+    Raises NonZeroMeanVorticity if the vorticity carries net flux through a
     fundamental torus (the integral would depend on the potential gauge).
     """
     flux_tol = _TOL["flux_rel"]
@@ -118,7 +122,7 @@ def helicity(bundle: FieldBundle) -> float:
     scale = max(bundle.W.maxabs, _TOL["underflow"]) * max(Ly * Lz, Lx * Lz, Lx * Ly)
     worst = max(abs(f) for f in fluxes)
     if worst > flux_tol * scale:
-        raise FluxObstruction(
+        raise NonZeroMeanVorticity(
             f"fundamental-torus fluxes {fluxes} exceed {flux_tol:g} relative"
         )
     g = bundle.grid
@@ -152,9 +156,8 @@ def eta_parts(bundle: FieldBundle, variant: str, *eps: float):
     exceeds that fraction of its maximum.
 
     What is NOT allowed is a denominator that is small everywhere (the
-    construction then never makes sense), which raises
-    DenominatorVanishesEverywhere. An unknown variant or a threshold outside
-    [0, 1) raises ValueError.
+    construction then never makes sense), which raises MaskTooSmall. An
+    unknown variant or a threshold outside [0, 1) raises ValueError.
     """
     _check_eta(variant, *eps)
     A = bundle.A
@@ -170,7 +173,7 @@ def eta_parts(bundle: FieldBundle, variant: str, *eps: float):
         mag = np.abs(q)
         top = float(mag.max())
         if top < 1e-10 * U.maxnorm * a_scale:
-            raise DenominatorVanishesEverywhere(
+            raise MaskTooSmall(
                 "U.A is at roundoff level everywhere; the velocity "
                 "construction is unusable for this field"
             )
@@ -325,10 +328,7 @@ def obstruction_bound(bundle: FieldBundle, eps: float = _ETA["default_eps"]) -> 
     support (the constant C is then undefined; it is reported, never
     regularized silently).
     """
-    try:
-        G, q, masks = eta_parts(bundle, "velocity", eps)
-    except DenominatorVanishesEverywhere as exc:
-        raise MaskTooSmall(str(exc)) from exc
+    G, q, masks = eta_parts(bundle, "velocity", eps)
     # the coverage gate refuses before curl(G) is formed
     uncovered = _uncovered(bundle, masks[0])
     return _bound(bundle, eps, GvResult(G, q, masks), uncovered)
@@ -377,13 +377,13 @@ def _bound(bundle: FieldBundle, eps: float, evaluation: GvResult, uncovered: flo
 
 @dataclass(eq=False)
 class AnalysisReport:
-    """Everything the analysis measured for one bundle, plus tolerances."""
+    """Everything the analysis measured for one bundle, plus tolerances.
+    Each field but ``gv_density`` is a key of the JSON report under its own
+    name: ``grid`` is {"n", "box"} and ``eta_choice`` {"variant", "eps"}."""
 
     family: str | None
-    grid_n: tuple[int, int, int]
-    grid_box: tuple[float, float, float]
-    eta_variant: str
-    eta_eps: float
+    grid: dict
+    eta_choice: dict
     integrability_residual: float
     integrable: bool
     helicity: float | None
@@ -399,24 +399,10 @@ class AnalysisReport:
 
     def to_json_dict(self) -> dict:
         # gv_density is a full 3-D array; it travels as a WRG1 file, never
-        # inside the JSON document
-        return {
-            "schema": "wring-report/1",
-            "family": self.family,
-            "grid": {"n": list(self.grid_n), "box": list(self.grid_box)},
-            "eta_choice": {"variant": self.eta_variant, "eps": self.eta_eps},
-            "integrability_residual": self.integrability_residual,
-            "integrable": self.integrable,
-            "helicity": self.helicity,
-            "flux_residuals": list(self.flux_residuals),
-            "gv": self.gv,
-            "gv_richardson": self.gv_richardson,
-            "excluded_volume_fraction": self.excluded_volume_fraction,
-            "claims": self.claims,
-            "deviations": self.deviations,
-            "tolerances": self.tolerances,
-            "bound": None if self.bound is None else self.bound.to_json_dict(),
-        }
+        # inside the JSON document (and asdict would deep-copy it)
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "gv_density"}
+        bound = None if self.bound is None else self.bound.to_json_dict()
+        return {**doc, "bound": bound, "schema": "wring-report/1"}
 
 
 def analyze(
@@ -445,10 +431,8 @@ def analyze(
     integrable = residual <= integrability_tol
     report = AnalysisReport(
         family=bundle.meta.get("family"),
-        grid_n=bundle.grid.n,
-        grid_box=bundle.grid.box,
-        eta_variant=variant,
-        eta_eps=eps,
+        grid={"n": list(bundle.grid.n), "box": list(bundle.grid.box)},
+        eta_choice={"variant": variant, "eps": eps},
         integrability_residual=residual,
         integrable=integrable,
         helicity=hel,

@@ -246,10 +246,8 @@ def circle_frame(normal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return e1, e2, n
 
 
-def circle_points(center, radius, normal, samples: int | None = None, orientation: int = 1) -> np.ndarray:
+def circle_points(center, radius, normal, samples: int, orientation: int = 1) -> np.ndarray:
     """Sampled round circle; orientation=-1 reverses the traversal."""
-    if samples is None:
-        samples = config.DEFAULTS["linking"]["default_samples"]
     e1, e2, _ = circle_frame(normal)
     t = orientation * 2.0 * np.pi * np.arange(samples) / samples
     c = np.asarray(center, float)
@@ -258,7 +256,7 @@ def circle_points(center, radius, normal, samples: int | None = None, orientatio
     )
 
 
-def hopf_pair(samples: int | None = None, fluxes=(1.0, 1.0), reverse_second: bool = False) -> CurveSet:
+def hopf_pair(samples: int, fluxes=(1.0, 1.0), reverse_second: bool = False) -> CurveSet:
     """Two singly linked unit circles (linking number +1 as constructed)."""
     c1 = circle_points((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0), samples)
     c2 = circle_points(
@@ -268,14 +266,14 @@ def hopf_pair(samples: int | None = None, fluxes=(1.0, 1.0), reverse_second: boo
     return CurveSet([c1, c2], list(fluxes))
 
 
-def distant_pair(samples: int | None = None) -> CurveSet:
+def distant_pair(samples: int) -> CurveSet:
     """Two unlinked unit circles whose centres are 6 apart."""
     c1 = circle_points((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0), samples)
     c2 = circle_points((6.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0), samples)
     return CurveSet([c1, c2], [1.0, 1.0])
 
 
-def zero_helicity_quad(samples: int | None = None) -> CurveSet:
+def zero_helicity_quad(samples: int) -> CurveSet:
     """Four rings of unit flux whose per-tube helicities all vanish.
 
     Two horizontal rings with opposite orientations are both threaded by two

@@ -9,7 +9,7 @@ from wring import config
 from wring import dynamics as dyn
 from wring import fieldzoo as fz
 from wring import gv
-from wring.errors import CflViolation, DriftExceeded, MaskTooSmall
+from wring.errors import CflViolation, ConsistencyLoss, MaskTooSmall
 from wring.fieldcore import (
     Grid3,
     ScalarField,
@@ -221,7 +221,7 @@ class TestStep:
         rng = np.random.default_rng(3)
         bad_a = sheared32.A.data + 1e-3 * rng.standard_normal((3,) + g.shape)
         bad = fz.FieldBundle(VectorField(g, bad_a), sheared32.W, dict(sheared32.meta))
-        with pytest.raises(DriftExceeded):
+        with pytest.raises(ConsistencyLoss):
             dyn.step(bad, 0.02, 0.0)
 
     def test_tracked_errors_name_the_step(self, sheared32, monkeypatch):
@@ -230,9 +230,9 @@ class TestStep:
         rng = np.random.default_rng(3)
         bad_a = sheared32.A.data + 1e-3 * rng.standard_normal((3,) + g.shape)
         bad = fz.FieldBundle(VectorField(g, bad_a), sheared32.W, dict(sheared32.meta))
-        with pytest.raises(DriftExceeded, match=r"^step 1 of 3: curl\(A\) - W drift") as exc:
+        with pytest.raises(ConsistencyLoss, match=r"^step 1 of 3: curl\(A\) - W drift") as exc:
             dyn.track_invariants(bad, 0.02, 3)
-        assert isinstance(exc.value.__cause__, DriftExceeded)
+        assert isinstance(exc.value.__cause__, ConsistencyLoss)
         with pytest.raises(CflViolation, match=r"^step 1 of 2: CFL number") as exc:
             dyn.track_invariants(sheared32, 10.0, 2)
         assert isinstance(exc.value.__cause__, CflViolation)
@@ -275,6 +275,49 @@ class TestCoState:
         )
         assert np.max(np.abs(ref)) > 0.1
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "n, box, dt, steps, lanes",
+        [
+            # 32^3 is not above fft_serial_max_points: the lanes never split
+            (32, (TWO_PI,) * 3, 0.05, 10, None),
+            (48, (TWO_PI, 2 * TWO_PI, 5.0), 0.025, 20, "1"),
+            (48, (TWO_PI, 2 * TWO_PI, 5.0), 0.025, 20, "2"),
+        ],
+    )
+    def test_steady_eigenflow_transports_a_by_a_gradient(self, monkeypatch, n, box, dt, steps, lanes):
+        # psi = sin x sin y + 0.5 cos(x + y) has -lap(psi) = 2 psi, so
+        # A = (psi_y, -psi_x, 0) is its own velocity, W = curl A = (0, 0, 2 psi)
+        # is steady and A.W = 0. The co-state then moves A by an exact
+        # gradient: dA/dt = A x W - grad|A|^2 = -grad(psi^2 + |grad psi|^2)
+        if lanes is not None:
+            monkeypatch.setenv(config.DEFAULTS["fft_workers_env"], lanes)
+        g = Grid3((n, n, n), box)
+        x, y, _ = g.mesh()
+        s = np.sin(x + y)
+        psi = np.sin(x) * np.sin(y) + 0.5 * np.cos(x + y)
+        px = np.cos(x) * np.sin(y) - 0.5 * s
+        py = np.sin(x) * np.cos(y) - 0.5 * s
+        pxy = np.cos(x) * np.cos(y) - 0.5 * np.cos(x + y)
+        b0 = fz.FieldBundle(VectorField.from_components(g, py, -px, 0.0),
+                            VectorField.from_components(g, 0.0, 0.0, 2.0 * psi))
+        b, t = b0, 0.0
+        for _ in range(steps):
+            b, _ = dyn.step(b, dt, t)
+            t += dt
+        # with psi_xx = psi_yy = -psi, grad(psi^2 + |grad psi|^2) = 2 psi_xy (psi_y, psi_x)
+        gradient = VectorField.from_components(g, 2.0 * pxy * py, 2.0 * pxy * px, 0.0)
+        expected = b0.A.data - t * gradient.data
+        assert np.max(np.abs(b.A.data - b0.A.data)) > 0.1
+        assert np.max(np.abs(b.A.data - expected)) <= 1e-13 * b0.A.maxabs
+        assert np.max(np.abs(b.W.data - b0.W.data)) <= 1e-13 * b0.W.maxabs
+
+    def test_integrability_column_stays_below_its_tolerance(self, sheared32):
+        # A transported as a 1-form stays integrable; a fixed step well
+        # inside the CFL limit keeps the step error below the tolerance
+        _, _, series = dyn.track_invariants(sheared32, 0.02, 3)
+        residual = series.column("integrability_residual")
+        assert np.max(residual) <= config.TOL["integrability_rel"]
 
 
 class TestTrackInvariants:

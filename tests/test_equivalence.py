@@ -80,6 +80,17 @@ def test_wrg1_changes_per_field_and_header(tool, tmp_path):
     assert tool.wrg1_changes(paths[0], paths[2]) == {"(not a readable WRG1 file)": float("inf")}
 
 
+def test_wrg1_changes_names_a_sign_of_zero(tool, tmp_path):
+    grid = Grid3((8, 8, 8), (1.0, 1.0, 1.0))
+    a = np.zeros((8, 8, 8))
+    b = a.copy()
+    b[3, 4, 5] = -0.0
+    paths = [str(tmp_path / f"{name}.wrg") for name in "ab"]
+    write_fields(paths[0], {"q": ScalarField(grid, a)}, {})
+    write_fields(paths[1], {"q": ScalarField(grid, b)}, {})
+    assert tool.wrg1_changes(paths[0], paths[1]) == {"q": 0.0}
+
+
 def test_quick_list_against_head_finds_no_difference(tmp_path):
     if shutil.which("git") is None or not TOOL.is_file():
         pytest.skip("needs git and tools/equivalence.py")

@@ -11,7 +11,7 @@ from wring import cli, config, wrg1
 from wring import dynamics as dyn
 from wring import fieldzoo as fz
 from wring import gv
-from wring.errors import DegenerateField, FluxObstruction, MaskTooSmall
+from wring.errors import DegenerateField, MaskTooSmall, NonZeroMeanVorticity
 from wring.fieldcore import (
     Grid3,
     ScalarField,
@@ -99,7 +99,7 @@ class TestFluxCheck:
     def test_flux_obstruction_blocks_helicity(self):
         g = cube(16)
         b = fz.gen_clebsch(g)
-        with pytest.raises(FluxObstruction):
+        with pytest.raises(NonZeroMeanVorticity):
             gv.helicity(fz.FieldBundle(b.A, with_z_mean(b.W, 0.25)))
 
 

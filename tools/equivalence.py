@@ -187,7 +187,8 @@ def _wrg1(path: str):
 
 
 def wrg1_changes(a: str, b: str) -> dict:
-    """Header numbers as in ``json_changes``, and per field max|a - b| / max|a|."""
+    """Header numbers as in ``json_changes``, and per field max|a - b| / max|a|
+    where the field's bytes differ: 0 when only the sign of a zero does."""
     read_a, read_b = _wrg1(a), _wrg1(b)
     if read_a is None or read_b is None:
         return {"(not a readable WRG1 file)": math.inf}
@@ -197,9 +198,9 @@ def wrg1_changes(a: str, b: str) -> dict:
         x, y = fa[name], fb[name]
         if x.shape != y.shape:
             out[name] = math.inf
-        elif not np.array_equal(x, y):
-            scale = float(np.max(np.abs(x)))
-            out[name] = float(np.max(np.abs(x - y))) / scale if scale else math.inf
+        elif x.tobytes() != y.tobytes():
+            diff, scale = float(np.max(np.abs(x - y))), float(np.max(np.abs(x)))
+            out[name] = diff / scale if scale else (math.inf if diff else 0.0)
     return out
 
 
