@@ -24,7 +24,7 @@ import numpy as np
 # perfbench/spans.py wraps them in sys.modules right after ``import wring.cli``
 from . import config, dynamics, fieldzoo, gv, linkref, wrg1
 from .errors import FormatError, PreconditionError, ToleranceError, WringError
-from .fieldcore import Grid3, ScalarField, require_potential
+from .fieldcore import Grid3, require_potential
 
 _D = config.DEFAULTS
 # past 2**53 steps of one size, t + dt rounds back to t in float64
@@ -33,9 +33,11 @@ _MAX_STEPS = 2**53
 
 def _check_writable(*paths) -> None:
     """Validate output locations up front, before any compute happens: each
-    must name a file, not a directory, in a directory that exists."""
+    must name a file, not a directory, in a directory that exists, and no
+    two one file (after ``os.path.realpath``; ``-`` is stdout)."""
     import os
 
+    seen = set()
     for path in paths:
         if path is None or path == "-":
             continue
@@ -46,6 +48,10 @@ def _check_writable(*paths) -> None:
         parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
             raise ValueError(f"output directory does not exist: {parent}")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"two outputs name one file: {path}")
+        seen.add(real)
 
 
 def _json_dump(obj, path=None) -> None:
@@ -140,7 +146,8 @@ def _cmd_analyze(args) -> int:
     if args.density_out and report.gv_density is not None:
         wrg1.write_fields(
             args.density_out,
-            {"gv_density": ScalarField(bundle.grid, report.gv_density)},
+            bundle.grid,
+            {"gv_density": report.gv_density},
             meta={"family": report.family, "eta": args.eta, "eps": args.eps},
         )
     _json_dump(report.to_json_dict(), args.json)

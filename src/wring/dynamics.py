@@ -54,8 +54,9 @@ On top of the stepper, the local conservation law for the invariant
 density c = H . curl(H): (d/dt + U.grad) c = div(k W) with
 k = H^2 + (U.A)^{-1} H . grad(Pi), whose residual is measured by centred
 time differences of stepped states. Its divisions by the denominator U.A
-are ``gv.masked_quotient``, the engine's one masked quotient. The
-steady-flow obstruction bound lives in ``gv`` and is re-exported here.
+are ``gv.masked_quotient``, the engine's one masked quotient. The head,
+the residual and k are plain float64 arrays, and ``grad`` takes the grid
+beside each scalar it differentiates. The obstruction bound lives in ``gv``.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ import numpy as np
 from . import config, gv
 from .errors import CflViolation, ConsistencyLoss
 from .fieldcore import (
-    ScalarField,
     VectorField,
     cross_parts,
     curl,
@@ -81,10 +81,10 @@ from .fieldzoo import FieldBundle
 
 _DYN = config.DEFAULTS["dynamics"]
 
-obstruction_bound = gv.obstruction_bound
+obstruction_bound = gv.obstruction_bound  # kept for the benchmark tracer's targets only
 
 
-def bernoulli_head(bundle: FieldBundle) -> ScalarField:
+def bernoulli_head(bundle: FieldBundle) -> np.ndarray:
     """Zero-mean Pi = P + U^2/2 from the periodic pressure Poisson problem.
 
     Taking the divergence of the momentum equation gives
@@ -96,7 +96,7 @@ def bernoulli_head(bundle: FieldBundle) -> ScalarField:
     g.cut_box(bundle.W.spec, out=stack[:3])
     ps = _products(g, stack)
     ikx, iky, ikz = g.box_ik
-    return ScalarField(g, g.irfft((ikx * ps[0] + iky * ps[1] + ikz * ps[2]) * g.box_inv_k2))
+    return g.irfft((ikx * ps[0] + iky * ps[1] + ikz * ps[2]) * g.box_inv_k2)
 
 
 # -- time stepping -------------------------------------------------------------
@@ -271,7 +271,7 @@ def track_invariants(
 # -- local conservation law ------------------------------------------------------
 
 
-def conservation_residual(b0: FieldBundle, dt: float) -> tuple[ScalarField, ScalarField]:
+def conservation_residual(b0: FieldBundle, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Residual of the transported-density law, and the flux coefficient k.
 
     With the velocity construction H = (W x U)/(U.A), the density
@@ -281,7 +281,7 @@ def conservation_residual(b0: FieldBundle, dt: float) -> tuple[ScalarField, Scal
     states stepped by +-dt, so the residual converges at second order in
     dt toward the spatial-discretization floor.
 
-    The returned fields are zeroed outside a margin mask: points must clear
+    The returned arrays are zeroed outside a margin mask: points must clear
     ``conservation_mask_margin`` times the default eps of relative
     denominator at all three time levels.
     """
@@ -298,13 +298,13 @@ def conservation_residual(b0: FieldBundle, dt: float) -> tuple[ScalarField, Scal
     (G0, q0, N0, m0), (_, qp, Np, mp), (_, qm, Nm, mm) = map(level, (b0, fwd, bwd))
     mask = m0 & mp & mm
     U, W = b0.U, b0.W
-    M = magnitude2(G0) + dot(G0, grad(bernoulli_head(b0)))
-    gradq = grad(ScalarField(g, q0))
+    M = magnitude2(G0) + dot(G0, grad(g, bernoulli_head(b0)))
+    gradq = grad(g, q0)
     # c = N/q^2 and k = M/q^2, so with div W = 0 the law's residual is
     # (a - 2 b/q)/q^2, where a and b collect the q^-2 and q^-3 terms of
     # dc/dt + U.grad(c) - W.grad(k)
-    a = (Np - Nm) / (2.0 * dt) + dot(U, grad(ScalarField(g, N0)))
-    a -= dot(W, grad(ScalarField(g, M)))
+    a = (Np - Nm) / (2.0 * dt) + dot(U, grad(g, N0))
+    a -= dot(W, grad(g, M))
     b = N0 * ((qp - qm) / (2.0 * dt) + dot(U, gradq)) - M * dot(W, gradq)
     residual = gv.masked_quotient(a - 2.0 * gv.masked_quotient(b, q0, mask, 1), q0, mask, 2)
-    return ScalarField(g, residual), ScalarField(g, gv.masked_quotient(M, q0, mask, 2))
+    return residual, gv.masked_quotient(M, q0, mask, 2)

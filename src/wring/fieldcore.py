@@ -7,8 +7,8 @@ spectrally accurate for smooth periodic data.
 
 Conventions fixed here and relied on elsewhere:
 
-* scalar data is a float64 array of shape ``(nx, ny, nz)``, row-major over
-  the (x, y, z) indices; vector data is ``(3, nx, ny, nz)``;
+* a scalar is a plain float64 array of shape ``(nx, ny, nz)``, row-major
+  over the (x, y, z) indices; vector data is a ``VectorField``'s ``(3, nx, ny, nz)``;
 * first-derivative operators zero the Nyquist mode of each axis so that
   results stay real-symmetric;
 * the inverse-curl fixes the gauge by returning the unique divergence-free
@@ -16,7 +16,7 @@ Conventions fixed here and relied on elsewhere:
 
 The FFT lanes (``_Lanes``) are this module's only parallelism. They run
 the components of a stacked transform and the x-slabs of a ``pointwise``
-kernel: the product arrays and the finite checks of fields here, the
+kernel: the product arrays and the vector fields' finite check here, the
 engine's masked quotients and the stepper's stage products. Both split only above
 ``fft_serial_max_points`` points a component, and neither changes a bit
 of any result.
@@ -478,40 +478,14 @@ def pointwise(kernel, *arrays) -> None:
     _LANES.run(-(-nx // rows), slab, config.fft_workers())
 
 
-def _check_finite(data: np.ndarray, what: str):
+def check_finite(data: np.ndarray, what: str) -> None:
+    """Raise NonFiniteData naming ``what`` unless every entry of ``data`` is finite."""
+
     def check(d):
         if not np.all(np.isfinite(d)):
             raise NonFiniteData(f"{what} contains non-finite entries")
 
     pointwise(check, data)
-
-
-@dataclass(frozen=True, eq=False)
-class ScalarField:
-    """Real scalar samples on a Grid3, read-only from construction."""
-
-    grid: Grid3
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.shape != self.grid.shape:
-            raise InvalidGrid(
-                f"scalar data shape {data.shape} does not match grid {self.grid.shape}"
-            )
-        _check_finite(data, "scalar field")
-        object.__setattr__(self, "data", _read_only(data))
-
-    @classmethod
-    def sample(cls, grid: Grid3, fn) -> "ScalarField":
-        """Evaluate fn(x, y, z) on the mesh (fn may broadcast)."""
-        x, y, z = grid.mesh()
-        values = np.broadcast_to(np.asarray(fn(x, y, z), dtype=np.float64), grid.shape)
-        return cls(grid, np.ascontiguousarray(values))
-
-    @property
-    def maxabs(self) -> float:
-        return float(np.max(np.abs(self.data)))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -535,7 +509,7 @@ class VectorField:
             raise InvalidGrid(
                 f"vector data shape {data.shape} does not match grid {grid.shape}"
             )
-        _check_finite(data, "vector field")
+        check_finite(data, "vector field")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "data", _read_only(data))
         if spec is not None:
@@ -564,7 +538,7 @@ class VectorField:
         """What the inverse-curl gate measures, from ``spec``: (div_w, mean_w) =
         (max|div w| min(h), max|component mean|) / max|w|."""
         scale = max(self.maxabs, config.TOL["underflow"])
-        div_w = div(self).maxabs * min(self.grid.spacing) / scale
+        div_w = float(np.max(np.abs(div(self)))) * min(self.grid.spacing) / scale
         return div_w, max(abs(m) for m in self.component_means) / scale
 
 
@@ -615,24 +589,23 @@ def magnitude2(a: VectorField) -> np.ndarray:
 # -- spectral calculus -------------------------------------------------------
 
 
-def grad(s: ScalarField) -> VectorField:
-    """Spectral gradient; exact for band-limited fields."""
-    g = s.grid
-    spec = g.rfft(s.data)
+def grad(g: Grid3, s: np.ndarray) -> VectorField:
+    """Spectral gradient of the samples ``s`` on ``g``; exact for band-limited data."""
+    spec = g.rfft(s)
     parts = np.empty((3,) + spec.shape, dtype=complex)
     for ik, p in zip(g.ik, parts):
         np.multiply(ik, spec, out=p)
     return VectorField(g, g.irfft(parts, overwrite=True))
 
 
-def div(v: VectorField) -> ScalarField:
+def div(v: VectorField) -> np.ndarray:
     """Spectral divergence, from the field's cached spectra."""
     g = v.grid
     (ikx, iky, ikz), (sx, sy, sz) = g.ik, v.spec
     acc = ikx * sx
     acc += iky * sy
     acc += ikz * sz
-    return ScalarField(g, g.irfft(acc, overwrite=True))
+    return g.irfft(acc, overwrite=True)
 
 
 def curl(v: VectorField) -> VectorField:
@@ -708,7 +681,7 @@ def spectral_tail_fraction(v: VectorField) -> float:
     return tail / total
 
 
-def random_band_limited_scalar(grid: Grid3, kmax: int, seed: int) -> ScalarField:
+def random_band_limited_scalar(grid: Grid3, kmax: int, seed: int) -> np.ndarray:
     """Deterministic zero-mean smooth test scalar with modes confined to |k_i| <= kmax.
 
     Used by gauge-invariance checks and property tests; the seed pins the
@@ -723,5 +696,5 @@ def random_band_limited_scalar(grid: Grid3, kmax: int, seed: int) -> ScalarField
     peak = np.max(np.abs(out))
     if peak > 0:
         out = out / peak
-    return ScalarField(grid, out)
+    return out
 

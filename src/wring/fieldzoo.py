@@ -50,8 +50,8 @@ from .errors import (
 )
 from .fieldcore import (
     Grid3,
-    ScalarField,
     VectorField,
+    check_finite,
     cross,
     cross_parts,
     curl_drift,
@@ -117,23 +117,23 @@ class FieldBundle:
         return out
 
     def save(self, path) -> None:
-        wrg1.write_fields(path, {"A": self.A, "W": self.W}, meta=_json_safe(self.meta))
+        wrg1.write_fields(path, self.grid, {"A": self.A.data, "W": self.W.data}, meta=_json_safe(self.meta))
 
     @classmethod
     def load(cls, path) -> "FieldBundle":
-        """Read A, W and meta; a stored U, which older files carry, is ignored.
+        """Read A, W and meta; any other field, such as an old file's U, is never read.
 
         A and W must each be zero or have a largest |component| within
         ``bundle_values`` (defaults.json); outside it, FormatError names the
         file and the field, before any product of the samples can overflow.
         """
-        _, fields, meta = wrg1.read_fields(path)
+        grid, arrays, meta = wrg1.read_fields(path)
         try:
-            A, W = fields["A"], fields["W"]
+            A, W = VectorField(grid, arrays["A"]), VectorField(grid, arrays["W"])
         except KeyError as exc:
             raise FormatError(f"{path}: bundle file lacks field {exc}") from exc
-        if not (isinstance(A, VectorField) and isinstance(W, VectorField)):
-            raise FormatError(f"{path}: bundle fields 'A' and 'W' must be vectors")
+        except InvalidGrid as exc:
+            raise FormatError(f"{path}: bundle fields 'A' and 'W' must be vectors") from exc
         problem = _out_of_range(A, W)
         if problem:
             raise FormatError(f"{path}: {problem}")
@@ -252,8 +252,9 @@ _ALLOWED_NODES = (
 )
 
 
-def eval_scalar_expr(grid: Grid3, expr: str) -> ScalarField:
-    """Evaluate a restricted arithmetic expression of x, y, z on the mesh.
+def eval_scalar_expr(grid: Grid3, expr: str) -> np.ndarray:
+    """Evaluate a restricted arithmetic expression of x, y, z on the mesh,
+    as a new float64 array of the grid's shape.
 
     Allowed: the coordinates x, y, z, box lengths Lx, Ly, Lz, pi, numeric
     literals, + - * / ** and the functions sin cos tan exp sqrt abs tanh.
@@ -292,14 +293,16 @@ def eval_scalar_expr(grid: Grid3, expr: str) -> ScalarField:
         raise ValueError(f"bad scalar expression {expr!r}: {exc}") from exc
     if values.dtype.kind not in "fiu":
         raise ValueError(f"bad scalar expression {expr!r}: its value is not a real float")
-    return ScalarField(grid, np.broadcast_to(np.asarray(values, float), grid.shape).copy())
+    return np.broadcast_to(np.asarray(values, float), grid.shape).copy()
 
 
-def _as_scalar(grid: Grid3, spec) -> ScalarField:
+def _as_scalar(grid: Grid3, spec) -> np.ndarray:
     if isinstance(spec, str):
         return eval_scalar_expr(grid, spec)
     if callable(spec):
-        return ScalarField.sample(grid, spec)
+        values = np.ascontiguousarray(np.broadcast_to(np.asarray(spec(*grid.mesh()), float), grid.shape))
+        check_finite(values, "scalar field")
+        return values
     raise TypeError(f"cannot interpret scalar spec {spec!r}")
 
 
@@ -327,6 +330,8 @@ def random_trig_scalar(kmax: int, nmodes: int, seed: int, *, offset: float = 2.0
         modes.append((k.astype(float), rng.uniform(0.5, 1.0), rng.uniform(0.0, 2.0 * np.pi)))
     total = sum(a for _, a, _ in modes)
 
+    # perfbench/workloads.py::multiplier_expr reads modes, offset, amp and total from f's
+    # closure to write f as cli-cold's expression; as constants they would break it
     def f(x, y, z):
         acc = 0.0
         for k, a, ph in modes:
@@ -357,14 +362,14 @@ def gen_clebsch(
     if g is None and g_linear is None:
         g_linear = (0.0, 0.0, 1.0)
     fs = _as_scalar(grid, f)
-    f_scale = fs.maxabs
-    if float(np.min(np.abs(fs.data))) < _TOL["zero_f_rel"] * max(f_scale, 1e-300):
+    f_scale = float(np.max(np.abs(fs)))
+    if float(np.min(np.abs(fs))) < _TOL["zero_f_rel"] * max(f_scale, 1e-300):
         raise ZeroF("f passes too close to zero; the potential would degenerate")
-    dg = grad(_as_scalar(grid, g)).data if g is not None else np.zeros((3,) + grid.shape)
+    dg = grad(grid, _as_scalar(grid, g)).data if g is not None else np.zeros((3,) + grid.shape)
     if g_linear is not None:
         dg = dg + np.array(g_linear, dtype=float)[:, None, None, None]
-    A = VectorField(grid, fs.data[None, :, :, :] * dg)
-    W = cross(grad(fs), VectorField(grid, dg))
+    A = VectorField(grid, fs[None, :, :, :] * dg)
+    W = cross(grad(grid, fs), VectorField(grid, dg))
     # f and grad(g) are not needed past this point; verify runs without them
     del fs, dg
     if spectral_tail_fraction(A) > _TOL["spectral_tail_fraction"]:

@@ -1,4 +1,4 @@
-"""WRG1 binary field container.
+"""WRG1 binary field container: one grid and named float64 arrays on it.
 
 Layout, all little-endian:
 
@@ -10,11 +10,10 @@ Layout, all little-endian:
                   metadata["fields"]; a "scalar" entry is one nx*ny*nz
                   array, a "vector" entry is three of them (x, y, z)
 
-The metadata block records grid dims and box lengths, taken from the
-fields written (which must share one grid), the ordered field
-declarations (each name at most once), and free-form provenance (family
-name, creation parameters, claims), as strict JSON: no NaN, Infinity or
-number that overflows float64.
+The metadata block records the grid's dims and box lengths, the ordered
+field declarations (each name at most once, its kind its array's shape),
+and free-form provenance (family name, creation parameters, claims), as
+strict JSON: no NaN, Infinity or number that overflows float64.
 The data size it declares is checked against the file size before any array
 is read. Round-trips are bit-exact: arrays are written from their own
 buffers and read with frombuffer(), as read-only arrays on the file bytes.
@@ -23,20 +22,17 @@ buffers and read with frombuffer(), as read-only arrays on the file bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
 import numpy as np
 
 from .errors import FormatError, InvalidGrid
-from .fieldcore import Grid3, ScalarField, VectorField
+from .fieldcore import Grid3
 
 MAGIC = b"WRG1\x00\x00\x00\x00"
 VERSION = 1
-
-
-def _meta_bytes(meta: dict) -> bytes:
-    return json.dumps(meta, sort_keys=True, separators=(",", ":"), allow_nan=False).encode("utf-8")
 
 
 def _finite_float(text: str) -> float:
@@ -46,49 +42,39 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def write_fields(path, fields: dict, meta: dict | None = None) -> None:
-    """Write named scalar/vector fields to a WRG1 file.
+def write_fields(path, grid: Grid3, arrays: dict, meta: dict | None = None) -> None:
+    """Write named float64 arrays on ``grid`` to a WRG1 file.
 
-    ``fields`` maps name -> ScalarField | VectorField; insertion order is the
-    storage order. The header grid is the fields' own: an empty mapping
-    raises ValueError, and a field on another grid than the first
-    InvalidGrid naming it, before the file is opened.
+    ``arrays`` maps name -> array; insertion order is the storage order.
+    ``grid.shape`` is a scalar, ``(3,) + grid.shape`` a vector (x, y, z);
+    any other shape raises InvalidGrid naming the field, before the file is
+    opened. An empty mapping writes a header-only file.
     """
-    grid = None
+    kinds = {grid.shape: "scalar", (3,) + grid.shape: "vector"}
     declared = []
-    arrays: list[np.ndarray] = []
-    for name, f in fields.items():
-        if isinstance(f, ScalarField):
-            declared.append({"name": name, "kind": "scalar"})
-            arrays.append(f.data)
-        elif isinstance(f, VectorField):
-            declared.append({"name": name, "kind": "vector"})
-            arrays.extend(f.data)
-        else:
-            raise TypeError(f"unsupported field type for {name!r}: {type(f)}")
-        grid = grid or f.grid
-        if f.grid != grid:
-            raise InvalidGrid(f"{path}: field {name!r} is on {f.grid}, the first field on {grid}")
-    if grid is None:
-        raise ValueError(f"{path}: no fields to write; the header grid is taken from them")
-    header_meta = {
+    for name, arr in arrays.items():
+        kind = kinds.get(np.shape(arr))
+        if kind is None:
+            raise InvalidGrid(f"{path}: field {name!r} has shape {np.shape(arr)}, not one of {tuple(kinds)}")
+        declared.append({"name": name, "kind": kind})
+    header = {
         "grid": {"n": list(grid.n), "box": list(grid.box)},
         "fields": declared,
         "meta": meta or {},
     }
-    blob = _meta_bytes(header_meta)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":"), allow_nan=False).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(blob)))
         fh.write(blob)
-        for arr in arrays:
+        for arr in arrays.values():
             # the array's own buffer: a contiguous little-endian float64
             # array is written without a copy
             fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def read_fields(path) -> tuple[Grid3, dict, dict]:
-    """Read a WRG1 file; returns (grid, fields, meta)."""
+    """Read a WRG1 file; returns (grid, {name: read-only, unchecked array}, meta)."""
     with open(path, "rb") as fh:
         head = fh.read(16)
         if len(head) < 16 or head[:8] != MAGIC:
@@ -125,22 +111,19 @@ def read_fields(path) -> tuple[Grid3, dict, dict]:
             if entry["name"] in names:
                 raise FormatError(f"{path}: field {entry['name']!r} is declared twice")
             names.add(entry["name"])
-        npts = grid.n[0] * grid.n[1] * grid.n[2]
+        shapes = {"scalar": grid.shape, "vector": (3,) + grid.shape}
         # the sizes are compared before any read, so a header that declares
         # more data than the file holds never allocates it
-        declared_bytes = sum(8 * npts * (3 if e["kind"] == "vector" else 1) for e in declared)
+        declared_bytes = sum(8 * math.prod(shapes[e["kind"]]) for e in declared)
         file_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
         if declared_bytes != file_bytes:
             raise FormatError(
                 f"{path}: the declared fields take {declared_bytes} data bytes, "
                 f"the file holds {file_bytes} after the metadata"
             )
-        fields: dict = {}
+        arrays: dict = {}
         for entry in declared:
-            count = 3 if entry["kind"] == "vector" else 1
-            arr = np.frombuffer(fh.read(8 * npts * count), dtype="<f8").astype(np.float64, copy=False)
-            if count == 3:
-                fields[entry["name"]] = VectorField(grid, arr.reshape((3,) + grid.shape))
-            else:
-                fields[entry["name"]] = ScalarField(grid, arr.reshape(grid.shape))
-    return grid, fields, meta
+            shape = shapes[entry["kind"]]
+            arr = np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8")
+            arrays[entry["name"]] = arr.astype(np.float64, copy=False).reshape(shape)
+    return grid, arrays, meta

@@ -15,9 +15,14 @@ def split_every_stack(monkeypatch):
 def random_band_limited_vector(grid, kmax, seed, *, div_free=False):
     """Deterministic band-limited vector field; with ``div_free``, the curl of
     one, which is solenoidal with zero mean and band-limited alike."""
-    comps = [random_band_limited_scalar(grid, kmax, seed + 7 * i).data for i in range(3)]
+    comps = [random_band_limited_scalar(grid, kmax, seed + 7 * i) for i in range(3)]
     v = VectorField(grid, np.stack(comps))
     return curl(v) if div_free else v
+
+
+def sample(grid, fn):
+    """fn(x, y, z) on the grid's mesh, broadcast to one new float64 array of its shape."""
+    return np.broadcast_to(np.asarray(fn(*grid.mesh()), dtype=np.float64), grid.shape).copy()
 
 
 def two_thirds(grid):

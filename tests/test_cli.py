@@ -100,8 +100,8 @@ class TestGenerateAnalyze:
         assert run(["analyze", str(field), "--density-out", str(dens), "--json", str(tmp_path / "r.json")]) == 0
         from wring import wrg1
 
-        grid, fields, meta = wrg1.read_fields(dens)
-        assert "gv_density" in fields
+        grid, arrays, meta = wrg1.read_fields(dens)
+        assert arrays["gv_density"].shape == grid.shape
 
     def test_bad_family_exit_2(self, tmp_path):
         assert run(["generate", "--family", "clebsch", "--n", "4", "--out", str(tmp_path / "x.wrg")]) == 2
@@ -150,7 +150,7 @@ class TestGenerateAnalyze:
 
     def test_vanishing_velocity_denominator_exit_4(self, tmp_path, capsys):
         # U = (0, -cos x, 0) for W = (0, 0, sin x), so U.A vanishes for A along x
-        from wring import dynamics
+        from wring import gv
         from wring.errors import MaskTooSmall
         from wring.fieldcore import Grid3, VectorField
 
@@ -165,7 +165,7 @@ class TestGenerateAnalyze:
             captured = capsys.readouterr()
             assert "U.A is at roundoff level everywhere" in captured.err and captured.out == ""
         with pytest.raises(MaskTooSmall):
-            dynamics.obstruction_bound(FieldBundle.load(path))
+            gv.obstruction_bound(FieldBundle.load(path))
 
     def test_beltrami_bound_block_without_gv(self, tmp_path):
         field = tmp_path / "b.wrg"
@@ -320,15 +320,15 @@ class TestHostileWrg1:
         # a valid bundle scaled out of [1e-100, 1e100] is refused on load,
         # naming the file and the field, before anything overflows
         from wring import wrg1
-        from wring.fieldcore import Grid3, VectorField
+        from wring.fieldcore import Grid3
         from wring.fieldzoo import gen_clebsch
 
         g = Grid3((8, 8, 8), (2 * np.pi,) * 3)
         b = gen_clebsch(g)
-        fields = {"A": b.A, "W": b.W}
-        fields[field] = VectorField(g, fields[field].data * scale)
+        arrays = {"A": b.A.data, "W": b.W.data}
+        arrays[field] = arrays[field] * scale
         src = tmp_path / "scaled.wrg"
-        wrg1.write_fields(src, fields, {"family": "clebsch"})
+        wrg1.write_fields(src, g, arrays, {"family": "clebsch"})
         assert run(self.COMMANDS[command](str(src), str(tmp_path / "o.wrg"))) == 3
         captured = capsys.readouterr()
         assert f"{src}: field '{field}' has max|component|" in captured.err
@@ -343,14 +343,13 @@ class TestOverflowingScale:
 
     def _scaled(self, tmp_path, scale):
         from wring import wrg1
-        from wring.fieldcore import Grid3, VectorField
+        from wring.fieldcore import Grid3
         from wring.fieldzoo import gen_clebsch
 
         g = Grid3((8, 8, 8), (2 * np.pi,) * 3)
         b = gen_clebsch(g)
         src = tmp_path / "scaled.wrg"
-        fields = {name: VectorField(g, f.data * scale) for name, f in (("A", b.A), ("W", b.W))}
-        wrg1.write_fields(src, fields, {"family": "clebsch"})
+        wrg1.write_fields(src, g, {"A": b.A.data * scale, "W": b.W.data * scale}, {"family": "clebsch"})
         return str(src)
 
     @pytest.mark.parametrize(
@@ -384,17 +383,14 @@ class TestStoredVelocity:
     def _with_u(self, src, dst, U):
         from wring import wrg1
 
-        grid, fields, meta = wrg1.read_fields(src)
-        wrg1.write_fields(dst, {"A": fields["A"], "W": fields["W"], "U": U}, meta)
+        grid, arrays, meta = wrg1.read_fields(src)
+        wrg1.write_fields(dst, grid, {"A": arrays["A"], "W": arrays["W"], "U": U}, meta)
 
     def test_stored_velocity_is_ignored(self, tmp_path):
-        from wring.fieldcore import Grid3, VectorField
-
         field = tmp_path / "f.wrg"
         run(["generate", "--family", "clebsch", "--n", "16", "--shear", "x,z,0.3,1", "--out", str(field)])
-        g = Grid3((16, 16, 16), (2 * np.pi,) * 3)
         stale = tmp_path / "stale.wrg"
-        self._with_u(field, stale, VectorField(g, np.random.default_rng(1).standard_normal((3,) + g.shape)))
+        self._with_u(field, stale, np.random.default_rng(1).standard_normal((3, 16, 16, 16)))
         reports = []
         for path in (field, stale):
             report = tmp_path / (path.stem + ".json")
@@ -402,14 +398,44 @@ class TestStoredVelocity:
             reports.append(report.read_bytes())
         assert reports[0] == reports[1]
 
+    def test_non_finite_stored_velocity_is_ignored(self, tmp_path):
+        # a field nothing reads is never checked: the report is the one without it
+        field = tmp_path / "f.wrg"
+        run(["generate", "--family", "clebsch", "--n", "16", "--shear", "x,z,0.3,1", "--out", str(field)])
+        U = np.zeros((3, 16, 16, 16))
+        U[1, 2, 3, 4] = np.nan
+        stale = tmp_path / "stale.wrg"
+        self._with_u(field, stale, U)
+        reports = []
+        for path in (field, stale):
+            report = tmp_path / (path.stem + ".json")
+            assert run(["analyze", str(path), "--json", str(report)]) == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("name", ["A", "W"])
+    def test_non_finite_a_or_w_exit_4(self, tmp_path, capsys, name):
+        from wring import wrg1
+
+        field, bad, report = tmp_path / "f.wrg", tmp_path / "bad.wrg", tmp_path / "r.json"
+        run(["generate", "--family", "clebsch", "--n", "16", "--out", str(field)])
+        grid, arrays, meta = wrg1.read_fields(field)
+        arrays = {**arrays, name: arrays[name].copy()}
+        arrays[name][2, 3, 4, 5] = np.inf if name == "W" else np.nan
+        wrg1.write_fields(bad, grid, arrays, meta)
+        capsys.readouterr()
+        assert run(["analyze", str(bad), "--json", str(report)]) == 4
+        assert "vector field contains non-finite entries" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_divergent_vorticity_refused_despite_stored_velocity(self, tmp_path, capsys):
         from wring import wrg1
         from wring.fieldcore import Grid3, grad, random_band_limited_scalar
 
         g = Grid3((16, 16, 16), (2 * np.pi,) * 3)
-        W = grad(random_band_limited_scalar(g, 3, seed=4))
+        W = grad(g, random_band_limited_scalar(g, 3, seed=4)).data
         path = tmp_path / "divergent.wrg"
-        wrg1.write_fields(path, {"A": W, "W": W, "U": W}, {"family": "test"})
+        wrg1.write_fields(path, g, {"A": W, "W": W, "U": W}, {"family": "test"})
         report = tmp_path / "r.json"
         capsys.readouterr()
         assert run(["analyze", str(path), "--json", str(report)]) == 4
@@ -584,15 +610,14 @@ class TestEvolveAndDiffeo:
         # a shear of a bundle at the top of the load range pushes A past it;
         # diffeo refuses to write what load would refuse
         from wring import wrg1
-        from wring.fieldcore import Grid3, VectorField
+        from wring.fieldcore import Grid3
         from wring.fieldzoo import gen_clebsch
 
         g = Grid3((16, 16, 16), (2 * np.pi,) * 3)
         b = gen_clebsch(g)
         scale = 1e100 / b.A.maxabs
         src, out = tmp_path / "top.wrg", tmp_path / "g.wrg"
-        fields = {name: VectorField(g, f.data * scale) for name, f in (("A", b.A), ("W", b.W))}
-        wrg1.write_fields(src, fields, {"family": "clebsch"})
+        wrg1.write_fields(src, g, {"A": b.A.data * scale, "W": b.W.data * scale}, {"family": "clebsch"})
         FieldBundle.load(src)
         assert run(["diffeo", str(src), "--shear", "x,z,0.3,1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -692,6 +717,44 @@ class TestOutputPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "output path is empty" in captured.err
+
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{field}", "--json", "{first}", "--density-out", "{second}"],
+            ["evolve", "{field}", "--steps", "1", "--series", "{first}", "--out", "{second}"],
+        ],
+        ids=["analyze", "evolve"],
+    )
+    def test_two_outputs_naming_one_file_exit_2(self, tmp_path, capsys, argv, spelling):
+        # compared after os.path.realpath, before any work: nothing is written
+        field, first = tmp_path / "f.wrg", tmp_path / "x"
+        run(["generate", "--family", "clebsch", "--n", "16", "--out", str(field)])
+        (tmp_path / "sub").mkdir()
+        second = {
+            "same": str(first),
+            "dotted": str(tmp_path / "sub" / ".." / "x"),
+            "symlink": str(tmp_path / "link"),
+        }[spelling]
+        (tmp_path / "link").symlink_to(first)
+        capsys.readouterr()
+        assert run([a.format(field=field, first=first, second=second) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"two outputs name one file: {second}" in captured.err
+        assert not first.exists()
+
+    def test_dash_is_stdout_not_a_file(self, tmp_path, capsys, monkeypatch):
+        # --json - is stdout, so a density written to the file named - is another output
+        from wring import wrg1
+
+        monkeypatch.chdir(tmp_path)
+        run(["generate", "--family", "clebsch", "--n", "16", "--out", "f.wrg"])
+        capsys.readouterr()
+        assert run(["analyze", "f.wrg", "--json", "-", "--density-out", "-"]) == 0
+        assert json.loads(capsys.readouterr().out)["family"] == "clebsch"
+        assert list(wrg1.read_fields("-")[1]) == ["gv_density"]
 
 
 class TestGenerateParams:

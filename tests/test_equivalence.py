@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from wring.fieldcore import Grid3, ScalarField, VectorField
+from wring.fieldcore import Grid3
 from wring.wrg1 import write_fields
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -69,8 +69,8 @@ def test_wrg1_changes_per_field_and_header(tool, tmp_path):
     b = a.copy()
     b[2, 7, 7, 7] += 1.0
     paths = [str(tmp_path / f"{name}.wrg") for name in "abc"]
-    write_fields(paths[0], {"W": VectorField(grid, a), "q": ScalarField(grid, a[0])}, {"gv": 1.0})
-    write_fields(paths[1], {"W": VectorField(grid, b), "q": ScalarField(grid, a[0])}, {"gv": 1.25})
+    write_fields(paths[0], grid, {"W": a, "q": a[0]}, {"gv": 1.0})
+    write_fields(paths[1], grid, {"W": b, "q": a[0]}, {"gv": 1.25})
     (tmp_path / "c.wrg").write_bytes(b"not a bundle")
     assert tool.wrg1_changes(paths[0], paths[0]) == {}
     assert tool.wrg1_changes(paths[0], paths[1]) == {
@@ -86,8 +86,8 @@ def test_wrg1_changes_names_a_sign_of_zero(tool, tmp_path):
     b = a.copy()
     b[3, 4, 5] = -0.0
     paths = [str(tmp_path / f"{name}.wrg") for name in "ab"]
-    write_fields(paths[0], {"q": ScalarField(grid, a)}, {})
-    write_fields(paths[1], {"q": ScalarField(grid, b)}, {})
+    write_fields(paths[0], grid, {"q": a}, {})
+    write_fields(paths[1], grid, {"q": b}, {})
     assert tool.wrg1_changes(paths[0], paths[1]) == {"q": 0.0}
 
 

@@ -216,7 +216,7 @@ def test_analyze_bound_budget(transforms, sheared32, variant, budget):
 
 
 def test_obstruction_bound_budget(transforms, sheared32):
-    assert len(transforms(dyn.obstruction_bound, sheared32)) <= OBSTRUCTION_BOUND_BUDGET
+    assert len(transforms(gv.obstruction_bound, sheared32)) <= OBSTRUCTION_BOUND_BUDGET
 
 
 def test_track_invariants_one_step_budget(transforms, sheared32_file, monkeypatch):

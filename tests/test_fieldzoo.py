@@ -1,6 +1,9 @@
 """Field families: analytic structure, claims, and the shear transforms."""
 
+import importlib.util
+import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from wring.errors import (
     ConsistencyLoss,
     InvalidGrid,
     MapNotInvertible,
+    NonFiniteData,
     NonPeriodic,
     SupportTooLarge,
     TubesOverlap,
@@ -19,7 +23,6 @@ from wring.errors import (
 )
 from wring.fieldcore import (
     Grid3,
-    ScalarField,
     curl,
     dot,
     grad,
@@ -351,7 +354,7 @@ class TestExpressions:
     def test_basic_evaluation(self):
         g = cube(16)
         s = fz.eval_scalar_expr(g, "1 + sin(2*pi*x/Lx)*cos(y)")
-        assert s.data.shape == g.shape
+        assert type(s) is np.ndarray and s.dtype == np.float64 and s.shape == g.shape
 
     @pytest.mark.parametrize(
         "expr",
@@ -370,6 +373,36 @@ class TestExpressions:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             fz.eval_scalar_expr(cube(16), "q + 1")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_callable_samples_rejected(self, bad):
+        g = cube(16)
+        with pytest.raises(NonFiniteData, match="scalar field contains non-finite entries"):
+            fz._as_scalar(g, lambda x, y, z: np.where(x + y + z > 5.0, bad, 1.0))
+        with pytest.raises(NonFiniteData):
+            fz.gen_clebsch(g, f=lambda x, y, z: 2.0 + 0 * x + bad)
+
+
+WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_multiplier_expression_is_its_callable(monkeypatch, seed):
+    # the benchmark builds one multiplier as a callable (the evolve and
+    # analyze inputs) and as the expression string that multiplier_expr
+    # writes from the callable's closure (cli-cold); both must sample alike
+    if not WORKLOADS.is_file():
+        pytest.skip("no perfbench/ next to this checkout")
+    monkeypatch.syspath_prepend(str(WORKLOADS.parent))
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    g = workloads._grid(32)
+    f = workloads.multiplier(seed)
+    expected = fz._as_scalar(g, f)
+    assert fz.eval_scalar_expr(g, workloads.multiplier_expr(f)).tobytes() == expected.tobytes()
 
 
 def test_make_family_dispatch():
@@ -394,14 +427,12 @@ def test_save_load_round_trip(tmp_path):
 def test_bundle_fields_are_read_only():
     g = cube(16)
     b = fz.gen_clebsch(g)
-    s = ScalarField.sample(g, lambda x, y, z: np.sin(x) * np.cos(y))
-    fields = (b.A, b.W, curl(b.A), grad(s), inverse_curl(b.W), VectorField.from_components(g, 1.0, 0.0, 0.0))
+    s = fz.eval_scalar_expr(g, "sin(x)*cos(y)")
+    fields = (b.A, b.W, curl(b.A), grad(g, s), inverse_curl(b.W), VectorField.from_components(g, 1.0, 0.0, 0.0))
     for v in fields:
         for data in (v.data, *v.spec):
             with pytest.raises(ValueError):
                 data[0, 0, 0] = 1.0
-    with pytest.raises(ValueError):
-        s.data[0, 0, 0] = 1.0
-    for obj, name in ((b, "W"), (b.W, "data"), (b.W, "spec"), (s, "data")):
+    for obj, name in ((b, "W"), (b.W, "data"), (b.W, "spec")):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)

@@ -9,8 +9,9 @@ imports concurrent.futures at module level; a fresh interpreter shows that
 a command loads numpy.fft only if it transforms, the lane pool only if it
 splits a stack over lanes, and no scipy module at all. ``import wring``
 loads no module of the package, ``wring.selftest`` loads only for
-``wring selftest``, and every function the benchmark's tracer wraps is
-there after ``import wring.cli``."""
+``wring selftest``, every function the benchmark's tracer wraps is
+there after ``import wring.cli``, and ``wring.wrg1`` takes only ``Grid3``
+from fieldcore."""
 
 import ast
 import json
@@ -101,6 +102,19 @@ def test_dependencies_are_the_third_party_imports():
     }
     assert {re.split(r"[<>=!~; \[]", d, maxsplit=1)[0] for d in declared} == imported
     assert declared == ["numpy>=2.0"]
+
+
+def test_wrg1_knows_no_field_type():
+    # the container holds a grid and plain arrays, so of fieldcore it needs the grid only
+    source = (pathlib.Path(wring.__file__).parent / "wrg1.py").read_text()
+    names = [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module in ("fieldcore", "wring.fieldcore")
+        for alias in node.names
+    ]
+    assert names == ["Grid3"]
+    assert not re.search(r"\bimport\s+(wring\.)?fieldcore\b|from\s+(\.|wring)\s+import\s+.*\bfieldcore\b", source)
 
 
 def private_imports(source: str) -> list:

@@ -10,7 +10,7 @@ import pytest
 
 from wring import wrg1
 from wring.errors import FormatError, InvalidGrid
-from wring.fieldcore import Grid3, ScalarField, VectorField
+from wring.fieldcore import Grid3, VectorField
 from wring.fieldzoo import FieldBundle
 
 from helpers import random_band_limited_vector
@@ -23,43 +23,46 @@ def grid():
 
 def test_round_trip_bit_exact(tmp_path, grid):
     rng = np.random.default_rng(0)
-    s = ScalarField(grid, rng.standard_normal(grid.shape))
-    v = VectorField(grid, rng.standard_normal((3,) + grid.shape))
+    s = rng.standard_normal(grid.shape)
+    v = rng.standard_normal((3,) + grid.shape)
     path = tmp_path / "fields.wrg"
     meta = {"family": "test", "params": {"alpha": 0.25}}
-    wrg1.write_fields(path, {"s": s, "v": v}, meta)
-    grid2, fields, meta2 = wrg1.read_fields(path)
+    wrg1.write_fields(path, grid, {"s": s, "v": v}, meta)
+    grid2, arrays, meta2 = wrg1.read_fields(path)
     assert grid2 == grid
     assert meta2 == meta
-    assert np.array_equal(fields["s"].data, s.data)
-    assert np.array_equal(fields["v"].data, v.data)
+    assert list(arrays) == ["s", "v"]
+    for name, a in (("s", s), ("v", v)):
+        assert type(arrays[name]) is np.ndarray and arrays[name].dtype == np.float64
+        assert arrays[name].tobytes() == a.tobytes() and arrays[name].shape == a.shape
+        assert not arrays[name].flags.writeable
 
 
 def test_write_read_write_identical_bytes(tmp_path, grid):
     v = random_band_limited_vector(grid, 3, seed=5)
     p1 = tmp_path / "a.wrg"
     p2 = tmp_path / "b.wrg"
-    wrg1.write_fields(p1, {"v": v}, {"k": 1})
-    grid2, fields, meta = wrg1.read_fields(p1)
-    wrg1.write_fields(p2, {"v": fields["v"]}, meta)
+    wrg1.write_fields(p1, grid, {"v": v.data}, {"k": 1})
+    grid2, arrays, meta = wrg1.read_fields(p1)
+    wrg1.write_fields(p2, grid2, {"v": arrays["v"]}, meta)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_bytes_match_a_tobytes_oracle(tmp_path, grid):
     # a non-contiguous scalar takes the copying path, the vector the direct one
     rng = np.random.default_rng(1)
-    s = ScalarField(grid, rng.standard_normal(grid.shape)[::-1])
-    v = VectorField(grid, rng.standard_normal((3,) + grid.shape))
+    s = rng.standard_normal(grid.shape)[::-1]
+    v = rng.standard_normal((3,) + grid.shape)
     meta = {"k": [1, 2.5]}
     path = tmp_path / "f.wrg"
-    wrg1.write_fields(path, {"s": s, "v": v}, meta)
+    wrg1.write_fields(path, grid, {"s": s, "v": v}, meta)
     header = {
         "grid": {"n": list(grid.n), "box": list(grid.box)},
         "fields": [{"name": "s", "kind": "scalar"}, {"name": "v", "kind": "vector"}],
         "meta": meta,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    arrays = [s.data, *v.data]
+    arrays = [s, *v]
     oracle = wrg1.MAGIC + struct.pack("<II", wrg1.VERSION, len(blob)) + blob
     oracle += b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
     assert path.read_bytes() == oracle
@@ -77,21 +80,21 @@ def test_fixed_bundle_hash(tmp_path):
     assert digest == "5f229968440f05e0f0f31efef3cc45b856f3c2987c40c8034e552bee056b80e8"
 
 
-def test_field_on_another_grid_rejected(tmp_path, grid):
-    # the header grid is the fields' own, so every field must be on it
-    other = Grid3(grid.n, (1.0, 2.5, 3.0))
+def test_array_of_another_shape_rejected(tmp_path, grid):
+    # a scalar is grid.shape and a vector (3,) + grid.shape, nothing else;
+    # the check runs before the file is opened, after a field that passes it
     path = tmp_path / "g.wrg"
-    fields = {"v": VectorField(grid, np.zeros((3,) + grid.shape)), "s": ScalarField(other, np.zeros(grid.shape))}
-    with pytest.raises(InvalidGrid, match=re.escape(f"field 's' is on {other}, the first field on {grid}")):
-        wrg1.write_fields(path, fields)
-    assert not path.exists()
+    for shape in [(16, 8, 10), (8, 16, 12), (2, 16, 8, 12), (3, 16, 8, 10), (16, 8, 12, 3), (3,), ()]:
+        arrays = {"v": np.zeros((3,) + grid.shape), "s": np.zeros(shape)}
+        with pytest.raises(InvalidGrid, match=re.escape(f"field 's' has shape {shape}")):
+            wrg1.write_fields(path, grid, arrays)
+        assert not path.exists()
 
 
-def test_empty_mapping_rejected(tmp_path):
+def test_header_only_file_round_trips(tmp_path, grid):
     path = tmp_path / "e.wrg"
-    with pytest.raises(ValueError, match="no fields to write"):
-        wrg1.write_fields(path, {})
-    assert not path.exists()
+    wrg1.write_fields(path, grid, {}, {"note": "no fields"})
+    assert wrg1.read_fields(path) == (grid, {}, {"note": "no fields"})
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -104,7 +107,7 @@ def test_bad_magic_rejected(tmp_path):
 def test_truncated_data_rejected(tmp_path, grid):
     v = random_band_limited_vector(grid, 3, seed=6)
     path = tmp_path / "t.wrg"
-    wrg1.write_fields(path, {"v": v})
+    wrg1.write_fields(path, grid, {"v": v.data})
     raw = path.read_bytes()
     path.write_bytes(raw[:-64])
     with pytest.raises(FormatError):
@@ -114,7 +117,7 @@ def test_truncated_data_rejected(tmp_path, grid):
 def test_trailing_bytes_rejected(tmp_path, grid):
     v = random_band_limited_vector(grid, 3, seed=7)
     path = tmp_path / "t.wrg"
-    wrg1.write_fields(path, {"v": v})
+    wrg1.write_fields(path, grid, {"v": v.data})
     with open(path, "ab") as fh:
         fh.write(b"\x00")
     with pytest.raises(FormatError):
@@ -123,7 +126,7 @@ def test_trailing_bytes_rejected(tmp_path, grid):
 
 def test_header_is_16_bytes_plus_json(tmp_path, grid):
     path = tmp_path / "h.wrg"
-    wrg1.write_fields(path, {"s": ScalarField(grid, np.zeros(grid.shape))}, {"note": "header check"})
+    wrg1.write_fields(path, grid, {"s": np.zeros(grid.shape)}, {"note": "header check"})
     raw = path.read_bytes()
     assert raw[:8] == b"WRG1\x00\x00\x00\x00"
     version = int.from_bytes(raw[8:12], "little")
@@ -182,7 +185,7 @@ def test_bundle_meta_of_wrong_type_rejected(tmp_path, grid, meta):
     from wring.fieldzoo import FieldBundle
 
     path = tmp_path / "b.wrg"
-    zeros = VectorField(grid, np.zeros((3,) + grid.shape))
-    wrg1.write_fields(path, {"A": zeros, "W": zeros}, meta)
+    zeros = np.zeros((3,) + grid.shape)
+    wrg1.write_fields(path, grid, {"A": zeros, "W": zeros}, meta)
     with pytest.raises(FormatError):
         FieldBundle.load(path)

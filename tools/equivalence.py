@@ -176,14 +176,14 @@ def csv_changes(a: str, b: str) -> dict:
 
 
 def _wrg1(path: str):
-    """(header, {name: data}) of a WRG1 file read by the package's own
+    """(header, {name: array}) of a WRG1 file read by the package's own
     reader, or None where that reader refuses it."""
     try:
-        grid, fields, meta = read_fields(path)
+        grid, arrays, meta = read_fields(path)
     except WringError:
         return None
-    header = {"grid": {"n": list(grid.n), "box": list(grid.box)}, "fields": list(fields), "meta": meta}
-    return header, {name: f.data for name, f in fields.items()}
+    header = {"grid": {"n": list(grid.n), "box": list(grid.box)}, "fields": list(arrays), "meta": meta}
+    return header, arrays
 
 
 def wrg1_changes(a: str, b: str) -> dict:

@@ -15,7 +15,7 @@ anything. The copy has no ``.git``, so the tests that need git skip, and
 
 Every source text must occur exactly once in its file (the tier-1 test
 ``tests/test_mutants.py`` checks it), so the list cannot silently stop
-applying. One run of the full list (33 mutants) took about 8 minutes on
+applying. One run of the full list (36 mutants) took about 12 minutes on
 2 vCPUs: the suite runs once per mutant, to the end for a survivor.
 
 Exit codes: 0 when every mutant is killed, 1 when one survives, 2 when an
@@ -100,9 +100,16 @@ MUTANTS = [
      "pair[:3] *= grid.inv_k2", "pair[:3] *= 1.0"),
     ("ring vorticity as A^ x ik", "fieldzoo.py",
      "cross_parts(grid.ik, pair[:3], out=pair[3:])", "cross_parts(pair[:3], grid.ik, out=pair[3:])"),
-    # the WRG1 header's one entry per field name
+    # the WRG1 header's one entry per field name, and each array's kind its shape
     ("duplicate WRG1 field accepted", "wrg1.py",
      'if entry["name"] in names:', 'if entry["name"] in ():'),
+    ("vector written with kind scalar", "wrg1.py",
+     '(3,) + grid.shape: "vector"}', '(3,) + grid.shape: "scalar"}'),
+    ("write_fields shape check dropped", "wrg1.py",
+     "if kind is None:", "if False:"),
+    # two outputs of one command never name one file
+    ("same output path accepted", "cli.py",
+     "if real in seen:", "if False:"),
     # the ring pair must lie inside the box, and a bundle on one grid
     ("ring position check dropped", "fieldzoo.py",
      "if not (c - reach > 0.0 and c + reach < L):", "if False:"),
